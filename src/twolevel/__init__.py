@@ -59,21 +59,19 @@ from .sim import (
     MicroState,
     Trajectory,
     Transition,
-    aux_noblock_transitions,
-    aux_saturated_transitions,
     check_state,
-    enabled_transitions,
     martingale_residual,
     rescale,
     residual_sup,
     simulate,
     simulate_aux_noblock,
     simulate_aux_saturated,
+    simulate_process,
     step,
+    transitions,
     write_trajectory_csv,
 )
 from .oracle import (
-    StateSpace,
     build_generator,
     enumerate_states,
     state_space_size,
@@ -108,11 +106,11 @@ __all__ = [
     "FluidDerivative", "ReflectedSolution", "aux_noblock_fluid",
     "aux_saturated_fluid", "gbar_functional", "hybrid_drift", "hybrid_fluid",
     "integrate", "overloaded_rhs", "underloaded_rhs",
-    "MicroState", "Trajectory", "Transition", "aux_noblock_transitions", "check_state",
-    "aux_saturated_transitions", "enabled_transitions", "martingale_residual",
+    "MicroState", "Trajectory", "Transition", "check_state", "martingale_residual",
     "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
-    "simulate_aux_saturated", "step", "write_trajectory_csv",
-    "StateSpace", "build_generator", "enumerate_states", "state_space_size",
+    "simulate_aux_saturated", "simulate_process", "step", "transitions",
+    "write_trajectory_csv",
+    "build_generator", "enumerate_states", "state_space_size",
     "stationary_distribution", "stationary_moments", "transient_distribution",
     "write_stationary_csv",
     "ExperimentConfig", "Report", "convergence_sweep", "martingale_decay",

@@ -13,7 +13,9 @@ override file values.  The TWOLEVEL_OUT environment variable supplies
 the default output directory.
 
 Exit codes: 0 success (or experiment pass), 1 experiment verdict fail,
-2 configuration/validation error, 3 I/O error.
+2 configuration, validation or numerical error raised by the toolkit,
+3 I/O error, 4 any other failure (a bug or exhausted memory), so that a
+crash never reads as a failed verdict.
 """
 
 import argparse
@@ -23,16 +25,7 @@ import os
 import sys
 
 from . import experiments, fluid, model, oracle, sim
-from .errors import (
-    DomainError,
-    GridMismatch,
-    InvalidState,
-    NoConvergence,
-    NotIrreducible,
-    RegimeError,
-    RegimeMismatch,
-    TooLarge,
-)
+from .errors import NoConvergence, NonFinite, RegimeMismatch, SingularSystem
 
 CONFIG_KEYS = ("p", "mu01", "mu11", "mu02", "n", "c2", "horizon",
                "burn_in", "replications", "seed", "grid_dt")
@@ -158,18 +151,13 @@ def _cmd_simulate(args):
     if args.init is not None:
         init = tuple(int(part) for part in args.init.split(","))
     else:
-        init = (0, 0, 0) if process == "main" else (0, 0)
+        init = (0,) * len(sim.PROCESSES[process].columns)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     files = []
     for i in range(cfg["replications"]):
         seed = cfg["seed"] + i
-        if process == "main":
-            traj = sim.simulate(init, params, scaling, cfg["horizon"], seed)
-        elif process == "aux-saturated":
-            traj = sim.simulate_aux_saturated(init, params, scaling, cfg["horizon"], seed)
-        else:
-            traj = sim.simulate_aux_noblock(init, params, scaling, cfg["horizon"], seed)
+        traj = sim.simulate_process(process, init, params, scaling, cfg["horizon"], seed)
         name = f"sim_{process}_seed{seed}.csv"
         with open(os.path.join(out_dir, name), "w") as fp:
             sim.write_trajectory_csv(traj, fp)
@@ -343,8 +331,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", parents=[shared],
                            help="run seeded replications and write CSV trajectories")
-    p_sim.add_argument("--process", choices=("main", "aux-saturated", "aux-noblock"),
-                       default="main")
+    p_sim.add_argument("--process", choices=tuple(sim.PROCESSES), default="main")
     p_sim.add_argument("--init", help="comma-separated integer start state")
 
     p_fluid = sub.add_parser("fluid", parents=[shared],
@@ -382,13 +369,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, DomainError, RegimeError, RegimeMismatch, GridMismatch,
-            InvalidState, TooLarge, NotIrreducible, NoConvergence, ValueError) as exc:
+    except (ConfigError, ValueError, NoConvergence, NonFinite, SingularSystem) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

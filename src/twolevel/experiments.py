@@ -30,7 +30,7 @@ from .model import (
     y_bar,
 )
 
-TARGETS = ("main", "aux-saturated", "aux-noblock")
+TARGETS = tuple(sim.PROCESSES)
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,6 @@ def _config_echo(cfg, **extra):
     return echo
 
 
-def _simulate_target(target, init, params, scaling, horizon, seed):
-    if target == "main":
-        return sim.simulate(init, params, scaling, horizon, seed)
-    if target == "aux-saturated":
-        return sim.simulate_aux_saturated(init, params, scaling, horizon, seed)
-    return sim.simulate_aux_noblock(init, params, scaling, horizon, seed)
-
-
 def _fluid_reference(target, params, r, horizon, grid_dt):
     """Fluid comparison path sampled on the grid, columns matching the target."""
     substeps = max(1, math.ceil(grid_dt / 1e-3))
@@ -198,8 +190,8 @@ def _fluid_reference(target, params, r, horizon, grid_dt):
 def _convergence_rep(args):
     (target, params, n, c2, horizon, seed, grid_dt, fluid_values, t1) = args
     scaling = ScalingParams(n, c2)
-    init = (0, 0, 0) if target == "main" else (0, 0)
-    traj = _simulate_target(target, init, params, scaling, horizon, seed)
+    init = (0,) * len(sim.PROCESSES[target].columns)
+    traj = sim.simulate_process(target, init, params, scaling, horizon, seed)
     path = sim.rescale(traj, scaling, grid_dt)
     diff = np.max(np.abs(path.values - fluid_values), axis=1)
     grid = path.times

@@ -7,14 +7,20 @@ forms, not to scale.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .errors import NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
 
-STATE_CAP_DEFAULT = 200_000
+# A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  The
+# stationary and transient solves hold several more S x S arrays (the
+# transposed copy the stationary solve factorises, the uniformization
+# kernel and its temporaries): build, stationary and transient together
+# peaked at about 4.5x the generator at 3,721 states, so a larger cap
+# would not fit an 8 GB machine.
+STATE_CAP_DEFAULT = 11_585
 
 
 def state_space_size(scaling):
@@ -44,58 +50,28 @@ def enumerate_states(scaling, cap=STATE_CAP_DEFAULT):
     return states
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Bijection between the enumerated states and 0..|S|-1."""
-
-    states: list
-    index: dict
-
-    @classmethod
-    def build(cls, scaling, cap=STATE_CAP_DEFAULT):
-        states = enumerate_states(scaling, cap)
-        return cls(states, {s: i for i, s in enumerate(states)})
-
-    def __len__(self):
-        return len(self.states)
-
-    def index_of(self, state):
-        return self.index[MicroState(*state)]
-
-    def state_of(self, i):
-        return self.states[i]
-
-
-def _rate_clauses(state, params, scaling):
-    """(target, rate) pairs out of ``state``; written independently of the
-    simulator's transition enumeration so the two can cross-check each other."""
-    y_star, y, z = state
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n, c2 = scaling.n, scaling.c2
-    pairs = []
-    if z == 0 and y > 0:
-        pairs.append(((y_star + 1, y - 1, 0), mu01 * y))
-    if z > 0 and y > 0:
-        pairs.append(((y_star, y - 1, z - 1), (1 - p) * mu01 * y))
-        pairs.append(((y_star, y, z - 1), p * mu01 * y))
-    if y_star + y < n:
-        pairs.append(((y_star, y + 1, z), p * mu11 * (n - y_star - y)))
-    if y_star > 0:
-        pairs.append(((y_star - 1, y, z), (1 - p) * mu02 * c2))
-        pairs.append(((y_star - 1, y + 1, z), p * mu02 * c2))
-    if y_star == 0 and z < c2:
-        pairs.append(((y_star, y, z + 1), mu02 * (c2 - z)))
-    return [(tgt, rate) for tgt, rate in pairs if rate > 0]
-
-
 def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
-    """Dense generator matrix over the lexicographic state order."""
-    space = StateSpace.build(scaling, cap)
-    g = np.zeros((len(space), len(space)))
-    for i, state in enumerate(space.states):
-        for target, rate in _rate_clauses(state, params, scaling):
-            g[i, space.index_of(target)] += rate
-        g[i, i] = -g[i].sum()
+    """Dense generator matrix over the lexicographic state order.
+
+    Filled from the main process's transition table, one vectorised pass
+    per table row; targets are found by ``searchsorted`` on a key that
+    preserves the lexicographic order.
+    """
+    states = np.array(enumerate_states(scaling, cap), dtype=np.int64)
+    n1, c1 = scaling.n + 1, scaling.c2 + 1
+
+    def key(s):
+        return (s[:, 0] * n1 + s[:, 1]) * c1 + s[:, 2]
+
+    keys = key(states)
+    g = np.zeros((len(states), len(states)))
+    for delta, rate in sim.PROCESSES["main"].table:
+        rates = rate(states.T, params, scaling)
+        src = np.flatnonzero(rates > 0)
+        g[src, np.searchsorted(keys, key(states[src] + delta))] = rates[src]
+    # Set in place: an S x S temporary would add a generator's worth to
+    # the peak memory.
+    np.fill_diagonal(g, -g.sum(axis=1))
     return g
 
 

@@ -9,11 +9,11 @@ of (parameters, seed).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import DomainError, InvalidState
 from .skorokhod import SampledPath
 
 MAX_EVENTS_DEFAULT = 10_000_000
@@ -82,120 +82,138 @@ def check_state(state, scaling):
         raise InvalidState(f"blocked operators with idle specialists in {state}")
 
 
-def enabled_transitions(state, params, scaling):
-    """All transitions with positive rate out of ``state``, in fixed clause order.
-
-    The seven clauses: level-1 completion into blocking (all specialists
-    busy); completion with handover, operator released; completion with
-    handover, operator restarts class-0 work; a free operator starts a
-    class-0 call; specialist completion unblocking an operator (released /
-    restarting); a specialist finishing with no one blocked.
-    """
-    check_state(state, scaling)
-    y_star, y, z = state
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n, c2 = scaling.n, scaling.c2
-    out = []
-    if z == 0:
-        rate = mu01 * y
-        if rate > 0:
-            out.append(Transition((1, -1, 0), rate))
-    else:
-        rate = (1 - p) * mu01 * y
-        if rate > 0:
-            out.append(Transition((0, -1, -1), rate))
-        rate = p * mu01 * y
-        if rate > 0:
-            out.append(Transition((0, 0, -1), rate))
-    rate = p * mu11 * (n - y_star - y)
-    if rate > 0:
-        out.append(Transition((0, 1, 0), rate))
-    if y_star > 0:
-        rate = (1 - p) * mu02 * c2
-        if rate > 0:
-            out.append(Transition((-1, 0, 0), rate))
-        rate = p * mu02 * c2
-        if rate > 0:
-            out.append(Transition((-1, 1, 0), rate))
-    else:
-        rate = mu02 * (c2 - z)
-        if rate > 0:
-            out.append(Transition((0, 0, 1), rate))
-    return out
-
-
-def aux_saturated_transitions(state, params, scaling):
-    """Transitions of the always-saturated variant (state (y_star, y), no z)."""
+def _check_saturated(state, scaling):
     y_star, y = state
     if y_star < 0 or y < 0 or y_star + y > scaling.n:
-        raise InvalidState(f"state {state} outside the saturated state space")
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    out = []
-    rate = mu01 * y
-    if rate > 0:
-        out.append(Transition((1, -1), rate))
-    if y_star > 0:
-        rate = (1 - p) * mu02 * scaling.c2
-        if rate > 0:
-            out.append(Transition((-1, 0), rate))
-        rate = p * mu02 * scaling.c2
-        if rate > 0:
-            out.append(Transition((-1, 1), rate))
-    rate = p * mu11 * (scaling.n - y_star - y)
-    if rate > 0:
-        out.append(Transition((0, 1), rate))
-    return out
+        raise InvalidState(f"state {tuple(state)} outside the saturated state space")
 
 
-def aux_noblock_transitions(state, params, scaling):
-    """Transitions of the no-blocking variant (state (y, z)): full handover is lost when z=0."""
+def _check_noblock(state, scaling):
     y, z = state
     if y < 0 or y > scaling.n or z < 0 or z > scaling.c2:
-        raise InvalidState(f"state {state} outside the no-blocking state space")
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+        raise InvalidState(f"state {tuple(state)} outside the no-blocking state space")
+
+
+class Process(NamedTuple):
+    """One chain: state columns, transition table, state-space check, simulator.
+
+    ``table`` is an ordered tuple of ``(delta, rate)`` rows.  ``rate(x,
+    params, scaling)`` takes the state columns ``x`` as Python numbers or as
+    numpy arrays (one entry per state) and is 0 where the clause is
+    disabled.  Each product is written in the order the hand-written
+    simulator loop uses, so both give the same floats.  ``simulator`` names
+    that loop; it is looked up in this module at call time, so a wrapper
+    installed on the module attribute sees every dispatched run.
+    """
+
+    columns: tuple
+    table: tuple
+    check: Callable
+    simulator: str
+
+
+PROCESSES = {
+    "main": Process(
+        ("y_star", "y", "z"),
+        (
+            # level-1 completion into blocking: every specialist busy
+            ((1, -1, 0), lambda x, m, s: m.mu01 * x[1] * (x[2] == 0)),
+            # completion with handover: operator released / restarts class-0 work
+            ((0, -1, -1), lambda x, m, s: (1 - m.p) * m.mu01 * x[1] * (x[2] > 0)),
+            ((0, 0, -1), lambda x, m, s: m.p * m.mu01 * x[1] * (x[2] > 0)),
+            # a free operator starts a class-0 call
+            ((0, 1, 0), lambda x, m, s: m.p * m.mu11 * (s.n - x[0] - x[1])),
+            # specialist completion unblocks an operator: released / restarting
+            ((-1, 0, 0), lambda x, m, s: (1 - m.p) * m.mu02 * s.c2 * (x[0] > 0)),
+            ((-1, 1, 0), lambda x, m, s: m.p * m.mu02 * s.c2 * (x[0] > 0)),
+            # a specialist finishes with no one blocked
+            ((0, 0, 1), lambda x, m, s: m.mu02 * (s.c2 - x[2]) * (x[0] == 0)),
+        ),
+        check_state,
+        "simulate",
+    ),
+    # Every specialist always busy: state (y_star, y), no z.
+    "aux-saturated": Process(
+        ("y_star", "y"),
+        (
+            ((1, -1), lambda x, m, s: m.mu01 * x[1]),
+            ((-1, 0), lambda x, m, s: (1 - m.p) * m.mu02 * s.c2 * (x[0] > 0)),
+            ((-1, 1), lambda x, m, s: m.p * m.mu02 * s.c2 * (x[0] > 0)),
+            ((0, 1), lambda x, m, s: m.p * m.mu11 * (s.n - x[0] - x[1])),
+        ),
+        _check_saturated,
+        "simulate_aux_saturated",
+    ),
+    # No blocking: state (y, z); a handover that finds z = 0 is lost.
+    "aux-noblock": Process(
+        ("y", "z"),
+        (
+            ((-1, 0), lambda x, m, s: (1 - m.p) * m.mu01 * x[0] * (x[1] == 0)),
+            ((-1, -1), lambda x, m, s: (1 - m.p) * m.mu01 * x[0] * (x[1] > 0)),
+            ((0, -1), lambda x, m, s: m.p * m.mu01 * x[0] * (x[1] > 0)),
+            ((1, 0), lambda x, m, s: m.p * m.mu11 * (s.n - x[0])),
+            ((0, 1), lambda x, m, s: m.mu02 * (s.c2 - x[1])),
+        ),
+        _check_noblock,
+        "simulate_aux_noblock",
+    ),
+}
+
+
+def _process(name):
+    try:
+        return PROCESSES[name]
+    except KeyError:
+        raise DomainError("process", f"process must be one of {tuple(PROCESSES)}") from None
+
+
+def transitions(process, state, params, scaling):
+    """All transitions with positive rate out of ``state``, in table order."""
+    spec = _process(process)
+    spec.check(state, scaling)
     out = []
-    if z == 0:
-        rate = (1 - p) * mu01 * y
-        if rate > 0:
-            out.append(Transition((-1, 0), rate))
-    else:
-        rate = (1 - p) * mu01 * y
-        if rate > 0:
-            out.append(Transition((-1, -1), rate))
-        rate = p * mu01 * y
-        if rate > 0:
-            out.append(Transition((0, -1), rate))
-    rate = p * mu11 * (scaling.n - y)
-    if rate > 0:
-        out.append(Transition((1, 0), rate))
-    rate = mu02 * (scaling.c2 - z)
-    if rate > 0:
-        out.append(Transition((0, 1), rate))
+    for delta, rate in spec.table:
+        value = rate(state, params, scaling)
+        if value > 0:
+            out.append(Transition(delta, value))
     return out
 
 
-def step(state, rng, params, scaling):
+def drift(process, x, params, scaling):
+    """Sum of delta * rate / n over the table: the density-dependent drift.
+
+    ``x`` holds the state columns, as numbers or as arrays of equal
+    length; the result has the columns on its last axis.
+    """
+    table = _process(process).table
+    rates = np.array([rate(x, params, scaling) for _, rate in table], dtype=float)
+    deltas = np.array([delta for delta, _ in table], dtype=float)
+    return np.tensordot(rates, deltas, (0, 0)) / scaling.n
+
+
+def step(process, state, rng, params, scaling):
     """One jump from ``state``: (exponential holding time, next state).
 
     Deterministic given the generator state.  With nothing enabled the
     absorbing marker (math.inf, state) is returned instead of looping.
     """
-    transitions = enabled_transitions(state, params, scaling)
-    if not transitions:
+    enabled = transitions(process, state, params, scaling)
+    if not enabled:
         return (math.inf, state)
     total = 0.0
-    for tr in transitions:
+    for tr in enabled:
         total += tr.rate
     holding = rng.exponential(1.0 / total)
     u = rng.random() * total
     acc = 0.0
-    chosen = transitions[-1]
-    for tr in transitions:
+    chosen = enabled[-1]
+    for tr in enabled:
         acc += tr.rate
         if u < acc:
             chosen = tr
             break
-    return (holding, MicroState(*(a + b for a, b in zip(state, chosen.delta))))
+    nxt = tuple(a + b for a, b in zip(state, chosen.delta))
+    return (holding, MicroState(*nxt) if process == "main" else nxt)
 
 
 class _Recorder:
@@ -318,9 +336,8 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
 
 def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
     """Run the always-saturated variant from (y_star, y)."""
+    _check_saturated(init, scaling)
     y_star, y = init
-    if y_star < 0 or y < 0 or y_star + y > scaling.n:
-        raise InvalidState(f"state {tuple(init)} outside the saturated state space")
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
@@ -367,9 +384,8 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_
 
 def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
     """Run the no-blocking variant from (y, z)."""
+    _check_noblock(init, scaling)
     y, z = init
-    if y < 0 or y > scaling.n or z < 0 or z > scaling.c2:
-        raise InvalidState(f"state {tuple(init)} outside the no-blocking state space")
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
@@ -417,6 +433,13 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EV
     )
 
 
+def simulate_process(process, init, params, scaling, horizon, seed,
+                     max_events=MAX_EVENTS_DEFAULT):
+    """Run ``process`` (a key of PROCESSES) with its hand-written simulator loop."""
+    run = globals()[_process(process).simulator]
+    return run(init, params, scaling, horizon, seed, max_events)
+
+
 def rescale(traj, scaling, grid_dt):
     """Sample the trajectory divided by n on the uniform grid k*grid_dt.
 
@@ -433,31 +456,16 @@ def rescale(traj, scaling, grid_dt):
 
 
 def _compensator_pieces(traj, params, scaling):
-    """Per-interval drift integrands and their prefix integrals for the main process."""
+    """Per-interval table drifts and their prefix integrals for the main process."""
     if traj.process != "main":
         raise InvalidState("martingale residuals are defined for the main process")
     if traj.truncated:
         raise InvalidState("martingale residuals need the full event list, not a truncated run")
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n = scaling.n
-    c2n = scaling.c2 / n
-    ys = traj.states[:, 0].astype(float) / n
-    yy = traj.states[:, 1].astype(float) / n
-    zz = traj.states[:, 2].astype(float) / n
-    blocked = traj.states[:, 0] > 0
-    idle = traj.states[:, 2] > 0
-    g = np.empty((len(ys), 3))
-    g[:, 0] = mu01 * yy * ~idle - mu02 * c2n * blocked
-    g[:, 1] = (
-        -mu01 * yy * (1.0 - p * idle)
-        + p * mu02 * c2n * blocked
-        + p * mu11 * (1.0 - ys - yy)
-    )
-    g[:, 2] = -mu01 * yy * idle + mu02 * (c2n - zz) * ~blocked
+    g = drift("main", traj.states.T, params, scaling)
     gaps = np.diff(traj.times)
-    prefix = np.zeros((len(ys), 3))
+    prefix = np.zeros_like(g)
     np.cumsum(g[:-1] * gaps[:, None], axis=0, out=prefix[1:])
-    coords = np.column_stack([ys, yy, zz])
+    coords = traj.states / scaling.n
     return coords, g, prefix
 
 

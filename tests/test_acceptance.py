@@ -26,7 +26,6 @@ from twolevel import (
     build_generator,
     convergence_sweep,
     critical_ratio,
-    enabled_transitions,
     enumerate_states,
     gbar_functional,
     h_bar,
@@ -38,10 +37,12 @@ from twolevel import (
     phase_scan,
     saturation_certificate,
     solve_generalized,
+    transitions,
     underloaded_fixed_point,
     underloaded_rhs,
     y_b_closed_form,
 )
+from rate_clauses import rate_clauses
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 BASE_SEED = 12345
@@ -158,11 +159,17 @@ def test_criterion_05_oracle_equivalence(verdict):
             index = {s: k for k, s in enumerate(states)}
             g = build_generator(params, scaling)
             for i, state in enumerate(states):
+                # Independent hand-written clauses vs the oracle generator and
+                # the simulator's transitions, both derived from the table.
                 expected = np.zeros(len(states))
-                for tr in enabled_transitions(state, params, scaling):
+                for target, rate in rate_clauses(state, params, scaling):
+                    expected[index[target]] += rate
+                simulated = np.zeros(len(states))
+                for tr in transitions("main", state, params, scaling):
                     target = MicroState(*(a + b for a, b in zip(state, tr.delta)))
-                    expected[index[target]] += tr.rate
+                    simulated[index[target]] += tr.rate
                 ok = ok and np.abs(np.delete(g[i], i) - np.delete(expected, i)).max() <= 1e-13
+                ok = ok and np.abs(simulated - expected).max() <= 1e-13
     verdict(5, "oracle-equivalence", ok, started)
     assert ok
 

@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import twolevel
+from twolevel import SingularSystem, cli, oracle
 
 # Directory holding the imported `twolevel` package; the child process gets it
 # as an absolute PYTHONPATH entry, so it runs the same code from any cwd.
@@ -232,3 +234,51 @@ class TestExperimentCommand:
         assert proc.returncode in (0, 1)
         assert re.match(r"oracle_check: (PASS|FAIL)\n", proc.stdout), proc.stderr
         assert (tmp_path / "nested" / "oracle_check_seed2.json").exists()
+
+
+class TestExitCodes:
+    """In-process: toolkit errors exit 2, anything else 4, so only a verdict exits 1."""
+
+    ORACLE_CHECK = ["experiment", "--experiment", "oracle-check", "--n", "2", "--c2", "1",
+                    "--horizon", "10", "--seed", "1"]
+
+    @pytest.mark.parametrize("exc, code", [
+        (SingularSystem("forced singular solve"), 2),
+        (RuntimeError("forced bug"), 4),
+        (MemoryError(), 4),
+    ])
+    def test_crash_is_not_a_fail_verdict(self, monkeypatch, capsys, tmp_path, exc, code):
+        def explode(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(oracle, "build_generator", explode)
+        assert cli.main(self.ORACLE_CHECK + ["--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: " if code == 2 else "internal error: ")
+
+    def test_real_fail_verdict_still_exits_1(self, capsys, tmp_path):
+        code = cli.main([
+            "experiment", "--experiment", "no-blocking", "--n", "20", "--c2", "14",
+            "--n-list", "20", "--horizon", "25", "--burn-in", "10",
+            "--replications", "4", "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("no_blocking: FAIL\n")
+
+    def test_oracle_too_large_refused_before_allocating(self, capsys, tmp_path):
+        """n=400, c2=100 has 120,701 states: a 108 GiB dense generator."""
+        tracemalloc.start()
+        try:
+            code = cli.main([
+                "experiment", "--experiment", "oracle-check", "--n", "400", "--c2", "100",
+                "--horizon", "10", "--seed", "1", "--out", str(tmp_path),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "120701 states, exceeding the cap of 11585" in capsys.readouterr().err
+        # One float row of the generator alone would be 0.9 MiB.
+        assert peak < 2**19
+        assert not any(tmp_path.iterdir())

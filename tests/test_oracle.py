@@ -13,7 +13,6 @@ from twolevel import (
     TooLarge,
     blocked_fraction_limit,
     build_generator,
-    enabled_transitions,
     enumerate_states,
     state_space_size,
     stationary_distribution,
@@ -21,6 +20,7 @@ from twolevel import (
     transient_distribution,
     write_stationary_csv,
 )
+from rate_clauses import rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
@@ -84,11 +84,18 @@ class TestGenerator:
         g = build_generator(params, scaling)
         for i, state in enumerate(states):
             expected = np.zeros(len(states))
-            for tr in enabled_transitions(state, params, scaling):
-                target = MicroState(*(a + b for a, b in zip(state, tr.delta)))
-                expected[index[target]] += tr.rate
+            for target, rate in rate_clauses(state, params, scaling):
+                expected[index[target]] += rate
             expected[i] = -expected.sum()
             np.testing.assert_allclose(g[i], expected, atol=1e-13)
+
+    @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
+    @pytest.mark.parametrize("n,c2", [(4, 2), (20, 10), (60, 30)])
+    def test_identical_to_state_by_state_reference(self, n, c2, p):
+        """The table-driven build reproduces the per-state loop bit for bit."""
+        params = ModelParams(p, 1.3, 0.8, 1.1)
+        scaling = ScalingParams(n=n, c2=c2)
+        assert np.array_equal(build_generator(params, scaling), reference_generator(params, scaling))
 
 
 class TestStationary:

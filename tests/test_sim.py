@@ -8,36 +8,41 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 from twolevel import (
+    DomainError,
     InvalidState,
     MicroState,
     ModelParams,
     ScalingParams,
     Trajectory,
-    aux_noblock_transitions,
-    aux_saturated_transitions,
     build_generator,
     check_state,
-    enabled_transitions,
+    hybrid_drift,
     martingale_residual,
     overloaded_fixed_point,
+    overloaded_rhs,
     rescale,
     residual_sup,
     simulate,
     simulate_aux_noblock,
     simulate_aux_saturated,
+    simulate_process,
     stationary_distribution,
     stationary_moments,
     step,
+    transitions,
     underloaded_fixed_point,
+    underloaded_rhs,
     write_trajectory_csv,
 )
+from twolevel.sim import PROCESSES, drift
+from rate_clauses import rate_clauses
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
 
-def as_target_rates(state, transitions):
+def as_target_rates(state, enabled):
     return {
-        tuple(a + b for a, b in zip(state, tr.delta)): tr.rate for tr in transitions
+        tuple(a + b for a, b in zip(state, tr.delta)): tr.rate for tr in enabled
     }
 
 
@@ -56,17 +61,17 @@ class TestCheckState:
 class TestEnabledTransitions:
     def test_idle_specialist_state_enumeration(self):
         scaling = ScalingParams(n=3, c2=1)
-        got = as_target_rates((0, 2, 1), enabled_transitions((0, 2, 1), SYM, scaling))
+        got = as_target_rates((0, 2, 1), transitions("main", (0, 2, 1), SYM, scaling))
         assert got == {(0, 1, 0): 1.0, (0, 2, 0): 1.0, (0, 3, 1): 0.5}
 
     def test_blocked_operator_state_enumeration(self):
         scaling = ScalingParams(n=3, c2=1)
-        got = as_target_rates((1, 1, 0), enabled_transitions((1, 1, 0), SYM, scaling))
+        got = as_target_rates((1, 1, 0), transitions("main", (1, 1, 0), SYM, scaling))
         assert got == {(2, 0, 0): 1.0, (0, 1, 0): 0.5, (0, 2, 0): 0.5, (1, 2, 0): 0.5}
 
     def test_degenerate_corner_is_absorbing(self):
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
-        assert enabled_transitions((0, 0, 1), params, ScalingParams(n=1, c2=1)) == []
+        assert transitions("main", (0, 0, 1), params, ScalingParams(n=1, c2=1)) == []
 
     def test_total_rate_double_entry(self):
         """Sum of clause rates equals the independently derived exit rate."""
@@ -77,7 +82,7 @@ class TestEnabledTransitions:
             y_star = int(rng.integers(0, 8))
             y = int(rng.integers(0, 8 - y_star))
             z = 0 if y_star > 0 else int(rng.integers(0, 4))
-            total = sum(tr.rate for tr in enabled_transitions((y_star, y, z), params, scaling))
+            total = sum(tr.rate for tr in transitions("main", (y_star, y, z), params, scaling))
             spec_total = params.mu01 * y + params.p * params.mu11 * (7 - y_star - y)
             spec_total += params.mu02 * (3 if y_star > 0 else 3 - z)
             assert total == pytest.approx(spec_total, abs=1e-12)
@@ -89,7 +94,7 @@ class TestEnabledTransitions:
                 for z in range(3):
                     if y_star > 0 and z > 0:
                         continue
-                    for tr in enabled_transitions((y_star, y, z), SYM, scaling):
+                    for tr in transitions("main", (y_star, y, z), SYM, scaling):
                         target = tuple(
                             a + b for a, b in zip((y_star, y, z), tr.delta)
                         )
@@ -99,46 +104,58 @@ class TestEnabledTransitions:
 
 class TestAuxTransitions:
     def test_saturated_no_blocked_operators_disables_level2(self):
-        got = aux_saturated_transitions((0, 5), SYM, ScalingParams(n=10, c2=2))
+        got = transitions("aux-saturated", (0, 5), SYM, ScalingParams(n=10, c2=2))
         deltas = {tr.delta for tr in got}
         assert deltas == {(1, -1), (0, 1)}
 
     def test_saturated_blocked_state_enumeration(self):
-        got = aux_saturated_transitions((1, 0), SYM, ScalingParams(n=3, c2=2))
+        got = transitions("aux-saturated", (1, 0), SYM, ScalingParams(n=3, c2=2))
         assert as_target_rates((1, 0), got) == {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}
 
     def test_noblock_busy_specialists_drop_handover(self):
-        got = aux_noblock_transitions((4, 0), SYM, ScalingParams(n=10, c2=3))
+        got = transitions("aux-noblock", (4, 0), SYM, ScalingParams(n=10, c2=3))
         rates = {tr.delta: tr.rate for tr in got}
         assert rates[(-1, 0)] == pytest.approx(0.5 * 4)
         assert (-1, -1) not in rates and (0, -1) not in rates
 
     def test_noblock_all_idle_only_admission(self):
-        got = aux_noblock_transitions((0, 3), SYM, ScalingParams(n=10, c2=3))
+        got = transitions("aux-noblock", (0, 3), SYM, ScalingParams(n=10, c2=3))
         assert [(tr.delta, tr.rate) for tr in got] == [((1, 0), 0.5 * 10)]
+
+    def test_unknown_process_rejected(self):
+        with pytest.raises(DomainError):
+            transitions("warp", (0, 0), SYM, ScalingParams(n=3, c2=1))
 
     def test_out_of_space_states_rejected(self):
         with pytest.raises(InvalidState):
-            aux_saturated_transitions((-1, 0), SYM, ScalingParams(n=3, c2=1))
+            transitions("aux-saturated", (-1, 0), SYM, ScalingParams(n=3, c2=1))
         with pytest.raises(InvalidState):
-            aux_noblock_transitions((0, 2), SYM, ScalingParams(n=3, c2=1))
+            transitions("aux-noblock", (0, 2), SYM, ScalingParams(n=3, c2=1))
 
 
 class TestCouplingConsistency:
-    """Shared-coordinate rate agreement between the main and auxiliary chains."""
+    """Shared-coordinate rate agreement between the main and auxiliary chains.
+
+    The main side comes from the hand-written reference clauses, so the aux
+    tables are checked against an independent statement of the model.
+    """
+
+    @staticmethod
+    def reference_deltas(state, params, scaling, keep):
+        return {
+            tuple(b - a for a, b in zip(state, target))[keep]: rate
+            for target, rate in rate_clauses(state, params, scaling)
+        }
 
     def test_blocked_states_match_saturated_chain(self):
         params = ModelParams(0.4, 1.2, 0.9, 1.1)
         scaling = ScalingParams(n=6, c2=3)
         for y_star in range(1, 7):
             for y in range(7 - y_star):
-                main = {
-                    tr.delta[:2]: tr.rate
-                    for tr in enabled_transitions((y_star, y, 0), params, scaling)
-                }
+                main = self.reference_deltas((y_star, y, 0), params, scaling, slice(0, 2))
                 aux = {
                     tr.delta: tr.rate
-                    for tr in aux_saturated_transitions((y_star, y), params, scaling)
+                    for tr in transitions("aux-saturated", (y_star, y), params, scaling)
                 }
                 assert main == aux
 
@@ -147,15 +164,62 @@ class TestCouplingConsistency:
         scaling = ScalingParams(n=6, c2=3)
         for y in range(7):
             for z in range(1, 4):
-                main = {
-                    tr.delta[1:]: tr.rate
-                    for tr in enabled_transitions((0, y, z), params, scaling)
-                }
+                main = self.reference_deltas((0, y, z), params, scaling, slice(1, 3))
                 aux = {
                     tr.delta: tr.rate
-                    for tr in aux_noblock_transitions((y, z), params, scaling)
+                    for tr in transitions("aux-noblock", (y, z), params, scaling)
                 }
                 assert main == aux
+
+
+class TestTableDrift:
+    """Sum of delta * rate / n over each table against the closed-form fluid model.
+
+    Kurtz's fluid limit of a density-dependent chain is this drift, so the
+    tables must vanish at the model's fixed points and reproduce the fluid
+    right-hand sides, which are written out separately in ``fluid``.
+    """
+
+    PARAMS = ModelParams(0.35, 1.4, 0.7, 1.2)  # critical ratio ~0.2475
+    N = 1000
+    OVER, UNDER = ScalingParams(N, 120), ScalingParams(N, 370)
+
+    def at(self, process, point, scaling):
+        x = tuple(self.N * v for v in point)
+        return drift(process, x, self.PARAMS, scaling)
+
+    def test_vanishes_at_fixed_points(self):
+        ys, y = overloaded_fixed_point(self.PARAMS, self.OVER.r)
+        yu, zu = underloaded_fixed_point(self.PARAMS, self.UNDER.r)
+        assert ys > 0 and zu > 0
+        for process, point, scaling in [
+            ("main", (ys, y, 0.0), self.OVER),
+            ("aux-saturated", (ys, y), self.OVER),
+            ("main", (0.0, yu, zu), self.UNDER),
+            ("aux-noblock", (yu, zu), self.UNDER),
+        ]:
+            assert np.abs(self.at(process, point, scaling)).max() <= 1e-12, process
+
+    def test_matches_fluid_right_hand_sides(self):
+        rng = np.random.default_rng(5)
+        p, over, under = self.PARAMS, self.OVER, self.UNDER
+        for _ in range(50):
+            ys = rng.uniform(0.01, 0.99)
+            y = rng.uniform(0.0, 1.0 - ys)
+            blocked = (*overloaded_rhs((ys, y), p, over.r), 0.0)
+            np.testing.assert_allclose(self.at("main", (ys, y, 0.0), over), blocked, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(self.at("main", (ys, y, 0.0), over),
+                                       hybrid_drift((ys, y, 0.0), p, over.r), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(self.at("aux-saturated", (ys, y), over), blocked[:2],
+                                       rtol=0, atol=1e-12)
+            y = rng.uniform(0.0, 1.0)
+            z = rng.uniform(0.01, under.r)
+            idle = (0.0, *underloaded_rhs((y, z), p, under.r))
+            np.testing.assert_allclose(self.at("main", (0.0, y, z), under), idle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(self.at("main", (0.0, y, z), under),
+                                       hybrid_drift((0.0, y, z), p, under.r), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(self.at("aux-noblock", (y, z), under), idle[1:],
+                                       rtol=0, atol=1e-12)
 
 
 class TestStep:
@@ -164,7 +228,7 @@ class TestStep:
         rng = np.random.default_rng(2024)
         holdings = np.empty(100_000)
         for i in range(len(holdings)):
-            holding, nxt = step((0, 0, 1), rng, SYM, scaling)
+            holding, nxt = step("main", (0, 0, 1), rng, SYM, scaling)
             assert nxt == (0, 1, 1)
             holdings[i] = holding
         lam = 0.5
@@ -177,7 +241,7 @@ class TestStep:
         counts = {(0, 1, 0): 0, (0, 2, 0): 0, (0, 3, 1): 0}
         draws = 100_000
         for _ in range(draws):
-            _, nxt = step((0, 2, 1), rng, SYM, scaling)
+            _, nxt = step("main", (0, 2, 1), rng, SYM, scaling)
             counts[tuple(nxt)] += 1
         for target, prob in [((0, 1, 0), 0.4), ((0, 2, 0), 0.4), ((0, 3, 1), 0.2)]:
             sigma = math.sqrt(prob * (1 - prob) / draws)
@@ -186,13 +250,13 @@ class TestStep:
     def test_absorbing_state_returns_marker(self):
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
         rng = np.random.default_rng(0)
-        holding, nxt = step((0, 0, 1), rng, params, ScalingParams(n=1, c2=1))
+        holding, nxt = step("main", (0, 0, 1), rng, params, ScalingParams(n=1, c2=1))
         assert holding == math.inf and nxt == (0, 0, 1)
 
     def test_fixed_seed_reproducible(self):
         scaling = ScalingParams(n=3, c2=1)
-        a = step((0, 2, 1), np.random.default_rng(55), SYM, scaling)
-        b = step((0, 2, 1), np.random.default_rng(55), SYM, scaling)
+        a = step("main", (0, 2, 1), np.random.default_rng(55), SYM, scaling)
+        b = step("main", (0, 2, 1), np.random.default_rng(55), SYM, scaling)
         assert a == b
 
 
@@ -213,22 +277,26 @@ class TestSimulate:
         reachable = {(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 0, 0)}
         assert set(states) <= reachable
 
-    def test_matches_manual_step_loop(self):
-        """simulate() replays exactly the embedded chain that step() exposes."""
+    @pytest.mark.parametrize("process", ["main", "aux-saturated", "aux-noblock"])
+    def test_matches_manual_step_loop(self, process):
+        """Each hand-written loop replays exactly the embedded chain that step() exposes."""
         scaling = ScalingParams(n=8, c2=3)
         horizon = 6.0
-        traj = simulate((0, 0, 0), SYM, scaling, horizon, seed=99)
+        init = (0,) * len(PROCESSES[process].columns)
+        traj = simulate_process(process, init, SYM, scaling, horizon, seed=99)
+        assert traj.process == process and traj.columns == PROCESSES[process].columns
         rng = np.random.default_rng(99)
-        t, state = 0.0, MicroState(0, 0, 0)
+        t, state = 0.0, init
         times, states = [0.0], [state]
         while True:
-            holding, nxt = step(state, rng, SYM, scaling)
+            holding, nxt = step(process, state, rng, SYM, scaling)
             t += holding
             if t >= horizon:
                 break
             state = nxt
             times.append(t)
             states.append(state)
+        assert traj.num_events > 10
         assert traj.times.tolist() == times
         assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
 
