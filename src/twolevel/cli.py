@@ -148,10 +148,19 @@ def _cmd_simulate(args):
         return 0
     params, scaling = _params_of(cfg)
     process = args.process
+    columns = sim.PROCESSES[process].columns
     if args.init is not None:
-        init = tuple(int(part) for part in args.init.split(","))
+        try:
+            init = tuple(int(part) for part in args.init.split(","))
+        except ValueError:
+            init = ()
+        if len(init) != len(columns):
+            raise ConfigError(
+                f"--init for {process} takes {len(columns)} comma-separated integers "
+                f"({','.join(columns)}), got {args.init!r}"
+            )
     else:
-        init = (0,) * len(sim.PROCESSES[process].columns)
+        init = (0,) * len(columns)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     files = []

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import sim
-from .errors import NotIrreducible, SingularSystem, TooLarge
+from .errors import InvalidState, NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
 
 # A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  The
@@ -55,7 +55,8 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
 
     Filled from the main process's transition table, one vectorised pass
     per table row; targets are found by ``searchsorted`` on a key that
-    preserves the lexicographic order.
+    preserves the lexicographic order.  Raises InvalidState if a
+    positive-rate row leads out of the state space.
     """
     states = np.array(enumerate_states(scaling, cap), dtype=np.int64)
     n1, c1 = scaling.n + 1, scaling.c2 + 1
@@ -68,7 +69,18 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     for delta, rate in sim.PROCESSES["main"].table:
         rates = rate(states.T, params, scaling)
         src = np.flatnonzero(rates > 0)
-        g[src, np.searchsorted(keys, key(states[src] + delta))] = rates[src]
+        targets = states[src] + delta
+        idx = np.minimum(np.searchsorted(keys, key(targets)), len(keys) - 1)
+        # Compare whole rows, not keys: an out-of-range coordinate can carry
+        # into a valid key (z = c2 + 1 has the key of (y_star, y + 1, 0)).
+        missed = np.flatnonzero((states[idx] != targets).any(axis=1))
+        if len(missed):
+            i = missed[0]
+            raise InvalidState(
+                f"transition {delta} leads from {tuple(states[src[i]].tolist())} to "
+                f"{tuple(targets[i].tolist())}, outside the state space"
+            )
+        g[src, idx] = rates[src]
     # Set in place: an S x S temporary would add a generator's worth to
     # the peak memory.
     np.fill_diagonal(g, -g.sum(axis=1))

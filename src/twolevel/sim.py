@@ -1,10 +1,17 @@
 """Exact jump-chain simulation of the network and its two auxiliary variants.
 
 States are integer vectors; holding times are exponential in the total
-enabled rate and the next transition is drawn proportionally to its rate,
-which reproduces the continuous-time law exactly.  All randomness comes
-from numpy's PCG64 generator seeded explicitly; a run is a pure function
-of (parameters, seed).
+enabled rate and the next transition is drawn proportionally to its rate
+(Gillespie's direct method), which reproduces the continuous-time law
+exactly.  All randomness comes from numpy's PCG64 generator seeded
+explicitly; a run is a pure function of (parameters, seed).
+
+Each jump takes two uniforms u, u' from the stream: the holding time is
+-log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
+the first whose cumulative rate exceeds u' * total.  The ``simulate*``
+loops draw them in blocks of ``2 * _CHUNK`` and append each jump to the
+recorder's lists inline; ``step`` draws the same two uniforms per call, so
+a loop of ``step`` calls replays a run bit for bit.
 """
 
 import math
@@ -18,6 +25,8 @@ from .skorokhod import SampledPath
 
 MAX_EVENTS_DEFAULT = 10_000_000
 _FALLBACK_POINTS = 1 << 20
+# Jumps per block of random draws (two uniforms each).
+_CHUNK = 1024
 
 
 class MicroState(NamedTuple):
@@ -191,11 +200,24 @@ def drift(process, x, params, scaling):
     return np.tensordot(rates, deltas, (0, 0)) / scaling.n
 
 
+def _jump_draws(rng, count):
+    """Random numbers for ``count`` jumps: (standard exponentials, uniforms).
+
+    Jump k takes uniforms 2k and 2k+1 of one ``rng.random(2 * count)``
+    block: the first becomes the Exp(1) variate -log1p(-u) (inversion),
+    the second picks the transition.  Both come back as Python float lists.
+    """
+    u = rng.random(2 * count)
+    return (-np.log1p(-u[0::2])).tolist(), u[1::2].tolist()
+
+
 def step(process, state, rng, params, scaling):
     """One jump from ``state``: (exponential holding time, next state).
 
-    Deterministic given the generator state.  With nothing enabled the
-    absorbing marker (math.inf, state) is returned instead of looping.
+    Draws the same two uniforms per jump as the ``simulate*`` loops, so a
+    loop of ``step`` calls replays their runs bit for bit.  With nothing
+    enabled the absorbing marker (math.inf, state) is returned and nothing
+    is drawn.
     """
     enabled = transitions(process, state, params, scaling)
     if not enabled:
@@ -203,8 +225,9 @@ def step(process, state, rng, params, scaling):
     total = 0.0
     for tr in enabled:
         total += tr.rate
-    holding = rng.exponential(1.0 / total)
-    u = rng.random() * total
+    exps, unis = _jump_draws(rng, 1)
+    holding = exps[0] / total
+    u = unis[0] * total
     acc = 0.0
     chosen = enabled[-1]
     for tr in enabled:
@@ -217,57 +240,70 @@ def step(process, state, rng, params, scaling):
 
 
 class _Recorder:
-    """Event recorder with a cap; past the cap only a grid sample is kept."""
+    """Event rows with a cap; past ``max_events`` events only a grid sample is kept.
 
-    def __init__(self, ncols, horizon, max_events):
-        self.ts = [0.0]
-        self.cols = [[] for _ in range(ncols)]
+    The simulator loops append each jump to ``times`` and ``cols``
+    themselves and call ``cap`` between blocks of draws.  Once more than
+    ``max_events`` events are held, the rows become right-continuous
+    samples on the grid k * horizon / min(max_events, 2**20), and from
+    then on each ``cap`` moves the new raw rows onto the grid, keeping the
+    last one, whose state holds until the next jump.  The rows equal those
+    of a check after every event; the lists overrun the cap by less than a
+    block in between.
+    """
+
+    def __init__(self, state, horizon, max_events):
+        if max_events < 1:
+            raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
+        self.times = [0.0]
+        self.cols = [[v] for v in state]
         self.horizon = horizon
         self.max_events = max_events
         self.truncated = False
-        self.fallback_dt = None
+        self.grid_times = []
+        self.grid_cols = [[] for _ in state]
+        self.dt = None
         self.next_tau = None
 
-    def start(self, state):
-        for col, v in zip(self.cols, state):
-            col.append(v)
-
-    def record(self, t, old_state, new_state):
+    def cap(self):
+        head = []
         if not self.truncated:
-            self.ts.append(t)
-            for col, v in zip(self.cols, new_state):
-                col.append(v)
-            if len(self.ts) - 1 >= self.max_events:
-                self._switch_to_grid(t)
-            return
-        while self.next_tau < t:
-            self.ts.append(self.next_tau)
-            for col, v in zip(self.cols, old_state):
-                col.append(v)
-            self.next_tau += self.fallback_dt
-        # the state change itself lands on the next grid crossing
+            if len(self.times) <= self.max_events:
+                return
+            self.truncated = True
+            self.dt = self.horizon / min(self.max_events, _FALLBACK_POINTS)
+            head = np.arange(0.0, self.times[self.max_events], self.dt).tolist()
+            self.next_tau = len(head) * self.dt
+        self._sample(head + self._grid_until(self.times[-1]))
 
-    def _switch_to_grid(self, t_now):
-        points = min(self.max_events, _FALLBACK_POINTS)
-        self.fallback_dt = self.horizon / points
-        times = np.array(self.ts)
-        grid = np.arange(0.0, t_now, self.fallback_dt)
-        idx = np.searchsorted(times, grid, side="right") - 1
-        self.ts = list(grid)
-        self.cols = [list(np.asarray(col)[idx]) for col in self.cols]
-        self.next_tau = len(grid) * self.fallback_dt
-        self.truncated = True
+    def _grid_until(self, stop, closed=False):
+        """Grid times from ``next_tau`` on, below ``stop`` (or equal, if closed)."""
+        taus, tau = [], self.next_tau
+        while tau < stop or (closed and tau == stop):
+            taus.append(tau)
+            tau += self.dt
+        self.next_tau = tau
+        return taus
 
-    def finish(self, final_state):
+    def _sample(self, taus):
+        idx = np.searchsorted(self.times, taus, side="right") - 1
+        self.grid_times.extend(taus)
+        # Trimmed in place: the loops hold the lists' bound appends.
+        for grid_col, col in zip(self.grid_cols, self.cols):
+            grid_col.extend(np.asarray(col)[idx].tolist())
+            del col[:-1]
+        del self.times[:-1]
+
+    def finish(self):
+        self.cap()
+        times, cols = self.times, self.cols
         if self.truncated:
-            while self.next_tau <= self.horizon:
-                self.ts.append(self.next_tau)
-                for col, v in zip(self.cols, final_state):
-                    col.append(v)
-                self.next_tau += self.fallback_dt
-        times = np.array(self.ts, dtype=float)
-        states = np.column_stack([np.array(c, dtype=np.int64) for c in self.cols])
-        return times, states
+            self._sample(self._grid_until(self.horizon, closed=True))
+            times, cols = self.grid_times, self.grid_cols
+        return (
+            np.array(times, dtype=float),
+            np.column_stack([np.array(c, dtype=np.int64) for c in cols]),
+        )
 
 
 def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
@@ -276,11 +312,15 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
+    # Products hoisted in the order the table multiplies, so rates match it bit for bit.
+    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
+    q02c, p02c = (1 - p) * mu02 * c2, p * mu02 * c2
     y_star, y, z = init
-    rec = _Recorder(3, horizon, max_events)
-    rec.start((y_star, y, z))
-    rexp, runi = rng.exponential, rng.random
+    rec = _Recorder((y_star, y, z), horizon, max_events)
+    t_app = rec.times.append
+    ys_app, y_app, z_app = (col.append for col in rec.cols)
     t = 0.0
+    k = _CHUNK
     absorbed = False
     while True:
         if z == 0:
@@ -289,12 +329,12 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
             r3 = 0.0
         else:
             r1 = 0.0
-            r2 = (1 - p) * mu01 * y
-            r3 = p * mu01 * y
-        r4 = p * mu11 * (n - y_star - y)
+            r2 = q01 * y
+            r3 = p01 * y
+        r4 = p11 * (n - y_star - y)
         if y_star > 0:
-            r5 = (1 - p) * mu02 * c2
-            r6 = p * mu02 * c2
+            r5 = q02c
+            r6 = p02c
             r7 = 0.0
         else:
             r5 = 0.0
@@ -304,11 +344,15 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
         if total <= 0.0:
             absorbed = True
             break
-        t += rexp(1.0 / total)
+        if k == _CHUNK:
+            rec.cap()
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
         if t >= horizon:
             break
-        old = (y_star, y, z)
-        u = runi() * total
+        u = unis[k] * total
+        k += 1
         if u < r1:
             y_star += 1
             y -= 1
@@ -326,8 +370,11 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
             y += 1
         else:
             z += 1
-        rec.record(t, old, (y_star, y, z))
-    times, states = rec.finish((y_star, y, z))
+        t_app(t)
+        ys_app(y_star)
+        y_app(y)
+        z_app(z)
+    times, states = rec.finish()
     return Trajectory(
         "main", ("y_star", "y", "z"), times, states, horizon, seed, n, c2,
         absorbed=absorbed, truncated=rec.truncated,
@@ -341,29 +388,35 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
-    rec = _Recorder(2, horizon, max_events)
-    rec.start((y_star, y))
-    rexp, runi = rng.exponential, rng.random
+    p11, q02c, p02c = p * mu11, (1 - p) * mu02 * c2, p * mu02 * c2
+    rec = _Recorder((y_star, y), horizon, max_events)
+    t_app = rec.times.append
+    ys_app, y_app = (col.append for col in rec.cols)
     t = 0.0
+    k = _CHUNK
     absorbed = False
     while True:
         r1 = mu01 * y
         if y_star > 0:
-            r2 = (1 - p) * mu02 * c2
-            r3 = p * mu02 * c2
+            r2 = q02c
+            r3 = p02c
         else:
             r2 = 0.0
             r3 = 0.0
-        r4 = p * mu11 * (n - y_star - y)
+        r4 = p11 * (n - y_star - y)
         total = r1 + r2 + r3 + r4
         if total <= 0.0:
             absorbed = True
             break
-        t += rexp(1.0 / total)
+        if k == _CHUNK:
+            rec.cap()
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
         if t >= horizon:
             break
-        old = (y_star, y)
-        u = runi() * total
+        u = unis[k] * total
+        k += 1
         if u < r1:
             y_star += 1
             y -= 1
@@ -374,8 +427,10 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_
             y += 1
         else:
             y += 1
-        rec.record(t, old, (y_star, y))
-    times, states = rec.finish((y_star, y))
+        t_app(t)
+        ys_app(y_star)
+        y_app(y)
+    times, states = rec.finish()
     return Trajectory(
         "aux-saturated", ("y_star", "y"), times, states, horizon, seed, n, c2,
         absorbed=absorbed, truncated=rec.truncated,
@@ -389,31 +444,37 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EV
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
-    rec = _Recorder(2, horizon, max_events)
-    rec.start((y, z))
-    rexp, runi = rng.exponential, rng.random
+    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
+    rec = _Recorder((y, z), horizon, max_events)
+    t_app = rec.times.append
+    y_app, z_app = (col.append for col in rec.cols)
     t = 0.0
+    k = _CHUNK
     absorbed = False
     while True:
         if z == 0:
-            r1 = (1 - p) * mu01 * y
+            r1 = q01 * y
             r2 = 0.0
             r3 = 0.0
         else:
             r1 = 0.0
-            r2 = (1 - p) * mu01 * y
-            r3 = p * mu01 * y
-        r4 = p * mu11 * (n - y)
+            r2 = q01 * y
+            r3 = p01 * y
+        r4 = p11 * (n - y)
         r5 = mu02 * (c2 - z)
         total = r1 + r2 + r3 + r4 + r5
         if total <= 0.0:
             absorbed = True
             break
-        t += rexp(1.0 / total)
+        if k == _CHUNK:
+            rec.cap()
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
         if t >= horizon:
             break
-        old = (y, z)
-        u = runi() * total
+        u = unis[k] * total
+        k += 1
         if u < r1:
             y -= 1
         elif u < r1 + r2:
@@ -425,8 +486,10 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EV
             y += 1
         else:
             z += 1
-        rec.record(t, old, (y, z))
-    times, states = rec.finish((y, z))
+        t_app(t)
+        y_app(y)
+        z_app(z)
+    times, states = rec.finish()
     return Trajectory(
         "aux-noblock", ("y", "z"), times, states, horizon, seed, n, c2,
         absorbed=absorbed, truncated=rec.truncated,

@@ -138,6 +138,19 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "seed" in proc.stderr
 
+    @pytest.mark.parametrize("init", ["1,2,3", "1", "1,x"])
+    def test_bad_init_is_config_error(self, capsys, tmp_path, init):
+        out = tmp_path / "out"
+        code = cli.main([
+            "simulate", "--process", "aux-noblock", "--init", init, "--seed", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--init" in err and "aux-noblock" in err and "(y,z)" in err
+        assert not out.exists()
+
 
 class TestFluidCommand:
     def test_underloaded_ode_reaches_fixed_point(self, tmp_path):

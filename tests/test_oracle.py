@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twolevel import (
+    InvalidState,
     MicroState,
     ModelParams,
     NotIrreducible,
@@ -20,6 +21,7 @@ from twolevel import (
     transient_distribution,
     write_stationary_csv,
 )
+from twolevel import sim
 from rate_clauses import rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
@@ -74,6 +76,15 @@ class TestGenerator:
         row = np.zeros(len(states))
         row[i], row[j] = -1.0, 1.0
         np.testing.assert_allclose(g[i], row, atol=1e-15)
+
+    def test_target_outside_state_space_rejected(self, monkeypatch):
+        """A table row that lets z exceed c2 fails the build instead of landing on a neighbour."""
+        main = sim.PROCESSES["main"]
+        table = list(main.table)
+        table[-1] = ((0, 0, 1), lambda x, m, s: m.mu02 * (s.c2 + 1 - x[2]) * (x[0] == 0))
+        monkeypatch.setitem(sim.PROCESSES, "main", main._replace(table=tuple(table)))
+        with pytest.raises(InvalidState, match=r"\(0, 0, 2\) to \(0, 0, 3\)"):
+            build_generator(SYM, ScalingParams(n=4, c2=2))
 
     @pytest.mark.parametrize("n,c2", [(2, 1), (3, 2), (4, 3), (4, 1)])
     def test_offdiagonal_matches_clause_enumeration(self, n, c2):

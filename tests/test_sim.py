@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import solve_continuous_lyapunov
 
 from twolevel import (
@@ -34,7 +35,7 @@ from twolevel import (
     underloaded_rhs,
     write_trajectory_csv,
 )
-from twolevel.sim import PROCESSES, drift
+from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
 from rate_clauses import rate_clauses
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
@@ -277,11 +278,15 @@ class TestSimulate:
         reachable = {(0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 0, 0)}
         assert set(states) <= reachable
 
-    @pytest.mark.parametrize("process", ["main", "aux-saturated", "aux-noblock"])
-    def test_matches_manual_step_loop(self, process):
+    @pytest.mark.parametrize(
+        "process, n, c2, horizon, min_events",
+        [pytest.param(p, 8, 3, 6.0, 10, id=p) for p in PROCESSES]
+        # Past two refills of the loops' block of draws.
+        + [pytest.param(p, 200, 100, 20.0, 2 * _CHUNK, id=f"{p}-blocks") for p in PROCESSES],
+    )
+    def test_matches_manual_step_loop(self, process, n, c2, horizon, min_events):
         """Each hand-written loop replays exactly the embedded chain that step() exposes."""
-        scaling = ScalingParams(n=8, c2=3)
-        horizon = 6.0
+        scaling = ScalingParams(n=n, c2=c2)
         init = (0,) * len(PROCESSES[process].columns)
         traj = simulate_process(process, init, SYM, scaling, horizon, seed=99)
         assert traj.process == process and traj.columns == PROCESSES[process].columns
@@ -296,7 +301,7 @@ class TestSimulate:
             state = nxt
             times.append(t)
             states.append(state)
-        assert traj.num_events > 10
+        assert traj.num_events > min_events
         assert traj.times.tolist() == times
         assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
 
@@ -352,6 +357,47 @@ class TestSimulate:
             batch[b] = (traj.states[starts[b] :, 1] * span).sum() / (edges[b + 1] - edges[b])
         se = batch.std(ddof=1) / math.sqrt(len(batch))
         assert abs(batch.mean() - exact) <= 3 * se
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_event_cap_samples_uncapped_path_on_grid(self, process):
+        """Past max_events the rows are the uncapped path, sampled on the fallback grid."""
+        scaling, horizon, cap = ScalingParams(n=50, c2=20), 20.0, 300
+        init = (0,) * len(PROCESSES[process].columns)
+        full = simulate_process(process, init, SYM, scaling, horizon, seed=4)
+        capped = simulate_process(process, init, SYM, scaling, horizon, seed=4, max_events=cap)
+        assert full.num_events > 3 * cap and not full.truncated
+        assert capped.truncated
+        dt = horizon / min(cap, 2**20)
+        k = np.arange(len(capped.times))
+        np.testing.assert_allclose(capped.times, k * dt, rtol=1e-12, atol=1e-12)
+        assert capped.times[-1] <= horizon < capped.times[-1] + dt + 1e-12
+        # The event sequence does not depend on the cap: right-continuous sample.
+        idx = np.searchsorted(full.times, capped.times, side="right") - 1
+        assert np.array_equal(capped.states, full.states[idx])
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_event_cap_below_one_rejected(self, process, cap):
+        init = (0,) * len(PROCESSES[process].columns)
+        with pytest.raises(DomainError, match="max_events"):
+            simulate_process(process, init, SYM, ScalingParams(n=4, c2=2), 5.0, seed=1,
+                             max_events=cap)
+
+
+class TestJumpDraws:
+    def test_exponentials_follow_exp1(self):
+        exps, unis = _jump_draws(np.random.default_rng(2024), 100_000)
+        assert len(exps) == len(unis) == 100_000
+        assert stats.kstest(exps, "expon").pvalue > 0.01
+        assert stats.kstest(unis, "uniform").pvalue > 0.01
+
+    def test_block_equals_scalar_draws(self):
+        """Jump k of a block takes uniforms 2k and 2k+1 of the scalar stream."""
+        exps, unis = _jump_draws(np.random.default_rng(11), _CHUNK)
+        rng = np.random.default_rng(11)
+        scalar = [rng.random() for _ in range(2 * _CHUNK)]
+        assert unis == scalar[1::2]
+        assert exps == (-np.log1p(-np.array(scalar[0::2]))).tolist()
 
 
 class TestAuxSimulate:
