@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import experiments, fluid, model, oracle, sim
-from .errors import NoConvergence, NonFinite, RegimeMismatch, SingularSystem
+from .errors import NoConvergence, NonFinite, SingularSystem
 
 CONFIG_KEYS = ("p", "mu01", "mu11", "mu02", "n", "c2", "horizon",
                "burn_in", "replications", "seed", "grid_dt")
@@ -100,6 +100,20 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _parse_list(text, flag, kind, columns=None):
+    """Comma-separated ``text`` as a tuple of ``kind``, one per name in ``columns`` if given."""
+    try:
+        values = tuple(kind(part) for part in text.split(","))
+        if columns is None or len(values) == len(columns):
+            return values
+    except ValueError:
+        pass
+    expected = "comma-separated " + ("integers" if kind is int else "numbers")
+    if columns is not None:
+        expected = f"{len(columns)} {expected} ({','.join(columns)})"
+    raise ConfigError(f"{flag} takes {expected}, got {text!r}")
+
+
 def _cmd_params(args):
     cfg = _load_config(args)
     if args.dump_config:
@@ -150,15 +164,7 @@ def _cmd_simulate(args):
     process = args.process
     columns = sim.PROCESSES[process].columns
     if args.init is not None:
-        try:
-            init = tuple(int(part) for part in args.init.split(","))
-        except ValueError:
-            init = ()
-        if len(init) != len(columns):
-            raise ConfigError(
-                f"--init for {process} takes {len(columns)} comma-separated integers "
-                f"({','.join(columns)}), got {args.init!r}"
-            )
+        init = _parse_list(args.init, f"--init for {process}", int, columns)
     else:
         init = (0,) * len(columns)
     out_dir = _out_dir(args)
@@ -187,65 +193,21 @@ def _cmd_simulate(args):
     return 0
 
 
-def _fluid_table(system, params, r, init, horizon, dt):
-    """Columns (t, y_star, y, z, u) for the requested fluid system."""
-    if system == "hybrid":
-        path = fluid.hybrid_fluid(params, r, model.FluidState(*init), horizon, dt)
-        u = [0.0] * len(path)
-        return path.times, path.values[:, 0], path.values[:, 1], path.values[:, 2], u
-    if system == "aux-saturated":
-        sol = fluid.aux_saturated_fluid(params, r, (init[0], init[1]), horizon, dt)
-        t = sol.path.times
-        return t, sol.y_star, sol.y, sol.z, sol.regulator.values
-    if system == "aux-noblock":
-        sol = fluid.aux_noblock_fluid(params, r, (init[1], init[2]), horizon, dt)
-        t = sol.path.times
-        return t, sol.y_star, sol.y, sol.z, sol.regulator.values
-    regime = model.classify_regime(params, r)
-    if system == "overloaded-ode":
-        if regime is not model.Regime.Overloaded:
-            raise RegimeMismatch(
-                f"overloaded-ode needs an overloaded ratio; r={r!r} is {regime.name}"
-            )
-        path = fluid.integrate(
-            lambda t, s: fluid.overloaded_rhs(s, params, r),
-            (init[0], init[1]), horizon, dt,
-        )
-        zeros = [0.0] * len(path)
-        return path.times, path.values[:, 0], path.values[:, 1], zeros, zeros
-    if regime is not model.Regime.Underloaded:
-        raise RegimeMismatch(
-            f"underloaded-ode needs an underloaded ratio; r={r!r} is {regime.name}"
-        )
-    path = fluid.integrate(
-        lambda t, s: fluid.underloaded_rhs(s, params, r),
-        (init[1], init[2]), horizon, dt,
-    )
-    zeros = [0.0] * len(path)
-    return path.times, zeros, path.values[:, 0], path.values[:, 1], zeros
-
-
 def _cmd_fluid(args):
     cfg = _load_config(args)
     if args.dump_config:
         _dump(cfg)
         return 0
     params, scaling = _params_of(cfg)
-    init = tuple(float(part) for part in args.init.split(","))
-    if len(init) != 3:
-        raise ConfigError("--init must be a comma-separated triple y_star,y,z")
-    t, ys, y, z, u = _fluid_table(
-        args.system, params, scaling.r, init, cfg["horizon"], args.dt
-    )
+    init = _parse_list(args.init, f"--init for {args.system}", float, ("y_star", "y", "z"))
+    sol = fluid.solve_system(args.system, params, scaling.r, init, cfg["horizon"], args.dt)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     name = f"fluid_{args.system}.csv"
     with open(os.path.join(out_dir, name), "w") as fp:
         fp.write("t,y_star,y,z,u\n")
-        for k in range(len(t)):
-            fp.write(
-                f"{t[k]:.9g},{ys[k]:.9g},{y[k]:.9g},{z[k]:.9g},{u[k]:.9g}\n"
-            )
+        for t, (ys, y, z), u in zip(sol.path.times, sol.path.values, sol.regulator.values):
+            fp.write(f"{t:.9g},{ys:.9g},{y:.9g},{z:.9g},{u:.9g}\n")
     sys.stdout.write(f"wrote {name} to {out_dir}\n")
     return 0
 
@@ -271,13 +233,12 @@ def _cmd_experiment(args):
         _dump(cfg)
         return 0
     params, scaling = _params_of(cfg)
-    n_list = ([int(part) for part in args.n_list.split(",")]
-              if args.n_list else [cfg["n"]])
+    n_list = _parse_list(args.n_list, "--n-list", int) if args.n_list else [cfg["n"]]
     workers = args.workers
     name = args.experiment
     if name == "phase-scan":
         if args.r_grid:
-            r_grid = [float(part) for part in args.r_grid.split(",")]
+            r_grid = _parse_list(args.r_grid, "--r-grid", float)
         else:
             r_grid = [round(0.10 + 0.05 * i, 2) for i in range(17)]
         report = experiments.phase_scan(
@@ -345,9 +306,7 @@ def build_parser():
 
     p_fluid = sub.add_parser("fluid", parents=[shared],
                              help="integrate a fluid system and write its path")
-    p_fluid.add_argument("--system", required=True,
-                         choices=("hybrid", "aux-saturated", "aux-noblock",
-                                  "overloaded-ode", "underloaded-ode"))
+    p_fluid.add_argument("--system", required=True, choices=fluid.SYSTEMS)
     p_fluid.add_argument("--init", default="0,0,0",
                          help="comma-separated y_star,y,z start point")
     p_fluid.add_argument("--dt", type=float, default=1e-3)

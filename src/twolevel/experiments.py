@@ -8,11 +8,12 @@ configuration; distributing replications over a process pool cannot
 change a single byte of it.
 """
 
+import functools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .model import (
     ModelParams,
     Regime,
     ScalingParams,
-    FluidState,
     blocked_fraction_limit,
     classify_regime,
     critical_ratio,
@@ -62,20 +62,16 @@ class Report:
     config: dict
     metrics: list
     criteria: dict
-    passed: bool
     sensitivity: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
+    @property
+    def passed(self):
+        """Conjunction of ``criteria``."""
+        return all(self.criteria.values())
+
     def to_dict(self):
-        return {
-            "name": self.name,
-            "config": self.config,
-            "metrics": self.metrics,
-            "sensitivity": self.sensitivity,
-            "criteria": self.criteria,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -119,12 +115,30 @@ def c2_for(n, r):
     return max(1, int(math.floor(n * r + 1e-9)))
 
 
-def _map_tasks(fn, tasks, workers):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, math.ceil(len(tasks) / (4 * workers)))
+def _replicate(rep, args, base_seed, reps, workers):
+    """[rep(*args, base_seed + i) for i < reps], run serially or on ``workers`` processes."""
+    if reps < 1:
+        raise DomainError("replications", f"replications must be at least 1, got {reps}")
+    seeds = range(base_seed, base_seed + reps)
+    if workers <= 1 or reps == 1:
+        return [rep(*args, seed) for seed in seeds]
+    chunk = max(1, math.ceil(reps / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(functools.partial(rep, *args), seeds, chunksize=chunk))
+
+
+def _window_rows(key, value, c2, t1, reps, seed, stats):
+    """Metrics row (window [t1, T]) and sensitivity row ([2 t1, T]) of one grid point.
+
+    Both start with the grid point, its window and its seed range;
+    ``stats(j)`` gives the rest of the row for window j = 0, 1.  The key
+    order is the CSV column order.
+    """
+    return tuple(
+        {key: value, "c2": c2, "window_start": t1 * (j + 1), "replications": reps,
+         "seed_start": seed, "seed_end": seed + reps - 1, **stats(j)}
+        for j in (0, 1)
+    )
 
 
 def _time_average(times, values, t_lo, t_hi, horizon):
@@ -135,15 +149,9 @@ def _time_average(times, values, t_lo, t_hi, horizon):
     return float(np.sum(values * (hi - lo)) / (t_hi - t_lo))
 
 
-def _ever_positive(times, values, t_lo):
-    """True iff the path is > 0 anywhere on [t_lo, horizon] (exact)."""
-    idx0 = max(0, np.searchsorted(times, t_lo, side="right") - 1)
-    return bool(np.any(values[idx0:] > 0))
-
-
-def _window_min(times, values, t_lo):
-    idx0 = max(0, np.searchsorted(times, t_lo, side="right") - 1)
-    return float(values[idx0:].min())
+def _window_index(times, t_lo):
+    """First row of a piecewise-constant path on [t_lo, horizon]: the state held at t_lo."""
+    return max(0, np.searchsorted(times, t_lo, side="right") - 1)
 
 
 def _assert_exclusive(traj):
@@ -153,51 +161,35 @@ def _assert_exclusive(traj):
         )
 
 
+def _params_echo(params, **extra):
+    return {"p": params.p, "mu01": params.mu01, "mu11": params.mu11, "mu02": params.mu02,
+            **extra}
+
+
 def _config_echo(cfg, **extra):
-    echo = {
-        "p": cfg.params.p,
-        "mu01": cfg.params.mu01,
-        "mu11": cfg.params.mu11,
-        "mu02": cfg.params.mu02,
-        "r": cfg.r,
-        "n_list": list(cfg.n_list),
-        "horizon": cfg.horizon,
-        "burn_in": cfg.burn_in,
-        "replications": cfg.replications,
-        "base_seed": cfg.base_seed,
-        "grid_dt": cfg.grid_dt,
-    }
-    echo.update(extra)
-    return echo
+    return _params_echo(
+        cfg.params, r=cfg.r, n_list=list(cfg.n_list), horizon=cfg.horizon,
+        burn_in=cfg.burn_in, replications=cfg.replications, base_seed=cfg.base_seed,
+        grid_dt=cfg.grid_dt, **extra,
+    )
 
 
 def _fluid_reference(target, params, r, horizon, grid_dt):
-    """Fluid comparison path sampled on the grid, columns matching the target."""
+    """Fluid comparison path from the origin sampled on the grid, columns matching the target."""
     substeps = max(1, math.ceil(grid_dt / 1e-3))
-    dt = grid_dt / substeps
-    if target == "main":
-        path = fluid.hybrid_fluid(params, r, FluidState(0.0, 0.0, 0.0), horizon, dt)
-        values = path.values[::substeps]
-    elif target == "aux-saturated":
-        sol = fluid.aux_saturated_fluid(params, r, (0.0, 0.0), horizon, dt)
-        values = sol.path.values[::substeps, :2]
-    else:
-        sol = fluid.aux_noblock_fluid(params, r, (0.0, 0.0), horizon, dt)
-        values = sol.path.values[::substeps, 1:]
-    return values
+    system = "hybrid" if target == "main" else target
+    sol = fluid.solve_system(system, params, r, (0.0, 0.0, 0.0), horizon, grid_dt / substeps)
+    cols = [("y_star", "y", "z").index(c) for c in sim.PROCESSES[target].columns]
+    return sol.path.values[::substeps][:, cols]
 
 
-def _convergence_rep(args):
-    (target, params, n, c2, horizon, seed, grid_dt, fluid_values, t1) = args
+def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, seed):
     scaling = ScalingParams(n, c2)
     init = (0,) * len(sim.PROCESSES[target].columns)
     traj = sim.simulate_process(target, init, params, scaling, horizon, seed)
     path = sim.rescale(traj, scaling, grid_dt)
     diff = np.max(np.abs(path.values - fluid_values), axis=1)
-    grid = path.times
-    sup_main = float(diff[grid >= t1].max())
-    sup_2x = float(diff[grid >= 2 * t1].max())
-    return (sup_main, sup_2x)
+    return tuple(float(diff[path.times >= t].max()) for t in (t1, 2 * t1))
 
 
 def convergence_sweep(cfg, target, threshold=0.08, workers=1):
@@ -211,30 +203,24 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
     regime = classify_regime(cfg.params, cfg.r)
     if target == "main" and regime is Regime.Critical:
         raise RegimeMismatch("no fluid prediction exists at the critical ratio")
-    metrics, sensitivity = [], []
+    pairs = []
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         r_n = c2 / n
         fluid_values = _fluid_reference(target, cfg.params, r_n, cfg.horizon, cfg.grid_dt)
-        tasks = [
-            (target, cfg.params, n, c2, cfg.horizon, cfg.base_seed + i, cfg.grid_dt,
-             fluid_values, cfg.burn_in)
-            for i in range(cfg.replications)
-        ]
-        sups = _map_tasks(_convergence_rep, tasks, workers)
-        for rows, j in ((metrics, 0), (sensitivity, 1)):
+        args = (target, cfg.params, n, c2, cfg.horizon, cfg.grid_dt, fluid_values, cfg.burn_in)
+        sups = _replicate(_convergence_rep, args, cfg.base_seed, cfg.replications, workers)
+
+        def stats(j):
             vals = [s[j] for s in sups]
-            rows.append({
-                "n": n,
-                "c2": c2,
-                "window_start": cfg.burn_in * (1 if j == 0 else 2),
-                "replications": cfg.replications,
-                "seed_start": cfg.base_seed,
-                "seed_end": cfg.base_seed + cfg.replications - 1,
+            return {
                 "median_sup_distance": float(np.median(vals)),
                 "p90_sup_distance": float(np.quantile(vals, 0.9)),
                 "sup_distances": vals,
-            })
+            }
+
+        pairs.append(_window_rows("n", n, c2, cfg.burn_in, cfg.replications, cfg.base_seed, stats))
+    metrics, sensitivity = map(list, zip(*pairs))
     medians = [row["median_sup_distance"] for row in metrics]
     criteria = {
         "median_non_increasing": all(b <= a + 1e-12 for a, b in zip(medians, medians[1:])),
@@ -245,7 +231,6 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
         config=_config_echo(cfg, target=target, threshold=threshold),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         sensitivity=sensitivity,
     )
 
@@ -253,8 +238,7 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
 PATH_SAMPLE_DT = 1.0
 
 
-def _noblock_rep(args):
-    (params, n, c2, horizon, seed, grid_dt, t1, fp) = args
+def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
     scaling = ScalingParams(n, c2)
     traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
     _assert_exclusive(traj)
@@ -262,7 +246,7 @@ def _noblock_rep(args):
     grid = path.times
     out = []
     for window_start in (t1, 2 * t1):
-        blocked = _ever_positive(traj.times, traj.states[:, 0], window_start)
+        blocked = np.any(traj.states[_window_index(traj.times, window_start):, 0] > 0)
         mask = grid >= window_start
         dist = float(
             np.max(np.abs(path.values[mask][:, 1:] - np.asarray(fp)))
@@ -285,34 +269,25 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     if classify_regime(cfg.params, cfg.r) is not Regime.Underloaded:
         raise RegimeMismatch(f"r={cfg.r} is not underloaded for these parameters")
     fp = underloaded_fixed_point(cfg.params, cfg.r)
-    metrics, sensitivity = [], []
+    pairs = []
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         ratio = c2 / n
         if classify_regime(cfg.params, ratio) is not Regime.Underloaded:
             ratio = cfg.r
         fp_n = underloaded_fixed_point(cfg.params, ratio)
-        tasks = [
-            (cfg.params, n, c2, cfg.horizon, cfg.base_seed + i, cfg.grid_dt,
-             cfg.burn_in, fp_n)
-            for i in range(cfg.replications)
-        ]
-        results = _map_tasks(_noblock_rep, tasks, workers)
+        args = (cfg.params, n, c2, cfg.horizon, cfg.grid_dt, cfg.burn_in, fp_n)
+        results = _replicate(_noblock_rep, args, cfg.base_seed, cfg.replications, workers)
         sampled = np.array([res[2] for res in results])
         mean_path = sampled.mean(axis=0)
         coarse_grid = PATH_SAMPLE_DT * np.arange(mean_path.shape[0])
-        for rows, j in ((metrics, 0), (sensitivity, 1)):
+
+        def stats(j):
             zero = [res[j][0] for res in results]
             dists = [res[j][1] for res in results]
-            window = coarse_grid >= cfg.burn_in * (1 if j == 0 else 2)
+            window = coarse_grid >= cfg.burn_in * (j + 1)
             mean_dist = float(np.max(np.abs(mean_path[window] - np.asarray(fp_n))))
             row = {
-                "n": n,
-                "c2": c2,
-                "window_start": cfg.burn_in * (1 if j == 0 else 2),
-                "replications": cfg.replications,
-                "seed_start": cfg.base_seed,
-                "seed_end": cfg.base_seed + cfg.replications - 1,
                 "prob_zero_blocking": sum(zero) / len(zero),
                 "mean_path_fixed_point_distance": mean_dist,
                 "median_fixed_point_distance": float(np.median(dists)),
@@ -322,7 +297,10 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
             if j == 0:
                 row["path_sample_dt"] = PATH_SAMPLE_DT
                 row["path_samples"] = [s.tolist() for s in sampled]
-            rows.append(row)
+            return row
+
+        pairs.append(_window_rows("n", n, c2, cfg.burn_in, cfg.replications, cfg.base_seed, stats))
+    metrics, sensitivity = map(list, zip(*pairs))
     probs = [row["prob_zero_blocking"] for row in metrics]
     criteria = {
         "prob_at_largest_n": probs[-1] >= 0.9,
@@ -337,25 +315,24 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
         config=_config_echo(cfg, fixed_point_band=fixed_point_band),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         sensitivity=sensitivity,
         notes=[f"underloaded fixed point (y, z) = ({fp[0]!r}, {fp[1]!r})"],
     )
 
 
-def _saturation_rep(args):
-    (params, n, c2, horizon, seed, t1) = args
+def _saturation_rep(params, n, c2, horizon, t1, seed):
     scaling = ScalingParams(n, c2)
     traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
     _assert_exclusive(traj)
     sum_frac = (traj.states[:, 0] + traj.states[:, 1]) / n
     out = []
     for window_start in (t1, 2 * t1):
-        idle = _ever_positive(traj.times, traj.states[:, 2], window_start)
+        idx = _window_index(traj.times, window_start)
+        idle = np.any(traj.states[idx:, 2] > 0)
         avg = _time_average(
             traj.times, traj.states[:, 0] / n, window_start, horizon, horizon
         )
-        out.append((not idle, avg, _window_min(traj.times, sum_frac, window_start)))
+        out.append((not idle, avg, float(sum_frac[idx:].min())))
     return out
 
 
@@ -370,29 +347,19 @@ def saturation_certificate(cfg, band=0.05, workers=1):
     """
     if classify_regime(cfg.params, cfg.r) is not Regime.Overloaded:
         raise RegimeMismatch(f"r={cfg.r} is not overloaded for these parameters")
-    metrics, sensitivity = [], []
+    pairs = []
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         ratio = c2 / n
         if classify_regime(cfg.params, ratio) is not Regime.Overloaded:
             ratio = cfg.r
         limit_n = blocked_fraction_limit(cfg.params, ratio)
-        tasks = [
-            (cfg.params, n, c2, cfg.horizon, cfg.base_seed + i, cfg.burn_in)
-            for i in range(cfg.replications)
-        ]
-        results = _map_tasks(_saturation_rep, tasks, workers)
-        for rows, j in ((metrics, 0), (sensitivity, 1)):
-            zero = [res[j][0] for res in results]
-            avgs = [res[j][1] for res in results]
-            mins = [res[j][2] for res in results]
-            rows.append({
-                "n": n,
-                "c2": c2,
-                "window_start": cfg.burn_in * (1 if j == 0 else 2),
-                "replications": cfg.replications,
-                "seed_start": cfg.base_seed,
-                "seed_end": cfg.base_seed + cfg.replications - 1,
+        args = (cfg.params, n, c2, cfg.horizon, cfg.burn_in)
+        results = _replicate(_saturation_rep, args, cfg.base_seed, cfg.replications, workers)
+
+        def stats(j):
+            zero, avgs, mins = (list(col) for col in zip(*(res[j] for res in results)))
+            return {
                 "prob_zero_idle": sum(zero) / len(zero),
                 "mean_blocked_fraction": float(np.mean(avgs)),
                 "blocked_fraction_limit": limit_n,
@@ -400,7 +367,10 @@ def saturation_certificate(cfg, band=0.05, workers=1):
                 "zero_idle_flags": [bool(b) for b in zero],
                 "blocked_fraction_averages": avgs,
                 "occupancy_minima": mins,
-            })
+            }
+
+        pairs.append(_window_rows("n", n, c2, cfg.burn_in, cfg.replications, cfg.base_seed, stats))
+    metrics, sensitivity = map(list, zip(*pairs))
     probs = [row["prob_zero_idle"] for row in metrics]
     last = metrics[-1]
     criteria = {
@@ -418,20 +388,15 @@ def saturation_certificate(cfg, band=0.05, workers=1):
         config=_config_echo(cfg, band=band),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         sensitivity=sensitivity,
     )
 
 
-def _phase_rep(args):
-    (params, n, c2, horizon, seed, t1) = args
+def _phase_rep(params, n, c2, horizon, t1, seed):
     scaling = ScalingParams(n, c2)
     traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
     frac = traj.states[:, 0] / n
-    return (
-        _time_average(traj.times, frac, t1, horizon, horizon),
-        _time_average(traj.times, frac, 2 * t1, horizon, horizon),
-    )
+    return tuple(_time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
 
 
 def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
@@ -450,27 +415,24 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     r_c = critical_ratio(params)
     spacing = max(b - a for a, b in zip(r_grid, r_grid[1:]))
     nearest = min(range(len(r_grid)), key=lambda i: abs(r_grid[i] - r_c))
-    metrics, sensitivity = [], []
+    pairs = []
     for i, r in enumerate(r_grid):
         c2 = c2_for(n, r)
-        tasks = [(params, n, c2, horizon, seed + k, t1) for k in range(reps)]
-        results = _map_tasks(_phase_rep, tasks, workers)
+        results = _replicate(_phase_rep, (params, n, c2, horizon, t1), seed, reps, workers)
         overloaded = classify_regime(params, r) is Regime.Overloaded
         limit = blocked_fraction_limit(params, r) if overloaded else None
-        for rows, j in ((metrics, 0), (sensitivity, 1)):
+
+        def stats(j):
             vals = [res[j] for res in results]
-            rows.append({
-                "r": r,
-                "c2": c2,
-                "window_start": t1 * (1 if j == 0 else 2),
-                "replications": reps,
-                "seed_start": seed,
-                "seed_end": seed + reps - 1,
+            return {
                 "mean_blocked_fraction": float(np.mean(vals)),
                 "blocked_fraction_limit": limit,
                 "near_critical_excluded": i == nearest,
                 "blocked_fraction_averages": vals,
-            })
+            }
+
+        pairs.append(_window_rows("r", r, c2, t1, reps, seed, stats))
+    metrics, sensitivity = map(list, zip(*pairs))
     means = [row["mean_blocked_fraction"] for row in metrics]
     threshold = next((r for r, m in zip(r_grid, means) if m < blocked_tol), None)
     formula_ok = all(
@@ -485,18 +447,15 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
         ),
         "overloaded_points_match_formula": formula_ok,
     }
-    config = {
-        "p": params.p, "mu01": params.mu01, "mu11": params.mu11, "mu02": params.mu02,
-        "r_grid": r_grid, "n": n, "horizon": horizon, "burn_in": t1,
-        "replications": reps, "base_seed": seed, "grid_dt": grid_dt,
-        "blocked_tol": blocked_tol, "formula_band": formula_band,
-    }
     return Report(
         name="phase_scan",
-        config=config,
+        config=_params_echo(
+            params, r_grid=r_grid, n=n, horizon=horizon, burn_in=t1, replications=reps,
+            base_seed=seed, grid_dt=grid_dt, blocked_tol=blocked_tol,
+            formula_band=formula_band,
+        ),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         sensitivity=sensitivity,
         notes=[
             f"critical ratio r_c = {r_c!r}",
@@ -526,7 +485,6 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
     }
     edges = np.linspace(burn_in, horizon, batches + 1)
     metrics = []
-    all_within = True
     window = horizon - burn_in
     low_confidence = window < 1000.0
     for (key, values), exact_val in zip(summaries.items(), exact):
@@ -537,7 +495,6 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
         estimate = float(np.mean(batch_means))
         se = float(np.std(batch_means, ddof=1) / math.sqrt(batches))
         within = abs(estimate - exact_val) <= 3 * se + 1e-12
-        all_within = all_within and within
         metrics.append({
             "summary": key,
             "n": scaling.n,
@@ -551,27 +508,21 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
             "within_3se": bool(within),
             "batch_means": batch_means,
         })
-    criteria = {"all_summaries_within_3se": bool(all_within)}
+    criteria = {"all_summaries_within_3se": all(row["within_3se"] for row in metrics)}
     notes = [f"burn_in = {burn_in!r}, batches = {batches}"]
     if low_confidence:
         notes.append("low confidence: averaging window shorter than 1000 time units")
-    config = {
-        "p": params.p, "mu01": params.mu01, "mu11": params.mu11, "mu02": params.mu02,
-        "n": scaling.n, "c2": scaling.c2, "horizon": horizon, "base_seed": seed,
-        "batches": batches,
-    }
     return Report(
         name="oracle_check",
-        config=config,
+        config=_params_echo(params, n=scaling.n, c2=scaling.c2, horizon=horizon,
+                            base_seed=seed, batches=batches),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         notes=notes,
     )
 
 
-def _martingale_rep(args):
-    (params, n, c2, horizon, seed) = args
+def _martingale_rep(params, n, c2, horizon, seed):
     scaling = ScalingParams(n, c2)
     traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
     return tuple(float(s) for s in sim.residual_sup(traj, params, scaling))
@@ -586,22 +537,26 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     bootstrap over replications gives a 95% interval per coordinate.
     """
     n_list = [int(n) for n in n_list]
+    if len(set(n_list)) < 2:
+        raise DomainError("n_list", f"n_list needs two distinct n to fit a slope, got {n_list}")
     coord_names = ("y_star", "y", "z")
-    sups = []
-    for n in n_list:
-        c2 = c2_for(n, r)
-        tasks = [(params, n, c2, horizon, seed + i) for i in range(reps)]
-        sups.append(np.array(_map_tasks(_martingale_rep, tasks, workers)))
-    rms = np.array([np.sqrt(np.mean(s**2, axis=0)) for s in sups])
+    sups = [
+        np.array(_replicate(_martingale_rep, (params, n, c2_for(n, r), horizon), seed,
+                            reps, workers))
+        for n in n_list
+    ]
     log_n = np.log(np.asarray(n_list, dtype=float))
-    slopes = [float(np.polyfit(log_n, np.log(rms[:, c]), 1)[0]) for c in range(3)]
+
+    def fit(samples):
+        """Per-n RMS of each coordinate, and each coordinate's log-log slope."""
+        rms = np.array([np.sqrt(np.mean(s**2, axis=0)) for s in samples])
+        return rms, np.polyfit(log_n, np.log(rms), 1)[0].tolist()
+
+    rms, slopes = fit(sups)
     rng = np.random.default_rng([seed, 0xB00])
-    boot = np.empty((bootstrap, 3))
-    for b in range(bootstrap):
-        draws = [s[rng.integers(0, len(s), len(s))] for s in sups]
-        rms_b = np.array([np.sqrt(np.mean(d**2, axis=0)) for d in draws])
-        for c in range(3):
-            boot[b, c] = np.polyfit(log_n, np.log(rms_b[:, c]), 1)[0]
+    boot = np.array([
+        fit([s[rng.integers(0, len(s), len(s))] for s in sups])[1] for _ in range(bootstrap)
+    ])
     metrics = []
     for i, n in enumerate(n_list):
         row = {
@@ -625,17 +580,12 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
         notes.append(
             f"slope_{name} = {slopes[c]!r}, bootstrap 95% interval [{lo!r}, {hi!r}]"
         )
-    config = {
-        "p": params.p, "mu01": params.mu01, "mu11": params.mu11, "mu02": params.mu02,
-        "r": r, "n_list": n_list, "horizon": horizon, "replications": reps,
-        "base_seed": seed, "bootstrap": bootstrap,
-        "slope_range": list(slope_range),
-    }
     return Report(
         name="martingale_decay",
-        config=config,
+        config=_params_echo(params, r=r, n_list=n_list, horizon=horizon, replications=reps,
+                            base_seed=seed, bootstrap=bootstrap,
+                            slope_range=list(slope_range)),
         metrics=metrics,
         criteria=criteria,
-        passed=all(criteria.values()),
         notes=notes,
     )

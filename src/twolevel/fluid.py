@@ -5,7 +5,7 @@ projected (reflected) Euler integration of the two auxiliary fluid
 systems, the integral-functional builder used for cross-validating the
 saturated system through the generalized reflection solver, and a global
 "hybrid" dynamic that switches regime branches at the constraint
-boundary.
+boundary.  ``solve_system`` runs any of these systems by name.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import DomainError, NonFinite
-from .model import y_b_closed_form
+from .errors import DomainError, NonFinite, RegimeMismatch
+from .model import FluidState, Regime, classify_regime, y_b_closed_form
 from .skorokhod import PathFunctional, SampledPath
 
 
@@ -69,17 +69,24 @@ def underloaded_rhs(state, params, r):
     return (d_y, d_z)
 
 
+def _steps(horizon, dt):
+    """Number of dt steps to reach ``horizon``; DomainError for dt <= 0 or horizon < 0."""
+    if not dt > 0:
+        raise DomainError("dt", f"dt must be positive, got {dt!r}")
+    if not 0 <= horizon < np.inf:
+        raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
+    return int(round(horizon / dt))
+
+
 def integrate(rhs, init, horizon, dt):
     """Classic fixed-step RK4 for rhs(t, state) -> d_state.
 
     Returns the solution as a vector SampledPath on the grid k*dt.
     Raises NonFinite as soon as a coordinate leaves finite range.
     """
-    if dt <= 0:
-        raise DomainError("dt", "dt must be positive")
+    steps = _steps(horizon, dt)
     if horizon < dt:
         raise DomainError("horizon", "horizon must be at least dt")
-    steps = int(round(horizon / dt))
     state = np.asarray(init, dtype=float)
     out = np.empty((steps + 1, state.size))
     out[0] = state
@@ -109,7 +116,7 @@ def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
     if y < 0 or y_star + y > 1:
         raise DomainError("y", "initial (y_star, y) must lie in the simplex")
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    steps = int(round(horizon / dt))
+    steps = _steps(horizon, dt)
     path = np.zeros((steps + 1, 3))
     reg = np.zeros(steps + 1)
     path[0, 0], path[0, 1] = y_star, y
@@ -144,7 +151,7 @@ def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
     if not 0 <= z0 <= r:
         raise DomainError("z", f"initial z must lie in [0, r] = [0, {r}]")
     mu01, mu02 = params.mu01, params.mu02
-    steps = int(round(horizon / dt))
+    steps = _steps(horizon, dt)
     grid = dt * np.arange(steps + 1)
     yb = np.atleast_1d(y_b_closed_form(grid, params, y0))
     path = np.zeros((steps + 1, 3))
@@ -178,8 +185,7 @@ def gbar_functional(params, r, init):
     companion y-coordinate.  Discretized with trapezoid quadrature for
     both nested integrals; the convolution is evaluated through an
     exponentially-weighted prefix recursion, which is the same quadrature
-    rearranged for O(n) cost and overflow-free long horizons.  The
-    declared Lipschitz rule is L(t) = p*mu01*(1 + mu11*t).
+    rearranged for O(n) cost and overflow-free long horizons.
     """
     y_star0, y0 = float(init[0]), float(init[1])
     if y_star0 < 0 or y0 < 0 or y_star0 + y0 > 1:
@@ -208,7 +214,7 @@ def gbar_functional(params, r, init):
         ) * (et + mubar * t - 1.0)
         return SampledPath(path.t0, dt, g + y_star0 + mu01 * k_times_decay - mu02 * r * t)
 
-    return PathFunctional(apply=apply, lipschitz=lambda t: p * mu01 * (1.0 + mu11 * t))
+    return PathFunctional(apply=apply)
 
 
 def hybrid_drift(state, params, r):
@@ -240,7 +246,7 @@ def hybrid_fluid(params, r, init, horizon, dt=1e-3):
     """
     init.check(r)
     y_star, y, z = init.y_star, init.y, init.z
-    steps = int(round(horizon / dt))
+    steps = _steps(horizon, dt)
     out = np.empty((steps + 1, 3))
     out[0] = (y_star, y, z)
     for k in range(steps):
@@ -262,3 +268,37 @@ def hybrid_fluid(params, r, init, horizon, dt=1e-3):
             raise NonFinite(f"hybrid fluid state non-finite at t={(k + 1) * dt}")
         out[k + 1] = (y_star, y, z)
     return SampledPath(0.0, dt, out)
+
+
+SYSTEMS = ("hybrid", "aux-saturated", "aux-noblock", "overloaded-ode", "underloaded-ode")
+
+
+def solve_system(system, params, r, init, horizon, dt):
+    """Path of one of the five ``SYSTEMS`` from ``init`` = (y_star, y, z).
+
+    Returns a ReflectedSolution with columns (y_star, y, z), each system
+    starting from the coordinates it evolves and holding the others at 0;
+    the regulator is 0 except for the two auxiliary systems.  The ODE
+    systems raise RegimeMismatch outside their regime.
+    """
+    if system == "aux-saturated":
+        return aux_saturated_fluid(params, r, init[:2], horizon, dt)
+    if system == "aux-noblock":
+        return aux_noblock_fluid(params, r, init[1:], horizon, dt)
+    if system == "hybrid":
+        values = hybrid_fluid(params, r, FluidState(*init), horizon, dt).values
+    else:
+        wanted, rhs, cols = {
+            "overloaded-ode": (Regime.Overloaded, overloaded_rhs, [0, 1]),
+            "underloaded-ode": (Regime.Underloaded, underloaded_rhs, [1, 2]),
+        }[system]
+        regime = classify_regime(params, r)
+        if regime is not wanted:
+            raise RegimeMismatch(
+                f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
+            )
+        path = integrate(lambda t, s: rhs(s, params, r), [init[c] for c in cols], horizon, dt)
+        values = np.zeros((len(path), 3))
+        values[:, cols] = path.values
+    zeros = np.zeros(len(values))
+    return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, zeros))

@@ -255,6 +255,8 @@ class _Recorder:
     def __init__(self, state, horizon, max_events):
         if max_events < 1:
             raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
+        if not 0 <= horizon < math.inf:
+            raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
         self.times = [0.0]
         self.cols = [[v] for v in state]
         self.horizon = horizon

@@ -5,7 +5,7 @@ Picard solver for generalized problems where the free path is itself a
 causal functional of the (unknown) reflected solution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,16 +51,13 @@ class SampledPath:
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """A causal map between sampled paths plus its declared Lipschitz rule.
+    """A causal map between sampled paths.
 
     apply(path) must produce a path on the same grid whose value at index
-    k depends only on input indices <= k.  lipschitz(t) bounds the
-    sup-norm sensitivity on [0, t] and feeds the solver's contraction
-    diagnostics.
+    k depends only on input indices <= k.
     """
 
     apply: Callable[[SampledPath], SampledPath]
-    lipschitz: Callable[[float], float] = field(default=lambda t: 0.0)
 
 
 def reflect_1d(free):

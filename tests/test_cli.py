@@ -151,6 +151,18 @@ class TestSimulateCommand:
         assert "--init" in err and "aux-noblock" in err and "(y,z)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("process", ["main", "aux-saturated", "aux-noblock"])
+    def test_negative_horizon_rejected(self, capsys, tmp_path, process):
+        out = tmp_path / "out"
+        code = cli.main([
+            "simulate", "--process", process, "--horizon", "-1", "--seed", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "horizon" in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestFluidCommand:
     def test_underloaded_ode_reaches_fixed_point(self, tmp_path):
@@ -186,6 +198,26 @@ class TestFluidCommand:
         )
         assert proc.returncode == 2
         assert "overloaded-ode" in proc.stderr
+
+    @pytest.mark.parametrize("system, c2", [
+        ("hybrid", "30"), ("aux-saturated", "30"), ("aux-noblock", "70"),
+        ("overloaded-ode", "30"), ("underloaded-ode", "70"),
+    ])
+    @pytest.mark.parametrize("flags, field", [
+        (["--dt", "0"], "dt"),
+        (["--dt", "-0.1"], "dt"),
+        (["--horizon", "-1"], "horizon"),
+        (["--horizon", "inf"], "horizon"),
+    ], ids=["dt-zero", "dt-negative", "horizon-negative", "horizon-inf"])
+    def test_bad_step_or_horizon_rejected(self, capsys, tmp_path, system, c2, flags, field):
+        out = tmp_path / "out"
+        code = cli.main([
+            "fluid", "--system", system, "--n", "100", "--c2", c2, *flags, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
+        assert not out.exists()
 
     def test_bad_init_shape_rejected(self, tmp_path):
         proc = run_cli(
@@ -237,6 +269,23 @@ class TestExperimentCommand:
             )
             outs[tag] = (d / "convergence_aux-saturated_seed11.json").read_bytes()
         assert outs["a"] == outs["b"] == outs["c"]
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--experiment", "phase-scan", "--replications", "0"], "replications"),
+        (["--experiment", "martingale-decay", "--n-list", "20,40", "--replications", "0"],
+         "replications"),
+        (["--experiment", "martingale-decay", "--n-list", "20"], "n_list"),
+        (["--experiment", "martingale-decay", "--n-list", "20,20"], "n_list"),
+    ], ids=["phase-scan-reps0", "martingale-reps0", "martingale-one-n", "martingale-repeated-n"])
+    def test_unusable_sweep_exits_2(self, capsys, tmp_path, flags, field):
+        code = cli.main([
+            "experiment", *flags, "--n", "20", "--c2", "6", "--horizon", "2",
+            "--burn-in", "1", "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
+        assert not any(tmp_path.iterdir())
 
     def test_out_dir_env_var_honored(self, tmp_path):
         proc = run_cli(
@@ -295,3 +344,17 @@ class TestExitCodes:
         # One float row of the generator alone would be 0.9 MiB.
         assert peak < 2**19
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fluid", "--system", "hybrid", "--init", "0,x,0"],
+         "--init for hybrid takes 3 comma-separated numbers (y_star,y,z), got '0,x,0'"),
+        (["experiment", "--experiment", "martingale-decay", "--n-list", "20,x", "--seed", "1"],
+         "--n-list takes comma-separated integers, got '20,x'"),
+        (["experiment", "--experiment", "phase-scan", "--r-grid", "0.3,,0.7", "--seed", "1"],
+         "--r-grid takes comma-separated numbers, got '0.3,,0.7'"),
+    ], ids=["fluid-init", "n-list", "r-grid"])
+    def test_malformed_list_flag_is_config_error(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -74,7 +74,6 @@ class TestReportArtifacts:
                 {"n": 20, "score": 0.25, "ok": False, "gap": None, "raw": [3.0]},
             ],
             criteria={"score_drops": True},
-            passed=True,
         )
 
     def test_json_round_trip_and_trailing_newline(self):
@@ -225,6 +224,11 @@ class TestPhaseScan:
         assert any(repr(critical_ratio(SYM)) in note for note in rep.notes)
         assert any("threshold" in note for note in rep.notes)
 
+    def test_zero_replications_rejected(self):
+        with pytest.raises(DomainError) as info:
+            phase_scan(SYM, [0.3, 0.7], n=20, horizon=5.0, t1=1.0, reps=0, seed=0)
+        assert info.value.field == "replications"
+
     def test_unsorted_grid_normalized(self):
         rep = phase_scan(
             SYM, [0.75, 0.3], n=20, horizon=6.0, t1=2.0, reps=2, seed=1
@@ -267,6 +271,16 @@ class TestMartingaleDecay:
         }
         assert rep.config["slope_range"] == [-1.0, -0.05]
         assert sum("bootstrap 95% interval" in note for note in rep.notes) == 3
+
+    @pytest.mark.parametrize("n_list, reps, field", [
+        ((20,), 4, "n_list"),
+        ((20, 20), 4, "n_list"),
+        ((20, 40), 0, "replications"),
+    ])
+    def test_unfittable_input_rejected(self, n_list, reps, field):
+        with pytest.raises(DomainError) as info:
+            martingale_decay(SYM, 0.3, n_list, horizon=2.0, reps=reps, seed=1, bootstrap=10)
+        assert info.value.field == field
 
     def test_slope_close_to_inverse_sqrt(self):
         """log-log slope over doubling n sits near -1/2 for each coordinate."""

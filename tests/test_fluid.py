@@ -225,11 +225,6 @@ class TestGbarFunctional:
             slow[k] = slow_g + init[0] + params.mu01 * k_decay - params.mu02 * r * t[k]
             assert fast[k] == pytest.approx(slow[k], abs=1e-9)
 
-    def test_lipschitz_rule(self):
-        phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
-        assert phi.lipschitz(0.0) == pytest.approx(0.5)
-        assert phi.lipschitz(10.0) == pytest.approx(0.5 * 11.0)
-
 
 class TestPicardAgainstProjectedEuler:
     def test_baseline_cross_method_agreement(self):
@@ -251,7 +246,8 @@ class TestPicardAgainstProjectedEuler:
     def test_picard_residuals_follow_contraction_rate(self):
         horizon, dt = 2.0, 1e-3
         phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
-        budget = phi.lipschitz(horizon) * horizon
+        # Lipschitz constant of Gbar on [0, t]: p * mu01 * (1 + mu11 * t).
+        budget = SYM.p * SYM.mu01 * (1.0 + SYM.mu11 * horizon) * horizon
         n = int(round(horizon / dt)) + 1
         x = SampledPath(0.0, dt, np.zeros(n))
         residuals = []
