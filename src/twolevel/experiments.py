@@ -46,10 +46,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        if not self.burn_in < self.horizon:
-            raise DomainError("burn_in", "burn_in must be smaller than horizon")
-        if self.replications < 1:
-            raise DomainError("replications", "need at least one replication")
+        _check_windows(self.burn_in, self.horizon)
+        _check_replications(self.replications)
         if self.grid_dt <= 0:
             raise DomainError("grid_dt", "grid_dt must be positive")
 
@@ -110,6 +108,22 @@ def save_report(report, out_dir):
     return json_path, csv_path
 
 
+def _check_replications(reps):
+    if reps < 1:
+        raise DomainError("replications", f"replications must be at least 1, got {reps}")
+
+
+def _check_windows(t1, horizon):
+    """Refuse a metrics window [t1, T] or sensitivity window [2 t1, T] that is
+    empty or starts before time 0."""
+    if not 0 <= 2 * t1 < horizon:
+        raise DomainError(
+            "burn_in",
+            f"burn_in must lie in [0, horizon / 2) for the windows [burn_in, horizon] "
+            f"and [2 burn_in, horizon]; got burn_in {t1!r}, horizon {horizon!r}",
+        )
+
+
 def c2_for(n, r):
     """Specialist pool size floor(r*n), at least 1."""
     return max(1, int(math.floor(n * r + 1e-9)))
@@ -117,8 +131,7 @@ def c2_for(n, r):
 
 def _replicate(rep, args, base_seed, reps, workers):
     """[rep(*args, base_seed + i) for i < reps], run serially or on ``workers`` processes."""
-    if reps < 1:
-        raise DomainError("replications", f"replications must be at least 1, got {reps}")
+    _check_replications(reps)
     seeds = range(base_seed, base_seed + reps)
     if workers <= 1 or reps == 1:
         return [rep(*args, seed) for seed in seeds]
@@ -412,6 +425,8 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 2:
         raise DomainError("r_grid", "need at least two grid points")
+    _check_replications(reps)
+    _check_windows(t1, horizon)
     r_c = critical_ratio(params)
     spacing = max(b - a for a, b in zip(r_grid, r_grid[1:]))
     nearest = min(range(len(r_grid)), key=lambda i: abs(r_grid[i] - r_c))

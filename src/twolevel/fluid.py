@@ -16,7 +16,7 @@ from scipy.signal import lfilter
 
 from .errors import DomainError, NonFinite, RegimeMismatch
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
-from .skorokhod import PathFunctional, SampledPath
+from .skorokhod import PathFunctional, SampledPath, grid_steps
 
 
 class FluidDerivative(NamedTuple):
@@ -69,22 +69,13 @@ def underloaded_rhs(state, params, r):
     return (d_y, d_z)
 
 
-def _steps(horizon, dt):
-    """Number of dt steps to reach ``horizon``; DomainError for dt <= 0 or horizon < 0."""
-    if not dt > 0:
-        raise DomainError("dt", f"dt must be positive, got {dt!r}")
-    if not 0 <= horizon < np.inf:
-        raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
-    return int(round(horizon / dt))
-
-
 def integrate(rhs, init, horizon, dt):
     """Classic fixed-step RK4 for rhs(t, state) -> d_state.
 
     Returns the solution as a vector SampledPath on the grid k*dt.
     Raises NonFinite as soon as a coordinate leaves finite range.
     """
-    steps = _steps(horizon, dt)
+    steps = grid_steps(horizon, dt)
     if horizon < dt:
         raise DomainError("horizon", "horizon must be at least dt")
     state = np.asarray(init, dtype=float)
@@ -116,7 +107,7 @@ def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
     if y < 0 or y_star + y > 1:
         raise DomainError("y", "initial (y_star, y) must lie in the simplex")
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    steps = _steps(horizon, dt)
+    steps = grid_steps(horizon, dt)
     path = np.zeros((steps + 1, 3))
     reg = np.zeros(steps + 1)
     path[0, 0], path[0, 1] = y_star, y
@@ -151,7 +142,7 @@ def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
     if not 0 <= z0 <= r:
         raise DomainError("z", f"initial z must lie in [0, r] = [0, {r}]")
     mu01, mu02 = params.mu01, params.mu02
-    steps = _steps(horizon, dt)
+    steps = grid_steps(horizon, dt)
     grid = dt * np.arange(steps + 1)
     yb = np.atleast_1d(y_b_closed_form(grid, params, y0))
     path = np.zeros((steps + 1, 3))
@@ -246,7 +237,7 @@ def hybrid_fluid(params, r, init, horizon, dt=1e-3):
     """
     init.check(r)
     y_star, y, z = init.y_star, init.y, init.z
-    steps = _steps(horizon, dt)
+    steps = grid_steps(horizon, dt)
     out = np.empty((steps + 1, 3))
     out[0] = (y_star, y, z)
     for k in range(steps):

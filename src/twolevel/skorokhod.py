@@ -13,6 +13,15 @@ import numpy as np
 from .errors import DomainError, GridMismatch, NoConvergence
 
 
+def grid_steps(horizon, dt):
+    """Number of dt steps to reach ``horizon``; DomainError for dt <= 0 or horizon < 0."""
+    if not dt > 0:
+        raise DomainError("dt", f"dt must be positive, got {dt!r}")
+    if not 0 <= horizon < np.inf:
+        raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
+    return int(round(horizon / dt))
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Real-valued path sampled on the uniform grid t0 + k*dt.
@@ -106,7 +115,7 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     residual when the iteration budget runs out -- the usual causes are a
     horizon too long for the functional's contraction or an over-tight tol.
     """
-    n = int(round(horizon / dt)) + 1
+    n = grid_steps(horizon, dt) + 1
     if start is None:
         x = SampledPath(0.0, dt, np.zeros(n))
     else:

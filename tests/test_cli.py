@@ -287,6 +287,19 @@ class TestExperimentCommand:
         assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "saturation", "--c2", "30", "--n-list", "20,40", "--horizon", "6"],
+        ["--experiment", "phase-scan", "--n", "20", "--horizon", "4", "--r-grid", "0.3,0.7"],
+    ], ids=["saturation-empty-sensitivity-window", "phase-scan-burn-in-at-horizon"])
+    def test_empty_window_exits_2(self, capsys, tmp_path, flags):
+        """Before the check these wrote -0.0 or NaN blocked fractions and exited 1."""
+        code = cli.main(["experiment", *flags, "--burn-in", "4", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: burn_in ")
+        assert not any(tmp_path.iterdir())
+
     def test_out_dir_env_var_honored(self, tmp_path):
         proc = run_cli(
             "experiment", "--experiment", "oracle-check", "--n", "1", "--c2", "1",

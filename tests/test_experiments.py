@@ -53,6 +53,13 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             small_cfg(0.7, replications=0)
 
+    @pytest.mark.parametrize("burn_in", [12.5, 20.0, -1.0])
+    def test_sensitivity_window_must_be_nonempty(self, burn_in):
+        """The rows average over [burn_in, horizon] and [2 burn_in, horizon]."""
+        with pytest.raises(DomainError) as info:
+            small_cfg(0.7, burn_in=burn_in)
+        assert info.value.field == "burn_in"
+
     def test_grid_dt_positive(self):
         with pytest.raises(DomainError):
             small_cfg(0.7, grid_dt=0.0)
@@ -228,6 +235,12 @@ class TestPhaseScan:
         with pytest.raises(DomainError) as info:
             phase_scan(SYM, [0.3, 0.7], n=20, horizon=5.0, t1=1.0, reps=0, seed=0)
         assert info.value.field == "replications"
+
+    @pytest.mark.parametrize("t1", [2.5, 5.0, 6.0, -0.5])
+    def test_empty_window_rejected(self, t1):
+        with pytest.raises(DomainError) as info:
+            phase_scan(SYM, [0.3, 0.7], n=20, horizon=5.0, t1=t1, reps=2, seed=0)
+        assert info.value.field == "burn_in"
 
     def test_unsorted_grid_normalized(self):
         rep = phase_scan(

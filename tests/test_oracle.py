@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
 from twolevel import (
     InvalidState,
@@ -11,6 +13,7 @@ from twolevel import (
     ModelParams,
     NotIrreducible,
     ScalingParams,
+    SingularSystem,
     TooLarge,
     blocked_fraction_limit,
     build_generator,
@@ -21,7 +24,7 @@ from twolevel import (
     transient_distribution,
     write_stationary_csv,
 )
-from twolevel import sim
+from twolevel import oracle, sim
 from rate_clauses import rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
@@ -138,6 +141,33 @@ class TestStationary:
         with pytest.raises(NotIrreducible):
             stationary_distribution(build_generator(params, ScalingParams(n=2, c2=1)))
 
+    def test_weakly_connected_not_irreducible(self):
+        """0 -> 1 <-> 2: every state is linked, but nothing returns to state 0."""
+        g = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 2.0], [0.0, 3.0, -3.0]])
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(g)
+
+    def test_matches_dense_bordered_solve(self):
+        """Independent dense reference: g^T with its last row replaced by ones."""
+        g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=20, c2=10))
+        a = g.T.copy()
+        a[-1, :] = 1.0
+        b = np.zeros(len(g))
+        b[-1] = 1.0
+        np.testing.assert_allclose(stationary_distribution(g), np.linalg.solve(a, b),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_sparse_input_matches_dense(self):
+        g = build_generator(SYM, ScalingParams(n=6, c2=3))
+        np.testing.assert_array_equal(stationary_distribution(sparse.csr_array(g)),
+                                      stationary_distribution(g))
+
+    def test_non_finite_solve_is_singular(self, monkeypatch):
+        """A singular factorisation returns NaN, which no residual or sign test catches."""
+        monkeypatch.setattr(oracle, "spsolve", lambda a, b, **kw: np.full(len(b), np.nan))
+        with pytest.raises(SingularSystem):
+            stationary_distribution(build_generator(SYM, ScalingParams(n=2, c2=1)))
+
     def test_blocked_mass_approaches_fluid_limit(self):
         """Growing n with c2 = 0.3 n drives E[y_star]/n toward the fluid value."""
         limit = blocked_fraction_limit(SYM, 0.3)
@@ -195,6 +225,19 @@ class TestTransient:
         pi = stationary_distribution(g)
         dist = transient_distribution(g, 0, 200.0)
         assert 0.5 * np.abs(dist - pi).sum() <= 1e-6
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_matches_matrix_exponential(self, t):
+        g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=4, c2=2))
+        np.testing.assert_allclose(transient_distribution(g, 0, t),
+                                   scipy.linalg.expm(g * t)[0], rtol=0.0, atol=1e-12)
+
+    def test_sparse_input_matches_dense(self):
+        g = build_generator(SYM, ScalingParams(n=6, c2=3))
+        start = np.full(len(g), 1.0 / len(g))
+        for init in (0, start):
+            np.testing.assert_array_equal(transient_distribution(sparse.csr_array(g), init, 2.0),
+                                          transient_distribution(g, init, 2.0))
 
     def test_input_validation(self):
         g = np.array([[-1.0, 1.0], [1.0, -1.0]])

@@ -8,8 +8,10 @@ from twolevel import (
     GridMismatch,
     NoConvergence,
     PathFunctional,
+    ModelParams,
     SampledPath,
     check_complementarity,
+    gbar_functional,
     reflect_1d,
     solve_generalized,
 )
@@ -150,3 +152,10 @@ class TestSolveGeneralized:
             solve_generalized(phi, 0.5, DT, max_iter=12)
         assert err.value.max_iter == 12
         assert err.value.residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_dt_rejected(self, dt):
+        phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))
+        with pytest.raises(DomainError) as err:
+            solve_generalized(phi, 1.0, dt)
+        assert err.value.field == "dt"
