@@ -19,6 +19,7 @@ from .errors import (
     RegimeMismatch,
     SingularSystem,
     TooLarge,
+    TooManySwitches,
 )
 from .model import (
     FluidState,
@@ -44,14 +45,11 @@ from .skorokhod import (
     solve_generalized,
 )
 from .fluid import (
-    FluidDerivative,
     ReflectedSolution,
     aux_noblock_fluid,
     aux_saturated_fluid,
     gbar_functional,
-    hybrid_drift,
     hybrid_fluid,
-    integrate,
     overloaded_rhs,
     underloaded_rhs,
 )
@@ -97,15 +95,15 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "GridMismatch", "InvalidState", "NoConvergence", "NonFinite",
     "NotIrreducible", "RegimeError", "RegimeMismatch", "SingularSystem", "TooLarge",
+    "TooManySwitches",
     "FluidState", "ModelParams", "Regime", "ScalingParams",
     "blocked_fraction_limit", "classify_regime", "critical_ratio", "h_bar",
     "overloaded_fixed_point", "underloaded_fixed_point", "validate",
     "y_b_closed_form", "y_bar", "y_underline",
     "PathFunctional", "SampledPath", "check_complementarity", "reflect_1d",
     "solve_generalized",
-    "FluidDerivative", "ReflectedSolution", "aux_noblock_fluid",
-    "aux_saturated_fluid", "gbar_functional", "hybrid_drift", "hybrid_fluid",
-    "integrate", "overloaded_rhs", "underloaded_rhs",
+    "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
+    "gbar_functional", "hybrid_fluid", "overloaded_rhs", "underloaded_rhs",
     "MicroState", "Trajectory", "Transition", "check_state", "martingale_residual",
     "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
     "simulate_aux_saturated", "simulate_process", "step", "transitions",

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``params``      -- print derived quantities for a parameter set
 * ``simulate``    -- run seeded replications, one CSV per replication
-* ``fluid``       -- integrate a fluid system and write its path as CSV
+* ``fluid``       -- solve a fluid system exactly and write its path as CSV
 * ``experiment``  -- run an experiment suite and write its report
 
 Configuration is a flat JSON object (keys p, mu01, mu11, mu02, n, c2,
@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import experiments, fluid, model, oracle, sim
-from .errors import NoConvergence, NonFinite, SingularSystem
+from .errors import NoConvergence, NonFinite, SingularSystem, TooManySwitches
 
 CONFIG_KEYS = ("p", "mu01", "mu11", "mu02", "n", "c2", "horizon",
                "burn_in", "replications", "seed", "grid_dt")
@@ -305,7 +305,7 @@ def build_parser():
     p_sim.add_argument("--init", help="comma-separated integer start state")
 
     p_fluid = sub.add_parser("fluid", parents=[shared],
-                             help="integrate a fluid system and write its path")
+                             help="solve a fluid system exactly and write its path")
     p_fluid.add_argument("--system", required=True, choices=fluid.SYSTEMS)
     p_fluid.add_argument("--init", default="0,0,0",
                          help="comma-separated y_star,y,z start point")
@@ -337,7 +337,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ValueError, NoConvergence, NonFinite, SingularSystem) as exc:
+    except (ConfigError, ValueError, NoConvergence, NonFinite, SingularSystem,
+            TooManySwitches) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

@@ -40,6 +40,10 @@ class NonFinite(ArithmeticError):
     """A state coordinate left finite range during integration."""
 
 
+class TooManySwitches(ArithmeticError):
+    """A piecewise-affine fluid path switched mode more often than the cap allows."""
+
+
 class InvalidState(ValueError):
     """A microscopic state violates the state-space invariants."""
 

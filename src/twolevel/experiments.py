@@ -189,17 +189,24 @@ def _config_echo(cfg, **extra):
 
 def _fluid_reference(target, params, r, horizon, grid_dt):
     """Fluid comparison path from the origin sampled on the grid, columns matching the target."""
-    substeps = max(1, math.ceil(grid_dt / 1e-3))
     system = "hybrid" if target == "main" else target
-    sol = fluid.solve_system(system, params, r, (0.0, 0.0, 0.0), horizon, grid_dt / substeps)
+    sol = fluid.solve_system(system, params, r, (0.0, 0.0, 0.0), horizon, grid_dt)
     cols = [("y_star", "y", "z").index(c) for c in sim.PROCESSES[target].columns]
-    return sol.path.values[::substeps][:, cols]
+    return sol.path.values[:, cols]
+
+
+def _simulate(process, init, params, scaling, horizon, seed):
+    """One full run of ``process``; InvalidState if the event cap truncated it."""
+    traj = sim.simulate_process(process, init, params, scaling, horizon, seed)
+    if traj.truncated:
+        raise InvalidState(f"{process} run (seed {seed}) hit the event cap before t={horizon}")
+    return traj
 
 
 def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, seed):
     scaling = ScalingParams(n, c2)
     init = (0,) * len(sim.PROCESSES[target].columns)
-    traj = sim.simulate_process(target, init, params, scaling, horizon, seed)
+    traj = _simulate(target, init, params, scaling, horizon, seed)
     path = sim.rescale(traj, scaling, grid_dt)
     diff = np.max(np.abs(path.values - fluid_values), axis=1)
     return tuple(float(diff[path.times >= t].max()) for t in (t1, 2 * t1))
@@ -253,7 +260,7 @@ PATH_SAMPLE_DT = 1.0
 
 def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
     scaling = ScalingParams(n, c2)
-    traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     _assert_exclusive(traj)
     path = sim.rescale(traj, scaling, grid_dt)
     grid = path.times
@@ -335,7 +342,7 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
 
 def _saturation_rep(params, n, c2, horizon, t1, seed):
     scaling = ScalingParams(n, c2)
-    traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     _assert_exclusive(traj)
     sum_frac = (traj.states[:, 0] + traj.states[:, 1]) / n
     out = []
@@ -407,7 +414,7 @@ def saturation_certificate(cfg, band=0.05, workers=1):
 
 def _phase_rep(params, n, c2, horizon, t1, seed):
     scaling = ScalingParams(n, c2)
-    traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     frac = traj.states[:, 0] / n
     return tuple(_time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
 
@@ -490,7 +497,7 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
     pi = oracle.stationary_distribution(gen)
     exact = oracle.stationary_moments(pi, scaling)
     burn_in = min(horizon / 10.0, 100.0)
-    traj = sim.simulate((0, 0, scaling.c2), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, scaling.c2), params, scaling, horizon, seed)
     n = scaling.n
     summaries = {
         "mean_y_star_frac": traj.states[:, 0] / n,
@@ -539,7 +546,7 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
 
 def _martingale_rep(params, n, c2, horizon, seed):
     scaling = ScalingParams(n, c2)
-    traj = sim.simulate((0, 0, 0), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     return tuple(float(s) for s in sim.residual_sup(traj, params, scaling))
 
 

@@ -1,28 +1,25 @@
-"""Deterministic fluid dynamics of the two-level network.
+"""Deterministic fluid dynamics of the two-level network, solved exactly.
 
-Right-hand sides for the two load regimes, a fixed-step RK4 integrator,
-projected (reflected) Euler integration of the two auxiliary fluid
-systems, the integral-functional builder used for cross-validating the
-saturated system through the generalized reflection solver, and a global
-"hybrid" dynamic that switches regime branches at the constraint
-boundary.  ``solve_system`` runs any of these systems by name.
+Every fluid system is piecewise affine: between switches it follows the
+overloaded interior (z = 0), the underloaded interior (y_star = 0), or an
+auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
+expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
+switch time is a root of that closed form.  Also here: the regime drifts,
+the integral functional that cross-validates the saturated system through
+the Picard solver, and ``solve_system``.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from .errors import DomainError, NonFinite, RegimeMismatch
+from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
 from .skorokhod import PathFunctional, SampledPath, grid_steps
-
-
-class FluidDerivative(NamedTuple):
-    d_y_star: float
-    d_y: float
-    d_z: float
 
 
 @dataclass(frozen=True)
@@ -69,99 +66,144 @@ def underloaded_rhs(state, params, r):
     return (d_y, d_z)
 
 
-def integrate(rhs, init, horizon, dt):
-    """Classic fixed-step RK4 for rhs(t, state) -> d_state.
+# The augmented state (y_star, y, z, u, 1) on which every mode is linear.  A
+# sampled path stores neither the constant nor, without a regulator, u.
+Y_STAR, Y, Z, U, ONE = range(5)
+# A path that switches mode more often than this is chattering, not settling.
+MAX_SWITCHES = 100
 
-    Returns the solution as a vector SampledPath on the grid k*dt.
-    Raises NonFinite as soon as a coordinate leaves finite range.
+
+class _Mode(NamedTuple):
+    """One affine regime x' = matrix @ x on (y_star, y, z, u, 1): it lasts
+    while ``guard @ x >= 0`` (for ever without a guard) and holds
+    coordinate ``pinned`` at exactly 0."""
+
+    matrix: np.ndarray
+    guard: np.ndarray | None
+    pinned: int
+
+
+def _system_modes(system, params, r):
+    """The modes of ``system`` at ratio r, the first tried first at t = 0.
+
+    ``blocked`` is the overloaded interior (z = 0), ``free`` the underloaded
+    one (y_star = 0).  A sliding mode holds an auxiliary system on its
+    boundary while u cancels the outward drift, until that rate turns negative.
+    """
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    surplus = np.array([0.0, mu01, 0.0, 0.0, -mu02 * r])  # mu01 y - mu02 r
+    relax = (0.0, -(1 - p) * mu01 - p * mu11, 0.0, 0.0, p * mu11)  # dy while y_star = 0
+    blocked, free, sliding, unit = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros((5, 5)), np.eye(5)
+    blocked[Y_STAR] = surplus
+    blocked[Y] = (-p * mu11, -(mu01 + p * mu11), 0.0, 0.0, p * (mu02 * r + mu11))
+    free[Y], free[Z] = relax, (0.0, -mu01, -mu02, 0.0, mu02 * r)
+    sliding[Y], sliding[U] = relax, -surplus if system == "aux-saturated" else surplus
+    return {
+        "overloaded-ode": (_Mode(blocked, None, Z),),
+        "underloaded-ode": (_Mode(free, None, Y_STAR),),
+        "hybrid": (_Mode(blocked, unit[Y_STAR], Z), _Mode(free, unit[Z], Y_STAR)),
+        "aux-saturated": (_Mode(blocked, unit[Y_STAR], Z), _Mode(sliding, sliding[U], Y_STAR)),
+        "aux-noblock": (_Mode(free, unit[Z], Y_STAR), _Mode(sliding, sliding[U], Z)),
+    }[system]
+
+
+def _starts_in(mode, x):
+    """x has ``mode``'s pinned coordinate at 0 and its guard positive, or zero and rising."""
+    if mode.guard is None:
+        return True
+    g = mode.guard @ x
+    return x[mode.pinned] == 0 and (g > 0 or (g == 0 and mode.guard @ mode.matrix @ x > 0))
+
+
+def _affine_path(system, params, r, x0, horizon, dt):
+    """Exact path of ``system`` from x0 = (y_star, y, z) on the grid k*dt.
+
+    Returns rows (y_star, y, z) and the regulator u, or None without one.
+    A segment is sampled by doubling: rows [m, 2m) are rows [0, m) moved by
+    the affine map expm(M dt)^m.  Past a guard crossing, brentq on
+    expm(M s) x finds the switch time inside that grid step; the path then
+    toggles mode and sets the new mode's pinned coordinate to exactly 0.
     """
     steps = grid_steps(horizon, dt)
-    if horizon < dt:
-        raise DomainError("horizon", "horizon must be at least dt")
-    state = np.asarray(init, dtype=float)
-    out = np.empty((steps + 1, state.size))
-    out[0] = state
-    for k in range(steps):
-        t = k * dt
-        k1 = np.asarray(rhs(t, state), dtype=float)
-        k2 = np.asarray(rhs(t + dt / 2, state + dt / 2 * k1), dtype=float)
-        k3 = np.asarray(rhs(t + dt / 2, state + dt / 2 * k2), dtype=float)
-        k4 = np.asarray(rhs(t + dt, state + dt * k3), dtype=float)
-        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise NonFinite(f"state became non-finite at t={t + dt}")
-        out[k + 1] = state
-    return SampledPath(0.0, dt, out)
+    modes = _system_modes(system, params, r)
+    x = np.array([*x0, 0.0, 1.0])
+    mode = 0 if _starts_in(modes[0], x) else 1
+    n = ONE if any(m.matrix[U].any() for m in modes) else U
+    out = np.empty((steps + 1, n))
+    t, k = 0.0, 0  # start time of the segment, first grid index it samples
+    for _ in range(MAX_SWITCHES + 1):
+        matrix, guard, pinned = modes[mode]
+        x[pinned] = 0.0
+        held = ~matrix[:n].any(axis=1)
+        seg = out[k:]
+        seg[0] = (expm(matrix * (k * dt - t)) @ x)[:n]
+        phi = expm(matrix * dt)
+        checked, filled, end = 0, 1, len(seg)
+        while True:
+            if guard is not None:
+                crossed = np.flatnonzero(seg[checked:filled] @ guard[:n] + guard[ONE] < 0)
+                if crossed.size:
+                    end = checked + int(crossed[0])
+                    break
+            if filled == len(seg):
+                break
+            take = min(filled, len(seg) - filled)
+            block = seg[filled:filled + take]
+            np.matmul(seg[:take], phi[:n, :n].T, out=block)
+            block += phi[:n, ONE]
+            checked, filled = filled, filled + take
+            phi = phi @ phi
+        seg[:end, held] = x[:n][held]
+        if not np.isfinite(seg[:end]).all():
+            raise NonFinite(f"{system} fluid state non-finite after t={t}")
+        if end == len(seg):
+            return out[:, :U], out[:, U] if n > U else None
+        # The guard crossed 0 in the grid step before sample `end`.
+        t0, width = ((k + end - 1) * dt, dt) if end else (t, k * dt - t)
+        base = np.concatenate((seg[end - 1], x[n:])) if end else x
+        s = (brentq(lambda s: guard @ (expm(matrix * s) @ base), 0.0, width, xtol=1e-15)
+             if guard @ base > 0 else 0.0)
+        x = expm(matrix * s) @ base
+        x[:n][held] = base[:n][held]
+        t, k, mode = t0 + s, k + end, 1 - mode
+    raise TooManySwitches(f"fluid path switched mode more than {MAX_SWITCHES} times by t={t:.6g}")
+
+
+def _reflected(values, regulator, dt):
+    return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, regulator))
 
 
 def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
     """Fluid path of the always-saturated system, reflected at y_star = 0.
 
-    Projected Euler: each step advances both coordinates by the drift; a
-    would-be negative y_star is set to 0, the deficit is booked into the
-    regulator u, and y receives the coupled correction -p * du.
+    In the interior both coordinates follow the overloaded drift.  On
+    y_star = 0 the path slides with dy = -(1-p) mu01 y + p mu11 (1 - y)
+    while the regulator u absorbs the deficit mu02 r - mu01 y, and leaves
+    the boundary when that deficit turns negative.
     """
     y_star, y = float(init[0]), float(init[1])
     if y_star < 0:
         raise DomainError("y_star", "initial y_star must be >= 0")
     if y < 0 or y_star + y > 1:
         raise DomainError("y", "initial (y_star, y) must lie in the simplex")
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    steps = grid_steps(horizon, dt)
-    path = np.zeros((steps + 1, 3))
-    reg = np.zeros(steps + 1)
-    path[0, 0], path[0, 1] = y_star, y
-    u = 0.0
-    for k in range(steps):
-        d_y_star = mu01 * y - mu02 * r
-        d_y = -mu01 * y + p * mu11 * (1.0 - y_star - y) + p * mu02 * r
-        y_star_next = y_star + dt * d_y_star
-        y_next = y + dt * d_y
-        if y_star_next < 0.0:
-            du = -y_star_next
-            y_star_next = 0.0
-            y_next -= p * du
-            u += du
-        y_star, y = y_star_next, y_next
-        if not (np.isfinite(y_star) and np.isfinite(y)):
-            raise NonFinite(f"saturated fluid state non-finite at t={(k + 1) * dt}")
-        path[k + 1, 0], path[k + 1, 1] = y_star, y
-        reg[k + 1] = u
-    return ReflectedSolution(SampledPath(0.0, dt, path), SampledPath(0.0, dt, reg))
+    return _reflected(*_affine_path("aux-saturated", params, r, (y_star, y, 0.0), horizon, dt), dt)
 
 
 def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
     """Fluid path of the no-blocking system: y in closed form, z reflected at 0.
 
-    z follows projected Euler on dz = mu02*(r - z) - mu01*y_b(t); the idle
-    pool cannot go negative, so the deficit accumulates in the regulator.
+    z follows dz = mu02*(r - z) - mu01*y_b(t); while mu01*y_b exceeds
+    mu02*r the path slides on z = 0 and the deficit accumulates in the
+    regulator.  The y column is ``y_b_closed_form`` itself.
     """
     y0, z0 = float(init[0]), float(init[1])
     if not 0 <= y0 <= 1:
         raise DomainError("y", "initial y must lie in [0, 1]")
     if not 0 <= z0 <= r:
         raise DomainError("z", f"initial z must lie in [0, r] = [0, {r}]")
-    mu01, mu02 = params.mu01, params.mu02
-    steps = grid_steps(horizon, dt)
-    grid = dt * np.arange(steps + 1)
-    yb = np.atleast_1d(y_b_closed_form(grid, params, y0))
-    path = np.zeros((steps + 1, 3))
-    reg = np.zeros(steps + 1)
-    path[:, 1] = yb
-    z = z0
-    u = 0.0
-    path[0, 2] = z
-    for k in range(steps):
-        z_next = z + dt * (mu02 * (r - z) - mu01 * yb[k])
-        if z_next < 0.0:
-            u += -z_next
-            z_next = 0.0
-        z = z_next
-        if not np.isfinite(z):
-            raise NonFinite(f"no-blocking fluid z non-finite at t={(k + 1) * dt}")
-        path[k + 1, 2] = z
-        reg[k + 1] = u
-    return ReflectedSolution(SampledPath(0.0, dt, path), SampledPath(0.0, dt, reg))
+    values, regulator = _affine_path("aux-noblock", params, r, (0.0, y0, z0), horizon, dt)
+    values[:, Y] = y_b_closed_form(dt * np.arange(len(values)), params, y0)
+    return _reflected(values, regulator, dt)
 
 
 def gbar_functional(params, r, init):
@@ -208,57 +250,18 @@ def gbar_functional(params, r, init):
     return PathFunctional(apply=apply)
 
 
-def hybrid_drift(state, params, r):
-    """Drift of the full fluid dynamics with indicators resolved from ``state``.
-
-    At the double boundary y_star = z = 0 the surplus of class-0 inflow
-    mu01*y over specialist throughput mu02*r decides which constraint
-    stays active: a positive surplus accumulates blocked operators, a
-    deficit accumulates idle specialists.
-    """
-    y_star, y, z = state
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    blocked_branch = y_star > 0 or (z <= 0 and mu01 * y - mu02 * r > 0)
-    if blocked_branch:
-        d_y_star, d_y = overloaded_rhs((y_star, y), params, r)
-        return FluidDerivative(d_y_star, d_y, 0.0)
-    d_y = -(1 - p) * mu01 * y + p * mu11 * (1.0 - y)
-    d_z = -mu01 * y + mu02 * (r - z)
-    return FluidDerivative(0.0, d_y, d_z)
-
-
 def hybrid_fluid(params, r, init, horizon, dt=1e-3):
     """Global fluid path from any admissible initial state.
 
-    Advances the hybrid drift by Euler steps and projects back to the
-    admissible set {y_star >= 0, y >= 0, y_star + y <= 1, 0 <= z <= r,
-    y_star * z = 0}.  On regime-consistent long runs the path settles at
-    the corresponding fixed point.
+    Switches from the overloaded interior (z = 0) to the underloaded one
+    (y_star = 0) when y_star reaches 0, and back when z reaches 0.  At the
+    double boundary the surplus of class-0 inflow mu01*y over specialist
+    throughput mu02*r decides: a positive surplus accumulates blocked
+    operators, a deficit accumulates idle specialists.
     """
     init.check(r)
-    y_star, y, z = init.y_star, init.y, init.z
-    steps = grid_steps(horizon, dt)
-    out = np.empty((steps + 1, 3))
-    out[0] = (y_star, y, z)
-    for k in range(steps):
-        d = hybrid_drift((y_star, y, z), params, r)
-        y_star += dt * d.d_y_star
-        y += dt * d.d_y
-        z += dt * d.d_z
-        if y_star < 0.0:
-            y_star = 0.0
-        if z < 0.0:
-            z = 0.0
-        elif z > r:
-            z = r
-        if y < 0.0:
-            y = 0.0
-        elif y > 1.0 - y_star:
-            y = 1.0 - y_star
-        if not (np.isfinite(y_star) and np.isfinite(y) and np.isfinite(z)):
-            raise NonFinite(f"hybrid fluid state non-finite at t={(k + 1) * dt}")
-        out[k + 1] = (y_star, y, z)
-    return SampledPath(0.0, dt, out)
+    x0 = np.maximum((init.y_star, init.y, init.z), 0.0)
+    return SampledPath(0.0, dt, _affine_path("hybrid", params, r, x0, horizon, dt)[0])
 
 
 SYSTEMS = ("hybrid", "aux-saturated", "aux-noblock", "overloaded-ode", "underloaded-ode")
@@ -279,17 +282,14 @@ def solve_system(system, params, r, init, horizon, dt):
     if system == "hybrid":
         values = hybrid_fluid(params, r, FluidState(*init), horizon, dt).values
     else:
-        wanted, rhs, cols = {
-            "overloaded-ode": (Regime.Overloaded, overloaded_rhs, [0, 1]),
-            "underloaded-ode": (Regime.Underloaded, underloaded_rhs, [1, 2]),
-        }[system]
+        wanted = Regime.Overloaded if system == "overloaded-ode" else Regime.Underloaded
         regime = classify_regime(params, r)
         if regime is not wanted:
             raise RegimeMismatch(
                 f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
             )
-        path = integrate(lambda t, s: rhs(s, params, r), [init[c] for c in cols], horizon, dt)
-        values = np.zeros((len(path), 3))
-        values[:, cols] = path.values
-    zeros = np.zeros(len(values))
-    return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, zeros))
+        grid_steps(horizon, dt)
+        if horizon < dt:
+            raise DomainError("horizon", "horizon must be at least dt")
+        values = _affine_path(system, params, r, init, horizon, dt)[0]
+    return _reflected(values, np.zeros(len(values)), dt)

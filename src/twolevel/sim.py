@@ -569,5 +569,9 @@ def residual_sup(traj, params, scaling):
 def write_trajectory_csv(traj, fp):
     """Write the run as CSV: time with 9 significant digits, then the counts."""
     fp.write("t," + ",".join(traj.columns) + "\n")
-    for t, row in zip(traj.times, traj.states):
-        fp.write(f"{t:.9g}," + ",".join(str(int(v)) for v in row) + "\n")
+    row = "%.9g" + ",%d" * len(traj.columns) + "\n"
+    # Blocks of 16,384 rows bound the Python lists and strings alive at once.
+    for lo in range(0, len(traj.times), 1 << 14):
+        block = slice(lo, lo + (1 << 14))
+        times, states = traj.times[block].tolist(), traj.states[block].tolist()
+        fp.write("".join([row % (t, *s) for t, s in zip(times, states)]))

@@ -181,8 +181,8 @@ def test_criterion_06_cross_method_skorokhod(verdict):
     worst = 0.0
     for params, r in instances:
         picard, _, _ = solve_generalized(gbar_functional(params, r, (0.0, 0.0)), 10.0, 1e-3)
-        euler = aux_saturated_fluid(params, r, (0.0, 0.0), 10.0, dt=1e-3)
-        worst = max(worst, float(np.abs(picard.values - euler.y_star).max()))
+        exact = aux_saturated_fluid(params, r, (0.0, 0.0), 10.0, dt=1e-3)
+        worst = max(worst, float(np.abs(picard.values - exact.y_star).max()))
     ok = worst <= 1e-3
     verdict(6, "cross-method-skorokhod", ok, started)
     assert ok, f"worst sup-norm gap {worst}"

@@ -1,5 +1,6 @@
 """Experiment harness: configs, report artifacts, and the six experiment types."""
 
+import dataclasses
 import io
 import json
 import math
@@ -11,11 +12,13 @@ import pytest
 from twolevel import (
     DomainError,
     ExperimentConfig,
+    InvalidState,
     ModelParams,
     RegimeMismatch,
     Report,
     ScalingParams,
     blocked_fraction_limit,
+    cli,
     convergence_sweep,
     critical_ratio,
     martingale_decay,
@@ -24,6 +27,7 @@ from twolevel import (
     phase_scan,
     saturation_certificate,
     save_report,
+    sim,
     underloaded_fixed_point,
 )
 
@@ -302,3 +306,38 @@ class TestMartingaleDecay:
             slope_range=(-0.75, -0.25), bootstrap=200,
         )
         assert rep.passed, rep.criteria
+
+
+class TestTruncatedRunsRefused:
+    """A run cut short by the event cap holds grid samples, not jumps: every
+    suite refuses it instead of averaging it."""
+
+    @pytest.fixture(autouse=True)
+    def truncate_every_run(self, monkeypatch):
+        real = sim.simulate_process
+
+        def truncated(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), truncated=True)
+
+        monkeypatch.setattr(sim, "simulate_process", truncated)
+
+    @pytest.mark.parametrize("suite", [
+        lambda: convergence_sweep(small_cfg(0.3, n_list=(20,), replications=2), "aux-saturated"),
+        lambda: convergence_sweep(small_cfg(0.3, n_list=(20,), replications=2), "main"),
+        lambda: no_blocking_certificate(small_cfg(0.7, n_list=(20,), replications=2)),
+        lambda: saturation_certificate(small_cfg(0.3, n_list=(20,), replications=2)),
+        lambda: phase_scan(SYM, (0.3, 0.7), 20, 4.0, 1.0, 2, 1),
+        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, 1, bootstrap=10),
+        lambda: oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 10.0, seed=5),
+    ], ids=["convergence-aux", "convergence-main", "no-blocking", "saturation", "phase-scan",
+            "martingale", "oracle-check"])
+    def test_suite_raises(self, suite):
+        with pytest.raises(InvalidState, match="event cap"):
+            suite()
+
+    def test_cli_exits_2(self, capsys, tmp_path):
+        code = cli.main(["experiment", "--experiment", "saturation", "--n", "20", "--c2", "6",
+                         "--horizon", "4", "--burn-in", "1", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "event cap" in capsys.readouterr().err

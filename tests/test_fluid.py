@@ -1,9 +1,10 @@
-"""Fluid systems: drift fields, integrators, reflected auxiliaries, hybrid path."""
+"""Fluid systems: drift fields, exact regime flows, reflected auxiliaries, hybrid path."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from twolevel import (
     DomainError,
@@ -11,14 +12,16 @@ from twolevel import (
     ModelParams,
     NonFinite,
     SampledPath,
+    TooManySwitches,
     aux_noblock_fluid,
     aux_saturated_fluid,
+    check_complementarity,
+    cli,
     critical_ratio,
+    fluid,
     gbar_functional,
     h_bar,
-    hybrid_drift,
     hybrid_fluid,
-    integrate,
     overloaded_fixed_point,
     overloaded_rhs,
     reflect_1d,
@@ -27,8 +30,38 @@ from twolevel import (
     underloaded_rhs,
     y_b_closed_form,
 )
+from fluid_reference import euler_hybrid, euler_noblock, euler_saturated
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
+
+
+def affine_flow(a, b, x0, times):
+    """Rows x(t) = e^{At} x0 + \\int_0^t e^{As} b ds of x' = A x + b, from scipy's expm."""
+    d = len(x0)
+    m = np.zeros((d + 1, d + 1))
+    m[:d, :d], m[:d, d] = a, b
+    start = np.append(np.asarray(x0, dtype=float), 1.0)
+    return np.array([(expm(m * t) @ start)[:d] for t in times])
+
+
+def overloaded_flow(params, r):
+    """(A, b) of the overloaded drift of (y_star, y), written from the model."""
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    a = [[0.0, mu01], [-p * mu11, -mu01 - p * mu11]]
+    return a, [-mu02 * r, p * (mu02 * r + mu11)]
+
+
+def underloaded_flow(params, r):
+    """(A, b) of the underloaded drift of (y, z), written from the model."""
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    a = [[-(p * mu11 + (1 - p) * mu01), 0.0], [-mu01, -mu02]]
+    return a, [p * mu11, mu02 * r]
+
+
+def first_order_errors(exact, euler, dt):
+    """Sup gaps of the Euler reference at dt and dt/2 to the exact samples on the dt grid."""
+    coarse, fine = euler(dt), euler(dt / 2)
+    return (float(np.abs(coarse - exact).max()), float(np.abs(fine[::2] - exact).max()))
 
 
 def random_overloaded_instance(rng):
@@ -67,33 +100,44 @@ class TestDriftFields:
 
 
 class TestIntegrate:
+    """The two regime ODEs through ``solve_system``."""
+
     def test_exponential_decay_accuracy(self):
-        path = integrate(lambda t, s: -s, (1.0,), 1.0, 1e-3)
-        assert path.values[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+        # With p = 0 nothing feeds class 0, so y decays as exp(-mu01 t).
+        params = ModelParams(0.0, 1.0, 1.0, 1.0)
+        sol = fluid.solve_system("underloaded-ode", params, 0.5, (0.0, 1.0, 0.0), 1.0, 1e-3)
+        assert sol.y[-1] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_underloaded_ode_reaches_fixed_point(self):
-        path = integrate(
-            lambda t, s: underloaded_rhs(s, SYM, 0.7), (0.0, 0.0), 50.0, 1e-3
-        )
-        np.testing.assert_allclose(path.values[-1], (0.5, 0.2), atol=1e-6)
+        sol = fluid.solve_system("underloaded-ode", SYM, 0.7, (0.0, 0.0, 0.0), 50.0, 1e-3)
+        np.testing.assert_allclose((sol.y[-1], sol.z[-1]), (0.5, 0.2), atol=1e-6)
 
     def test_overloaded_ode_settles_at_blocked_fraction(self):
         """Long-run y_star from the dynamics pins the 0.4 closed-form value."""
         params = ModelParams(0.5, 2.0, 1.0, 1.0)
-        path = integrate(
-            lambda t, s: overloaded_rhs(s, params, 0.4), (0.0, 0.0), 100.0, 1e-3
-        )
-        np.testing.assert_allclose(path.values[-1], (0.4, 0.2), atol=1e-9)
+        sol = fluid.solve_system("overloaded-ode", params, 0.4, (0.0, 0.0, 0.0), 100.0, 1e-3)
+        np.testing.assert_allclose((sol.y_star[-1], sol.y[-1]), (0.4, 0.2), atol=1e-9)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(DomainError):
-            integrate(lambda t, s: -s, (1.0,), 1.0, 0.0)
+            fluid.solve_system("overloaded-ode", SYM, 0.3, (0.0, 0.0, 0.0), 1.0, 0.0)
         with pytest.raises(DomainError):
-            integrate(lambda t, s: -s, (1.0,), 1e-4, 1e-3)
+            fluid.solve_system("overloaded-ode", SYM, 0.3, (0.0, 0.0, 0.0), 1e-4, 1e-3)
 
     def test_blowup_raises_non_finite(self):
+        """Rates so large that the matrix exponential overflows fail loudly."""
+        huge = ModelParams(0.5, 1e308, 1e308, 1e308)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
-            integrate(lambda t, s: s * s, (2.0,), 2.0, 1e-3)
+            fluid.solve_system("overloaded-ode", huge, 0.3, (0.0, 0.0, 0.0), 2.0, 1e-3)
+
+    def test_ode_paths_match_closed_form(self):
+        times = 1e-3 * np.arange(0, 10001, 613)
+        over = fluid.solve_system("overloaded-ode", SYM, 0.3, (0.2, 0.1, 0.0), 10.0, 1e-3)
+        expected = affine_flow(*overloaded_flow(SYM, 0.3), (0.2, 0.1), times)
+        np.testing.assert_allclose(over.path.values[::613, :2], expected, rtol=0, atol=1e-12)
+        under = fluid.solve_system("underloaded-ode", SYM, 0.7, (0.0, 0.9, 0.6), 10.0, 1e-3)
+        expected = affine_flow(*underloaded_flow(SYM, 0.7), (0.9, 0.6), times)
+        np.testing.assert_allclose(under.path.values[::613, 1:], expected, rtol=0, atol=1e-12)
 
 
 class TestAuxSaturatedFluid:
@@ -122,15 +166,15 @@ class TestAuxSaturatedFluid:
         assert sol.regulator.values[-1] > 0.1
 
     def test_tail_obeys_saturated_ode_exactly(self):
-        """Once the regulator goes flat every Euler step is the pure drift."""
-        sol = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 10.0, dt=1e-3)
+        """Once the regulator goes flat the path is the overloaded flow in closed form."""
+        dt = 1e-3
+        sol = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 10.0, dt=dt)
         du = np.diff(sol.regulator.values)
         k0 = int(np.nonzero(du > 0)[0].max()) + 2
         states = sol.path.values[:, :2]
-        for k in range(k0, len(states) - 1, 257):
-            drift = overloaded_rhs(states[k], SYM, 0.3)
-            step = (states[k + 1] - states[k]) / 1e-3
-            np.testing.assert_allclose(step, drift, atol=1e-9)
+        ks = np.arange(k0, len(states), 257)
+        expected = affine_flow(*overloaded_flow(SYM, 0.3), states[k0], (ks - k0) * dt)
+        np.testing.assert_allclose(states[ks], expected, rtol=0, atol=1e-12)
 
     def test_lower_envelope_holds(self):
         dt = 1e-3
@@ -140,12 +184,52 @@ class TestAuxSaturatedFluid:
         assert np.all(total >= envelope - 10 * dt)
 
     def test_euler_error_halves_with_dt(self):
-        ref = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 5.0, dt=2e-4)
-        coarse = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 5.0, dt=2e-3)
-        fine = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 5.0, dt=1e-3)
-        err_coarse = np.abs(coarse.path.values[:, :2] - ref.path.values[::10, :2]).max()
-        err_fine = np.abs(fine.path.values[:, :2] - ref.path.values[::5, :2]).max()
-        assert err_fine <= 0.6 * err_coarse
+        """The projected-Euler reference converges to the exact path at first order."""
+        dt = 2e-3
+        sol = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 5.0, dt=dt)
+        exact = np.column_stack((sol.path.values, sol.regulator.values))
+        coarse, fine = first_order_errors(
+            exact, lambda h: np.column_stack(euler_saturated(SYM, 0.3, (0.0, 0.0), 5.0, h)), dt)
+        assert fine <= 0.6 * coarse
+        assert coarse <= 0.25 * dt
+
+    def test_sliding_phase_ends_at_closed_form_time(self):
+        """On y_star = 0, y relaxes to p mu11 / mubar; the path leaves the
+        boundary when y reaches mu02 r / mu01."""
+        rng = np.random.default_rng(808)
+        dt = 1e-3
+        for _ in range(10):
+            params, r = random_overloaded_instance(rng)
+            mubar = (1 - params.p) * params.mu01 + params.p * params.mu11
+            y_inf = params.p * params.mu11 / mubar
+            y_thr = params.mu02 * r / params.mu01
+            y0 = rng.uniform(0.0, y_thr)
+            tau = math.log((y_inf - y0) / (y_inf - y_thr)) / mubar
+            sol = aux_saturated_fluid(params, r, (0.0, y0), tau + 2.0, dt=dt)
+            k_last = int(np.nonzero(np.diff(sol.regulator.values) > 0)[0].max())
+            assert abs((k_last + 1) * dt - tau) <= dt
+            assert np.all(sol.y_star[: k_last + 1] == 0.0)
+            assert np.all(sol.y_star[k_last + 2:] > 0.0)
+
+    def test_regulator_complementary_to_path(self):
+        rng = np.random.default_rng(909)
+        for _ in range(10):
+            params, r = random_overloaded_instance(rng)
+            sol = aux_saturated_fluid(params, r, (0.0, rng.uniform(0.0, 0.5)), 10.0)
+            y_star = SampledPath(0.0, sol.path.dt, sol.y_star)
+            assert check_complementarity(y_star, sol.regulator, 1e-12)
+
+    def test_switch_cap_raises_naming_count(self, monkeypatch, capsys, tmp_path):
+        """From the origin the path slides, then leaves the boundary: one switch."""
+        monkeypatch.setattr(fluid, "MAX_SWITCHES", 0)
+        with pytest.raises(TooManySwitches, match="more than 0 times"):
+            aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 10.0)
+        code = cli.main(["fluid", "--system", "aux-saturated", "--n", "100", "--c2", "30",
+                         "--horizon", "10", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fluid path switched mode more than 0 times")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_init_rejected(self):
         with pytest.raises(DomainError):
@@ -180,11 +264,32 @@ class TestAuxNoblockFluid:
         active = np.nonzero(du > 0)[0]
         k0 = int(active.max()) + 2
         assert k0 < len(sol.z) - 100
-        yb = y_b_closed_form(sol.path.times, SYM, 1.0)
-        for k in range(k0, len(sol.z) - 1, 997):
-            step = (sol.z[k + 1] - sol.z[k]) / dt
-            drift = 1.0 * (0.7 - sol.z[k]) - 1.0 * yb[k]
-            assert step == pytest.approx(drift, abs=1e-9)
+        ks = np.arange(k0, len(sol.z), 997)
+        start = (sol.y[k0], sol.z[k0])
+        expected = affine_flow(*underloaded_flow(SYM, 0.7), start, (ks - k0) * dt)
+        np.testing.assert_allclose(sol.path.values[ks, 1:], expected, rtol=0, atol=1e-12)
+
+    def test_euler_error_halves_with_dt(self):
+        """The projected-Euler reference converges to the exact path at first order."""
+        dt = 2e-3
+        sol = aux_noblock_fluid(SYM, 0.7, (1.0, 0.0), 5.0, dt=dt)
+        exact = np.column_stack((sol.path.values, sol.regulator.values))
+        coarse, fine = first_order_errors(
+            exact, lambda h: np.column_stack(euler_noblock(SYM, 0.7, (1.0, 0.0), 5.0, h)), dt)
+        assert fine <= 0.6 * coarse
+        assert coarse <= 0.25 * dt
+
+    def test_regulator_complementary_to_path(self):
+        rng = np.random.default_rng(910)
+        active = 0
+        for _ in range(10):
+            params, _ = random_overloaded_instance(rng)
+            r = critical_ratio(params) * rng.uniform(1.1, 1.6)
+            sol = aux_noblock_fluid(params, r, (1.0, 0.0), 10.0)
+            active += sol.regulator.values[-1] > 0.0
+            z = SampledPath(0.0, sol.path.dt, sol.z)
+            assert check_complementarity(z, sol.regulator, 1e-12)
+        assert active >= 5
 
     def test_bad_init_rejected(self):
         with pytest.raises(DomainError):
@@ -227,11 +332,13 @@ class TestGbarFunctional:
 
 
 class TestPicardAgainstProjectedEuler:
+    """The Picard solver of the generalized problem against the exact reflected path."""
+
     def test_baseline_cross_method_agreement(self):
         dt, horizon = 1e-3, 10.0
         sol, _, _ = solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), horizon, dt)
-        euler = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), horizon, dt=dt)
-        assert np.abs(sol.values - euler.y_star).max() <= 1e-3
+        exact = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), horizon, dt=dt)
+        assert np.abs(sol.values - exact.y_star).max() <= 1e-3
 
     def test_random_draws_cross_method_agreement(self):
         rng = np.random.default_rng(515)
@@ -240,8 +347,8 @@ class TestPicardAgainstProjectedEuler:
             y0 = rng.uniform(0.0, 0.5)
             init = (0.0, y0)
             sol, _, _ = solve_generalized(gbar_functional(params, r, init), 10.0, 1e-3)
-            euler = aux_saturated_fluid(params, r, init, 10.0, dt=1e-3)
-            assert np.abs(sol.values - euler.y_star).max() <= 1e-3
+            exact = aux_saturated_fluid(params, r, init, 10.0, dt=1e-3)
+            assert np.abs(sol.values - exact.y_star).max() <= 1e-3
 
     def test_picard_residuals_follow_contraction_rate(self):
         horizon, dt = 2.0, 1e-3
@@ -293,15 +400,37 @@ class TestHybridFluid:
     def test_matches_regime_ode_when_interior(self):
         """Hybrid path agrees with the plain regime ODE while no boundary is hit."""
         dt = 1e-3
+        times = dt * np.arange(10001)
         hybrid = hybrid_fluid(SYM, 0.3, FluidState(0.2, 0.3, 0.0), 10.0, dt=dt)
-        ode = integrate(lambda t, s: overloaded_rhs(s, SYM, 0.3), (0.2, 0.3), 10.0, dt)
-        gap = np.abs(hybrid.values[:, :2] - ode.values).max()
+        ode = affine_flow(*overloaded_flow(SYM, 0.3), (0.2, 0.3), times[::100])
+        gap = np.abs(hybrid.values[::100, :2] - ode).max()
         assert gap <= max(1e-3, 10 * dt)
+        assert np.abs(hybrid.values[:, 2]).max() == 0.0
         hybrid_u = hybrid_fluid(SYM, 0.7, FluidState(0.0, 0.3, 0.1), 10.0, dt=dt)
-        ode_u = integrate(lambda t, s: underloaded_rhs(s, SYM, 0.7), (0.3, 0.1), 10.0, dt)
-        gap_u = np.abs(hybrid_u.values[:, 1:] - ode_u.values).max()
+        ode_u = affine_flow(*underloaded_flow(SYM, 0.7), (0.3, 0.1), times[::100])
+        gap_u = np.abs(hybrid_u.values[::100, 1:] - ode_u).max()
         assert gap_u <= max(1e-3, 10 * dt)
         assert np.abs(hybrid_u.values[:, 0]).max() == 0.0
+
+    def test_euler_error_halves_with_dt(self):
+        """The projected-Euler reference converges to the exact path at first order."""
+        dt = 2e-3
+        for r in (0.3, 0.7):
+            init = FluidState(0.0, 0.0, 0.0)
+            exact = hybrid_fluid(SYM, r, init, 5.0, dt=dt).values
+            coarse, fine = first_order_errors(
+                exact, lambda h: euler_hybrid(SYM, r, (0.0, 0.0, 0.0), 5.0, h), dt)
+            assert fine <= 0.6 * coarse
+            assert coarse <= 0.25 * dt
+
+    def test_leaves_blocking_when_y_star_empties(self):
+        """From a blocked start with too little inflow, y_star drains to 0 and
+        the idle pool then fills: one switch, each constraint held exactly."""
+        path = hybrid_fluid(SYM, 0.7, FluidState(0.3, 0.2, 0.0), 10.0).values
+        ys, _, z = path.T
+        k = int(np.argmax(ys == 0.0))
+        assert 0 < k and np.all(ys[k:] == 0.0) and np.all(z[:k] == 0.0)
+        assert z[-1] == pytest.approx(0.2, abs=1e-3)
 
     def test_invalid_init_rejected(self):
         with pytest.raises(DomainError):
@@ -309,12 +438,14 @@ class TestHybridFluid:
 
 
 class TestHybridDrift:
+    """The mode chosen at the double boundary y_star = z = 0, seen in the first step."""
+
     def test_boundary_surplus_selects_blocking_branch(self):
-        d = hybrid_drift((0.0, 0.9, 0.0), SYM, 0.3)
-        assert d.d_y_star > 0.0
-        assert d.d_z == 0.0
+        path = hybrid_fluid(SYM, 0.3, FluidState(0.0, 0.9, 0.0), 1e-3, dt=1e-3)
+        assert path.values[1, 0] > 0.0
+        assert path.values[1, 2] == 0.0
 
     def test_boundary_deficit_selects_free_branch(self):
-        d = hybrid_drift((0.0, 0.1, 0.0), SYM, 0.7)
-        assert d.d_y_star == 0.0
-        assert d.d_z > 0.0
+        path = hybrid_fluid(SYM, 0.7, FluidState(0.0, 0.1, 0.0), 1e-3, dt=1e-3)
+        assert path.values[1, 0] == 0.0
+        assert path.values[1, 2] > 0.0

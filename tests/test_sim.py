@@ -17,7 +17,6 @@ from twolevel import (
     Trajectory,
     build_generator,
     check_state,
-    hybrid_drift,
     martingale_residual,
     overloaded_fixed_point,
     overloaded_rhs,
@@ -35,6 +34,7 @@ from twolevel import (
     underloaded_rhs,
     write_trajectory_csv,
 )
+from twolevel import fluid
 from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
 from rate_clauses import rate_clauses
 
@@ -189,6 +189,11 @@ class TestTableDrift:
         x = tuple(self.N * v for v in point)
         return drift(process, x, self.PARAMS, scaling)
 
+    def mode(self, system, point, scaling):
+        """(d y_star, d y, d z) of the exact fluid solver's first mode of ``system``."""
+        matrix = fluid._system_modes(system, self.PARAMS, scaling.r)[0].matrix
+        return (matrix @ (*point, 0.0, 1.0))[:3]
+
     def test_vanishes_at_fixed_points(self):
         ys, y = overloaded_fixed_point(self.PARAMS, self.OVER.r)
         yu, zu = underloaded_fixed_point(self.PARAMS, self.UNDER.r)
@@ -209,16 +214,18 @@ class TestTableDrift:
             y = rng.uniform(0.0, 1.0 - ys)
             blocked = (*overloaded_rhs((ys, y), p, over.r), 0.0)
             np.testing.assert_allclose(self.at("main", (ys, y, 0.0), over), blocked, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(self.at("main", (ys, y, 0.0), over),
-                                       hybrid_drift((ys, y, 0.0), p, over.r), rtol=0, atol=1e-12)
+            for system in ("hybrid", "aux-saturated", "overloaded-ode"):
+                np.testing.assert_allclose(self.mode(system, (ys, y, 0.0), over), blocked,
+                                           rtol=0, atol=1e-12)
             np.testing.assert_allclose(self.at("aux-saturated", (ys, y), over), blocked[:2],
                                        rtol=0, atol=1e-12)
             y = rng.uniform(0.0, 1.0)
             z = rng.uniform(0.01, under.r)
             idle = (0.0, *underloaded_rhs((y, z), p, under.r))
             np.testing.assert_allclose(self.at("main", (0.0, y, z), under), idle, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(self.at("main", (0.0, y, z), under),
-                                       hybrid_drift((0.0, y, z), p, under.r), rtol=0, atol=1e-12)
+            for system in ("aux-noblock", "underloaded-ode"):
+                np.testing.assert_allclose(self.mode(system, (0.0, y, z), under), idle,
+                                           rtol=0, atol=1e-12)
             np.testing.assert_allclose(self.at("aux-noblock", (y, z), under), idle[1:],
                                        rtol=0, atol=1e-12)
 
@@ -608,3 +615,18 @@ class TestTrajectoryCsv:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert [int(v) for v in first[1:]] == [0, 0, 0]
+
+    @pytest.mark.parametrize("process, init, c2", [
+        ("main", (0, 0, 0), 600), ("aux-saturated", (0, 0), 600), ("aux-noblock", (0, 0), 1400),
+    ])
+    def test_bytes_match_row_by_row_reference(self, process, init, c2):
+        """Runs of over two 16,384-row blocks give the bytes of a plain per-row writer."""
+        traj = simulate_process(process, init, SYM, ScalingParams(2000, c2), 30.0, seed=4)
+        assert len(traj.times) > 2 * 16384
+        expected = "t," + ",".join(traj.columns) + "\n" + "".join(
+            f"{t:.9g}," + ",".join(str(int(v)) for v in row) + "\n"
+            for t, row in zip(traj.times, traj.states)
+        )
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == expected
