@@ -24,6 +24,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import experiments, fluid, model, oracle, sim
 from .errors import NoConvergence, NonFinite, SingularSystem, TooManySwitches
 
@@ -206,8 +208,8 @@ def _cmd_fluid(args):
     name = f"fluid_{args.system}.csv"
     with open(os.path.join(out_dir, name), "w") as fp:
         fp.write("t,y_star,y,z,u\n")
-        for t, (ys, y, z), u in zip(sol.path.times, sol.path.values, sol.regulator.values):
-            fp.write(f"{t:.9g},{ys:.9g},{y:.9g},{z:.9g},{u:.9g}\n")
+        sim.write_csv_rows(fp, "%.9g" + ",%.9g" * 4 + "\n", sol.path.times,
+                           np.column_stack((sol.path.values, sol.regulator.values)))
     sys.stdout.write(f"wrote {name} to {out_dir}\n")
     return 0
 

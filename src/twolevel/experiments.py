@@ -570,15 +570,23 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     log_n = np.log(np.asarray(n_list, dtype=float))
 
     def fit(samples):
-        """Per-n RMS of each coordinate, and each coordinate's log-log slope."""
-        rms = np.array([np.sqrt(np.mean(s**2, axis=0)) for s in samples])
-        return rms, np.polyfit(log_n, np.log(rms), 1)[0].tolist()
+        """Per-n RMS over the replication axis (-2) and the log-log slope of each column.
 
+        ``samples`` is (..., n, replication, coordinate); one polyfit fits every
+        leading index and coordinate at once.
+        """
+        rms = np.sqrt(np.mean(samples**2, axis=-2))
+        ys = np.moveaxis(np.log(rms), -2, 0)
+        slopes = np.polyfit(log_n, ys.reshape(len(log_n), -1), 1)[0]
+        return rms, slopes.reshape(ys.shape[1:])
+
+    sups = np.array(sups)
     rms, slopes = fit(sups)
+    slopes = slopes.tolist()
     rng = np.random.default_rng([seed, 0xB00])
-    boot = np.array([
-        fit([s[rng.integers(0, len(s), len(s))] for s in sups])[1] for _ in range(bootstrap)
-    ])
+    # One draw per bootstrap sample and per n, in that order: the stream of the per-draw loop.
+    picks = np.array([[rng.integers(0, reps, reps) for _ in n_list] for _ in range(bootstrap)])
+    boot = fit(sups[np.arange(len(n_list))[:, None], picks])[1]
     metrics = []
     for i, n in enumerate(n_list):
         row = {

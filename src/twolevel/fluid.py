@@ -273,8 +273,12 @@ def solve_system(system, params, r, init, horizon, dt):
     Returns a ReflectedSolution with columns (y_star, y, z), each system
     starting from the coordinates it evolves and holding the others at 0;
     the regulator is 0 except for the two auxiliary systems.  The ODE
-    systems raise RegimeMismatch outside their regime.
+    systems raise RegimeMismatch outside their regime.  A horizon below
+    ``dt``, which has no grid step, is refused for every system.
     """
+    grid_steps(horizon, dt)
+    if horizon < dt:
+        raise DomainError("horizon", "horizon must be at least dt")
     if system == "aux-saturated":
         return aux_saturated_fluid(params, r, init[:2], horizon, dt)
     if system == "aux-noblock":
@@ -288,8 +292,5 @@ def solve_system(system, params, r, init, horizon, dt):
             raise RegimeMismatch(
                 f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
             )
-        grid_steps(horizon, dt)
-        if horizon < dt:
-            raise DomainError("horizon", "horizon must be at least dt")
         values = _affine_path(system, params, r, init, horizon, dt)[0]
     return _reflected(values, np.zeros(len(values)), dt)

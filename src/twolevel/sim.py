@@ -9,9 +9,15 @@ explicitly; a run is a pure function of (parameters, seed).
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
 the first whose cumulative rate exceeds u' * total.  The ``simulate*``
-loops draw them in blocks of ``2 * _CHUNK`` and append each jump to the
-recorder's lists inline; ``step`` draws the same two uniforms per call, so
-a loop of ``step`` calls replays a run bit for bit.
+loops draw them in blocks of ``2 * _CHUNK``.  Each loop branches on
+the guard case of the state (for ``main``: z > 0, or z = 0 with y* > 0,
+or z = 0 with y* = 0), computes only the rates enabled there, and walks a
+short cumulative chain; a disabled rate would add 0.0, so the sums equal
+those over the whole table bit for bit.  Per jump a loop records only the
+time and a code, the index of the ``PROCESSES`` table row that fired; the
+states are rebuilt afterwards as the running sum of the codes' table
+deltas.  ``step`` draws the same two uniforms per call, so a loop of
+``step`` calls replays a run bit for bit.
 """
 
 import math
@@ -46,8 +52,9 @@ class Trajectory:
 
     ``states`` holds one row per recorded time, row 0 being the initial
     state at t=0.  For untruncated runs consecutive rows differ by exactly
-    one transition; when the event cap was hit, ``truncated`` is set and
-    later rows are uniform-grid samples instead of raw jumps.
+    one transition (the simulators record its table row and rebuild the
+    rows from the deltas); when the event cap was hit, ``truncated`` is
+    set and later rows are uniform-grid samples instead of raw jumps.
     """
 
     process: str
@@ -106,13 +113,15 @@ def _check_noblock(state, scaling):
 class Process(NamedTuple):
     """One chain: state columns, transition table, state-space check, simulator.
 
-    ``table`` is an ordered tuple of ``(delta, rate)`` rows.  ``rate(x,
-    params, scaling)`` takes the state columns ``x`` as Python numbers or as
-    numpy arrays (one entry per state) and is 0 where the clause is
-    disabled.  Each product is written in the order the hand-written
-    simulator loop uses, so both give the same floats.  ``simulator`` names
-    that loop; it is looked up in this module at call time, so a wrapper
-    installed on the module attribute sees every dispatched run.
+    ``table`` is an ordered tuple of ``(delta, rate)`` rows; a row's index
+    is the code the simulator loop records when it fires, and its delta is
+    the only copy of that jump.  ``rate(x, params, scaling)`` takes the
+    state columns ``x`` as Python numbers or as numpy arrays (one entry per
+    state) and is 0 where the clause is disabled.  Each product is written
+    in the order the hand-written simulator loop uses, so both give the
+    same floats.  ``simulator`` names that loop; it is looked up in this
+    module at call time, so a wrapper installed on the module attribute
+    sees every dispatched run.
     """
 
     columns: tuple
@@ -240,32 +249,46 @@ def step(process, state, rng, params, scaling):
 
 
 class _Recorder:
-    """Event rows with a cap; past ``max_events`` events only a grid sample is kept.
+    """Jump times and table-row codes; past ``max_events`` events only a grid sample is kept.
 
-    The simulator loops append each jump to ``times`` and ``cols``
-    themselves and call ``cap`` between blocks of draws.  Once more than
+    The simulator loops append each jump's time to ``times`` and the index
+    of the ``PROCESSES`` table row that fired to ``codes`` themselves, and
+    call ``cap`` between blocks of draws.  The states are not recorded:
+    ``states`` rebuilds them from ``base``, the state at ``times[0]``, and
+    the running sum of the codes' table deltas.  Once more than
     ``max_events`` events are held, the rows become right-continuous
-    samples on the grid k * horizon / min(max_events, 2**20), and from
-    then on each ``cap`` moves the new raw rows onto the grid, keeping the
-    last one, whose state holds until the next jump.  The rows equal those
-    of a check after every event; the lists overrun the cap by less than a
-    block in between.
+    samples on the grid k * horizon / min(max_events, 2**20), and from then
+    on each ``cap`` moves the new raw rows onto the grid, keeping the last
+    one, whose state holds until the next jump and becomes ``base``.  The
+    rows equal those of a check after every event; the lists overrun the
+    cap by less than a block in between.
     """
 
-    def __init__(self, state, horizon, max_events):
+    def __init__(self, process, state, horizon, max_events):
         if max_events < 1:
             raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
         if not 0 <= horizon < math.inf:
             raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
+        self.deltas = np.array([delta for delta, _ in PROCESSES[process].table], dtype=np.int64)
+        self.base = np.array(state, dtype=np.int64)
         self.times = [0.0]
-        self.cols = [[v] for v in state]
+        self.codes = []
         self.horizon = horizon
         self.max_events = max_events
         self.truncated = False
         self.grid_times = []
-        self.grid_cols = [[] for _ in state]
+        self.grid_states = []
         self.dt = None
         self.next_tau = None
+
+    def states(self):
+        """One state row per held time: ``base``, then the running sum of the code deltas."""
+        rows = np.empty((len(self.times), len(self.base)), dtype=np.int64)
+        rows[0] = self.base
+        # Codes are row indices by construction; "clip" skips the buffered, checked copy.
+        np.take(self.deltas, np.array(self.codes, dtype=np.intp), axis=0, out=rows[1:],
+                mode="clip")
+        return np.cumsum(rows, axis=0, out=rows)
 
     def cap(self):
         head = []
@@ -289,23 +312,20 @@ class _Recorder:
 
     def _sample(self, taus):
         idx = np.searchsorted(self.times, taus, side="right") - 1
+        states = self.states()
         self.grid_times.extend(taus)
+        self.grid_states.append(states[idx])
+        self.base = states[-1].copy()  # not a view that keeps ``states`` alive
         # Trimmed in place: the loops hold the lists' bound appends.
-        for grid_col, col in zip(self.grid_cols, self.cols):
-            grid_col.extend(np.asarray(col)[idx].tolist())
-            del col[:-1]
         del self.times[:-1]
+        del self.codes[:]
 
     def finish(self):
         self.cap()
-        times, cols = self.times, self.cols
         if self.truncated:
             self._sample(self._grid_until(self.horizon, closed=True))
-            times, cols = self.grid_times, self.grid_cols
-        return (
-            np.array(times, dtype=float),
-            np.column_stack([np.array(c, dtype=np.int64) for c in cols]),
-        )
+            return np.array(self.grid_times, dtype=float), np.concatenate(self.grid_states)
+        return np.array(self.times, dtype=float), self.states()
 
 
 def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
@@ -316,33 +336,29 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
     n, c2 = scaling.n, scaling.c2
     # Products hoisted in the order the table multiplies, so rates match it bit for bit.
     q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
-    q02c, p02c = (1 - p) * mu02 * c2, p * mu02 * c2
+    q02c, p02c, mu02c = (1 - p) * mu02 * c2, p * mu02 * c2, mu02 * c2
     y_star, y, z = init
-    rec = _Recorder((y_star, y, z), horizon, max_events)
-    t_app = rec.times.append
-    ys_app, y_app, z_app = (col.append for col in rec.cols)
+    rec = _Recorder("main", init, horizon, max_events)
+    t_app, c_app = rec.times.append, rec.codes.append
     t = 0.0
     k = _CHUNK
     absorbed = False
     while True:
-        if z == 0:
-            r1 = mu01 * y
-            r2 = 0.0
-            r3 = 0.0
+        # y_star * z == 0, so three guard cases; a, b, c are cumulative rates.
+        if z:
+            a = q01 * y
+            b = a + p01 * y
+            c = b + p11 * (n - y)
+            total = c + mu02 * (c2 - z)
+        elif y_star:
+            a = mu01 * y
+            b = a + p11 * (n - y_star - y)
+            c = b + q02c
+            total = c + p02c
         else:
-            r1 = 0.0
-            r2 = q01 * y
-            r3 = p01 * y
-        r4 = p11 * (n - y_star - y)
-        if y_star > 0:
-            r5 = q02c
-            r6 = p02c
-            r7 = 0.0
-        else:
-            r5 = 0.0
-            r6 = 0.0
-            r7 = mu02 * (c2 - z)
-        total = r1 + r2 + r3 + r4 + r5 + r6 + r7
+            a = mu01 * y
+            b = a + p11 * (n - y)
+            total = b + mu02c
         if total <= 0.0:
             absorbed = True
             break
@@ -355,27 +371,38 @@ def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT
             break
         u = unis[k] * total
         k += 1
-        if u < r1:
+        if z:
+            if u < a:
+                y -= 1
+                z -= 1
+                c_app(1)
+            elif u < b:
+                z -= 1
+                c_app(2)
+            elif u < c:
+                y += 1
+                c_app(3)
+            else:
+                z += 1
+                c_app(6)
+        elif u < a:
             y_star += 1
             y -= 1
-        elif u < r1 + r2:
-            y -= 1
-            z -= 1
-        elif u < r1 + r2 + r3:
-            z -= 1
-        elif u < r1 + r2 + r3 + r4:
+            c_app(0)
+        elif u < b:
             y += 1
-        elif u < r1 + r2 + r3 + r4 + r5:
-            y_star -= 1
-        elif u < r1 + r2 + r3 + r4 + r5 + r6:
-            y_star -= 1
-            y += 1
-        else:
+            c_app(3)
+        elif not y_star:
             z += 1
+            c_app(6)
+        elif u < c:
+            y_star -= 1
+            c_app(4)
+        else:
+            y_star -= 1
+            y += 1
+            c_app(5)
         t_app(t)
-        ys_app(y_star)
-        y_app(y)
-        z_app(z)
     times, states = rec.finish()
     return Trajectory(
         "main", ("y_star", "y", "z"), times, states, horizon, seed, n, c2,
@@ -391,22 +418,19 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
     p11, q02c, p02c = p * mu11, (1 - p) * mu02 * c2, p * mu02 * c2
-    rec = _Recorder((y_star, y), horizon, max_events)
-    t_app = rec.times.append
-    ys_app, y_app = (col.append for col in rec.cols)
+    rec = _Recorder("aux-saturated", init, horizon, max_events)
+    t_app, c_app = rec.times.append, rec.codes.append
     t = 0.0
     k = _CHUNK
     absorbed = False
     while True:
-        r1 = mu01 * y
-        if y_star > 0:
-            r2 = q02c
-            r3 = p02c
+        a = mu01 * y
+        if y_star:
+            b = a + q02c
+            c = b + p02c
+            total = c + p11 * (n - y_star - y)
         else:
-            r2 = 0.0
-            r3 = 0.0
-        r4 = p11 * (n - y_star - y)
-        total = r1 + r2 + r3 + r4
+            total = a + p11 * (n - y)
         if total <= 0.0:
             absorbed = True
             break
@@ -419,19 +443,24 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_
             break
         u = unis[k] * total
         k += 1
-        if u < r1:
+        if u < a:
             y_star += 1
             y -= 1
-        elif u < r1 + r2:
+            c_app(0)
+        elif not y_star:
+            y += 1
+            c_app(3)
+        elif u < b:
             y_star -= 1
-        elif u < r1 + r2 + r3:
+            c_app(1)
+        elif u < c:
             y_star -= 1
             y += 1
+            c_app(2)
         else:
             y += 1
+            c_app(3)
         t_app(t)
-        ys_app(y_star)
-        y_app(y)
     times, states = rec.finish()
     return Trajectory(
         "aux-saturated", ("y_star", "y"), times, states, horizon, seed, n, c2,
@@ -446,25 +475,22 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EV
     rng = np.random.default_rng(seed)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     n, c2 = scaling.n, scaling.c2
-    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
-    rec = _Recorder((y, z), horizon, max_events)
-    t_app = rec.times.append
-    y_app, z_app = (col.append for col in rec.cols)
+    q01, p01, p11, mu02c = (1 - p) * mu01, p * mu01, p * mu11, mu02 * c2
+    rec = _Recorder("aux-noblock", init, horizon, max_events)
+    t_app, c_app = rec.times.append, rec.codes.append
     t = 0.0
     k = _CHUNK
     absorbed = False
     while True:
-        if z == 0:
-            r1 = q01 * y
-            r2 = 0.0
-            r3 = 0.0
+        # a, b, c are cumulative rates; with z == 0 only rows 0, 3 and 4 are enabled.
+        a = q01 * y
+        if z:
+            b = a + p01 * y
+            c = b + p11 * (n - y)
+            total = c + mu02 * (c2 - z)
         else:
-            r1 = 0.0
-            r2 = q01 * y
-            r3 = p01 * y
-        r4 = p11 * (n - y)
-        r5 = mu02 * (c2 - z)
-        total = r1 + r2 + r3 + r4 + r5
+            c = a + p11 * (n - y)
+            total = c + mu02c
         if total <= 0.0:
             absorbed = True
             break
@@ -477,20 +503,23 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EV
             break
         u = unis[k] * total
         k += 1
-        if u < r1:
+        if u < a:
             y -= 1
-        elif u < r1 + r2:
-            y -= 1
+            if z:
+                z -= 1
+                c_app(1)
+            else:
+                c_app(0)
+        elif z and u < b:
             z -= 1
-        elif u < r1 + r2 + r3:
-            z -= 1
-        elif u < r1 + r2 + r3 + r4:
+            c_app(2)
+        elif u < c:
             y += 1
+            c_app(3)
         else:
             z += 1
+            c_app(4)
         t_app(t)
-        y_app(y)
-        z_app(z)
     times, states = rec.finish()
     return Trajectory(
         "aux-noblock", ("y", "z"), times, states, horizon, seed, n, c2,
@@ -566,12 +595,19 @@ def residual_sup(traj, params, scaling):
     return np.maximum(sup, np.abs(tail))
 
 
+def write_csv_rows(fp, row, times, values):
+    """Write ``row % (t, *v)`` for each time and row of ``values``, in blocks.
+
+    Blocks of 16,384 rows bound the Python lists and strings alive at once.
+    """
+    for lo in range(0, len(times), 1 << 14):
+        block = slice(lo, lo + (1 << 14))
+        fp.write("".join([
+            row % (t, *v) for t, v in zip(times[block].tolist(), values[block].tolist())
+        ]))
+
+
 def write_trajectory_csv(traj, fp):
     """Write the run as CSV: time with 9 significant digits, then the counts."""
     fp.write("t," + ",".join(traj.columns) + "\n")
-    row = "%.9g" + ",%d" * len(traj.columns) + "\n"
-    # Blocks of 16,384 rows bound the Python lists and strings alive at once.
-    for lo in range(0, len(traj.times), 1 << 14):
-        block = slice(lo, lo + (1 << 14))
-        times, states = traj.times[block].tolist(), traj.states[block].tolist()
-        fp.write("".join([row % (t, *s) for t, s in zip(times, states)]))
+    write_csv_rows(fp, "%.9g" + ",%d" * len(traj.columns) + "\n", traj.times, traj.states)

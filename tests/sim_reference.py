@@ -1,0 +1,191 @@
+"""Straight-line reference for the three ``sim.simulate*`` loops.
+
+Each loop evaluates every rate clause on every jump, as the transition
+tables state them, sums them in table order, and picks the transition with
+the cumulative chain ``u < r1``, ``u < r1 + r2``, ...; it appends the full
+state after each jump.  It takes the same two uniforms per jump from the
+same blocks of draws as ``twolevel.sim``, so the case-split loops there,
+which skip disabled clauses and record one table-row code per jump, must
+return the same times and states bit for bit.  No event cap: a run keeps
+every jump.
+"""
+
+import numpy as np
+
+from twolevel.sim import _CHUNK, _jump_draws
+
+
+def _result(times, cols):
+    return np.array(times, dtype=float), np.column_stack(
+        [np.array(c, dtype=np.int64) for c in cols])
+
+
+def simulate_main(init, params, scaling, horizon, seed):
+    """(times, states, absorbed) of the main process from (y_star, y, z)."""
+    rng = np.random.default_rng(seed)
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    n, c2 = scaling.n, scaling.c2
+    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
+    q02c, p02c = (1 - p) * mu02 * c2, p * mu02 * c2
+    y_star, y, z = init
+    times, cols = [0.0], [[y_star], [y], [z]]
+    t = 0.0
+    k = _CHUNK
+    absorbed = False
+    while True:
+        if z == 0:
+            r1 = mu01 * y
+            r2 = 0.0
+            r3 = 0.0
+        else:
+            r1 = 0.0
+            r2 = q01 * y
+            r3 = p01 * y
+        r4 = p11 * (n - y_star - y)
+        if y_star > 0:
+            r5 = q02c
+            r6 = p02c
+            r7 = 0.0
+        else:
+            r5 = 0.0
+            r6 = 0.0
+            r7 = mu02 * (c2 - z)
+        total = r1 + r2 + r3 + r4 + r5 + r6 + r7
+        if total <= 0.0:
+            absorbed = True
+            break
+        if k == _CHUNK:
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
+        if t >= horizon:
+            break
+        u = unis[k] * total
+        k += 1
+        if u < r1:
+            y_star += 1
+            y -= 1
+        elif u < r1 + r2:
+            y -= 1
+            z -= 1
+        elif u < r1 + r2 + r3:
+            z -= 1
+        elif u < r1 + r2 + r3 + r4:
+            y += 1
+        elif u < r1 + r2 + r3 + r4 + r5:
+            y_star -= 1
+        elif u < r1 + r2 + r3 + r4 + r5 + r6:
+            y_star -= 1
+            y += 1
+        else:
+            z += 1
+        times.append(t)
+        for col, v in zip(cols, (y_star, y, z)):
+            col.append(v)
+    return (*_result(times, cols), absorbed)
+
+
+def simulate_aux_saturated(init, params, scaling, horizon, seed):
+    """(times, states, absorbed) of the always-saturated variant from (y_star, y)."""
+    rng = np.random.default_rng(seed)
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    n, c2 = scaling.n, scaling.c2
+    p11, q02c, p02c = p * mu11, (1 - p) * mu02 * c2, p * mu02 * c2
+    y_star, y = init
+    times, cols = [0.0], [[y_star], [y]]
+    t = 0.0
+    k = _CHUNK
+    absorbed = False
+    while True:
+        r1 = mu01 * y
+        if y_star > 0:
+            r2 = q02c
+            r3 = p02c
+        else:
+            r2 = 0.0
+            r3 = 0.0
+        r4 = p11 * (n - y_star - y)
+        total = r1 + r2 + r3 + r4
+        if total <= 0.0:
+            absorbed = True
+            break
+        if k == _CHUNK:
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
+        if t >= horizon:
+            break
+        u = unis[k] * total
+        k += 1
+        if u < r1:
+            y_star += 1
+            y -= 1
+        elif u < r1 + r2:
+            y_star -= 1
+        elif u < r1 + r2 + r3:
+            y_star -= 1
+            y += 1
+        else:
+            y += 1
+        times.append(t)
+        for col, v in zip(cols, (y_star, y)):
+            col.append(v)
+    return (*_result(times, cols), absorbed)
+
+
+def simulate_aux_noblock(init, params, scaling, horizon, seed):
+    """(times, states, absorbed) of the no-blocking variant from (y, z)."""
+    rng = np.random.default_rng(seed)
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    n, c2 = scaling.n, scaling.c2
+    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
+    y, z = init
+    times, cols = [0.0], [[y], [z]]
+    t = 0.0
+    k = _CHUNK
+    absorbed = False
+    while True:
+        if z == 0:
+            r1 = q01 * y
+            r2 = 0.0
+            r3 = 0.0
+        else:
+            r1 = 0.0
+            r2 = q01 * y
+            r3 = p01 * y
+        r4 = p11 * (n - y)
+        r5 = mu02 * (c2 - z)
+        total = r1 + r2 + r3 + r4 + r5
+        if total <= 0.0:
+            absorbed = True
+            break
+        if k == _CHUNK:
+            exps, unis = _jump_draws(rng, _CHUNK)
+            k = 0
+        t += exps[k] / total
+        if t >= horizon:
+            break
+        u = unis[k] * total
+        k += 1
+        if u < r1:
+            y -= 1
+        elif u < r1 + r2:
+            y -= 1
+            z -= 1
+        elif u < r1 + r2 + r3:
+            z -= 1
+        elif u < r1 + r2 + r3 + r4:
+            y += 1
+        else:
+            z += 1
+        times.append(t)
+        for col, v in zip(cols, (y, z)):
+            col.append(v)
+    return (*_result(times, cols), absorbed)
+
+
+SIMULATORS = {
+    "main": simulate_main,
+    "aux-saturated": simulate_aux_saturated,
+    "aux-noblock": simulate_aux_noblock,
+}

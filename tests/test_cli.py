@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import twolevel
-from twolevel import SingularSystem, cli, oracle
+from twolevel import ModelParams, SingularSystem, cli, fluid, oracle
 
 # Directory holding the imported `twolevel` package; the child process gets it
 # as an absolute PYTHONPATH entry, so it runs the same code from any cwd.
@@ -208,7 +208,8 @@ class TestFluidCommand:
         (["--dt", "-0.1"], "dt"),
         (["--horizon", "-1"], "horizon"),
         (["--horizon", "inf"], "horizon"),
-    ], ids=["dt-zero", "dt-negative", "horizon-negative", "horizon-inf"])
+        (["--horizon", "0.0006"], "horizon"),
+    ], ids=["dt-zero", "dt-negative", "horizon-negative", "horizon-inf", "horizon-below-dt"])
     def test_bad_step_or_horizon_rejected(self, capsys, tmp_path, system, c2, flags, field):
         out = tmp_path / "out"
         code = cli.main([
@@ -218,6 +219,23 @@ class TestFluidCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("system, c2", [("hybrid", 30), ("aux-saturated", 30)])
+    def test_csv_bytes_match_row_by_row_writer(self, tmp_path, system, c2):
+        """Over two 16,384-row blocks, the bytes of one f-string per grid row."""
+        code = cli.main([
+            "fluid", "--system", system, "--n", "100", "--c2", str(c2), "--horizon", "40",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        params = ModelParams(0.5, 1.0, 1.0, 1.0)  # the CLI defaults
+        sol = fluid.solve_system(system, params, c2 / 100, (0.0, 0.0, 0.0), 40.0, 1e-3)
+        assert len(sol.path) > 2 * 16384
+        expected = "t,y_star,y,z,u\n" + "".join(
+            f"{t:.9g},{ys:.9g},{y:.9g},{z:.9g},{u:.9g}\n"
+            for t, (ys, y, z), u in zip(sol.path.times, sol.path.values, sol.regulator.values)
+        )
+        assert (tmp_path / f"fluid_{system}.csv").read_text() == expected
 
     def test_bad_init_shape_rejected(self, tmp_path):
         proc = run_cli(

@@ -37,6 +37,7 @@ from twolevel import (
 from twolevel import fluid
 from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
 from rate_clauses import rate_clauses
+import sim_reference
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
@@ -389,6 +390,48 @@ class TestSimulate:
         with pytest.raises(DomainError, match="max_events"):
             simulate_process(process, init, SYM, ScalingParams(n=4, c2=2), 5.0, seed=1,
                              max_events=cap)
+
+
+class TestReferenceLoops:
+    """The case-split, code-recording loops against straight-line loops that
+    test every clause and append every state column (``sim_reference``)."""
+
+    PARAMS = {"sym": SYM, "asym": ModelParams(0.3, 1.7, 0.6, 1.3)}
+    # Starts in every guard case: the empty state, y_star > 0 and z > 0.
+    STARTS = {
+        "main": [(0, 0, 0), (12, 20, 0), (0, 25, 5)],
+        "aux-saturated": [(0, 0), (12, 20)],
+        "aux-noblock": [(0, 0), (25, 5)],
+    }
+
+    # r = 0.1 is overloaded for both rate sets, r = 0.7 underloaded for both.
+    @pytest.mark.parametrize("c2", [6, 18, 42])
+    @pytest.mark.parametrize("params", list(PARAMS), ids=list(PARAMS))
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_bit_identical_to_reference(self, process, params, c2):
+        scaling = ScalingParams(n=60, c2=c2)
+        for init in self.STARTS[process]:
+            traj = simulate_process(process, init, self.PARAMS[params], scaling, 150.0, seed=c2)
+            times, states, absorbed = sim_reference.SIMULATORS[process](
+                init, self.PARAMS[params], scaling, 150.0, seed=c2)
+            # Past two refills of the block of draws.
+            assert traj.num_events > 2 * _CHUNK
+            assert traj.times.tolist() == times.tolist()
+            assert np.array_equal(traj.states, states) and traj.states.dtype == states.dtype
+            assert traj.absorbed is absorbed is False
+
+    @pytest.mark.parametrize("process, init", [
+        ("main", (0, 3, 0)), ("aux-saturated", (2, 1)), ("aux-noblock", (3, 0)),
+    ])
+    def test_absorbed_corner_matches_reference(self, process, init):
+        """With p = 0 nothing feeds class 0, so each chain ends in an absorbing state."""
+        params, scaling = ModelParams(0.0, 1.0, 1.0, 1.0), ScalingParams(n=3, c2=2)
+        traj = simulate_process(process, init, params, scaling, 100.0, seed=8)
+        times, states, absorbed = sim_reference.SIMULATORS[process](
+            init, params, scaling, 100.0, seed=8)
+        assert traj.absorbed and absorbed
+        assert traj.times.tolist() == times.tolist()
+        assert np.array_equal(traj.states, states)
 
 
 class TestJumpDraws:
