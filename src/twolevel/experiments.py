@@ -556,7 +556,9 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
 
     Fits a log-log slope of the per-n RMS of each residual coordinate and
     passes iff every coordinate's slope lies in ``slope_range``.  A
-    bootstrap over replications gives a 95% interval per coordinate.
+    bootstrap over replications gives a 95% interval per coordinate.  A
+    coordinate with an RMS of 0 at some n has no slope and fails; its
+    bootstrap draws with an RMS of 0 are left out of its interval.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
@@ -573,12 +575,17 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
         """Per-n RMS over the replication axis (-2) and the log-log slope of each column.
 
         ``samples`` is (..., n, replication, coordinate); one polyfit fits every
-        leading index and coordinate at once.
+        leading index and coordinate at once.  A column with an RMS of 0 at
+        some n has no slope: it is left out of the fit and gets NaN, since a
+        non-finite column would turn every column's least-squares fit to NaN.
         """
         rms = np.sqrt(np.mean(samples**2, axis=-2))
-        ys = np.moveaxis(np.log(rms), -2, 0)
-        slopes = np.polyfit(log_n, ys.reshape(len(log_n), -1), 1)[0]
-        return rms, slopes.reshape(ys.shape[1:])
+        with np.errstate(divide="ignore"):
+            ys = np.moveaxis(np.log(rms), -2, 0).reshape(len(log_n), -1)
+        finite = np.isfinite(ys).all(axis=0)
+        slopes = np.full(ys.shape[1], np.nan)
+        slopes[finite] = np.polyfit(log_n, ys[:, finite], 1)[0]
+        return rms, slopes.reshape(rms.shape[:-2] + rms.shape[-1:])
 
     sups = np.array(sups)
     rms, slopes = fit(sups)
@@ -603,13 +610,20 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     criteria = {}
     notes = []
     for c, name in enumerate(coord_names):
-        lo, hi = (float(q) for q in np.quantile(boot[:, c], [0.025, 0.975]))
+        # False for an undefined (NaN) slope.
         criteria[f"slope_{name}_in_range"] = bool(
             slope_range[0] <= slopes[c] <= slope_range[1]
         )
-        notes.append(
-            f"slope_{name} = {slopes[c]!r}, bootstrap 95% interval [{lo!r}, {hi!r}]"
-        )
+        if math.isnan(slopes[c]):
+            zero_at = [n for n, v in zip(n_list, rms[:, c]) if v == 0.0]
+            notes.append(f"slope_{name} undefined: RMS of 0 at n = {zero_at}")
+            continue
+        lo, hi = (float(q) for q in np.nanquantile(boot[:, c], [0.025, 0.975]))
+        note = f"slope_{name} = {slopes[c]!r}, bootstrap 95% interval [{lo!r}, {hi!r}]"
+        left_out = int(np.isnan(boot[:, c]).sum())
+        if left_out:
+            note += f" from {bootstrap - left_out} draws; {left_out} left out (RMS of 0 at some n)"
+        notes.append(note)
     return Report(
         name="martingale_decay",
         config=_params_echo(params, r=r, n_list=n_list, horizon=horizon, replications=reps,

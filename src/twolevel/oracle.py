@@ -1,9 +1,11 @@
 """Exact ground truth on small instances.
 
-Enumerates the full state space, builds the dense generator matrix, and
-solves for stationary and transient distributions on its sparse (CSR)
-form.  Everything here is brute force on purpose: it exists to check the
-simulator and the closed forms, not to scale.
+Enumerates the full state space and builds the generator matrix in two
+forms at once: the dense S x S array that callers see, and its CSR form,
+carried on the returned array so that the stationary and transient
+solves never re-scan the dense matrix.  Everything here is brute force on
+purpose: it exists to check the simulator and the closed forms, not to
+scale.
 """
 
 import math
@@ -18,10 +20,8 @@ from .errors import InvalidState, NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
 
 # A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  It
-# sets the peak memory: the solves work on a CSR copy of it, and build,
-# stationary and two transients together peaked 6 MiB above the build
-# alone at 3,721 states (216 vs 210 MiB resident) and 15 MiB above it at
-# 8,181 states (629 vs 614 MiB).
+# sets the peak memory.  The CSR form carried beside it holds about five
+# nonzeros a row (0.2 MiB at 3,721 states), and the solves work on that.
 STATE_CAP_DEFAULT = 11_585
 
 
@@ -31,25 +31,44 @@ def state_space_size(scaling):
     return (n + 1) * (c2 + 1) + n * (n + 1) // 2
 
 
+def _state_array(scaling, cap):
+    """The (y_star, y, z) rows of ``enumerate_states`` as an int64 array."""
+    size = state_space_size(scaling)
+    if size > cap:
+        raise TooLarge(size, cap)
+    n, c2 = scaling.n, scaling.c2
+    states = np.zeros((size, 3), dtype=np.int64)
+    # y_star = 0: y = 0..n, each with z = 0..c2.
+    head = (n + 1) * (c2 + 1)
+    states[:head, 1] = np.repeat(np.arange(n + 1), c2 + 1)
+    states[:head, 2] = np.tile(np.arange(c2 + 1), n + 1)
+    # y_star = 1..n: y = 0..n-y_star, z = 0.
+    counts = np.arange(n, 0, -1)
+    states[head:, 0] = np.repeat(np.arange(1, n + 1), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    states[head:, 1] = np.arange(size - head) - starts
+    return states
+
+
 def enumerate_states(scaling, cap=STATE_CAP_DEFAULT):
     """All states (y_star, y, z) with y_star+y <= n, z <= c2, y_star*z = 0.
 
     Lexicographically ordered.  Raises TooLarge with the computed size if
     the instance exceeds ``cap``.
     """
-    size = state_space_size(scaling)
-    if size > cap:
-        raise TooLarge(size, cap)
-    n, c2 = scaling.n, scaling.c2
-    states = []
-    for y_star in range(n + 1):
-        for y in range(n - y_star + 1):
-            if y_star == 0:
-                for z in range(c2 + 1):
-                    states.append(MicroState(0, y, z))
-            else:
-                states.append(MicroState(y_star, y, 0))
-    return states
+    return [MicroState(*row) for row in _state_array(scaling, cap).tolist()]
+
+
+class DenseGenerator(np.ndarray):
+    """A read-only dense generator that carries its CSR form as ``csr``.
+
+    Only ``build_generator`` sets ``csr``.  Every array derived from one
+    (a transpose, slice, copy or unpickled array) has ``csr = None``, so a
+    carried form always describes the array it rides on.
+    """
+
+    def __array_finalize__(self, obj):
+        self.csr = None
 
 
 def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
@@ -57,22 +76,26 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
 
     Filled from the main process's transition table, one vectorised pass
     per table row; targets are found by ``searchsorted`` on a key that
-    preserves the lexicographic order.  Raises InvalidState if a
+    preserves the lexicographic order.  Returns a read-only
+    ``DenseGenerator`` whose ``csr`` equals ``sparse.csr_array`` of it
+    entry for entry, built from the same rates.  Raises InvalidState if a
     positive-rate row leads out of the state space.
     """
-    states = np.array(enumerate_states(scaling, cap), dtype=np.int64)
+    states = _state_array(scaling, cap)
+    size = len(states)
     n1, c1 = scaling.n + 1, scaling.c2 + 1
 
     def key(s):
         return (s[:, 0] * n1 + s[:, 1]) * c1 + s[:, 2]
 
     keys = key(states)
-    g = np.zeros((len(states), len(states)))
+    g = np.zeros((size, size))
+    rows, cols, vals = [], [], []
     for delta, rate in sim.PROCESSES["main"].table:
         rates = rate(states.T, params, scaling)
         src = np.flatnonzero(rates > 0)
         targets = states[src] + delta
-        idx = np.minimum(np.searchsorted(keys, key(targets)), len(keys) - 1)
+        idx = np.minimum(np.searchsorted(keys, key(targets)), size - 1)
         # Compare whole rows, not keys: an out-of-range coordinate can carry
         # into a valid key (z = c2 + 1 has the key of (y_star, y + 1, 0)).
         missed = np.flatnonzero((states[idx] != targets).any(axis=1))
@@ -83,23 +106,52 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
                 f"{tuple(targets[i].tolist())}, outside the state space"
             )
         g[src, idx] = rates[src]
+        rows.append(src)
+        cols.append(idx)
+        vals.append(rates[src])
+    diagonal = -g.sum(axis=1)
     # Set in place: an S x S temporary would add a generator's worth to
     # the peak memory.
-    np.fill_diagonal(g, -g.sum(axis=1))
+    np.fill_diagonal(g, diagonal)
+    every = np.arange(size)
+    rows.append(every)
+    cols.append(every)
+    vals.append(diagonal)
+    # COO -> CSR sorts each row's columns; no (row, column) pair repeats,
+    # since every table row moves the state and no two share a delta.
+    # int32 indices are what scipy picks for a dense input: a dense matrix
+    # that fits in memory has far fewer than 2**31 rows.
+    csr = sparse.csr_array(
+        (np.concatenate(vals),
+         (np.concatenate(rows, dtype=np.int32), np.concatenate(cols, dtype=np.int32))),
+        shape=(size, size),
+    )
+    # An absorbing state's diagonal is 0 (or -0.0) and is not stored.
+    csr.eliminate_zeros()
+    g = g.view(DenseGenerator)
+    g.csr = csr
+    g.flags.writeable = False
     return g
+
+
+def _csr(g):
+    """The CSR form of ``g``: carried from the build, else converted."""
+    if isinstance(g, DenseGenerator) and g.csr is not None:
+        return g.csr
+    return sparse.csr_array(g, dtype=float)
 
 
 def stationary_distribution(g):
     """Solve pi @ g = 0 with sum(pi) = 1 by a sparse linear solve.
 
     ``g`` may be a dense ndarray or any ``scipy.sparse`` array; it is
-    solved in CSR form.  The normalization equation replaces the last
-    column equation.  Raises NotIrreducible when the positive-rate graph
+    solved in CSR form, the carried one for a ``build_generator`` result.
+    The normalization equation replaces the last column equation.  Raises NotIrreducible when the positive-rate graph
     is not strongly connected (degenerate corners such as p=0 drain the
     chain into a trap) and SingularSystem when the solve fails or leaves
     a residual above 1e-10.
     """
-    g = sparse.csr_array(g, dtype=float)
+    g = _csr(g)
     size = g.shape[0]
     if size == 1:
         return np.array([1.0])
@@ -126,7 +178,7 @@ def stationary_distribution(g):
 
 def stationary_moments(pi, scaling, cap=STATE_CAP_DEFAULT):
     """(E[y_star]/n, E[y]/n, E[z]/n, P(y_star > 0)) under ``pi``."""
-    states = np.array(enumerate_states(scaling, cap), dtype=float)
+    states = _state_array(scaling, cap).astype(float)
     mean = pi @ states / scaling.n
     p_block = float(pi[states[:, 0] > 0].sum())
     return (float(mean[0]), float(mean[1]), float(mean[2]), p_block)
@@ -153,7 +205,8 @@ def _transient_from(step, lam, dist, t, tol):
 def transient_distribution(g, init, t, tol=1e-12):
     """Distribution at time t via uniformization.
 
-    ``g`` may be a dense ndarray or any ``scipy.sparse`` array.  ``init``
+    ``g`` may be a dense ndarray or any ``scipy.sparse`` array; a
+    ``build_generator`` result is solved on its carried CSR form.  ``init``
     may be a state index (point-mass start) or a probability vector over
     the enumeration order.  The jump kernel is I + g/lam with lam = 1.01 x
     the largest exit rate, applied as a sparse matvec; the Poisson mixture
@@ -162,7 +215,7 @@ def transient_distribution(g, init, t, tol=1e-12):
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    g = sparse.csr_array(g, dtype=float)
+    g = _csr(g)
     size = g.shape[0]
     init = np.asarray(init)
     if init.ndim == 0:
@@ -182,5 +235,5 @@ def transient_distribution(g, init, t, tol=1e-12):
 def write_stationary_csv(pi, scaling, fp, cap=STATE_CAP_DEFAULT):
     """CSV export `y_star,y,z,prob` in enumeration order."""
     fp.write("y_star,y,z,prob\n")
-    for state, prob in zip(enumerate_states(scaling, cap), pi):
-        fp.write(f"{state.y_star},{state.y},{state.z},{float(prob)!r}\n")
+    for (y_star, y, z), prob in zip(_state_array(scaling, cap).tolist(), pi):
+        fp.write(f"{y_star},{y},{z},{float(prob)!r}\n")

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +308,32 @@ class TestMartingaleDecay:
             slope_range=(-0.75, -0.25), bootstrap=200,
         )
         assert rep.passed, rep.criteria
+
+
+    def test_zero_rms_draws_left_out_of_interval(self):
+        """Above r_c most y* sups are 0, so some resamples have an RMS of 0:
+        they drop out of y*'s interval and leave y's and z's alone."""
+        params = ModelParams(0.3, 1.7, 0.6, 1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = martingale_decay(params, 0.3, (100, 200, 400), horizon=5.0, reps=6, seed=1)
+        for note in rep.notes:
+            lo, hi = re.search(r"interval \[(\S+), (\S+)\]", note).groups()
+            assert math.isfinite(float(lo)) and math.isfinite(float(hi)), note
+        assert "left out" in rep.notes[0]
+        assert "left out" not in rep.notes[1] + rep.notes[2]
+
+    def test_zero_rms_point_estimate_is_undefined_and_fails(self):
+        params = ModelParams(0.3, 1.7, 0.6, 1.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = martingale_decay(params, 0.7, (50, 100), horizon=5.0, reps=5, seed=5,
+                                   bootstrap=200)
+        assert [row["rms_sup_y_star"] for row in rep.metrics] == [0.0, 0.0]
+        assert rep.notes[0] == "slope_y_star undefined: RMS of 0 at n = [50, 100]"
+        assert rep.criteria["slope_y_star_in_range"] is False
+        for note in rep.notes[1:]:
+            assert "nan" not in note
 
 
 class TestTruncatedRunsRefused:

@@ -1,6 +1,7 @@
 """Exact small-instance solver: enumeration, generator, stationary, transient."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestEnumeration:
         states = enumerate_states(ScalingParams(n=3, c2=2))
         assert states == sorted(states)
 
+    @pytest.mark.parametrize("n,c2", [(0, 0), (0, 3), (1, 0), (5, 0), (7, 3), (20, 10)])
+    def test_matches_nested_loop_reference(self, n, c2):
+        """The vectorised builder gives the per-state loop's states, as MicroStates of ints."""
+        expected = []
+        for y_star in range(n + 1):
+            for y in range(n - y_star + 1):
+                for z in range(c2 + 1) if y_star == 0 else (0,):
+                    expected.append((y_star, y, z))
+        states = enumerate_states(ScalingParams(n=n, c2=c2))
+        assert states == expected
+        assert all(type(s) is MicroState and all(type(v) is int for v in s) for s in states)
+
 
 class TestGenerator:
     def test_rows_sum_to_zero(self):
@@ -110,6 +123,59 @@ class TestGenerator:
         params = ModelParams(p, 1.3, 0.8, 1.1)
         scaling = ScalingParams(n=n, c2=c2)
         assert np.array_equal(build_generator(params, scaling), reference_generator(params, scaling))
+
+
+class TestCarriedCsr:
+    """``build_generator`` carries the CSR form the solves would convert to."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
+    @pytest.mark.parametrize("n,c2", [(1, 1), (4, 2), (20, 10), (40, 5), (60, 30)])
+    def test_equals_conversion_of_dense(self, n, c2, p):
+        g = build_generator(ModelParams(p, 1.3, 0.8, 1.1), ScalingParams(n=n, c2=c2))
+        ref = sparse.csr_array(np.asarray(g))
+        for name in ("indptr", "indices", "data"):
+            carried, expected = getattr(g.csr, name), getattr(ref, name)
+            assert carried.dtype == expected.dtype
+            np.testing.assert_array_equal(carried, expected)
+
+    def test_read_only(self):
+        g = build_generator(SYM, ScalingParams(n=4, c2=2))
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+    def test_derived_arrays_carry_nothing(self):
+        g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=6, c2=3))
+        for derived in (g.T, g[1:]):
+            assert derived.csr is None
+            ref = sparse.csr_array(np.asarray(derived))
+            converted = oracle._csr(derived)
+            assert converted.shape == derived.shape
+            np.testing.assert_array_equal(converted.indices, ref.indices)
+            np.testing.assert_array_equal(converted.data, ref.data)
+        pi = stationary_distribution(g)
+        law = transient_distribution(g, 0, 2.0)
+        for derived in (g.copy(), pickle.loads(pickle.dumps(g))):
+            assert derived.csr is None
+            np.testing.assert_array_equal(stationary_distribution(derived), pi)
+            np.testing.assert_array_equal(transient_distribution(derived, 0, 2.0), law)
+
+    def test_solves_never_scan_a_built_generator(self, monkeypatch):
+        real = sparse.csr_array
+        scanned = []
+
+        def counting(arg, *args, **kwargs):
+            if isinstance(arg, np.ndarray):
+                scanned.append(arg.shape)
+            return real(arg, *args, **kwargs)
+
+        monkeypatch.setattr(sparse, "csr_array", counting)
+        g = build_generator(SYM, ScalingParams(n=6, c2=3))
+        stationary_distribution(g)
+        transient_distribution(g, 0, 1.0)
+        assert scanned == []
+        stationary_distribution(np.asarray(g))
+        transient_distribution(np.asarray(g), 0, 1.0)
+        assert scanned == [g.shape, g.shape]
 
 
 class TestStationary:
