@@ -563,6 +563,8 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise DomainError("n_list", f"n_list needs two distinct n to fit a slope, got {n_list}")
+    if bootstrap < 1:
+        raise DomainError("bootstrap", f"bootstrap needs at least one draw, got {bootstrap}")
     coord_names = ("y_star", "y", "z")
     sups = [
         np.array(_replicate(_martingale_rep, (params, n, c2_for(n, r), horizon), seed,
@@ -591,8 +593,8 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     rms, slopes = fit(sups)
     slopes = slopes.tolist()
     rng = np.random.default_rng([seed, 0xB00])
-    # One draw per bootstrap sample and per n, in that order: the stream of the per-draw loop.
-    picks = np.array([[rng.integers(0, reps, reps) for _ in n_list] for _ in range(bootstrap)])
+    # One draw for every (bootstrap sample, n): the same stream as a draw per pair in that order.
+    picks = rng.integers(0, reps, (bootstrap, len(n_list), reps))
     boot = fit(sups[np.arange(len(n_list))[:, None], picks])[1]
     metrics = []
     for i, n in enumerate(n_list):

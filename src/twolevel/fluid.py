@@ -9,13 +9,14 @@ the integral functional that cross-validates the saturated system through
 the Picard solver, and ``solve_system``.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
@@ -115,14 +116,71 @@ def _starts_in(mode, x):
     return x[mode.pinned] == 0 and (g > 0 or (g == 0 and mode.guard @ mode.matrix @ x > 0))
 
 
+def _brentq(f, xa, xb, xtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method, as scipy's C ``brentq`` finds it.
+
+    A port of scipy/optimize/Zeros/brentq.c that keeps its float operations
+    in their order and its default rtol of 4 eps, so it returns the same
+    root bit for bit.  Like scipy, it raises ValueError when f(xa) and f(xb)
+    share a sign or f is NaN, and RuntimeError after ``maxiter`` steps
+    without convergence.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    rtol = 4 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _affine_path(system, params, r, x0, horizon, dt):
     """Exact path of ``system`` from x0 = (y_star, y, z) on the grid k*dt.
 
     Returns rows (y_star, y, z) and the regulator u, or None without one.
     A segment is sampled by doubling: rows [m, 2m) are rows [0, m) moved by
-    the affine map expm(M dt)^m.  Past a guard crossing, brentq on
-    expm(M s) x finds the switch time inside that grid step; the path then
-    toggles mode and sets the new mode's pinned coordinate to exactly 0.
+    the affine map expm(M dt)^m.  Past a guard crossing, the local Brent
+    solver ``_brentq`` on expm(M s) x finds the switch time inside that grid
+    step; the path then toggles mode and sets the new mode's pinned
+    coordinate to exactly 0.
     """
     steps = grid_steps(horizon, dt)
     modes = _system_modes(system, params, r)
@@ -161,7 +219,7 @@ def _affine_path(system, params, r, x0, horizon, dt):
         # The guard crossed 0 in the grid step before sample `end`.
         t0, width = ((k + end - 1) * dt, dt) if end else (t, k * dt - t)
         base = np.concatenate((seg[end - 1], x[n:])) if end else x
-        s = (brentq(lambda s: guard @ (expm(matrix * s) @ base), 0.0, width, xtol=1e-15)
+        s = (_brentq(lambda s: guard @ (expm(matrix * s) @ base), 0.0, width, xtol=1e-15)
              if guard @ base > 0 else 0.0)
         x = expm(matrix * s) @ base
         x[:n][held] = base[:n][held]
@@ -216,9 +274,11 @@ def gbar_functional(params, r, init):
 
     with mubar = (1-p) mu01 + p mu11 and k(t) the relaxation of the
     companion y-coordinate.  Discretized with trapezoid quadrature for
-    both nested integrals; the convolution is evaluated through an
-    exponentially-weighted prefix recursion, which is the same quadrature
-    rearranged for O(n) cost and overflow-free long horizons.
+    both nested integrals; the convolution is the exponentially-weighted
+    prefix recursion conv_k = c_k + e^{-mubar dt} conv_{k-1}, the same
+    quadrature rearranged for O(n) cost and overflow-free long horizons,
+    solved as a unit lower-bidiagonal banded system.  The terms that depend
+    on the grid alone are kept from one call to the next on the same grid.
     """
     y_star0, y0 = float(init[0]), float(init[1])
     if y_star0 < 0 or y0 < 0 or y_star0 + y0 > 1:
@@ -226,26 +286,34 @@ def gbar_functional(params, r, init):
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 
+    @functools.lru_cache(maxsize=1)
+    def grid_terms(t0, dt, n):
+        """e^{-mubar dt}, the recursion's band and Gbar's path-independent part."""
+        t = t0 + dt * np.arange(n)
+        et = np.exp(-mubar * t)
+        k_times_decay = (p * y_star0 + y0) / mubar * (1.0 - et) + (
+            p * mu11 / mubar**2
+        ) * (et + mubar * t - 1.0)
+        decay = np.exp(-mubar * dt)
+        # Row 0 is the unit diagonal (never read), row 1 the subdiagonal.
+        band = np.zeros((2, n), order="F")
+        band[1, :-1] = -decay
+        return decay, band, y_star0 + mu01 * k_times_decay - mu02 * r * t
+
     def apply(path):
         x = path.values
         if x.ndim != 1:
             raise DomainError("values", "the functional expects a scalar path")
         dt = path.dt
         n = len(x)
-        t = path.times
+        decay, band, free = grid_terms(path.t0, dt, n)
         inner = np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * (dt / 2))))
         w = x + mu11 * inner
-        decay = np.exp(-mubar * dt)
         c = np.empty(n)
         c[0] = 0.0
         c[1:] = (dt / 2) * (w[:-1] * decay + w[1:])
-        conv = lfilter([1.0], [1.0, -decay], c)
-        g = -p * mu01 * conv
-        et = np.exp(-mubar * t)
-        k_times_decay = (p * y_star0 + y0) / mubar * (1.0 - et) + (
-            p * mu11 / mubar**2
-        ) * (et + mubar * t - 1.0)
-        return SampledPath(path.t0, dt, g + y_star0 + mu01 * k_times_decay - mu02 * r * t)
+        conv = dtbsv(1, band, c, lower=1, diag=1, overwrite_x=1)
+        return SampledPath(path.t0, dt, -p * mu01 * conv + free)
 
     return PathFunctional(apply=apply)
 

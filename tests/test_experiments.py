@@ -301,6 +301,11 @@ class TestMartingaleDecay:
             martingale_decay(SYM, 0.3, n_list, horizon=2.0, reps=reps, seed=1, bootstrap=10)
         assert info.value.field == field
 
+    def test_bootstrap_below_one_rejected(self):
+        with pytest.raises(DomainError) as info:
+            martingale_decay(SYM, 0.3, (20, 40), horizon=2.0, reps=4, seed=1, bootstrap=0)
+        assert info.value.field == "bootstrap"
+
     def test_slope_close_to_inverse_sqrt(self):
         """log-log slope over doubling n sits near -1/2 for each coordinate."""
         rep = martingale_decay(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
+from scipy.signal import lfilter
 
 from twolevel import (
     DomainError,
@@ -449,3 +451,111 @@ class TestHybridDrift:
         path = hybrid_fluid(SYM, 0.7, FluidState(0.0, 0.1, 0.0), 1e-3, dt=1e-3)
         assert path.values[1, 0] == 0.0
         assert path.values[1, 2] > 0.0
+
+
+class TestPicardRecursion:
+    """The banded solve inside ``gbar_functional`` against scipy's lfilter recursion."""
+
+    def test_recursion_matches_lfilter(self, monkeypatch):
+        blas_dtbsv, solves = fluid.dtbsv, []
+
+        def recording(k, band, c, **flags):
+            before = c.copy()
+            solves.append((before, blas_dtbsv(k, band, c, **flags).copy()))
+            return solves[-1][1]
+
+        monkeypatch.setattr(fluid, "dtbsv", recording)
+        params = ModelParams(0.4, 1.3, 0.8, 1.1)
+        t = 1e-3 * np.arange(10001)
+        gbar_functional(params, 0.25, (0.1, 0.2)).apply(SampledPath(0.0, 1e-3, np.sin(t) ** 2))
+        solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
+        assert len(solves) >= 5
+        for i, (c, conv) in enumerate(solves):
+            p = params if i == 0 else SYM
+            decay = math.exp(-((1 - p.p) * p.mu01 + p.p * p.mu11) * 1e-3)
+            np.testing.assert_allclose(conv, lfilter([1.0], [1.0, -decay], c), rtol=1e-13, atol=0)
+
+    def test_grid_terms_follow_the_grid(self):
+        """One functional applied on alternating grids gives what a fresh one gives."""
+        params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
+        phi = gbar_functional(params, r, init)
+        x = np.cos(1e-3 * np.arange(2001)) ** 2
+        paths = [SampledPath(0.0, 1e-3, x), SampledPath(0.0, 2e-3, x),
+                 SampledPath(0.5, 1e-3, x), SampledPath(0.0, 1e-3, x[:1001])]
+        for path in paths + paths:
+            fresh = gbar_functional(params, r, init).apply(path).values
+            assert np.array_equal(phi.apply(path).values, fresh)
+
+
+class TestBrentPort:
+    """``fluid._brentq`` returns what scipy's ``brentq`` returns, bit for bit."""
+
+    def test_switch_times_match_scipy(self, monkeypatch):
+        port, solves = fluid._brentq, []
+
+        def both(f, a, b, xtol):
+            s = port(f, a, b, xtol)
+            solves.append((s, brentq(f, a, b, xtol=xtol)))
+            return s
+
+        monkeypatch.setattr(fluid, "_brentq", both)
+        rng = np.random.default_rng(1044)
+        for _ in range(40):
+            params, r = random_overloaded_instance(rng)
+            r_under = critical_ratio(params) * rng.uniform(1.1, 1.6)
+            y_star = rng.uniform(0.0, 0.5)
+            y = rng.uniform(0.0, 1.0 - y_star)
+            start = FluidState(y_star, y, 0.0)
+            hybrid_fluid(params, r, start, 10.0, dt=1e-2)
+            hybrid_fluid(params, r_under, start, 10.0, dt=1e-2)
+            aux_saturated_fluid(params, r, (y_star, y), 10.0, dt=1e-2)
+            aux_noblock_fluid(params, r_under, (y, rng.uniform(0.0, r_under)), 10.0, dt=1e-2)
+        assert len(solves) >= 50
+        assert [s for s, t in solves] == [t for s, t in solves]
+
+    def test_roots_match_scipy_on_random_brackets(self):
+        """Cubics, exponentials, steep tanh and flat triple roots on random
+        brackets, tolerances and iteration caps: same root or same error."""
+
+        def outcome(solve):
+            try:
+                return solve()
+            except (ValueError, RuntimeError) as exc:
+                return type(exc)
+
+        rng = np.random.default_rng(4)
+        for i in range(2000):
+            c = rng.normal(size=4)
+            f = (lambda x: c[0] + c[1] * x + c[2] * x**2 + c[3] * x**3,
+                 lambda x: math.exp(c[0] * x) - 1.5 + c[1] * x,
+                 lambda x: math.tanh(5.0 * c[0] * (x - c[1])) + 1e-3 * c[2],
+                 lambda x: (x - c[0]) ** 3 * abs(c[1]) + 1e-9 * c[2])[i % 4]
+            a, b = sorted(2.0 * rng.normal(size=2))
+            xtol, maxiter = 10.0 ** rng.uniform(-16, -2), int(rng.integers(1, 120))
+            assert outcome(lambda: fluid._brentq(f, a, b, xtol, maxiter=maxiter)) == (
+                outcome(lambda: brentq(f, a, b, xtol=xtol, maxiter=maxiter)))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_root_at_an_endpoint(self, a, b):
+        assert fluid._brentq(lambda x: x - 1.0, a, b, 1e-15) == 1.0
+        assert brentq(lambda x: x - 1.0, a, b, xtol=1e-15) == 1.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
+        with pytest.raises(ValueError, match="different signs"):
+            fluid._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15)
+
+    def test_too_few_iterations_raise(self):
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=3)
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            fluid._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-15, maxiter=3)
+        # With the fewest iterations scipy needs, both converge to the same root.
+        steps = next(m for m in range(1, 101)
+                     if brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=m,
+                               disp=False, full_output=True)[1].converged)
+        assert fluid._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-15, maxiter=steps) == (
+            brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, maxiter=steps))
+        with pytest.raises(RuntimeError):
+            fluid._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-15, maxiter=steps - 1)
