@@ -50,8 +50,6 @@ from .fluid import (
     aux_saturated_fluid,
     gbar_functional,
     hybrid_fluid,
-    overloaded_rhs,
-    underloaded_rhs,
 )
 from .sim import (
     MicroState,
@@ -103,7 +101,7 @@ __all__ = [
     "PathFunctional", "SampledPath", "check_complementarity", "reflect_1d",
     "solve_generalized",
     "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
-    "gbar_functional", "hybrid_fluid", "overloaded_rhs", "underloaded_rhs",
+    "gbar_functional", "hybrid_fluid",
     "MicroState", "Trajectory", "Transition", "check_state", "martingale_residual",
     "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
     "simulate_aux_saturated", "simulate_process", "step", "transitions",

@@ -174,7 +174,7 @@ def _cmd_simulate(args):
     files = []
     for i in range(cfg["replications"]):
         seed = cfg["seed"] + i
-        traj = sim.simulate_process(process, init, params, scaling, cfg["horizon"], seed)
+        traj = experiments._simulate(process, init, params, scaling, cfg["horizon"], seed)
         name = f"sim_{process}_seed{seed}.csv"
         with open(os.path.join(out_dir, name), "w") as fp:
             sim.write_trajectory_csv(traj, fp)

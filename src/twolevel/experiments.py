@@ -130,14 +130,25 @@ def c2_for(n, r):
 
 
 def _replicate(rep, args, base_seed, reps, workers):
-    """[rep(*args, base_seed + i) for i < reps], run serially or on ``workers`` processes."""
+    """rep(*args, base_seed + i) for i < reps, run serially or on ``workers`` processes.
+
+    ``rep`` returns (absorbed, value); the result is the list of values
+    and the number of absorbed runs.
+    """
     _check_replications(reps)
     seeds = range(base_seed, base_seed + reps)
     if workers <= 1 or reps == 1:
-        return [rep(*args, seed) for seed in seeds]
-    chunk = max(1, math.ceil(reps / (4 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(rep, *args), seeds, chunksize=chunk))
+        results = [rep(*args, seed) for seed in seeds]
+    else:
+        chunk = max(1, math.ceil(reps / (4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(functools.partial(rep, *args), seeds, chunksize=chunk))
+    return [value for _, value in results], sum(absorbed for absorbed, _ in results)
+
+
+def _absorbed_notes(absorbed, runs):
+    """A note when some runs ended in an absorbing state, else none."""
+    return [f"{absorbed} of {runs} replications absorbed"] if absorbed else []
 
 
 def _window_rows(key, value, c2, t1, reps, seed, stats):
@@ -209,7 +220,7 @@ def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, 
     traj = _simulate(target, init, params, scaling, horizon, seed)
     path = sim.rescale(traj, scaling, grid_dt)
     diff = np.max(np.abs(path.values - fluid_values), axis=1)
-    return tuple(float(diff[path.times >= t].max()) for t in (t1, 2 * t1))
+    return traj.absorbed, tuple(float(diff[path.times >= t].max()) for t in (t1, 2 * t1))
 
 
 def convergence_sweep(cfg, target, threshold=0.08, workers=1):
@@ -223,13 +234,14 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
     regime = classify_regime(cfg.params, cfg.r)
     if target == "main" and regime is Regime.Critical:
         raise RegimeMismatch("no fluid prediction exists at the critical ratio")
-    pairs = []
+    pairs, absorbed = [], 0
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         r_n = c2 / n
         fluid_values = _fluid_reference(target, cfg.params, r_n, cfg.horizon, cfg.grid_dt)
         args = (target, cfg.params, n, c2, cfg.horizon, cfg.grid_dt, fluid_values, cfg.burn_in)
-        sups = _replicate(_convergence_rep, args, cfg.base_seed, cfg.replications, workers)
+        sups, k = _replicate(_convergence_rep, args, cfg.base_seed, cfg.replications, workers)
+        absorbed += k
 
         def stats(j):
             vals = [s[j] for s in sups]
@@ -252,6 +264,7 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
         metrics=metrics,
         criteria=criteria,
         sensitivity=sensitivity,
+        notes=_absorbed_notes(absorbed, cfg.replications * len(cfg.n_list)),
     )
 
 
@@ -273,7 +286,7 @@ def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
         )
         out.append((not blocked, dist))
     coarse = sim.rescale(traj, scaling, PATH_SAMPLE_DT)
-    return out + [coarse.values[:, 1:]]
+    return traj.absorbed, out + [coarse.values[:, 1:]]
 
 
 def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
@@ -289,7 +302,7 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     if classify_regime(cfg.params, cfg.r) is not Regime.Underloaded:
         raise RegimeMismatch(f"r={cfg.r} is not underloaded for these parameters")
     fp = underloaded_fixed_point(cfg.params, cfg.r)
-    pairs = []
+    pairs, absorbed = [], 0
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         ratio = c2 / n
@@ -297,7 +310,8 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
             ratio = cfg.r
         fp_n = underloaded_fixed_point(cfg.params, ratio)
         args = (cfg.params, n, c2, cfg.horizon, cfg.grid_dt, cfg.burn_in, fp_n)
-        results = _replicate(_noblock_rep, args, cfg.base_seed, cfg.replications, workers)
+        results, k = _replicate(_noblock_rep, args, cfg.base_seed, cfg.replications, workers)
+        absorbed += k
         sampled = np.array([res[2] for res in results])
         mean_path = sampled.mean(axis=0)
         coarse_grid = PATH_SAMPLE_DT * np.arange(mean_path.shape[0])
@@ -336,7 +350,8 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
         metrics=metrics,
         criteria=criteria,
         sensitivity=sensitivity,
-        notes=[f"underloaded fixed point (y, z) = ({fp[0]!r}, {fp[1]!r})"],
+        notes=[f"underloaded fixed point (y, z) = ({fp[0]!r}, {fp[1]!r})",
+               *_absorbed_notes(absorbed, cfg.replications * len(cfg.n_list))],
     )
 
 
@@ -353,7 +368,7 @@ def _saturation_rep(params, n, c2, horizon, t1, seed):
             traj.times, traj.states[:, 0] / n, window_start, horizon, horizon
         )
         out.append((not idle, avg, float(sum_frac[idx:].min())))
-    return out
+    return traj.absorbed, out
 
 
 def saturation_certificate(cfg, band=0.05, workers=1):
@@ -367,7 +382,7 @@ def saturation_certificate(cfg, band=0.05, workers=1):
     """
     if classify_regime(cfg.params, cfg.r) is not Regime.Overloaded:
         raise RegimeMismatch(f"r={cfg.r} is not overloaded for these parameters")
-    pairs = []
+    pairs, absorbed = [], 0
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
         ratio = c2 / n
@@ -375,7 +390,8 @@ def saturation_certificate(cfg, band=0.05, workers=1):
             ratio = cfg.r
         limit_n = blocked_fraction_limit(cfg.params, ratio)
         args = (cfg.params, n, c2, cfg.horizon, cfg.burn_in)
-        results = _replicate(_saturation_rep, args, cfg.base_seed, cfg.replications, workers)
+        results, k = _replicate(_saturation_rep, args, cfg.base_seed, cfg.replications, workers)
+        absorbed += k
 
         def stats(j):
             zero, avgs, mins = (list(col) for col in zip(*(res[j] for res in results)))
@@ -409,6 +425,7 @@ def saturation_certificate(cfg, band=0.05, workers=1):
         metrics=metrics,
         criteria=criteria,
         sensitivity=sensitivity,
+        notes=_absorbed_notes(absorbed, cfg.replications * len(cfg.n_list)),
     )
 
 
@@ -416,7 +433,8 @@ def _phase_rep(params, n, c2, horizon, t1, seed):
     scaling = ScalingParams(n, c2)
     traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     frac = traj.states[:, 0] / n
-    return tuple(_time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
+    return traj.absorbed, tuple(
+        _time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
 
 
 def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
@@ -437,10 +455,11 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     r_c = critical_ratio(params)
     spacing = max(b - a for a, b in zip(r_grid, r_grid[1:]))
     nearest = min(range(len(r_grid)), key=lambda i: abs(r_grid[i] - r_c))
-    pairs = []
+    pairs, absorbed = [], 0
     for i, r in enumerate(r_grid):
         c2 = c2_for(n, r)
-        results = _replicate(_phase_rep, (params, n, c2, horizon, t1), seed, reps, workers)
+        results, k = _replicate(_phase_rep, (params, n, c2, horizon, t1), seed, reps, workers)
+        absorbed += k
         overloaded = classify_regime(params, r) is Regime.Overloaded
         limit = blocked_fraction_limit(params, r) if overloaded else None
 
@@ -482,6 +501,7 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
         notes=[
             f"critical ratio r_c = {r_c!r}",
             f"estimated threshold = {threshold!r}",
+            *_absorbed_notes(absorbed, reps * len(r_grid)),
         ],
     )
 
@@ -534,6 +554,7 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
     notes = [f"burn_in = {burn_in!r}, batches = {batches}"]
     if low_confidence:
         notes.append("low confidence: averaging window shorter than 1000 time units")
+    notes += _absorbed_notes(int(traj.absorbed), 1)
     return Report(
         name="oracle_check",
         config=_params_echo(params, n=scaling.n, c2=scaling.c2, horizon=horizon,
@@ -547,7 +568,7 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
 def _martingale_rep(params, n, c2, horizon, seed):
     scaling = ScalingParams(n, c2)
     traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
-    return tuple(float(s) for s in sim.residual_sup(traj, params, scaling))
+    return traj.absorbed, tuple(float(s) for s in sim.residual_sup(traj, params, scaling))
 
 
 def martingale_decay(params, r, n_list, horizon, reps, seed,
@@ -566,11 +587,9 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     if bootstrap < 1:
         raise DomainError("bootstrap", f"bootstrap needs at least one draw, got {bootstrap}")
     coord_names = ("y_star", "y", "z")
-    sups = [
-        np.array(_replicate(_martingale_rep, (params, n, c2_for(n, r), horizon), seed,
-                            reps, workers))
-        for n in n_list
-    ]
+    runs = [_replicate(_martingale_rep, (params, n, c2_for(n, r), horizon), seed, reps, workers)
+            for n in n_list]
+    absorbed = sum(k for _, k in runs)
     log_n = np.log(np.asarray(n_list, dtype=float))
 
     def fit(samples):
@@ -589,7 +608,7 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
         slopes[finite] = np.polyfit(log_n, ys[:, finite], 1)[0]
         return rms, slopes.reshape(rms.shape[:-2] + rms.shape[-1:])
 
-    sups = np.array(sups)
+    sups = np.array([values for values, _ in runs])
     rms, slopes = fit(sups)
     slopes = slopes.tolist()
     rng = np.random.default_rng([seed, 0xB00])
@@ -626,6 +645,7 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
         if left_out:
             note += f" from {bootstrap - left_out} draws; {left_out} left out (RMS of 0 at some n)"
         notes.append(note)
+    notes += _absorbed_notes(absorbed, reps * len(n_list))
     return Report(
         name="martingale_decay",
         config=_params_echo(params, r=r, n_list=n_list, horizon=horizon, replications=reps,

@@ -4,9 +4,9 @@ Every fluid system is piecewise affine: between switches it follows the
 overloaded interior (z = 0), the underloaded interior (y_star = 0), or an
 auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
 expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
-switch time is a root of that closed form.  Also here: the regime drifts,
-the integral functional that cross-validates the saturated system through
-the Picard solver, and ``solve_system``.
+switch time is a root of that closed form.  Also here: the integral
+functional that cross-validates the saturated system through the Picard
+solver, and ``solve_system``.
 """
 
 import functools
@@ -47,24 +47,6 @@ class ReflectedSolution:
     @property
     def z(self):
         return self.path.values[:, 2]
-
-
-def overloaded_rhs(state, params, r):
-    """Drift of (y_star, y) while every specialist is busy (z = 0)."""
-    y_star, y = state
-    d_y_star = params.mu01 * y - params.mu02 * r
-    d_y = -params.mu01 * y + params.p * (
-        params.mu02 * r + params.mu11 * (1.0 - y_star - y)
-    )
-    return (d_y_star, d_y)
-
-
-def underloaded_rhs(state, params, r):
-    """Drift of (y, z) while no operator is blocked (y_star = 0)."""
-    y, z = state
-    d_y = -(params.p * params.mu11 + (1 - params.p) * params.mu01) * y + params.p * params.mu11
-    d_z = -params.mu02 * z - params.mu01 * y + params.mu02 * r
-    return (d_y, d_z)
 
 
 # The augmented state (y_star, y, z, u, 1) on which every mode is linear.  A

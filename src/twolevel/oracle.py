@@ -91,8 +91,8 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     keys = key(states)
     g = np.zeros((size, size))
     rows, cols, vals = [], [], []
-    for delta, rate in sim.PROCESSES["main"].table:
-        rates = rate(states.T, params, scaling)
+    table = sim.PROCESSES["main"].table
+    for (delta, *_), rates in zip(table, sim.rates("main", states.T, params, scaling)):
         src = np.flatnonzero(rates > 0)
         targets = states[src] + delta
         idx = np.minimum(np.searchsorted(keys, key(targets)), size - 1)

@@ -6,22 +6,30 @@ enabled rate and the next transition is drawn proportionally to its rate
 exactly.  All randomness comes from numpy's PCG64 generator seeded
 explicitly; a run is a pure function of (parameters, seed).
 
+Each process is one table in ``PROCESSES``, the only statement of its
+rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
+``transitions``, ``step``, ``drift`` and the oracle's generator;
+``loop_source`` generates a simulator loop from it, compiled on import as
+``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock``.
+
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
-the first whose cumulative rate exceeds u' * total.  The ``simulate*``
-loops draw them in blocks of ``2 * _CHUNK``.  Each loop branches on
-the guard case of the state (for ``main``: z > 0, or z = 0 with y* > 0,
-or z = 0 with y* = 0), computes only the rates enabled there, and walks a
-short cumulative chain; a disabled rate would add 0.0, so the sums equal
-those over the whole table bit for bit.  Per jump a loop records only the
-time and a code, the index of the ``PROCESSES`` table row that fired; the
-states are rebuilt afterwards as the running sum of the codes' table
-deltas.  ``step`` draws the same two uniforms per call, so a loop of
-``step`` calls replays a run bit for bit.
+the first whose cumulative rate exceeds u' * total.  The loops draw them
+in blocks of ``2 * _CHUNK``.  Each loop branches on the guard case of the
+state (for ``main``: z > 0, or z = 0 with y* > 0, or z = 0 with y* = 0),
+sums only the rates enabled there, and walks a short cumulative chain.
+Per jump it records only the time and a code, the index of the table row
+that fired; the states are rebuilt afterwards as the running sum of the
+codes' deltas.  ``step`` draws the same two uniforms per call, so a loop
+of ``step`` calls replays a run bit for bit.
 """
 
+import functools
+import itertools
+import linecache
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,23 +119,23 @@ def _check_noblock(state, scaling):
 
 
 class Process(NamedTuple):
-    """One chain: state columns, transition table, state-space check, simulator.
+    """One chain: state columns, transition table and state-space check.
 
-    ``table`` is an ordered tuple of ``(delta, rate)`` rows; a row's index
-    is the code the simulator loop records when it fires, and its delta is
-    the only copy of that jump.  ``rate(x, params, scaling)`` takes the
-    state columns ``x`` as Python numbers or as numpy arrays (one entry per
-    state) and is 0 where the clause is disabled.  Each product is written
-    in the order the hand-written simulator loop uses, so both give the
-    same floats.  ``simulator`` names that loop; it is looked up in this
-    module at call time, so a wrapper installed on the module attribute
-    sees every dispatched run.
+    ``table`` is an ordered tuple of rows ``(delta, coefficient, factor,
+    guard)``.  A row's index is the code a simulator loop records when it
+    fires, and its delta is the only copy of that jump.  The other fields
+    are Python expressions over the state columns and ``p, mu01, mu11,
+    mu02, n, c2``: ``coefficient`` uses no column, ``factor`` may be None
+    (a constant rate), and ``guard``, which may be None (always enabled),
+    tests only whether columns are 0.  The rate is
+    ``(coefficient) * (factor) * (guard)``, multiplied in that order;
+    ``rates`` and the compiled loops, which hoist the coefficient and drop
+    a guard known to hold, give the same floats.
     """
 
     columns: tuple
     table: tuple
     check: Callable
-    simulator: str
 
 
 PROCESSES = {
@@ -135,47 +143,47 @@ PROCESSES = {
         ("y_star", "y", "z"),
         (
             # level-1 completion into blocking: every specialist busy
-            ((1, -1, 0), lambda x, m, s: m.mu01 * x[1] * (x[2] == 0)),
+            ((1, -1, 0), "mu01", "y", "z == 0"),
             # completion with handover: operator released / restarts class-0 work
-            ((0, -1, -1), lambda x, m, s: (1 - m.p) * m.mu01 * x[1] * (x[2] > 0)),
-            ((0, 0, -1), lambda x, m, s: m.p * m.mu01 * x[1] * (x[2] > 0)),
+            ((0, -1, -1), "(1 - p) * mu01", "y", "z > 0"),
+            ((0, 0, -1), "p * mu01", "y", "z > 0"),
             # a free operator starts a class-0 call
-            ((0, 1, 0), lambda x, m, s: m.p * m.mu11 * (s.n - x[0] - x[1])),
+            ((0, 1, 0), "p * mu11", "n - y_star - y", None),
             # specialist completion unblocks an operator: released / restarting
-            ((-1, 0, 0), lambda x, m, s: (1 - m.p) * m.mu02 * s.c2 * (x[0] > 0)),
-            ((-1, 1, 0), lambda x, m, s: m.p * m.mu02 * s.c2 * (x[0] > 0)),
+            ((-1, 0, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
+            ((-1, 1, 0), "p * mu02 * c2", None, "y_star > 0"),
             # a specialist finishes with no one blocked
-            ((0, 0, 1), lambda x, m, s: m.mu02 * (s.c2 - x[2]) * (x[0] == 0)),
+            ((0, 0, 1), "mu02", "c2 - z", "y_star == 0"),
         ),
         check_state,
-        "simulate",
     ),
     # Every specialist always busy: state (y_star, y), no z.
     "aux-saturated": Process(
         ("y_star", "y"),
         (
-            ((1, -1), lambda x, m, s: m.mu01 * x[1]),
-            ((-1, 0), lambda x, m, s: (1 - m.p) * m.mu02 * s.c2 * (x[0] > 0)),
-            ((-1, 1), lambda x, m, s: m.p * m.mu02 * s.c2 * (x[0] > 0)),
-            ((0, 1), lambda x, m, s: m.p * m.mu11 * (s.n - x[0] - x[1])),
+            ((1, -1), "mu01", "y", None),
+            ((-1, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
+            ((-1, 1), "p * mu02 * c2", None, "y_star > 0"),
+            ((0, 1), "p * mu11", "n - y_star - y", None),
         ),
         _check_saturated,
-        "simulate_aux_saturated",
     ),
     # No blocking: state (y, z); a handover that finds z = 0 is lost.
     "aux-noblock": Process(
         ("y", "z"),
         (
-            ((-1, 0), lambda x, m, s: (1 - m.p) * m.mu01 * x[0] * (x[1] == 0)),
-            ((-1, -1), lambda x, m, s: (1 - m.p) * m.mu01 * x[0] * (x[1] > 0)),
-            ((0, -1), lambda x, m, s: m.p * m.mu01 * x[0] * (x[1] > 0)),
-            ((1, 0), lambda x, m, s: m.p * m.mu11 * (s.n - x[0])),
-            ((0, 1), lambda x, m, s: m.mu02 * (s.c2 - x[1])),
+            ((-1, 0), "(1 - p) * mu01", "y", "z == 0"),
+            ((-1, -1), "(1 - p) * mu01", "y", "z > 0"),
+            ((0, -1), "p * mu01", "y", "z > 0"),
+            ((1, 0), "p * mu11", "n - y", None),
+            ((0, 1), "mu02", "c2 - z", None),
         ),
         _check_noblock,
-        "simulate_aux_noblock",
     ),
 }
+# The module attribute each process's compiled simulator loop is bound to.
+_LOOP_NAMES = {"main": "simulate", "aux-saturated": "simulate_aux_saturated",
+               "aux-noblock": "simulate_aux_noblock"}
 
 
 def _process(name):
@@ -185,16 +193,32 @@ def _process(name):
         raise DomainError("process", f"process must be one of {tuple(PROCESSES)}") from None
 
 
+@functools.lru_cache(maxsize=None)
+def _rates_code(table):
+    """The tuple of every row's ``(coefficient) * (factor) * (guard)``, compiled."""
+    rows = (" * ".join(f"({e})" for e in row[1:] if e is not None) for row in table)
+    return compile(f"({', '.join(rows)},)", "<rates>", "eval")
+
+
+def rates(process, x, params, scaling):
+    """The rate of every table row of ``process`` at ``x``, as a tuple in table order.
+
+    ``x`` holds the state columns as Python numbers or as numpy arrays (one
+    entry per state); a disabled row's rate is 0.  The expressions are
+    compiled from the table in ``PROCESSES`` when that table is first met.
+    """
+    spec = _process(process)
+    names = dict(zip(spec.columns, x), p=params.p, mu01=params.mu01, mu11=params.mu11,
+                 mu02=params.mu02, n=scaling.n, c2=scaling.c2)
+    return eval(_rates_code(spec.table), {"__builtins__": {}}, names)
+
+
 def transitions(process, state, params, scaling):
     """All transitions with positive rate out of ``state``, in table order."""
     spec = _process(process)
     spec.check(state, scaling)
-    out = []
-    for delta, rate in spec.table:
-        value = rate(state, params, scaling)
-        if value > 0:
-            out.append(Transition(delta, value))
-    return out
+    values = rates(process, state, params, scaling)
+    return [Transition(row[0], value) for row, value in zip(spec.table, values) if value > 0]
 
 
 def drift(process, x, params, scaling):
@@ -203,10 +227,9 @@ def drift(process, x, params, scaling):
     ``x`` holds the state columns, as numbers or as arrays of equal
     length; the result has the columns on its last axis.
     """
-    table = _process(process).table
-    rates = np.array([rate(x, params, scaling) for _, rate in table], dtype=float)
-    deltas = np.array([delta for delta, _ in table], dtype=float)
-    return np.tensordot(rates, deltas, (0, 0)) / scaling.n
+    values = np.array(rates(process, x, params, scaling), dtype=float)
+    deltas = np.array([row[0] for row in _process(process).table], dtype=float)
+    return np.tensordot(values, deltas, (0, 0)) / scaling.n
 
 
 def _jump_draws(rng, count):
@@ -231,19 +254,12 @@ def step(process, state, rng, params, scaling):
     enabled = transitions(process, state, params, scaling)
     if not enabled:
         return (math.inf, state)
-    total = 0.0
-    for tr in enabled:
-        total += tr.rate
+    # Running sums in table order, the loops' cumulative rates; the last is the total.
+    sums = list(itertools.accumulate(tr.rate for tr in enabled))
     exps, unis = _jump_draws(rng, 1)
-    holding = exps[0] / total
-    u = unis[0] * total
-    acc = 0.0
-    chosen = enabled[-1]
-    for tr in enabled:
-        acc += tr.rate
-        if u < acc:
-            chosen = tr
-            break
+    holding = exps[0] / sums[-1]
+    u = unis[0] * sums[-1]
+    chosen = next((tr for tr, acc in zip(enabled, sums) if u < acc), enabled[-1])
     nxt = tuple(a + b for a, b in zip(state, chosen.delta))
     return (holding, MicroState(*nxt) if process == "main" else nxt)
 
@@ -252,10 +268,10 @@ class _Recorder:
     """Jump times and table-row codes; past ``max_events`` events only a grid sample is kept.
 
     The simulator loops append each jump's time to ``times`` and the index
-    of the ``PROCESSES`` table row that fired to ``codes`` themselves, and
-    call ``cap`` between blocks of draws.  The states are not recorded:
-    ``states`` rebuilds them from ``base``, the state at ``times[0]``, and
-    the running sum of the codes' table deltas.  Once more than
+    of the table row that fired to ``codes`` themselves, and call ``cap``
+    between blocks of draws.  The states are not recorded: ``states``
+    rebuilds them from ``base``, the state at ``times[0]``, and the running
+    sum of the codes' rows of ``deltas``, the table's deltas.  Once more than
     ``max_events`` events are held, the rows become right-continuous
     samples on the grid k * horizon / min(max_events, 2**20), and from then
     on each ``cap`` moves the new raw rows onto the grid, keeping the last
@@ -264,12 +280,12 @@ class _Recorder:
     cap by less than a block in between.
     """
 
-    def __init__(self, process, state, horizon, max_events):
+    def __init__(self, deltas, state, horizon, max_events):
         if max_events < 1:
             raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
         if not 0 <= horizon < math.inf:
             raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
-        self.deltas = np.array([delta for delta, _ in PROCESSES[process].table], dtype=np.int64)
+        self.deltas = deltas
         self.base = np.array(state, dtype=np.int64)
         self.times = [0.0]
         self.codes = []
@@ -328,210 +344,126 @@ class _Recorder:
         return np.array(self.times, dtype=float), self.states()
 
 
-def simulate(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
-    """Run the main process from ``init`` up to ``horizon`` with the given seed."""
-    check_state(init, scaling)
-    rng = np.random.default_rng(seed)
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n, c2 = scaling.n, scaling.c2
-    # Products hoisted in the order the table multiplies, so rates match it bit for bit.
-    q01, p01, p11 = (1 - p) * mu01, p * mu01, p * mu11
-    q02c, p02c, mu02c = (1 - p) * mu02 * c2, p * mu02 * c2, mu02 * c2
-    y_star, y, z = init
-    rec = _Recorder("main", init, horizon, max_events)
-    t_app, c_app = rec.times.append, rec.codes.append
-    t = 0.0
-    k = _CHUNK
-    absorbed = False
-    while True:
-        # y_star * z == 0, so three guard cases; a, b, c are cumulative rates.
-        if z:
-            a = q01 * y
-            b = a + p01 * y
-            c = b + p11 * (n - y)
-            total = c + mu02 * (c2 - z)
-        elif y_star:
-            a = mu01 * y
-            b = a + p11 * (n - y_star - y)
-            c = b + q02c
-            total = c + p02c
-        else:
-            a = mu01 * y
-            b = a + p11 * (n - y)
-            total = b + mu02c
-        if total <= 0.0:
-            absorbed = True
-            break
-        if k == _CHUNK:
-            rec.cap()
-            exps, unis = _jump_draws(rng, _CHUNK)
-            k = 0
-        t += exps[k] / total
-        if t >= horizon:
-            break
-        u = unis[k] * total
-        k += 1
-        if z:
-            if u < a:
-                y -= 1
-                z -= 1
-                c_app(1)
-            elif u < b:
-                z -= 1
-                c_app(2)
-            elif u < c:
-                y += 1
-                c_app(3)
-            else:
-                z += 1
-                c_app(6)
-        elif u < a:
-            y_star += 1
-            y -= 1
-            c_app(0)
-        elif u < b:
-            y += 1
-            c_app(3)
-        elif not y_star:
-            z += 1
-            c_app(6)
-        elif u < c:
-            y_star -= 1
-            c_app(4)
-        else:
-            y_star -= 1
-            y += 1
-            c_app(5)
-        t_app(t)
-    times, states = rec.finish()
-    return Trajectory(
-        "main", ("y_star", "y", "z"), times, states, horizon, seed, n, c2,
-        absorbed=absorbed, truncated=rec.truncated,
-    )
+def _cases(spec):
+    """(guarded columns, reachable guard cases) of a process.
+
+    The guarded columns are those the guards test, in the order the table
+    first tests them.  A case maps each to 1 (positive) or 0; it is
+    reachable if the process's own check passes a state that is 0 in every
+    other column, at n = c2 = 1.
+    """
+    guarded = list(dict.fromkeys(v for row in spec.table if row[3] is not None
+                                 for v in compile(row[3], "<guard>", "eval").co_names
+                                 if v in spec.columns))
+    probe = SimpleNamespace(n=1, c2=1)
+    cases = []
+    for bits in itertools.product((1, 0), repeat=len(guarded)):
+        case = dict(zip(guarded, bits))
+        try:
+            spec.check(tuple(case.get(c, 0) for c in spec.columns), probe)
+        except InvalidState:
+            continue
+        cases.append(case)
+    return guarded, cases
 
 
-def simulate_aux_saturated(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
-    """Run the always-saturated variant from (y_star, y)."""
-    _check_saturated(init, scaling)
-    y_star, y = init
-    rng = np.random.default_rng(seed)
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n, c2 = scaling.n, scaling.c2
-    p11, q02c, p02c = p * mu11, (1 - p) * mu02 * c2, p * mu02 * c2
-    rec = _Recorder("aux-saturated", init, horizon, max_events)
-    t_app, c_app = rec.times.append, rec.codes.append
-    t = 0.0
-    k = _CHUNK
-    absorbed = False
-    while True:
-        a = mu01 * y
-        if y_star:
-            b = a + q02c
-            c = b + p02c
-            total = c + p11 * (n - y_star - y)
-        else:
-            total = a + p11 * (n - y)
-        if total <= 0.0:
-            absorbed = True
-            break
-        if k == _CHUNK:
-            rec.cap()
-            exps, unis = _jump_draws(rng, _CHUNK)
-            k = 0
-        t += exps[k] / total
-        if t >= horizon:
-            break
-        u = unis[k] * total
-        k += 1
-        if u < a:
-            y_star += 1
-            y -= 1
-            c_app(0)
-        elif not y_star:
-            y += 1
-            c_app(3)
-        elif u < b:
-            y_star -= 1
-            c_app(1)
-        elif u < c:
-            y_star -= 1
-            y += 1
-            c_app(2)
-        else:
-            y += 1
-            c_app(3)
-        t_app(t)
-    times, states = rec.finish()
-    return Trajectory(
-        "aux-saturated", ("y_star", "y"), times, states, horizon, seed, n, c2,
-        absorbed=absorbed, truncated=rec.truncated,
-    )
+def _case_lines(spec, case):
+    """One guard case of a loop body: its enabled rows' cumulative rates, the draws, the jump."""
+    rows = [(i, row) for i, row in enumerate(spec.table)
+            if row[3] is None or eval(row[3], {"__builtins__": {}}, case)]
+    lines, acc = [], None
+    for j, (i, row) in enumerate(rows):
+        rate = f"a{i}" if row[2] is None else f"a{i} * ({row[2]})"
+        name = "total" if j == len(rows) - 1 else f"r{i}"
+        lines.append(f"{name} = {rate}" if acc is None else f"{name} = {acc} + {rate}")
+        acc = name
+    lines += ["if total <= 0.0:", "    absorbed = True", "    break",
+              "if k == _CHUNK:", "    rec.cap()", "    exps, unis = _jump_draws(rng, _CHUNK)",
+              "    k = 0",
+              "t += exps[k] / total", "if t >= horizon:", "    break",
+              "u = unis[k] * total", "k += 1"]
+    for j, (i, row) in enumerate(rows):
+        jump = [f"{c} {'+' if d > 0 else '-'}= {abs(d)}"
+                for c, d in zip(spec.columns, row[0]) if d] + [f"c_app({i})"]
+        if len(rows) == 1:
+            lines += jump
+            continue
+        test = "else:" if j == len(rows) - 1 else f"{'el' * (j > 0)}if u < r{i}:"
+        lines += [test] + [f"    {line}" for line in jump]
+    return lines
 
 
-def simulate_aux_noblock(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
-    """Run the no-blocking variant from (y, z)."""
-    _check_noblock(init, scaling)
-    y, z = init
-    rng = np.random.default_rng(seed)
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    n, c2 = scaling.n, scaling.c2
-    q01, p01, p11, mu02c = (1 - p) * mu01, p * mu01, p * mu11, mu02 * c2
-    rec = _Recorder("aux-noblock", init, horizon, max_events)
-    t_app, c_app = rec.times.append, rec.codes.append
-    t = 0.0
-    k = _CHUNK
-    absorbed = False
-    while True:
-        # a, b, c are cumulative rates; with z == 0 only rows 0, 3 and 4 are enabled.
-        a = q01 * y
-        if z:
-            b = a + p01 * y
-            c = b + p11 * (n - y)
-            total = c + mu02 * (c2 - z)
-        else:
-            c = a + p11 * (n - y)
-            total = c + mu02c
-        if total <= 0.0:
-            absorbed = True
-            break
-        if k == _CHUNK:
-            rec.cap()
-            exps, unis = _jump_draws(rng, _CHUNK)
-            k = 0
-        t += exps[k] / total
-        if t >= horizon:
-            break
-        u = unis[k] * total
-        k += 1
-        if u < a:
-            y -= 1
-            if z:
-                z -= 1
-                c_app(1)
-            else:
-                c_app(0)
-        elif z and u < b:
-            z -= 1
-            c_app(2)
-        elif u < c:
-            y += 1
-            c_app(3)
-        else:
-            z += 1
-            c_app(4)
-        t_app(t)
-    times, states = rec.finish()
-    return Trajectory(
-        "aux-noblock", ("y", "z"), times, states, horizon, seed, n, c2,
-        absorbed=absorbed, truncated=rec.truncated,
-    )
+def _branch(spec, guarded, cases):
+    """Nested ``if column:`` tests down to one guard case each, then its lines."""
+    if len(cases) == 1:
+        return _case_lines(spec, cases[0])
+    col = next(v for v in guarded if len({c[v] for c in cases}) == 2)
+    on, off = [c for c in cases if c[col]], [c for c in cases if not c[col]]
+    return ([f"if {col}:"] + [f"    {line}" for line in _branch(spec, guarded, on)]
+            + ["else:"] + [f"    {line}" for line in _branch(spec, guarded, off)])
+
+
+def loop_source(process):
+    """Python source of the simulator loop of ``process``, generated from its table.
+
+    The loop hoists each row's coefficient and branches on the reachable
+    guard cases; a case's sums skip only rows whose rate there is 0.0, so
+    they equal the sums over the whole table bit for bit.
+    """
+    spec = _process(process)
+    guarded, cases = _cases(spec)
+    cols = ", ".join(spec.columns)
+    lines = [
+        f"def {_LOOP_NAMES[process]}(init, params, scaling, horizon, seed,"
+        " max_events=MAX_EVENTS_DEFAULT):",
+        f'    """Run the {process} process from ({cols}) up to ``horizon`` with the given seed."""',
+        "    check(init, scaling)",
+        "    rng = np.random.default_rng(seed)",
+        "    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02",
+        "    n, c2 = scaling.n, scaling.c2",
+        *(f"    a{i} = {row[1]}" for i, row in enumerate(spec.table)),
+        f"    ({cols},) = init",
+        "    rec = _Recorder(DELTAS, init, horizon, max_events)",
+        "    t_app, c_app = rec.times.append, rec.codes.append",
+        "    t = 0.0",
+        "    k = _CHUNK",
+        "    absorbed = False",
+        "    while True:",
+        *(f"        {line}" for line in _branch(spec, guarded, cases)),
+        "        t_app(t)",
+        "    times, states = rec.finish()",
+        f"    return Trajectory({process!r}, COLUMNS, times, states, horizon, seed, n, c2,",
+        "                      absorbed=absorbed, truncated=rec.truncated)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _compile_loop(process):
+    """The simulator loop of ``process``, compiled from its current table."""
+    spec = _process(process)
+    source, filename = loop_source(process), f"<sim:{process}>"
+    # Registered so that tracebacks show the generated lines.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = dict(globals(), check=spec.check, COLUMNS=spec.columns,
+                     DELTAS=np.array([row[0] for row in spec.table], dtype=np.int64))
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[_LOOP_NAMES[process]]
+
+
+simulate = _compile_loop("main")
+simulate_aux_saturated = _compile_loop("aux-saturated")
+simulate_aux_noblock = _compile_loop("aux-noblock")
 
 
 def simulate_process(process, init, params, scaling, horizon, seed,
                      max_events=MAX_EVENTS_DEFAULT):
-    """Run ``process`` (a key of PROCESSES) with its hand-written simulator loop."""
-    run = globals()[_process(process).simulator]
-    return run(init, params, scaling, horizon, seed, max_events)
+    """Run ``process`` (a key of PROCESSES) with its compiled simulator loop.
+
+    The loop is looked up on this module at call time, so a wrapper
+    installed on the module attribute sees every dispatched run.
+    """
+    _process(process)
+    return globals()[_LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
 
 
 def rescale(traj, scaling, grid_dt):

@@ -1,15 +1,37 @@
-"""Projected-Euler reference for the three reflected fluid systems.
+"""Projected-Euler reference for the three reflected fluid systems, and the
+closed-form drifts of the two regime interiors.
 
 Written independently of the exact piecewise-affine solver in
 ``twolevel.fluid``: each system is advanced by explicit Euler steps of its
 drift and projected back onto its constraint set, the deficit booked into
 the regulator.  The result is first-order accurate in dt, so the tests
 compare it with the exact paths as dt shrinks, not to roundoff.
+``overloaded_rhs`` and ``underloaded_rhs`` state the interior drifts by
+hand; the tests check them against the fixed points, the affine modes
+and the transition tables' drift.
 """
 
 import numpy as np
 
 from twolevel import y_b_closed_form
+
+
+def overloaded_rhs(state, params, r):
+    """Drift of (y_star, y) while every specialist is busy (z = 0)."""
+    y_star, y = state
+    d_y_star = params.mu01 * y - params.mu02 * r
+    d_y = -params.mu01 * y + params.p * (
+        params.mu02 * r + params.mu11 * (1.0 - y_star - y)
+    )
+    return (d_y_star, d_y)
+
+
+def underloaded_rhs(state, params, r):
+    """Drift of (y, z) while no operator is blocked (y_star = 0)."""
+    y, z = state
+    d_y = -(params.p * params.mu11 + (1 - params.p) * params.mu01) * y + params.p * params.mu11
+    d_z = -params.mu02 * z - params.mu01 * y + params.mu02 * r
+    return (d_y, d_z)
 
 
 def _steps(horizon, dt):

@@ -33,15 +33,14 @@ from twolevel import (
     no_blocking_certificate,
     oracle_cross_check,
     overloaded_fixed_point,
-    overloaded_rhs,
     phase_scan,
     saturation_certificate,
     solve_generalized,
     transitions,
     underloaded_fixed_point,
-    underloaded_rhs,
     y_b_closed_form,
 )
+from fluid_reference import overloaded_rhs, underloaded_rhs
 from rate_clauses import rate_clauses
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)

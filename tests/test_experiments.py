@@ -374,3 +374,25 @@ class TestTruncatedRunsRefused:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "event cap" in capsys.readouterr().err
+
+    def test_cli_simulate_exits_2_without_manifest(self, capsys, tmp_path):
+        code = cli.main(["simulate", "--n", "20", "--c2", "6", "--horizon", "4", "--seed", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "event cap" in err
+        assert os.listdir(tmp_path) == []
+
+
+class TestAbsorbedRuns:
+    """With p = 0 nothing feeds class 0, so every run absorbs at (0, 0, c2); the report says so."""
+
+    def test_no_blocking_notes_absorbed_runs(self):
+        cfg = small_cfg(0.7, params=ModelParams(0.0, 1.0, 1.0, 1.0), n_list=(50,), replications=4)
+        rep = no_blocking_certificate(cfg)
+        assert rep.passed
+        assert rep.notes[-1] == "4 of 4 replications absorbed"
+
+    def test_no_note_without_absorbed_runs(self):
+        rep = no_blocking_certificate(small_cfg(0.7, n_list=(20,), replications=2))
+        assert not any("absorbed" in note for note in rep.notes)

@@ -25,14 +25,18 @@ from twolevel import (
     h_bar,
     hybrid_fluid,
     overloaded_fixed_point,
-    overloaded_rhs,
     reflect_1d,
     solve_generalized,
     underloaded_fixed_point,
-    underloaded_rhs,
     y_b_closed_form,
 )
-from fluid_reference import euler_hybrid, euler_noblock, euler_saturated
+from fluid_reference import (
+    euler_hybrid,
+    euler_noblock,
+    euler_saturated,
+    overloaded_rhs,
+    underloaded_rhs,
+)
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 

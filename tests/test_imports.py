@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import twolevel
+from twolevel import sim
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(twolevel.__file__))
 # scipy subpackages that each cost a large share of a run's start-up and that
@@ -34,20 +35,35 @@ def test_import_loads_only_linalg_and_sparse():
     assert public - {"version"} <= {"linalg", "sparse"}
 
 
+def unwanted_imports(source, name):
+    """``name:line module`` for each unwanted import in ``source``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [f"{name}:{node.lineno} {m}" for m in modules if unwanted(m)]
+    return found
+
+
 def test_source_imports_no_unwanted_module():
     """No import of them anywhere in the package, at module level or inside a function."""
     found = []
     for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE_DIR, name)) as fh:
-            tree = ast.parse(fh.read(), name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {m}" for m in modules if unwanted(m)]
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                found += unwanted_imports(fh.read(), name)
+    assert found == []
+
+
+def test_generated_loops_import_no_unwanted_module():
+    """The simulator loops compiled from the transition tables import none either."""
+    found = []
+    for process in sim.PROCESSES:
+        source = sim.loop_source(process)
+        assert "while True:" in source
+        found += unwanted_imports(source, f"<sim:{process}>")
     assert found == []

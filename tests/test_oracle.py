@@ -97,7 +97,7 @@ class TestGenerator:
         """A table row that lets z exceed c2 fails the build instead of landing on a neighbour."""
         main = sim.PROCESSES["main"]
         table = list(main.table)
-        table[-1] = ((0, 0, 1), lambda x, m, s: m.mu02 * (s.c2 + 1 - x[2]) * (x[0] == 0))
+        table[-1] = ((0, 0, 1), "mu02", "c2 + 1 - z", "y_star == 0")
         monkeypatch.setitem(sim.PROCESSES, "main", main._replace(table=tuple(table)))
         with pytest.raises(InvalidState, match=r"\(0, 0, 2\) to \(0, 0, 3\)"):
             build_generator(SYM, ScalingParams(n=4, c2=2))

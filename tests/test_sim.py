@@ -19,7 +19,6 @@ from twolevel import (
     check_state,
     martingale_residual,
     overloaded_fixed_point,
-    overloaded_rhs,
     rescale,
     residual_sup,
     simulate,
@@ -31,15 +30,30 @@ from twolevel import (
     step,
     transitions,
     underloaded_fixed_point,
-    underloaded_rhs,
     write_trajectory_csv,
 )
-from twolevel import fluid
+from twolevel import fluid, sim
 from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
+from fluid_reference import overloaded_rhs, underloaded_rhs
 from rate_clauses import rate_clauses
 import sim_reference
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
+
+
+def step_loop(process, init, params, scaling, horizon, seed):
+    """(times, states) of repeated ``step`` calls from ``init`` up to ``horizon``."""
+    rng = np.random.default_rng(seed)
+    t, state = 0.0, init
+    times, states = [0.0], [state]
+    while True:
+        holding, nxt = step(process, state, rng, params, scaling)
+        t += holding
+        if t >= horizon:
+            return times, states
+        state = nxt
+        times.append(t)
+        states.append(state)
 
 
 def as_target_rates(state, enabled):
@@ -293,22 +307,12 @@ class TestSimulate:
         + [pytest.param(p, 200, 100, 20.0, 2 * _CHUNK, id=f"{p}-blocks") for p in PROCESSES],
     )
     def test_matches_manual_step_loop(self, process, n, c2, horizon, min_events):
-        """Each hand-written loop replays exactly the embedded chain that step() exposes."""
+        """Each compiled loop replays exactly the embedded chain that step() exposes."""
         scaling = ScalingParams(n=n, c2=c2)
         init = (0,) * len(PROCESSES[process].columns)
         traj = simulate_process(process, init, SYM, scaling, horizon, seed=99)
         assert traj.process == process and traj.columns == PROCESSES[process].columns
-        rng = np.random.default_rng(99)
-        t, state = 0.0, init
-        times, states = [0.0], [state]
-        while True:
-            holding, nxt = step(process, state, rng, SYM, scaling)
-            t += holding
-            if t >= horizon:
-                break
-            state = nxt
-            times.append(t)
-            states.append(state)
+        times, states = step_loop(process, init, SYM, scaling, horizon, 99)
         assert traj.num_events > min_events
         assert traj.times.tolist() == times
         assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
@@ -432,6 +436,38 @@ class TestReferenceLoops:
         assert traj.absorbed and absorbed
         assert traj.times.tolist() == times.tolist()
         assert np.array_equal(traj.states, states)
+
+
+class TestCompiledLoops:
+    """The loops are generated from ``PROCESSES``, the only copy of the rates and jumps."""
+
+    def test_patched_coefficient_reaches_loop_and_step(self, monkeypatch):
+        main = PROCESSES["main"]
+        table = list(main.table)
+        delta, coefficient, factor, guard = table[3]
+        table[3] = (delta, f"2.5 * {coefficient}", factor, guard)
+        monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
+        scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
+        traj = sim._compile_loop("main")(init, SYM, scaling, 60.0, seed=6)
+        times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
+        assert traj.num_events > 2 * _CHUNK
+        assert traj.times.tolist() == times
+        assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
+        # The module's loop was compiled from the unpatched table.
+        assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
+
+    def test_unreachable_guard_case_pruned(self):
+        """main never has y_star > 0 and z > 0, so its loop has three cases, not four."""
+        guarded, cases = sim._cases(PROCESSES["main"])
+        assert guarded == ["z", "y_star"]
+        assert cases == [{"z": 1, "y_star": 0}, {"z": 0, "y_star": 1}, {"z": 0, "y_star": 0}]
+        assert sim.loop_source("main").count("if y_star:") == 1
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_bound_loops_compiled_from_tables(self, process):
+        run = getattr(sim, sim._LOOP_NAMES[process])
+        assert run.__code__.co_filename == f"<sim:{process}>"
+        assert run.__module__ == "twolevel.sim"
 
 
 class TestJumpDraws:
