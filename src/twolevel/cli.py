@@ -93,11 +93,6 @@ def _dump(cfg):
     sys.stdout.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
 
-def _require_seed(cfg):
-    if cfg["seed"] is None:
-        raise ConfigError("seed is required (pass --seed or set it in the config file)")
-
-
 def _fmt(x):
     return f"{x:.12g}"
 
@@ -116,11 +111,7 @@ def _parse_list(text, flag, kind, columns=None):
     raise ConfigError(f"{flag} takes {expected}, got {text!r}")
 
 
-def _cmd_params(args):
-    cfg = _load_config(args)
-    if args.dump_config:
-        _dump(cfg)
-        return 0
+def _cmd_params(args, cfg):
     params, scaling = _params_of(cfg)
     r = scaling.r
     r_c = model.critical_ratio(params)
@@ -156,13 +147,9 @@ def _cmd_params(args):
     return 0
 
 
-def _cmd_simulate(args):
-    cfg = _load_config(args)
-    _require_seed(cfg)
-    if args.dump_config:
-        _dump(cfg)
-        return 0
+def _cmd_simulate(args, cfg):
     params, scaling = _params_of(cfg)
+    experiments._check_replications(cfg["replications"])
     process = args.process
     columns = sim.PROCESSES[process].columns
     if args.init is not None:
@@ -172,13 +159,19 @@ def _cmd_simulate(args):
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     files = []
-    for i in range(cfg["replications"]):
-        seed = cfg["seed"] + i
-        traj = experiments._simulate(process, init, params, scaling, cfg["horizon"], seed)
-        name = f"sim_{process}_seed{seed}.csv"
-        with open(os.path.join(out_dir, name), "w") as fp:
-            sim.write_trajectory_csv(traj, fp)
-        files.append(name)
+    try:
+        for i in range(cfg["replications"]):
+            seed = cfg["seed"] + i
+            traj = experiments._simulate(process, init, params, scaling, cfg["horizon"], seed)
+            name = f"sim_{process}_seed{seed}.csv"
+            with open(os.path.join(out_dir, name), "w") as fp:
+                files.append(name)
+                sim.write_trajectory_csv(traj, fp)
+    except BaseException:
+        # No manifest will name them: a refused or failed call leaves no CSV behind.
+        for name in files:
+            os.remove(os.path.join(out_dir, name))
+        raise
     manifest = {
         "process": process,
         "init": list(init),
@@ -195,11 +188,7 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_fluid(args):
-    cfg = _load_config(args)
-    if args.dump_config:
-        _dump(cfg)
-        return 0
+def _cmd_fluid(args, cfg):
     params, scaling = _params_of(cfg)
     init = _parse_list(args.init, f"--init for {args.system}", float, ("y_star", "y", "z"))
     sol = fluid.solve_system(args.system, params, scaling.r, init, cfg["horizon"], args.dt)
@@ -228,12 +217,7 @@ def _experiment_config(cfg, n_list):
     )
 
 
-def _cmd_experiment(args):
-    cfg = _load_config(args)
-    _require_seed(cfg)
-    if args.dump_config:
-        _dump(cfg)
-        return 0
+def _cmd_experiment(args, cfg):
     params, scaling = _params_of(cfg)
     n_list = _parse_list(args.n_list, "--n-list", int) if args.n_list else [cfg["n"]]
     workers = args.workers
@@ -338,7 +322,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        cfg = _load_config(args)
+        if args.command in ("simulate", "experiment") and cfg["seed"] is None:
+            raise ConfigError("seed is required (pass --seed or set it in the config file)")
+        if args.dump_config:
+            _dump(cfg)
+            return 0
+        return _HANDLERS[args.command](args, cfg)
     except (ConfigError, ValueError, NoConvergence, NonFinite, SingularSystem,
             TooManySwitches) as exc:
         sys.stderr.write(f"error: {exc}\n")

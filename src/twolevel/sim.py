@@ -22,6 +22,11 @@ Per jump it records only the time and a code, the index of the table row
 that fired; the states are rebuilt afterwards as the running sum of the
 codes' deltas.  ``step`` draws the same two uniforms per call, so a loop
 of ``step`` calls replays a run bit for bit.
+
+A run makes at most ``max_events`` jumps.  The loops test the cap when
+they refill their block of draws; a run that would make more comes back
+flagged ``truncated`` with its first ``max_events`` jumps, a bit-for-bit
+prefix of the uncapped run that ends before ``horizon``.
 """
 
 import functools
@@ -38,7 +43,6 @@ from .errors import DomainError, InvalidState
 from .skorokhod import SampledPath
 
 MAX_EVENTS_DEFAULT = 10_000_000
-_FALLBACK_POINTS = 1 << 20
 # Jumps per block of random draws (two uniforms each).
 _CHUNK = 1024
 
@@ -59,10 +63,10 @@ class Trajectory:
     """One simulation run: right-continuous piecewise-constant path.
 
     ``states`` holds one row per recorded time, row 0 being the initial
-    state at t=0.  For untruncated runs consecutive rows differ by exactly
-    one transition (the simulators record its table row and rebuild the
-    rows from the deltas); when the event cap was hit, ``truncated`` is
-    set and later rows are uniform-grid samples instead of raw jumps.
+    state at t=0, and consecutive rows differ by exactly one transition
+    (the simulators record its table row and rebuild the rows from the
+    deltas).  When the event cap was hit, ``truncated`` is set and the rows
+    stop at the cap, before ``horizon``.
     """
 
     process: str
@@ -264,84 +268,21 @@ def step(process, state, rng, params, scaling):
     return (holding, MicroState(*nxt) if process == "main" else nxt)
 
 
-class _Recorder:
-    """Jump times and table-row codes; past ``max_events`` events only a grid sample is kept.
+def _check_run(horizon, max_events):
+    """Refuse an event cap below 1 or a horizon that is negative, infinite or NaN."""
+    if max_events < 1:
+        raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
+    if not 0 <= horizon < math.inf:
+        raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
 
-    The simulator loops append each jump's time to ``times`` and the index
-    of the table row that fired to ``codes`` themselves, and call ``cap``
-    between blocks of draws.  The states are not recorded: ``states``
-    rebuilds them from ``base``, the state at ``times[0]``, and the running
-    sum of the codes' rows of ``deltas``, the table's deltas.  Once more than
-    ``max_events`` events are held, the rows become right-continuous
-    samples on the grid k * horizon / min(max_events, 2**20), and from then
-    on each ``cap`` moves the new raw rows onto the grid, keeping the last
-    one, whose state holds until the next jump and becomes ``base``.  The
-    rows equal those of a check after every event; the lists overrun the
-    cap by less than a block in between.
-    """
 
-    def __init__(self, deltas, state, horizon, max_events):
-        if max_events < 1:
-            raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
-        if not 0 <= horizon < math.inf:
-            raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
-        self.deltas = deltas
-        self.base = np.array(state, dtype=np.int64)
-        self.times = [0.0]
-        self.codes = []
-        self.horizon = horizon
-        self.max_events = max_events
-        self.truncated = False
-        self.grid_times = []
-        self.grid_states = []
-        self.dt = None
-        self.next_tau = None
-
-    def states(self):
-        """One state row per held time: ``base``, then the running sum of the code deltas."""
-        rows = np.empty((len(self.times), len(self.base)), dtype=np.int64)
-        rows[0] = self.base
-        # Codes are row indices by construction; "clip" skips the buffered, checked copy.
-        np.take(self.deltas, np.array(self.codes, dtype=np.intp), axis=0, out=rows[1:],
-                mode="clip")
-        return np.cumsum(rows, axis=0, out=rows)
-
-    def cap(self):
-        head = []
-        if not self.truncated:
-            if len(self.times) <= self.max_events:
-                return
-            self.truncated = True
-            self.dt = self.horizon / min(self.max_events, _FALLBACK_POINTS)
-            head = np.arange(0.0, self.times[self.max_events], self.dt).tolist()
-            self.next_tau = len(head) * self.dt
-        self._sample(head + self._grid_until(self.times[-1]))
-
-    def _grid_until(self, stop, closed=False):
-        """Grid times from ``next_tau`` on, below ``stop`` (or equal, if closed)."""
-        taus, tau = [], self.next_tau
-        while tau < stop or (closed and tau == stop):
-            taus.append(tau)
-            tau += self.dt
-        self.next_tau = tau
-        return taus
-
-    def _sample(self, taus):
-        idx = np.searchsorted(self.times, taus, side="right") - 1
-        states = self.states()
-        self.grid_times.extend(taus)
-        self.grid_states.append(states[idx])
-        self.base = states[-1].copy()  # not a view that keeps ``states`` alive
-        # Trimmed in place: the loops hold the lists' bound appends.
-        del self.times[:-1]
-        del self.codes[:]
-
-    def finish(self):
-        self.cap()
-        if self.truncated:
-            self._sample(self._grid_until(self.horizon, closed=True))
-            return np.array(self.grid_times, dtype=float), np.concatenate(self.grid_states)
-        return np.array(self.times, dtype=float), self.states()
+def _states(deltas, init, codes):
+    """One state row per jump time: ``init``, then the running sum of the codes' ``deltas``."""
+    rows = np.empty((len(codes) + 1, deltas.shape[1]), dtype=np.int64)
+    rows[0] = init
+    # Codes are row indices by construction; "clip" skips the buffered, checked copy.
+    np.take(deltas, np.array(codes, dtype=np.intp), axis=0, out=rows[1:], mode="clip")
+    return np.cumsum(rows, axis=0, out=rows)
 
 
 def _cases(spec):
@@ -378,7 +319,8 @@ def _case_lines(spec, case):
         lines.append(f"{name} = {rate}" if acc is None else f"{name} = {acc} + {rate}")
         acc = name
     lines += ["if total <= 0.0:", "    absorbed = True", "    break",
-              "if k == _CHUNK:", "    rec.cap()", "    exps, unis = _jump_draws(rng, _CHUNK)",
+              "if k == _CHUNK:", "    if len(codes) > max_events:", "        break",
+              "    exps, unis = _jump_draws(rng, _CHUNK)",
               "    k = 0",
               "t += exps[k] / total", "if t >= horizon:", "    break",
               "u = unis[k] * total", "k += 1"]
@@ -418,22 +360,27 @@ def loop_source(process):
         " max_events=MAX_EVENTS_DEFAULT):",
         f'    """Run the {process} process from ({cols}) up to ``horizon`` with the given seed."""',
         "    check(init, scaling)",
+        "    _check_run(horizon, max_events)",
         "    rng = np.random.default_rng(seed)",
         "    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02",
         "    n, c2 = scaling.n, scaling.c2",
         *(f"    a{i} = {row[1]}" for i, row in enumerate(spec.table)),
         f"    ({cols},) = init",
-        "    rec = _Recorder(DELTAS, init, horizon, max_events)",
-        "    t_app, c_app = rec.times.append, rec.codes.append",
+        "    times, codes = [0.0], []",
+        "    t_app, c_app = times.append, codes.append",
         "    t = 0.0",
         "    k = _CHUNK",
         "    absorbed = False",
         "    while True:",
         *(f"        {line}" for line in _branch(spec, guarded, cases)),
         "        t_app(t)",
-        "    times, states = rec.finish()",
-        f"    return Trajectory({process!r}, COLUMNS, times, states, horizon, seed, n, c2,",
-        "                      absorbed=absorbed, truncated=rec.truncated)",
+        "    truncated = len(codes) > max_events",
+        "    if truncated:",
+        "        del times[max_events + 1:], codes[max_events:]",
+        "        absorbed = False",
+        f"    return Trajectory({process!r}, COLUMNS, np.array(times, dtype=float),",
+        "                      _states(DELTAS, init, codes), horizon, seed, n, c2,",
+        "                      absorbed=absorbed, truncated=truncated)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -470,8 +417,11 @@ def rescale(traj, scaling, grid_dt):
     """Sample the trajectory divided by n on the uniform grid k*grid_dt.
 
     Right-continuous: the value at a grid time is the state of the last
-    jump at or before it.
+    jump at or before it.  A truncated run, which stops before its
+    horizon, is refused.
     """
+    if traj.truncated:
+        raise InvalidState("rescaling needs the path up to the horizon, not a truncated run")
     if grid_dt <= 0:
         raise InvalidState("grid_dt must be positive")
     npts = int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1

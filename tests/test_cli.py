@@ -1,5 +1,6 @@
 """End-to-end command line checks via subprocess (exit codes, files, determinism)."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import tracemalloc
 import pytest
 
 import twolevel
-from twolevel import ModelParams, SingularSystem, cli, fluid, oracle
+from twolevel import ModelParams, SingularSystem, cli, fluid, oracle, sim
 
 # Directory holding the imported `twolevel` package; the child process gets it
 # as an absolute PYTHONPATH entry, so it runs the same code from any cwd.
@@ -88,6 +89,35 @@ class TestParamsCommand:
         assert via_config.stdout == direct.stdout
 
 
+class TestSharedConfig:
+    """``cli.main`` loads the config, checks the seed and handles --dump-config for every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["params"],
+        ["simulate", "--process", "aux-noblock", "--seed", "3"],
+        ["fluid", "--system", "hybrid"],
+        ["experiment", "--experiment", "saturation", "--seed", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_dump_config_prints_effective_config(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--n", "40", "--horizon", "7", "--dump-config", "--out", str(out)])
+        assert code == 0
+        expected = dict(cli.DEFAULTS, n=40, c2=20, horizon=7.0,
+                        seed=3 if argv[0] in ("simulate", "experiment") else None)
+        assert json.loads(capsys.readouterr().out) == expected
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["experiment", "--experiment", "saturation"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump"])
+    def test_missing_seed_exits_2(self, capsys, tmp_path, argv, dump):
+        assert cli.main([*argv, *dump, "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: seed is required") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulateCommand:
     def test_writes_trajectories_and_manifest(self, tmp_path):
         proc = run_cli(
@@ -137,6 +167,29 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--n", "4", "--c2", "2", "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "seed" in proc.stderr
+
+    def test_refused_replication_leaves_no_csv(self, monkeypatch, capsys, tmp_path):
+        real = sim.simulate_process
+
+        def truncate_seed_2(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            return dataclasses.replace(traj, truncated=traj.seed == 2)
+
+        monkeypatch.setattr(sim, "simulate_process", truncate_seed_2)
+        code = cli.main(["simulate", "--n", "20", "--c2", "6", "--horizon", "4", "--seed", "1",
+                         "--replications", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed 2" in capsys.readouterr().err
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("sim_")]
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_replications_below_one_rejected(self, capsys, tmp_path, reps):
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--seed", "1", "--replications", reps, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: replications must be at least 1, got {reps}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("init", ["1,2,3", "1", "1,x"])
     def test_bad_init_is_config_error(self, capsys, tmp_path, init):

@@ -342,7 +342,7 @@ class TestMartingaleDecay:
 
 
 class TestTruncatedRunsRefused:
-    """A run cut short by the event cap holds grid samples, not jumps: every
+    """A run cut short by the event cap stops before its horizon: every
     suite refuses it instead of averaging it."""
 
     @pytest.fixture(autouse=True)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,21 +372,44 @@ class TestSimulate:
         assert abs(batch.mean() - exact) <= 3 * se
 
     @pytest.mark.parametrize("process", list(PROCESSES))
-    def test_event_cap_samples_uncapped_path_on_grid(self, process):
-        """Past max_events the rows are the uncapped path, sampled on the fallback grid."""
-        scaling, horizon, cap = ScalingParams(n=50, c2=20), 20.0, 300
+    def test_event_cap_keeps_prefix_of_uncapped_run(self, process):
+        """A capped run is the uncapped run's first min(cap, events) jumps, bit for bit."""
+        scaling, horizon = ScalingParams(n=200, c2=100), 20.0
         init = (0,) * len(PROCESSES[process].columns)
         full = simulate_process(process, init, SYM, scaling, horizon, seed=4)
-        capped = simulate_process(process, init, SYM, scaling, horizon, seed=4, max_events=cap)
-        assert full.num_events > 3 * cap and not full.truncated
-        assert capped.truncated
-        dt = horizon / min(cap, 2**20)
-        k = np.arange(len(capped.times))
-        np.testing.assert_allclose(capped.times, k * dt, rtol=1e-12, atol=1e-12)
-        assert capped.times[-1] <= horizon < capped.times[-1] + dt + 1e-12
-        # The event sequence does not depend on the cap: right-continuous sample.
-        idx = np.searchsorted(full.times, capped.times, side="right") - 1
-        assert np.array_equal(capped.states, full.states[idx])
+        events = full.num_events
+        assert events > 2 * _CHUNK + 1 and not full.truncated
+        # Caps on both sides of the loops' refills of their block of draws.
+        for cap in (1, 300, 1023, 1024, 1025, 2048, events - 1, events, events + 1):
+            capped = simulate_process(process, init, SYM, scaling, horizon, seed=4,
+                                      max_events=cap)
+            kept = min(cap, events)
+            assert capped.truncated == (cap < events), cap
+            assert capped.times.tolist() == full.times[: kept + 1].tolist(), cap
+            assert np.array_equal(capped.states, full.states[: kept + 1]), cap
+
+    def test_event_cap_stops_the_loop(self):
+        """The loop stops at the first refill past the cap, not at the horizon.
+
+        Uncapped, this run makes about 150,000 jumps: megabytes of times.
+        """
+        tracemalloc.start()
+        try:
+            traj = simulate((0, 0, 0), SYM, ScalingParams(n=20, c2=6), 1e4, seed=1,
+                            max_events=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.truncated and traj.num_events == 10
+        assert peak < 2**19
+
+    def test_run_truncated_before_absorption_is_not_absorbed(self):
+        """With p = 0 the run from (0, 5, 0) absorbs at (0, 0, c2) after a dozen jumps."""
+        params, scaling = ModelParams(0.0, 1.0, 1.0, 1.0), ScalingParams(n=5, c2=2)
+        full = simulate((0, 5, 0), params, scaling, 50.0, seed=3)
+        capped = simulate((0, 5, 0), params, scaling, 50.0, seed=3, max_events=3)
+        assert full.absorbed and full.num_events > 3
+        assert capped.truncated and not capped.absorbed and capped.num_events == 3
 
     @pytest.mark.parametrize("process", list(PROCESSES))
     @pytest.mark.parametrize("cap", [0, -3])
@@ -628,6 +652,14 @@ class TestRescale:
         path = rescale(traj, scaling, traj.horizon / k)
         changes = int(np.any(np.diff(path.values, axis=0) != 0, axis=1).sum())
         assert changes == traj.num_events
+
+    def test_truncated_run_rejected(self):
+        """A truncated run stops before its horizon; holding its last state would be wrong."""
+        scaling = ScalingParams(n=20, c2=6)
+        traj = simulate((0, 0, 0), SYM, scaling, 20.0, seed=1, max_events=10)
+        assert traj.truncated and traj.times[-1] < traj.horizon
+        with pytest.raises(InvalidState, match="truncated"):
+            rescale(traj, scaling, 0.1)
 
     def test_bad_grid_rejected(self):
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=2, c2=1), 1.0, seed=0)
