@@ -9,6 +9,7 @@ matrix oracle, and reproducible experiment suites connecting the three.
 """
 
 from .errors import (
+    BuildError,
     DomainError,
     GridMismatch,
     InvalidState,
@@ -91,7 +92,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "GridMismatch", "InvalidState", "NoConvergence", "NonFinite",
+    "BuildError", "DomainError", "GridMismatch", "InvalidState", "NoConvergence", "NonFinite",
     "NotIrreducible", "RegimeError", "RegimeMismatch", "SingularSystem", "TooLarge",
     "TooManySwitches",
     "FluidState", "ModelParams", "Regime", "ScalingParams",

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import experiments, fluid, model, oracle, sim
-from .errors import NoConvergence, NonFinite, SingularSystem, TooManySwitches
+from .errors import BuildError, NoConvergence, NonFinite, SingularSystem, TooManySwitches
 
 CONFIG_KEYS = ("p", "mu01", "mu11", "mu02", "n", "c2", "horizon",
                "burn_in", "replications", "seed", "grid_dt")
@@ -329,7 +329,7 @@ def main(argv=None):
             _dump(cfg)
             return 0
         return _HANDLERS[args.command](args, cfg)
-    except (ConfigError, ValueError, NoConvergence, NonFinite, SingularSystem,
+    except (ConfigError, ValueError, BuildError, NoConvergence, NonFinite, SingularSystem,
             TooManySwitches) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -63,3 +63,7 @@ class NotIrreducible(ValueError):
 
 class SingularSystem(ArithmeticError):
     """The stationary linear system could not be solved."""
+
+
+class BuildError(RuntimeError):
+    """The simulator loops could not be compiled: no C compiler, or its stderr."""

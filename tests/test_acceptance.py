@@ -182,7 +182,8 @@ def test_criterion_06_cross_method_skorokhod(verdict):
         picard, _, _ = solve_generalized(gbar_functional(params, r, (0.0, 0.0)), 10.0, 1e-3)
         exact = aux_saturated_fluid(params, r, (0.0, 0.0), 10.0, dt=1e-3)
         worst = max(worst, float(np.abs(picard.values - exact.y_star).max()))
-    ok = worst <= 1e-3
+    # Worst measured gap: 1.8e-7 here, 2.2e-7 on perfbench's draws (seeds 1-10).
+    ok = worst <= 1e-5
     verdict(6, "cross-method-skorokhod", ok, started)
     assert ok, f"worst sup-norm gap {worst}"
 
@@ -234,7 +235,8 @@ def test_criterion_09_lower_bound(verdict):
         sol = aux_saturated_fluid(params, r, (0.0, y0), 10.0, dt=dt)
         envelope = h_bar(sol.path.times, params, r, y0)
         worst = min(worst, float((sol.y_star + sol.y - envelope).min()))
-    ok = worst >= -10 * dt
+    # Worst measured margin: -1.6e-13 here, 0.0 on perfbench's draws (seeds 1-10).
+    ok = worst >= -1e-9
     verdict(9, "lower-bound", ok, started)
     assert ok, f"worst margin {worst}"
 

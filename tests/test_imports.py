@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import twolevel
-from twolevel import sim
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(twolevel.__file__))
 # scipy subpackages that each cost a large share of a run's start-up and that
@@ -59,11 +58,15 @@ def test_source_imports_no_unwanted_module():
     assert found == []
 
 
-def test_generated_loops_import_no_unwanted_module():
-    """The simulator loops compiled from the transition tables import none either."""
-    found = []
-    for process in sim.PROCESSES:
-        source = sim.loop_source(process)
-        assert "while True:" in source
-        found += unwanted_imports(source, f"<sim:{process}>")
-    assert found == []
+def test_import_builds_and_loads_no_simulator_library(tmp_path):
+    """The simulator library is built or loaded at the first run, never at import."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(PACKAGE_DIR), env.get("PYTHONPATH")]))
+    code = ("import subprocess; subprocess.Popen = None; import twolevel, twolevel.cli; "
+            "print(twolevel.sim._library.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+    assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,12 @@
 """Jump-chain simulators: clause enumeration, sampling, rescaling, residuals."""
 
+import hashlib
 import io
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +15,7 @@ from scipy import stats
 from scipy.linalg import solve_continuous_lyapunov
 
 from twolevel import (
+    BuildError,
     DomainError,
     InvalidState,
     MicroState,
@@ -33,7 +39,7 @@ from twolevel import (
     underloaded_fixed_point,
     write_trajectory_csv,
 )
-from twolevel import fluid, sim
+from twolevel import experiments, fluid, sim
 from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
 from fluid_reference import overloaded_rhs, underloaded_rhs
 from rate_clauses import rate_clauses
@@ -472,7 +478,8 @@ class TestCompiledLoops:
         table[3] = (delta, f"2.5 * {coefficient}", factor, guard)
         monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
         scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
-        traj = sim._compile_loop("main")(init, SYM, scaling, 60.0, seed=6)
+        traj = sim._loop("main", PROCESSES["main"], sim._library_source(PROCESSES))(
+            init, SYM, scaling, 60.0, seed=6)
         times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
         assert traj.num_events > 2 * _CHUNK
         assert traj.times.tolist() == times
@@ -480,18 +487,147 @@ class TestCompiledLoops:
         # The module's loop was compiled from the unpatched table.
         assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
 
+    def test_patched_factor_gets_its_own_library(self, monkeypatch):
+        """A factor is C source, so a patched one is a new cache key and a fresh build."""
+        unpatched = sim._library_source(PROCESSES)
+        main = PROCESSES["main"]
+        table = list(main.table)
+        delta, coefficient, factor, guard = table[3]
+        table[3] = (delta, coefficient, f"2 * ({factor})", guard)
+        monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
+        scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
+        traj = sim._loop("main", PROCESSES["main"], sim._library_source(PROCESSES))(
+            init, SYM, scaling, 60.0, seed=6)
+        times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
+        assert traj.num_events > 2 * _CHUNK
+        assert traj.times.tolist() == times
+        assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
+        patched = sim._library_source(PROCESSES)
+        assert patched != unpatched
+        assert sim._library(patched)._name != sim._library(unpatched)._name
+        assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
+
     def test_unreachable_guard_case_pruned(self):
         """main never has y_star > 0 and z > 0, so its loop has three cases, not four."""
         guarded, cases = sim._cases(PROCESSES["main"])
         assert guarded == ["z", "y_star"]
         assert cases == [{"z": 1, "y_star": 0}, {"z": 0, "y_star": 1}, {"z": 0, "y_star": 0}]
-        assert sim.loop_source("main").count("if y_star:") == 1
+        assert sim.loop_source("main").count("if (y_star) {") == 1
 
     @pytest.mark.parametrize("process", list(PROCESSES))
-    def test_bound_loops_compiled_from_tables(self, process):
-        run = getattr(sim, sim._LOOP_NAMES[process])
-        assert run.__code__.co_filename == f"<sim:{process}>"
-        assert run.__module__ == "twolevel.sim"
+    def test_source_holds_each_reachable_guard_case_once(self, process):
+        source = sim.loop_source(process)
+        assert source.count("double total = ") == len(sim._cases(PROCESSES[process])[1])
+        assert source.count(f"int {sim._LOOP_NAMES[process]}(") == 1
+
+    def test_library_exports_one_function_per_process(self):
+        source = sim._library_source(PROCESSES)
+        assert source.count("\nint ") == len(PROCESSES)
+        lib = sim._library(source)
+        for process in PROCESSES:
+            assert getattr(lib, sim._LOOP_NAMES[process]).argtypes == sim._ARGTYPES
+        run = getattr(sim, sim._LOOP_NAMES["aux-noblock"])
+        assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty cache directory, and no simulator library loaded by this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sim._library.cache_clear()
+    yield tmp_path / "twolevel"
+    sim._library.cache_clear()
+
+
+@pytest.fixture
+def compiler_calls(monkeypatch):
+    """The commands run through ``subprocess.run``, recorded as they run."""
+    calls, run = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: calls.append(cmd) or run(cmd, **kw))
+    return calls
+
+
+class TestLibraryCache:
+    def test_cold_cache_builds_and_warm_cache_loads(self, cold_cache, compiler_calls):
+        scaling = ScalingParams(n=60, c2=18)
+        first = simulate((0, 25, 5), SYM, scaling, 20.0, seed=3)
+        assert [cmd[0] for cmd in compiler_calls] == ["cc"]
+        # One library and no temporary file.
+        assert [p.suffix for p in cold_cache.iterdir()] == [".so"]
+        sim._library.cache_clear()
+        again = simulate((0, 25, 5), SYM, scaling, 20.0, seed=3)
+        assert len(compiler_calls) == 1
+        assert again.times.tolist() == first.times.tolist()
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_damaged_library_is_rebuilt(self, cold_cache, compiler_calls, damage):
+        source = sim._library_source(PROCESSES)
+        sim._library(source)
+        (path,) = cold_cache.iterdir()
+        blob = bytearray(path.read_bytes())
+        if damage == "flip":
+            blob[len(blob) // 2] ^= 0xFF
+        else:
+            del blob[len(blob) // 2:]
+        # Through a new file: this process has the library mapped.
+        damaged = cold_cache / "damaged"
+        damaged.write_bytes(bytes(blob))
+        os.replace(damaged, path)
+        sim._library.cache_clear()
+        sim._library(source)
+        assert len(compiler_calls) == 2
+        blob = path.read_bytes()
+        assert hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+        assert [p.name for p in cold_cache.iterdir()] == [path.name]
+
+    def test_unwritable_cache_builds_privately(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        # The cache directory would be a subdirectory of a plain file.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        sim._library.cache_clear()
+        try:
+            traj = simulate((0, 0, 0), SYM, ScalingParams(n=8, c2=3), 5.0, seed=2)
+        finally:
+            sim._library.cache_clear()
+        assert traj.num_events > 0
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_pool_workers_share_a_cold_cache(self, cold_cache):
+        cfg = experiments.ExperimentConfig(SYM, 0.3, (60,), 10.0, 2.0, 4, 11)
+        two = experiments.saturation_certificate(cfg, workers=2)
+        one = experiments.saturation_certificate(cfg, workers=1)
+        assert two.to_json() == one.to_json()
+        assert [p.suffix for p in cold_cache.iterdir()] == [".so"]
+
+    def test_missing_compiler_raises_build_error(self, cold_cache, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BuildError, match="C compiler"):
+            simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 1.0, seed=1)
+        assert list(cold_cache.iterdir()) == []
+
+    def test_cli_without_compiler(self, tmp_path):
+        """``simulate`` exits 2 with one error line; ``params`` and ``fluid`` need no compiler."""
+        (tmp_path / "bin").mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path / "cache"))
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "twolevel.cli", *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+
+        out = tmp_path / "out"
+        proc = cli("simulate", "--n", "5", "--c2", "2", "--horizon", "5", "--seed", "1",
+                   "--out", str(out))
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "C compiler" in line
+        assert list(out.iterdir()) == []
+        assert cli("params").returncode == 0
+        fluid_run = cli("fluid", "--system", "underloaded-ode", "--n", "100", "--c2", "70",
+                        "--horizon", "5", "--out", str(out))
+        assert fluid_run.returncode == 0, fluid_run.stderr
 
 
 class TestJumpDraws:
