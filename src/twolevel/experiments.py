@@ -48,8 +48,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         _check_windows(self.burn_in, self.horizon)
         _check_replications(self.replications)
-        if self.grid_dt <= 0:
-            raise DomainError("grid_dt", "grid_dt must be positive")
+        if not 0 < self.grid_dt < math.inf:
+            raise DomainError("grid_dt", f"grid_dt must be finite and > 0, got {self.grid_dt!r}")
 
 
 @dataclass

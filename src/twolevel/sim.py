@@ -12,11 +12,11 @@ rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
 ``loop_source`` generates a C function from it that runs a block of jumps.
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to that function.  The
-three functions are compiled into one shared library at the first run,
-never at import, with the system C compiler (``cc``); the library is kept
-in ``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later
-processes load it without compiling.  Without a compiler a run raises
-``BuildError``.
+three, and the row formatter of ``write_trajectory_csv``, are compiled into
+one shared library at the first use, never at import, with the system C
+compiler (``cc``); the library is kept in ``$XDG_CACHE_HOME/twolevel``
+(default ``~/.cache/twolevel``), so later processes load it without
+compiling.  Without a compiler a run or a trajectory CSV raises ``BuildError``.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -383,17 +383,53 @@ def loop_source(process, spec=None):
 
 # What ended a block of jumps, as the C functions return it.
 _USED_UP, _HORIZON, _ABSORBED = range(3)
-_PRELUDE = "#include <stdint.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n"
+_PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <stdint.h>\n"
+            "#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
 _ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
              + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
+# Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
+# A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).
+_FORMATTER = r"""
+int64_t format_trajectory_rows(const double *times, const int64_t *states, int64_t rows,
+                               int64_t cols, char *out, int64_t capacity)
+{
+    locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_numeric == (locale_t)0) return -1;
+    locale_t caller = uselocale(c_numeric);
+    char *p = out, *end = out + capacity;
+    int64_t i;
+    for (i = 0; i < rows; i++) {
+        int w = snprintf(p, (size_t)(end - p), "%.9g", times[i]);
+        /* Room for this time, the counts and the newline: 17 + 21 * cols bytes always do. */
+        if (w < 0 || w + 21 * cols + 1 > end - p) break;
+        p += w;
+        for (int64_t j = 0; j < cols; j++) {
+            int64_t s = states[i * cols + j];
+            uint64_t v = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
+            char digits[21], *q = digits + 21;
+            do *--q = (char)('0' + v % 10); while (v /= 10);
+            if (s < 0) *--q = '-';
+            *--q = ',';
+            while (q < digits + 21) *p++ = *q++;
+        }
+        *p++ = '\n';
+    }
+    uselocale(caller);
+    freelocale(c_numeric);
+    return i < rows ? -1 : p - out;
+}
+"""
+_FORMAT_ARGTYPES = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
+                    + [ctypes.c_void_p, ctypes.c_int64])
 # No -ffast-math or -march=native, and no contraction of a * b + c into a
 # fused multiply-add: each must round as the Python rates do.
 _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-o")
 
 
 def _library_source(processes):
-    """C source of one library holding the simulator function of each of ``processes``."""
-    return _PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
+    """C source of one library: the simulator functions of ``processes``, then the formatter."""
+    return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
+            + _FORMATTER)
 
 
 def _built(source, private):
@@ -436,12 +472,14 @@ def _built(source, private):
 
 @functools.lru_cache(maxsize=None)
 def _library(source):
-    """The library compiled from ``source``, loaded, with its simulator functions declared."""
+    """The library compiled from ``source``, loaded, with its functions declared."""
     with tempfile.TemporaryDirectory() as private:
         lib = ctypes.CDLL(_built(source, private))
     for name in _LOOP_NAMES.values():
         function = getattr(lib, name)
         function.argtypes, function.restype = _ARGTYPES, ctypes.c_int
+    lib.format_trajectory_rows.argtypes = _FORMAT_ARGTYPES
+    lib.format_trajectory_rows.restype = ctypes.c_int64
     return lib
 
 
@@ -518,6 +556,14 @@ def simulate_process(process, init, params, scaling, horizon, seed,
     return globals()[_LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
 
 
+def _grid(traj, grid_dt):
+    """The grid k*grid_dt up to the horizon, and the row in force at each of its times."""
+    if not 0 < grid_dt < math.inf:
+        raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
+    grid = grid_dt * np.arange(int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1)
+    return grid, np.searchsorted(traj.times, grid, side="right") - 1
+
+
 def rescale(traj, scaling, grid_dt):
     """Sample the trajectory divided by n on the uniform grid k*grid_dt.
 
@@ -527,11 +573,7 @@ def rescale(traj, scaling, grid_dt):
     """
     if traj.truncated:
         raise InvalidState("rescaling needs the path up to the horizon, not a truncated run")
-    if grid_dt <= 0:
-        raise InvalidState("grid_dt must be positive")
-    npts = int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1
-    grid = grid_dt * np.arange(npts)
-    idx = np.searchsorted(traj.times, grid, side="right") - 1
+    _, idx = _grid(traj, grid_dt)
     values = traj.states[idx].astype(float) / scaling.n
     return SampledPath(0.0, grid_dt, values)
 
@@ -558,9 +600,7 @@ def martingale_residual(traj, params, scaling, grid_dt):
     that the simulated jumps carry the advertised rates.
     """
     coords, g, prefix = _compensator_pieces(traj, params, scaling)
-    npts = int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1
-    grid = grid_dt * np.arange(npts)
-    idx = np.searchsorted(traj.times, grid, side="right") - 1
+    grid, idx = _grid(traj, grid_dt)
     comp = prefix[idx] + g[idx] * (grid - traj.times[idx])[:, None]
     residual = coords[idx] - coords[0] - comp
     return SampledPath(0.0, grid_dt, residual)
@@ -595,6 +635,22 @@ def write_csv_rows(fp, row, times, values):
 
 
 def write_trajectory_csv(traj, fp):
-    """Write the run as CSV: time with 9 significant digits, then the counts."""
+    """Write the run as CSV: time with 9 significant digits, then the counts.
+
+    The rows, Python's ``"%.9g" + ",%d" * columns`` in any locale, are formatted
+    in the simulator library, so writing needs ``cc`` as a run does.
+    """
     fp.write("t," + ",".join(traj.columns) + "\n")
-    write_csv_rows(fp, "%.9g" + ",%d" * len(traj.columns) + "\n", traj.times, traj.states)
+    cols, rows = len(traj.columns), 1 << 14
+    out = np.empty(rows * (17 + 21 * cols), dtype=np.uint8)
+    fmt = _library(_SOURCE).format_trajectory_rows
+    for lo in range(0, len(traj.times), rows):
+        times = np.ascontiguousarray(traj.times[lo:lo + rows], dtype=float)
+        states = np.ascontiguousarray(traj.states[lo:lo + rows], dtype=np.int64)
+        if states.shape != (len(times), cols):
+            raise InvalidState(f"states block of shape {states.shape}, not {(len(times), cols)}")
+        size = fmt(times.ctypes.data, states.ctypes.data, len(times), cols, out.ctypes.data,
+                   out.size)
+        if size < 0:
+            raise RuntimeError("the simulator library could not format the trajectory rows")
+        fp.write(out[:size].tobytes().decode("ascii"))

@@ -371,6 +371,17 @@ class TestExperimentCommand:
         assert err.count("\n") == 1 and err.startswith("error: burn_in ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("grid_dt", ["nan", "0", "-0.5", "inf"])
+    def test_bad_grid_dt_exits_2(self, capsys, tmp_path, grid_dt):
+        """NaN once reached the grid and failed with 'cannot convert float NaN to integer'."""
+        code = cli.main(["experiment", "--experiment", "no-blocking", "--n", "50", "--c2", "35",
+                         "--horizon", "2", "--burn-in", "0.5", "--replications", "2",
+                         "--seed", "1", "--grid-dt", grid_dt, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
+        assert not any(tmp_path.iterdir())
+
     def test_out_dir_env_var_honored(self, tmp_path):
         proc = run_cli(
             "experiment", "--experiment", "oracle-check", "--n", "1", "--c2", "1",

@@ -69,6 +69,10 @@ class TestExperimentConfig:
     def test_grid_dt_positive(self):
         with pytest.raises(DomainError):
             small_cfg(0.7, grid_dt=0.0)
+        for bad in (math.nan, math.inf, -0.5):
+            with pytest.raises(DomainError, match="grid_dt") as info:
+                small_cfg(0.7, grid_dt=bad)
+            assert info.value.field == "grid_dt"
 
     def test_n_list_normalized(self):
         cfg = small_cfg(0.7, n_list=[10, 20])

@@ -1,5 +1,8 @@
 """Jump-chain simulators: clause enumeration, sampling, rescaling, residuals."""
 
+import ast
+import ctypes
+import dataclasses
 import hashlib
 import io
 import math
@@ -526,8 +529,17 @@ class TestCompiledLoops:
         lib = sim._library(source)
         for process in PROCESSES:
             assert getattr(lib, sim._LOOP_NAMES[process]).argtypes == sim._ARGTYPES
+        assert lib.format_trajectory_rows.argtypes == sim._FORMAT_ARGTYPES
+        assert lib.format_trajectory_rows.restype is ctypes.c_int64
         run = getattr(sim, sim._LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
+
+    def test_library_source_compiles_without_warnings(self):
+        """Strict C99 with -Wall catches an implicit declaration or a missing feature macro."""
+        proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Werror", "-fsyntax-only", "-x", "c",
+                               "-"], input=sim._library_source(PROCESSES), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture
@@ -801,6 +813,9 @@ class TestRescale:
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=2, c2=1), 1.0, seed=0)
         with pytest.raises(InvalidState):
             rescale(traj, ScalingParams(n=2, c2=1), 0.0)
+        for bad in (math.nan, math.inf, -0.5):
+            with pytest.raises(InvalidState, match="grid_dt"):
+                rescale(traj, ScalingParams(n=2, c2=1), bad)
 
 
 class TestMartingaleResidual:
@@ -843,6 +858,14 @@ class TestMartingaleResidual:
         ratio = sups[100] / sups[400]
         assert ratio.min() >= 1.5
 
+    @pytest.mark.parametrize("grid_dt", [0.0, math.nan, math.inf, -0.5])
+    def test_bad_grid_rejected(self, grid_dt):
+        """0 once raised ZeroDivisionError and NaN 'cannot convert float NaN to integer'."""
+        scaling = ScalingParams(n=20, c2=6)
+        traj = simulate((0, 0, 0), SYM, scaling, 2.0, seed=1)
+        with pytest.raises(InvalidState, match="grid_dt"):
+            martingale_residual(traj, SYM, scaling, grid_dt)
+
     def test_truncated_or_foreign_trajectories_rejected(self):
         scaling = ScalingParams(n=4, c2=2)
         aux = simulate_aux_saturated((0, 0), SYM, scaling, 2.0, seed=0)
@@ -877,3 +900,97 @@ class TestTrajectoryCsv:
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         assert buf.getvalue() == expected
+
+    @staticmethod
+    def edge_trajectory():
+        """Times at 9-digit ties, extremes and both sides of %g's switch; extreme counts."""
+        i64 = np.iinfo(np.int64)
+        times = [10.00390625, 12345678.25, 0.0, -0.0, 5e-324, -5e-324,
+                 1.7976931348623157e308, -1.23456789e-308, 1e-5, 1e-4, 9.99999999e-5,
+                 99999999.95, 99999999.94, 999999999.5, 1e9, math.inf, -math.inf]
+        times += [np.nextafter(t, d) for t in (10.00390625, 12345678.25, 1e-5, 1e-4, 99999999.95,
+                                               999999999.5, 1e9) for d in (-math.inf, math.inf)]
+        times += [10 + k / 256 for k in range(100_000)]
+        counts = [0, 1, -1, 9, -10, 123456789, i64.max, i64.min, i64.min + 1, -(10 ** 18)]
+        states = np.array([[counts[(k + j) % len(counts)] for j in range(3)]
+                           for k in range(len(times))], dtype=np.int64)
+        return Trajectory("main", ("y_star", "y", "z"), np.array(times), states, 1.0, 0, 1, 1)
+
+    @staticmethod
+    def python_csv(traj):
+        row = "%.9g" + ",%d" * len(traj.columns) + "\n"
+        return "t," + ",".join(traj.columns) + "\n" + "".join(
+            row % (t, *v) for t, v in zip(np.asarray(traj.times).tolist(),
+                                          np.asarray(traj.states).tolist()))
+
+    def test_edge_values_match_python_format(self):
+        traj = self.edge_trajectory()
+        assert len(traj.times) > 6 * 16384
+        wide = np.repeat(traj.states, 2, axis=1)
+        for states in (traj.states, np.asfortranarray(traj.states), wide[:, ::2],
+                       traj.states.tolist()):
+            buf = io.StringIO()
+            write_trajectory_csv(dataclasses.replace(traj, states=states), buf)
+            assert buf.getvalue() == self.python_csv(traj)
+
+    def test_widest_rows_fill_a_block_exactly(self):
+        """16,384 rows of 16-byte times and 20-byte counts need the whole buffer."""
+        rows = 2 * 16384 + 5
+        traj = Trajectory("main", ("y_star", "y", "z"), np.full(rows, -1.23456789e-308),
+                          np.full((rows, 3), np.iinfo(np.int64).min), 1.0, 0, 1, 1)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == self.python_csv(traj)
+        assert len(buf.getvalue()) == len("t,y_star,y,z\n") + rows * (17 + 21 * 3)
+
+    def test_formatter_stops_before_capacity(self):
+        fmt = sim._library(sim._SOURCE).format_trajectory_rows
+        times, states = np.array([1.5, 2.0]), np.array([[1, -2], [30, 4]], dtype=np.int64)
+        out = np.zeros(64, dtype=np.uint8)
+        args = (times.ctypes.data, states.ctypes.data, 2, 2, out.ctypes.data)
+        assert fmt(*args, 64) == len("1.5,1,-2\n2,30,4\n")
+        assert out[:16].tobytes() == b"1.5,1,-2\n2,30,4\n"
+        # A row needs room for its time, 21 bytes per count and the newline before it is written.
+        assert fmt(*args, 3 + 42) == -1
+        assert fmt(*args, 9 + 1 + 42) == -1
+        assert fmt(*args, 9 + 1 + 42 + 1) == 16
+
+    def test_mismatched_states_refused(self):
+        traj = dataclasses.replace(self.edge_trajectory(), states=np.zeros((5, 3), dtype=np.int64))
+        with pytest.raises(InvalidState, match="shape"):
+            write_trajectory_csv(traj, io.StringIO())
+
+    def test_bytes_do_not_depend_on_numeric_locale(self, tmp_path):
+        """Under de_DE a plain snprintf writes 1,5; the formatter must not, nor leave C locale."""
+        localedef = shutil.which("localedef")
+        if localedef is None:
+            pytest.skip("localedef is absent, so no de_DE.UTF-8 locale can be built")
+        subprocess.run([localedef, "-i", "de_DE", "-f", "UTF-8", str(tmp_path / "de_DE.UTF-8")],
+                       check=True, capture_output=True)
+        script = (
+            "import ctypes, io, locale, sys\n"
+            "import numpy as np\n"
+            "from twolevel import Trajectory, write_trajectory_csv\n"
+            "locale.setlocale(locale.LC_NUMERIC, 'de_DE.UTF-8')\n"
+            "libc, buf = ctypes.CDLL(None), ctypes.create_string_buffer(16)\n"
+            "libc.snprintf(buf, 16, b'%.1f', ctypes.c_double(1.5))\n"
+            "before = buf.value\n"
+            "traj = Trajectory('main', ('y_star', 'y', 'z'), np.array([0.0, 1.5, 2.25e-7]),\n"
+            "                  np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, 1, 1)\n"
+            "out = io.StringIO()\n"
+            "write_trajectory_csv(traj, out)\n"
+            "libc.snprintf(buf, 16, b'%.1f', ctypes.c_double(1.5))\n"
+            "sys.stdout.write(repr((before, buf.value, out.getvalue())))\n"
+        )
+        env = dict(os.environ, LOCPATH=str(tmp_path))
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        before, after, csv = ast.literal_eval(proc.stdout)
+        assert before == after == b"1,5"
+        traj = Trajectory("main", ("y_star", "y", "z"), np.array([0.0, 1.5, 2.25e-7]),
+                          np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, 1, 1)
+        assert csv == self.python_csv(traj)
+        assert csv == "t,y_star,y,z\n0,0,0,0\n1.5,1,-2,3\n2.25e-07,4,5,6\n"
