@@ -39,7 +39,6 @@ from .model import (
     y_underline,
 )
 from .skorokhod import (
-    PathFunctional,
     SampledPath,
     check_complementarity,
     reflect_1d,
@@ -99,8 +98,7 @@ __all__ = [
     "blocked_fraction_limit", "classify_regime", "critical_ratio", "h_bar",
     "overloaded_fixed_point", "underloaded_fixed_point", "validate",
     "y_b_closed_form", "y_bar", "y_underline",
-    "PathFunctional", "SampledPath", "check_complementarity", "reflect_1d",
-    "solve_generalized",
+    "SampledPath", "check_complementarity", "reflect_1d", "solve_generalized",
     "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
     "gbar_functional", "hybrid_fluid",
     "MicroState", "Trajectory", "Transition", "check_state", "martingale_residual",

@@ -229,8 +229,7 @@ def _cmd_experiment(args, cfg):
             r_grid = [round(0.10 + 0.05 * i, 2) for i in range(17)]
         report = experiments.phase_scan(
             params, r_grid, cfg["n"], cfg["horizon"], cfg["burn_in"],
-            cfg["replications"], cfg["seed"], grid_dt=cfg["grid_dt"],
-            workers=workers,
+            cfg["replications"], cfg["seed"], workers=workers,
         )
     elif name == "convergence":
         report = experiments.convergence_sweep(

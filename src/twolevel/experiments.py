@@ -46,10 +46,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        _check_scales("n_list", self.n_list)
+        _check_positive("r", self.r)
         _check_windows(self.burn_in, self.horizon)
         _check_replications(self.replications)
-        if not 0 < self.grid_dt < math.inf:
-            raise DomainError("grid_dt", f"grid_dt must be finite and > 0, got {self.grid_dt!r}")
+        _check_positive("grid_dt", self.grid_dt)
 
 
 @dataclass
@@ -111,6 +112,22 @@ def save_report(report, out_dir):
 def _check_replications(reps):
     if reps < 1:
         raise DomainError("replications", f"replications must be at least 1, got {reps}")
+
+
+def _check_scales(field, n_list):
+    if not n_list or min(n_list) < 1:
+        raise DomainError(field, f"{field} needs scales, each n >= 1, got {list(n_list)}")
+
+
+def _check_positive(field, value):
+    if not 0 < value < math.inf:
+        raise DomainError(field, f"{field} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _check_band(field, band):
+    if not 0 <= band < math.inf:
+        raise DomainError(field, f"{field} must be finite and >= 0, got {band!r}")
 
 
 def _check_windows(t1, horizon):
@@ -299,6 +316,8 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     additionally stay within the band of the underloaded fixed point
     over the window at the largest n.
     """
+    if fixed_point_band is not None:
+        _check_band("fixed_point_band", fixed_point_band)
     if classify_regime(cfg.params, cfg.r) is not Regime.Underloaded:
         raise RegimeMismatch(f"r={cfg.r} is not underloaded for these parameters")
     fp = underloaded_fixed_point(cfg.params, cfg.r)
@@ -380,6 +399,7 @@ def saturation_certificate(cfg, band=0.05, workers=1):
     blocked-fraction limit, and the window minimum of (y_star+y)/n to
     stay above y_bar - 0.05.
     """
+    _check_band("band", band)
     if classify_regime(cfg.params, cfg.r) is not Regime.Overloaded:
         raise RegimeMismatch(f"r={cfg.r} is not overloaded for these parameters")
     pairs, absorbed = [], 0
@@ -438,7 +458,7 @@ def _phase_rep(params, n, c2, horizon, t1, seed):
 
 
 def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
-               grid_dt=0.01, blocked_tol=0.02, formula_band=0.07, workers=1):
+               blocked_tol=0.02, formula_band=0.07, workers=1):
     """Empirical blocked fraction across a grid of capacity ratios.
 
     The estimated threshold is the first grid ratio whose mean blocked
@@ -447,9 +467,10 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     one nearest the critical ratio, where relaxation is arbitrarily slow)
     must match the blocked-fraction formula within ``formula_band``.
     """
-    r_grid = sorted(float(r) for r in r_grid)
+    r_grid = sorted(_check_positive("r_grid", float(r)) for r in r_grid)
     if len(r_grid) < 2:
         raise DomainError("r_grid", "need at least two grid points")
+    _check_scales("n", [n])
     _check_replications(reps)
     _check_windows(t1, horizon)
     r_c = critical_ratio(params)
@@ -492,7 +513,7 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
         name="phase_scan",
         config=_params_echo(
             params, r_grid=r_grid, n=n, horizon=horizon, burn_in=t1, replications=reps,
-            base_seed=seed, grid_dt=grid_dt, blocked_tol=blocked_tol,
+            base_seed=seed, blocked_tol=blocked_tol,
             formula_band=formula_band,
         ),
         metrics=metrics,
@@ -582,6 +603,8 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     bootstrap draws with an RMS of 0 are left out of its interval.
     """
     n_list = [int(n) for n in n_list]
+    _check_scales("n_list", n_list)
+    _check_positive("r", r)
     if len(set(n_list)) < 2:
         raise DomainError("n_list", f"n_list needs two distinct n to fit a slope, got {n_list}")
     if bootstrap < 1:

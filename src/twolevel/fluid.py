@@ -4,9 +4,9 @@ Every fluid system is piecewise affine: between switches it follows the
 overloaded interior (z = 0), the underloaded interior (y_star = 0), or an
 auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
 expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
-switch time is a root of that closed form.  Also here: the integral
-functional that cross-validates the saturated system through the Picard
-solver, and ``solve_system``.
+switch time is a root of that closed form.  ``solve_system`` is the one
+path of every system.  Also here: the integral functional that
+cross-validates the saturated system through the Picard solver.
 """
 
 import functools
@@ -20,7 +20,7 @@ from scipy.linalg.blas import dtbsv
 
 from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
-from .skorokhod import PathFunctional, SampledPath, grid_steps
+from .skorokhod import SampledPath, grid_steps
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _brentq(f, xa, xb, xtol, maxiter=100):
 def _affine_path(system, params, r, x0, horizon, dt):
     """Exact path of ``system`` from x0 = (y_star, y, z) on the grid k*dt.
 
-    Returns rows (y_star, y, z) and the regulator u, or None without one.
+    Returns rows (y_star, y, z) and the regulator u, all 0 without one.
     A segment is sampled by doubling: rows [m, 2m) are rows [0, m) moved by
     the affine map expm(M dt)^m.  Past a guard crossing, the local Brent
     solver ``_brentq`` on expm(M s) x finds the switch time inside that grid
@@ -197,7 +197,7 @@ def _affine_path(system, params, r, x0, horizon, dt):
         if not np.isfinite(seg[:end]).all():
             raise NonFinite(f"{system} fluid state non-finite after t={t}")
         if end == len(seg):
-            return out[:, :U], out[:, U] if n > U else None
+            return out[:, :U], out[:, U] if n > U else np.zeros(len(out))
         # The guard crossed 0 in the grid step before sample `end`.
         t0, width = ((k + end - 1) * dt, dt) if end else (t, k * dt - t)
         base = np.concatenate((seg[end - 1], x[n:])) if end else x
@@ -209,10 +209,6 @@ def _affine_path(system, params, r, x0, horizon, dt):
     raise TooManySwitches(f"fluid path switched mode more than {MAX_SWITCHES} times by t={t:.6g}")
 
 
-def _reflected(values, regulator, dt):
-    return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, regulator))
-
-
 def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
     """Fluid path of the always-saturated system, reflected at y_star = 0.
 
@@ -221,12 +217,7 @@ def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
     while the regulator u absorbs the deficit mu02 r - mu01 y, and leaves
     the boundary when that deficit turns negative.
     """
-    y_star, y = float(init[0]), float(init[1])
-    if y_star < 0:
-        raise DomainError("y_star", "initial y_star must be >= 0")
-    if y < 0 or y_star + y > 1:
-        raise DomainError("y", "initial (y_star, y) must lie in the simplex")
-    return _reflected(*_affine_path("aux-saturated", params, r, (y_star, y, 0.0), horizon, dt), dt)
+    return solve_system("aux-saturated", params, r, (init[0], init[1], 0.0), horizon, dt)
 
 
 def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
@@ -236,14 +227,7 @@ def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
     mu02*r the path slides on z = 0 and the deficit accumulates in the
     regulator.  The y column is ``y_b_closed_form`` itself.
     """
-    y0, z0 = float(init[0]), float(init[1])
-    if not 0 <= y0 <= 1:
-        raise DomainError("y", "initial y must lie in [0, 1]")
-    if not 0 <= z0 <= r:
-        raise DomainError("z", f"initial z must lie in [0, r] = [0, {r}]")
-    values, regulator = _affine_path("aux-noblock", params, r, (0.0, y0, z0), horizon, dt)
-    values[:, Y] = y_b_closed_form(dt * np.arange(len(values)), params, y0)
-    return _reflected(values, regulator, dt)
+    return solve_system("aux-noblock", params, r, (0.0, init[0], init[1]), horizon, dt)
 
 
 def gbar_functional(params, r, init):
@@ -262,9 +246,8 @@ def gbar_functional(params, r, init):
     solved as a unit lower-bidiagonal banded system.  The terms that depend
     on the grid alone are kept from one call to the next on the same grid.
     """
-    y_star0, y0 = float(init[0]), float(init[1])
-    if y_star0 < 0 or y0 < 0 or y_star0 + y0 > 1:
-        raise DomainError("init", "initial (y_star, y) must lie in the simplex")
+    y_star0, y0 = init
+    FluidState(y_star0, y0, 0.0).check(r)
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 
@@ -282,7 +265,7 @@ def gbar_functional(params, r, init):
         band[1, :-1] = -decay
         return decay, band, y_star0 + mu01 * k_times_decay - mu02 * r * t
 
-    def apply(path):
+    def gbar(path):
         x = path.values
         if x.ndim != 1:
             raise DomainError("values", "the functional expects a scalar path")
@@ -297,7 +280,7 @@ def gbar_functional(params, r, init):
         conv = dtbsv(1, band, c, lower=1, diag=1, overwrite_x=1)
         return SampledPath(path.t0, dt, -p * mu01 * conv + free)
 
-    return PathFunctional(apply=apply)
+    return gbar
 
 
 def hybrid_fluid(params, r, init, horizon, dt=1e-3):
@@ -309,9 +292,7 @@ def hybrid_fluid(params, r, init, horizon, dt=1e-3):
     throughput mu02*r decides: a positive surplus accumulates blocked
     operators, a deficit accumulates idle specialists.
     """
-    init.check(r)
-    x0 = np.maximum((init.y_star, init.y, init.z), 0.0)
-    return SampledPath(0.0, dt, _affine_path("hybrid", params, r, x0, horizon, dt)[0])
+    return solve_system("hybrid", params, r, init.as_array(), horizon, dt).path
 
 
 SYSTEMS = ("hybrid", "aux-saturated", "aux-noblock", "overloaded-ode", "underloaded-ode")
@@ -324,23 +305,28 @@ def solve_system(system, params, r, init, horizon, dt):
     starting from the coordinates it evolves and holding the others at 0;
     the regulator is 0 except for the two auxiliary systems.  The ODE
     systems raise RegimeMismatch outside their regime.  A horizon below
-    ``dt``, which has no grid step, is refused for every system.
+    ``dt``, which has no grid step, is refused for every system.  The start,
+    its held coordinate set to 0, must pass ``FluidState.check``; a
+    coordinate within that check's tolerance below 0 starts at 0.
     """
     grid_steps(horizon, dt)
     if horizon < dt:
         raise DomainError("horizon", "horizon must be at least dt")
-    if system == "aux-saturated":
-        return aux_saturated_fluid(params, r, init[:2], horizon, dt)
-    if system == "aux-noblock":
-        return aux_noblock_fluid(params, r, init[1:], horizon, dt)
-    if system == "hybrid":
-        values = hybrid_fluid(params, r, FluidState(*init), horizon, dt).values
-    else:
+    if system.endswith("-ode"):
         wanted = Regime.Overloaded if system == "overloaded-ode" else Regime.Underloaded
         regime = classify_regime(params, r)
         if regime is not wanted:
             raise RegimeMismatch(
                 f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
             )
-        values = _affine_path(system, params, r, init, horizon, dt)[0]
-    return _reflected(values, np.zeros(len(values)), dt)
+    y_star, y, z = init
+    if system in ("aux-saturated", "overloaded-ode"):
+        z = 0.0
+    elif system in ("aux-noblock", "underloaded-ode"):
+        y_star = 0.0
+    FluidState(y_star, y, z).check(r)
+    x0 = np.maximum((y_star, y, z), 0.0)
+    values, regulator = _affine_path(system, params, r, x0, horizon, dt)
+    if system == "aux-noblock":
+        values[:, Y] = y_b_closed_form(dt * np.arange(len(values)), params, x0[Y])
+    return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, regulator))

@@ -94,18 +94,6 @@ class Trajectory:
     truncated: bool = False
 
     @property
-    def initial(self):
-        row = tuple(int(v) for v in self.states[0])
-        return MicroState(*row) if self.process == "main" else row
-
-    @property
-    def events(self):
-        return [
-            (float(t), tuple(int(v) for v in row))
-            for t, row in zip(self.times[1:], self.states[1:])
-        ]
-
-    @property
     def num_events(self):
         return len(self.times) - 1
 

@@ -6,7 +6,6 @@ causal functional of the (unknown) reflected solution.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,17 +57,6 @@ class SampledPath:
         )
 
 
-@dataclass(frozen=True)
-class PathFunctional:
-    """A causal map between sampled paths.
-
-    apply(path) must produce a path on the same grid whose value at index
-    k depends only on input indices <= k.
-    """
-
-    apply: Callable[[SampledPath], SampledPath]
-
-
 def reflect_1d(free):
     """Reflect a sampled path at zero.
 
@@ -109,7 +97,9 @@ def check_complementarity(reflected, regulator, tol):
 def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     """Solve the generalized reflection problem x = reflect(phi(x)) by Picard iteration.
 
-    Starts from x ≡ 0 (or ``start``), applies x <- reflect_1d(phi(x))
+    ``phi`` is a causal map between sampled paths: phi(path) is a path on
+    the same grid whose value at index k depends only on input indices
+    <= k.  Starts from x ≡ 0 (or ``start``), applies x <- reflect_1d(phi(x))
     until the sup-norm change is <= tol.  Returns (solution, regulator,
     iterations).  Raises NoConvergence(max_iter) carrying the last
     residual when the iteration budget runs out -- the usual causes are a
@@ -123,7 +113,7 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     regulator = SampledPath(0.0, dt, np.zeros(n))
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        free = phi.apply(x)
+        free = phi(x)
         new, regulator = reflect_1d(free)
         residual = float(np.max(np.abs(new.values - x.values)))
         x = new

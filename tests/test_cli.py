@@ -290,6 +290,20 @@ class TestFluidCommand:
         )
         assert (tmp_path / f"fluid_{system}.csv").read_text() == expected
 
+    @pytest.mark.parametrize("system, init, c2", [
+        ("overloaded-ode", "-5,2,0", "30"),
+        ("underloaded-ode", "0,1.2,0", "70"),
+    ])
+    def test_ode_start_outside_domain_exits_2(self, capsys, tmp_path, system, init, c2):
+        """Both once wrote a path whose first row lay outside the fluid domain."""
+        out = tmp_path / "out"
+        code = cli.main(["fluid", "--system", system, f"--init={init}", "--n", "100",
+                         "--c2", c2, "--horizon", "6", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: y_star ")
+        assert not out.exists()
+
     def test_bad_init_shape_rejected(self, tmp_path):
         proc = run_cli(
             "fluid", "--system", "hybrid", "--init", "0,0", "--n", "100",
@@ -353,6 +367,27 @@ class TestExperimentCommand:
             "experiment", *flags, "--n", "20", "--c2", "6", "--horizon", "2",
             "--burn-in", "1", "--seed", "1", "--out", str(tmp_path),
         ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--experiment", "convergence", "--target", "aux-noblock", "--n", "60", "--c2", "42",
+          "--n-list", "0,10"], "n_list"),
+        (["--experiment", "saturation", "--n-list=-5,10"], "n_list"),
+        (["--experiment", "martingale-decay", "--n-list", "0,100"], "n_list"),
+        (["--experiment", "phase-scan", "--r-grid=-0.5,0.3"], "r_grid"),
+        (["--experiment", "phase-scan", "--r-grid", "0.3,nan"], "r_grid"),
+        (["--experiment", "saturation", "--band", "nan"], "band"),
+        (["--experiment", "no-blocking", "--c2", "70", "--band", "-1"], "fixed_point_band"),
+    ], ids=["convergence-n0", "saturation-n-negative", "martingale-n0", "phase-scan-r-negative",
+            "phase-scan-r-nan", "saturation-band-nan", "no-blocking-band-negative"])
+    def test_bad_scale_ratio_or_band_exits_2(self, capsys, tmp_path, flags, field):
+        """Each once crashed (exit 4), failed with a foreign message, or exited 1."""
+        code = cli.main(["experiment", "--n", "100", "--c2", "30", "--horizon", "4",
+                         "--burn-in", "1", "--replications", "2", *flags, "--seed", "1",
+                         "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {field} ")

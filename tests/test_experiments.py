@@ -74,6 +74,21 @@ class TestExperimentConfig:
                 small_cfg(0.7, grid_dt=bad)
             assert info.value.field == "grid_dt"
 
+    @pytest.mark.parametrize("r, n_list, field", [
+        (0.7, (), "n_list"),
+        (0.7, (0, 10), "n_list"),
+        (0.7, (-5, 10), "n_list"),
+        (math.nan, (30, 60), "r"),
+        (math.inf, (30, 60), "r"),
+        (0.0, (30, 60), "r"),
+        (-0.3, (30, 60), "r"),
+    ])
+    def test_scales_and_ratio_refused(self, r, n_list, field):
+        """n = 0 once failed with ZeroDivisionError; an empty list was accepted."""
+        with pytest.raises(DomainError) as info:
+            small_cfg(r, n_list=n_list)
+        assert info.value.field == field
+
     def test_n_list_normalized(self):
         cfg = small_cfg(0.7, n_list=[10, 20])
         assert cfg.n_list == (10, 20)
@@ -166,6 +181,12 @@ class TestNoBlockingCertificate:
         with pytest.raises(RegimeMismatch):
             no_blocking_certificate(small_cfg(0.3))
 
+    @pytest.mark.parametrize("band", [-1.0, math.nan, math.inf])
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(DomainError) as info:
+            no_blocking_certificate(small_cfg(0.7), fixed_point_band=band)
+        assert info.value.field == "fixed_point_band"
+
     def test_small_certificate_structure(self):
         cfg = small_cfg(0.7)
         rep = no_blocking_certificate(cfg, fixed_point_band=0.5)
@@ -202,6 +223,12 @@ class TestSaturationCertificate:
     def test_underloaded_ratio_rejected(self):
         with pytest.raises(RegimeMismatch):
             saturation_certificate(small_cfg(0.7))
+
+    @pytest.mark.parametrize("band", [-1.0, math.nan, math.inf])
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(DomainError) as info:
+            saturation_certificate(small_cfg(0.3), band=band)
+        assert info.value.field == "band"
 
     def test_small_certificate_structure(self):
         rep = saturation_certificate(small_cfg(0.3), band=1.0)
@@ -241,6 +268,19 @@ class TestPhaseScan:
         assert any(repr(critical_ratio(SYM)) in note for note in rep.notes)
         assert any("threshold" in note for note in rep.notes)
 
+    @pytest.mark.parametrize("r_grid, n, field", [
+        ([-0.5, 0.3], 20, "r_grid"),
+        ([0.3, math.nan], 20, "r_grid"),
+        ([0.0, 0.3], 20, "r_grid"),
+        ([0.3, math.inf], 20, "r_grid"),
+        ([0.3, 0.7], 0, "n"),
+    ])
+    def test_bad_ratio_or_scale_rejected(self, r_grid, n, field):
+        """r < 0 once ran and reported a blocked-fraction limit of 2.0."""
+        with pytest.raises(DomainError) as info:
+            phase_scan(SYM, r_grid, n=n, horizon=5.0, t1=1.0, reps=2, seed=0)
+        assert info.value.field == field
+
     def test_zero_replications_rejected(self):
         with pytest.raises(DomainError) as info:
             phase_scan(SYM, [0.3, 0.7], n=20, horizon=5.0, t1=1.0, reps=0, seed=0)
@@ -258,6 +298,7 @@ class TestPhaseScan:
         )
         assert [row["r"] for row in rep.metrics] == [0.3, 0.75]
         assert rep.config["r_grid"] == [0.3, 0.75]
+        assert "grid_dt" not in rep.config
 
 
 class TestOracleCrossCheck:
@@ -299,11 +340,19 @@ class TestMartingaleDecay:
         ((20,), 4, "n_list"),
         ((20, 20), 4, "n_list"),
         ((20, 40), 0, "replications"),
+        ((0, 100), 4, "n_list"),
+        ((-5, 10), 4, "n_list"),
     ])
     def test_unfittable_input_rejected(self, n_list, reps, field):
         with pytest.raises(DomainError) as info:
             martingale_decay(SYM, 0.3, n_list, horizon=2.0, reps=reps, seed=1, bootstrap=10)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("r", [math.nan, -0.3, 0.0, math.inf])
+    def test_bad_ratio_rejected(self, r):
+        with pytest.raises(DomainError) as info:
+            martingale_decay(SYM, r, (20, 40), horizon=2.0, reps=4, seed=1, bootstrap=10)
+        assert info.value.field == "r"
 
     def test_bootstrap_below_one_rejected(self):
         with pytest.raises(DomainError) as info:

@@ -146,6 +146,116 @@ class TestIntegrate:
         np.testing.assert_allclose(under.path.values[::613, 1:], expected, rtol=0, atol=1e-12)
 
 
+# Each system at a ratio of its regime, with the coordinates it evolves.
+EVOLVED = [
+    ("hybrid", 0.3, ("y_star", "y", "z")),
+    ("aux-saturated", 0.3, ("y_star", "y")),
+    ("aux-noblock", 0.7, ("y", "z")),
+    ("overloaded-ode", 0.3, ("y_star", "y")),
+    ("underloaded-ode", 0.7, ("y", "z")),
+]
+COORDS = ("y_star", "y", "z")
+# The named solver of a system, on a (y_star, y, z) start, as (path, regulator or None).
+NAMED = {
+    "hybrid": lambda r, x0: (hybrid_fluid(SYM, r, FluidState(*x0), 2.0, dt=1e-2).values, None),
+    "aux-saturated": lambda r, x0: _pair(aux_saturated_fluid(SYM, r, x0[:2], 2.0, dt=1e-2)),
+    "aux-noblock": lambda r, x0: _pair(aux_noblock_fluid(SYM, r, x0[1:], 2.0, dt=1e-2)),
+}
+
+
+def _pair(sol):
+    return sol.path.values, sol.regulator.values
+
+
+def _solvers(system):
+    """solve_system and, where the system has one, its named solver."""
+    yield lambda r, x0: _pair(fluid.solve_system(system, SYM, r, x0, 2.0, 1e-2))
+    if system in NAMED:
+        yield NAMED[system]
+
+
+class TestStartPointRule:
+    """One start-point check, ``FluidState.check``, for every system and solver."""
+
+    @pytest.mark.parametrize("system, r, evolved", EVOLVED)
+    def test_start_just_below_zero_is_clamped(self, system, r, evolved):
+        for coord in evolved:
+            at_zero, below = [0.0, 0.3, 0.0], [0.0, 0.3, 0.0]
+            at_zero[COORDS.index(coord)], below[COORDS.index(coord)] = 0.0, -1e-10
+            for solve in _solvers(system):
+                values, regulator = solve(r, below)
+                assert values[0, COORDS.index(coord)] == 0.0
+                expected, expected_regulator = solve(r, at_zero)
+                assert np.array_equal(values, expected)
+                assert regulator is None or np.array_equal(regulator, expected_regulator)
+
+    @pytest.mark.parametrize("system, r, evolved", EVOLVED)
+    def test_start_outside_tolerance_is_refused(self, system, r, evolved):
+        for coord in evolved:
+            start = [0.0, 0.3, 0.0]
+            start[COORDS.index(coord)] = -1e-8
+            for solve in _solvers(system):
+                with pytest.raises(DomainError) as err:
+                    solve(r, start)
+                assert err.value.field == coord
+
+    @pytest.mark.parametrize("system, r, start, field", [
+        ("hybrid", 0.3, [0.7, 0.3, 0.0], "y_star"),
+        ("aux-saturated", 0.3, [0.0, 1.0, 0.0], "y_star"),
+        ("aux-noblock", 0.7, [0.0, 0.2, 0.7], "z"),
+        ("overloaded-ode", 0.3, [0.5, 0.5, 0.0], "y_star"),
+        ("underloaded-ode", 0.7, [0.0, 0.3, 0.7], "z"),
+    ])
+    def test_upper_boundary_tolerance(self, system, r, start, field):
+        """y_star + y = 1 or z = r, passed by 1e-10 runs and by 1e-8 is refused."""
+        index = 2 if field == "z" else 1
+        for excess, ok in ((1e-10, True), (1e-8, False)):
+            past = list(start)
+            past[index] += excess
+            for solve in _solvers(system):
+                if ok:
+                    assert np.isfinite(solve(r, past)[0]).all()
+                else:
+                    with pytest.raises(DomainError) as err:
+                        solve(r, past)
+                    assert err.value.field == field
+
+    def test_held_coordinate_is_zeroed_before_the_check(self):
+        """Each ODE ignores the coordinate it holds at 0, so y_star * z > 0 is no fault."""
+        over = fluid.solve_system("overloaded-ode", SYM, 0.3, (0.1, 0.3, 0.2), 2.0, 1e-2)
+        held = fluid.solve_system("overloaded-ode", SYM, 0.3, (0.1, 0.3, 0.0), 2.0, 1e-2)
+        assert np.array_equal(over.path.values, held.path.values)
+        assert not over.z.any()
+        under = fluid.solve_system("underloaded-ode", SYM, 0.7, (0.1, 0.3, 0.2), 2.0, 1e-2)
+        held = fluid.solve_system("underloaded-ode", SYM, 0.7, (0.0, 0.3, 0.2), 2.0, 1e-2)
+        assert np.array_equal(under.path.values, held.path.values)
+        assert not under.y_star.any()
+
+    def test_ode_start_outside_domain_refused(self):
+        """Both once returned a path from a start outside the fluid domain."""
+        with pytest.raises(DomainError, match="y_star must be non-negative"):
+            fluid.solve_system("overloaded-ode", SYM, 0.3, (-5.0, 2.0, 0.0), 6.0, 1e-3)
+        with pytest.raises(DomainError, match="exceeds 1"):
+            fluid.solve_system("underloaded-ode", SYM, 0.7, (0.0, 1.2, 0.0), 6.0, 1e-3)
+
+    def test_gbar_start_checked_by_fluid_state(self):
+        for init, field in (((-1e-8, 0.2), "y_star"), ((0.2, -1e-8), "y"), ((0.6, 0.5), "y_star")):
+            with pytest.raises(DomainError) as err:
+                gbar_functional(SYM, 0.3, init)
+            assert err.value.field == field
+        gbar_functional(SYM, 0.3, (-1e-10, 1.0))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), 1e-4),
+        lambda: aux_noblock_fluid(SYM, 0.7, (0.0, 0.0), 1e-4),
+        lambda: hybrid_fluid(SYM, 0.3, FluidState(0.0, 0.0, 0.0), 1e-4),
+    ], ids=["aux-saturated", "aux-noblock", "hybrid"])
+    def test_named_solver_refuses_horizon_below_dt(self, solve):
+        with pytest.raises(DomainError) as err:
+            solve()
+        assert err.value.field == "horizon"
+
+
 class TestAuxSaturatedFluid:
     def test_fixed_point_start_stays_constant(self):
         fp = overloaded_fixed_point(SYM, 0.3)
@@ -308,7 +418,7 @@ class TestGbarFunctional:
     def test_zero_path_zero_at_origin(self):
         phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
         n = int(round(2.0 / 1e-3)) + 1
-        out = phi.apply(SampledPath(0.0, 1e-3, np.zeros(n)))
+        out = phi(SampledPath(0.0, 1e-3, np.zeros(n)))
         assert out.values[0] == 0.0
 
     def test_matches_direct_double_quadrature(self):
@@ -320,7 +430,7 @@ class TestGbarFunctional:
         t = dt * np.arange(n)
         x = np.sin(t) ** 2
         phi = gbar_functional(params, r, init)
-        fast = phi.apply(SampledPath(0.0, dt, x)).values
+        fast = phi(SampledPath(0.0, dt, x)).values
 
         mubar = (1 - params.p) * params.mu01 + params.p * params.mu11
         inner = np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * dt / 2)))
@@ -365,7 +475,7 @@ class TestPicardAgainstProjectedEuler:
         x = SampledPath(0.0, dt, np.zeros(n))
         residuals = []
         for _ in range(40):
-            new, _ = reflect_1d(phi.apply(x))
+            new, _ = reflect_1d(phi(x))
             residuals.append(float(np.abs(new.values - x.values).max()))
             x = new
             if residuals[-1] < 1e-12:
@@ -471,7 +581,7 @@ class TestPicardRecursion:
         monkeypatch.setattr(fluid, "dtbsv", recording)
         params = ModelParams(0.4, 1.3, 0.8, 1.1)
         t = 1e-3 * np.arange(10001)
-        gbar_functional(params, 0.25, (0.1, 0.2)).apply(SampledPath(0.0, 1e-3, np.sin(t) ** 2))
+        gbar_functional(params, 0.25, (0.1, 0.2))(SampledPath(0.0, 1e-3, np.sin(t) ** 2))
         solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
         assert len(solves) >= 5
         for i, (c, conv) in enumerate(solves):
@@ -487,8 +597,8 @@ class TestPicardRecursion:
         paths = [SampledPath(0.0, 1e-3, x), SampledPath(0.0, 2e-3, x),
                  SampledPath(0.5, 1e-3, x), SampledPath(0.0, 1e-3, x[:1001])]
         for path in paths + paths:
-            fresh = gbar_functional(params, r, init).apply(path).values
-            assert np.array_equal(phi.apply(path).values, fresh)
+            fresh = gbar_functional(params, r, init)(path).values
+            assert np.array_equal(phi(path).values, fresh)
 
 
 class TestBrentPort:

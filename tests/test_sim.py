@@ -21,7 +21,6 @@ from twolevel import (
     BuildError,
     DomainError,
     InvalidState,
-    MicroState,
     ModelParams,
     ScalingParams,
     Trajectory,
@@ -297,8 +296,7 @@ class TestSimulate:
     def test_zero_horizon_no_events(self):
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 0.0, seed=1)
         assert traj.num_events == 0
-        assert traj.events == []
-        assert traj.initial == MicroState(0, 0, 0)
+        assert traj.states.tolist() == [[0, 0, 0]]
 
     def test_tiny_instance_alternation(self):
         """With one operator, one specialist and certain handover the chain cycles."""
@@ -857,6 +855,35 @@ class TestMartingaleResidual:
             sups[n] = np.sqrt((acc**2).mean(axis=0))
         ratio = sups[100] / sups[400]
         assert ratio.min() >= 1.5
+
+    @pytest.mark.parametrize("params, n, c2, horizon, seed, min_events", [
+        (SYM, 200, 60, 10.0, 1, 1000),
+        (SYM, 200, 140, 10.0, 2, 1000),
+        (ModelParams(0.3, 1.7, 0.6, 1.2), 50, 30, 10.0, 3, 100),
+        (ModelParams(0.8, 0.9, 2.0, 0.5), 20, 4, 20.0, 4, 100),
+        (SYM, 3, 1, 2.0, 1, 1),  # y's sup is reached at the horizon
+        (SYM, 10, 3, 3.0, 1, 1),  # z's sup is reached at the horizon
+    ])
+    def test_sup_matches_hand_written_compensator(self, params, n, c2, horizon, seed,
+                                                  min_events):
+        """The sup from ``rate_clauses``, integrated exactly between jumps, without the tables:
+        right and left limits at each jump, and the value at the horizon."""
+        scaling = ScalingParams(n, c2)
+        traj = simulate((0, 0, 0), params, scaling, horizon, seed=seed)
+        assert traj.num_events >= min_events
+        states = [tuple(int(v) for v in row) for row in traj.states]
+        ends = [*traj.times[1:], traj.horizon]
+        start = np.array(states[0]) / n
+        compensator, sup = np.zeros(3), np.zeros(3)
+        for k, (state, t0, t1) in enumerate(zip(states, traj.times, ends)):
+            drift = sum((np.subtract(target, state) * rate
+                         for target, rate in rate_clauses(state, params, scaling)), np.zeros(3)) / n
+            if k:  # left limit at this jump: the previous state, the compensator so far
+                sup = np.maximum(sup, np.abs(np.array(states[k - 1]) / n - start - compensator))
+            sup = np.maximum(sup, np.abs(np.array(state) / n - start - compensator))
+            compensator = compensator + drift * (t1 - t0)
+        sup = np.maximum(sup, np.abs(np.array(states[-1]) / n - start - compensator))
+        np.testing.assert_allclose(residual_sup(traj, params, scaling), sup, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("grid_dt", [0.0, math.nan, math.inf, -0.5])
     def test_bad_grid_rejected(self, grid_dt):

@@ -7,7 +7,6 @@ from twolevel import (
     DomainError,
     GridMismatch,
     NoConvergence,
-    PathFunctional,
     ModelParams,
     SampledPath,
     check_complementarity,
@@ -119,15 +118,15 @@ class TestComplementarity:
 class TestSolveGeneralized:
     def test_constant_functional_identity(self):
         """phi ignoring its argument, returning t: solution is t, found in 2 passes."""
-        phi = PathFunctional(apply=lambda path: SampledPath(0.0, path.dt, path.times))
-        solution, regulator, iterations = solve_generalized(phi, 1.0, DT)
+        solution, regulator, iterations = solve_generalized(
+            lambda path: SampledPath(0.0, path.dt, path.times), 1.0, DT)
         np.testing.assert_allclose(solution.values, solution.times, atol=0.0)
         np.testing.assert_array_equal(regulator.values, 0.0)
         assert iterations == 2
 
     def test_constant_negative_drift_fully_reflected(self):
-        phi = PathFunctional(apply=lambda path: SampledPath(0.0, path.dt, -path.times))
-        solution, regulator, iterations = solve_generalized(phi, 1.0, DT)
+        solution, regulator, iterations = solve_generalized(
+            lambda path: SampledPath(0.0, path.dt, -path.times), 1.0, DT)
         np.testing.assert_array_equal(solution.values, 0.0)
         np.testing.assert_allclose(regulator.values, regulator.times, atol=0.0)
         assert iterations == 1
@@ -136,10 +135,9 @@ class TestSolveGeneralized:
         def damp(path):
             return SampledPath(0.0, path.dt, 0.5 * path.values + 0.1)
 
-        phi = PathFunctional(apply=damp)
-        sol_zero, _, _ = solve_generalized(phi, 1.0, DT, tol=1e-12)
+        sol_zero, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12)
         ones = SampledPath(0.0, DT, np.ones(len(sol_zero)))
-        sol_one, _, _ = solve_generalized(phi, 1.0, DT, tol=1e-12, start=ones)
+        sol_one, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12, start=ones)
         np.testing.assert_allclose(sol_zero.values, sol_one.values, atol=1e-10)
         np.testing.assert_allclose(sol_zero.values, 0.2, atol=1e-10)
 
@@ -147,9 +145,8 @@ class TestSolveGeneralized:
         def flip(path):
             return SampledPath(0.0, path.dt, 1.0 - path.values)
 
-        phi = PathFunctional(apply=flip)
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(phi, 0.5, DT, max_iter=12)
+            solve_generalized(flip, 0.5, DT, max_iter=12)
         assert err.value.max_iter == 12
         assert err.value.residual == pytest.approx(1.0)
 
