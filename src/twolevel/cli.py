@@ -43,6 +43,12 @@ EXPERIMENT_NAMES = ("phase-scan", "convergence", "no-blocking",
 
 _INT_KEYS = {"n", "c2", "replications", "seed"}
 
+# The experiments that read each of these flags; given to any other, it is refused.
+_FLAG_READERS = {
+    "grid_dt": ("convergence", "no-blocking", "saturation"),
+    "band": ("no-blocking", "saturation"),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -218,10 +224,13 @@ def _experiment_config(cfg, n_list):
 
 
 def _cmd_experiment(args, cfg):
+    name = args.experiment
+    for key, readers in _FLAG_READERS.items():
+        if getattr(args, key) is not None and name not in readers:
+            raise ConfigError(f"--{key.replace('_', '-')} is not read by the {name} experiment")
     params, scaling = _params_of(cfg)
     n_list = _parse_list(args.n_list, "--n-list", int) if args.n_list else [cfg["n"]]
     workers = args.workers
-    name = args.experiment
     if name == "phase-scan":
         if args.r_grid:
             r_grid = _parse_list(args.r_grid, "--r-grid", float)

@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -157,6 +156,7 @@ def _replicate(rep, args, base_seed, reps, workers):
     if workers <= 1 or reps == 1:
         results = [rep(*args, seed) for seed in seeds]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # 12-14 ms a serial run never needs
         chunk = max(1, math.ceil(reps / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(functools.partial(rep, *args), seeds, chunksize=chunk))

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.blas import dtbsv
 
 from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
@@ -64,6 +62,22 @@ class _Mode(NamedTuple):
     matrix: np.ndarray
     guard: np.ndarray | None
     pinned: int
+
+
+@functools.cache
+def _load_scipy():
+    """Import ``expm`` and ``dtbsv`` at first use: scipy.linalg takes about 0.4 s."""
+    global expm, dtbsv
+    from scipy.linalg import expm
+    from scipy.linalg.blas import dtbsv
+
+
+def __getattr__(name):
+    """PEP 562: reading one of the scipy names before first use loads it, so it can be patched."""
+    if name not in ("expm", "dtbsv"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_scipy()
+    return globals()[name]
 
 
 def _system_modes(system, params, r):
@@ -164,6 +178,7 @@ def _affine_path(system, params, r, x0, horizon, dt):
     step; the path then toggles mode and sets the new mode's pinned
     coordinate to exactly 0.
     """
+    _load_scipy()
     steps = grid_steps(horizon, dt)
     modes = _system_modes(system, params, r)
     x = np.array([*x0, 0.0, 1.0])
@@ -248,6 +263,7 @@ def gbar_functional(params, r, init):
     """
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
+    _load_scipy()
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 
@@ -306,8 +322,9 @@ def solve_system(system, params, r, init, horizon, dt):
     the regulator is 0 except for the two auxiliary systems.  The ODE
     systems raise RegimeMismatch outside their regime.  A horizon below
     ``dt``, which has no grid step, is refused for every system.  The start,
-    its held coordinate set to 0, must pass ``FluidState.check``; a
-    coordinate within that check's tolerance below 0 starts at 0.
+    its held coordinate set to 0, must pass ``FluidState.check``; a start
+    within that check's tolerance outside the domain starts on its
+    boundary: at 0, at z = r, or at y_star + y = 1 with y lowered.
     """
     grid_steps(horizon, dt)
     if horizon < dt:
@@ -320,12 +337,14 @@ def solve_system(system, params, r, init, horizon, dt):
                 f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
             )
     y_star, y, z = init
+    y_star_held = system in ("aux-noblock", "underloaded-ode")
     if system in ("aux-saturated", "overloaded-ode"):
         z = 0.0
-    elif system in ("aux-noblock", "underloaded-ode"):
+    elif y_star_held:
         y_star = 0.0
-    FluidState(y_star, y, z).check(r)
+    FluidState(y_star, y, z).check(r, y_star_held=y_star_held)
     x0 = np.maximum((y_star, y, z), 0.0)
+    x0 = np.minimum(x0, (1.0, 1.0 - min(x0[Y_STAR], 1.0), r))
     values, regulator = _affine_path(system, params, r, x0, horizon, dt)
     if system == "aux-noblock":
         values[:, Y] = y_b_closed_form(dt * np.arange(len(values)), params, x0[Y])

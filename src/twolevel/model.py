@@ -65,13 +65,19 @@ class FluidState:
     y: float
     z: float
 
-    def check(self, r, tol=1e-9):
-        """Raise DomainError naming the first violated fluid-domain constraint."""
+    def check(self, r, tol=1e-9, y_star_held=False):
+        """Raise DomainError naming the first violated fluid-domain constraint.
+
+        With ``y_star_held`` (a system that holds y_star at 0) the bound
+        y_star + y <= 1 is a bound on y and is reported as one.
+        """
         if not (-tol <= self.y_star):
             raise DomainError("y_star", "y_star must be non-negative")
         if not (-tol <= self.y):
             raise DomainError("y", "y must be non-negative")
         if self.y_star + self.y > 1 + tol:
+            if y_star_held:
+                raise DomainError("y", "y exceeds 1")
             raise DomainError("y_star", "y_star + y exceeds 1")
         if not (-tol <= self.z <= r + tol):
             raise DomainError("z", f"z must lie in [0, r] = [0, {r}]")

@@ -8,16 +8,32 @@ purpose: it exists to check the simulator and the closed forms, not to
 scale.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
 from . import sim
 from .errors import InvalidState, NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
+
+
+@functools.cache
+def _load_scipy():
+    """Import ``sparse`` and its two solvers at first use: scipy.sparse takes about 0.4 s."""
+    global sparse, connected_components, spsolve
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
+
+def __getattr__(name):
+    """PEP 562: reading one of the scipy names before first use loads it, so it can be patched."""
+    if name not in ("sparse", "connected_components", "spsolve"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_scipy()
+    return globals()[name]
+
 
 # A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  It
 # sets the peak memory.  The CSR form carried beside it holds about five
@@ -82,6 +98,7 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     positive-rate row leads out of the state space.
     """
     states = _state_array(scaling, cap)
+    _load_scipy()
     size = len(states)
     n1, c1 = scaling.n + 1, scaling.c2 + 1
 
@@ -136,6 +153,7 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
 
 def _csr(g):
     """The CSR form of ``g``: carried from the build, else converted."""
+    _load_scipy()
     if isinstance(g, DenseGenerator) and g.csr is not None:
         return g.csr
     return sparse.csr_array(g, dtype=float)

@@ -290,18 +290,20 @@ class TestFluidCommand:
         )
         assert (tmp_path / f"fluid_{system}.csv").read_text() == expected
 
-    @pytest.mark.parametrize("system, init, c2", [
-        ("overloaded-ode", "-5,2,0", "30"),
-        ("underloaded-ode", "0,1.2,0", "70"),
-    ])
-    def test_ode_start_outside_domain_exits_2(self, capsys, tmp_path, system, init, c2):
-        """Both once wrote a path whose first row lay outside the fluid domain."""
+    @pytest.mark.parametrize("system, init, c2, field", [
+        ("overloaded-ode", "-5,2,0", "30", "y_star"),
+        ("underloaded-ode", "0,1.2,0", "70", "y"),
+    ], ids=["overloaded-ode--5,2,0-30", "underloaded-ode-0,1.2,0-70"])
+    def test_ode_start_outside_domain_exits_2(self, capsys, tmp_path, system, init, c2, field):
+        """Both once wrote a path whose first row lay outside the fluid domain.
+
+        The underloaded ODE holds y_star at 0, so its bound is on y alone."""
         out = tmp_path / "out"
         code = cli.main(["fluid", "--system", system, f"--init={init}", "--n", "100",
                          "--c2", c2, "--horizon", "6", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: y_star ")
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} ")
         assert not out.exists()
 
     def test_bad_init_shape_rejected(self, tmp_path):
@@ -416,6 +418,47 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment, flag, value", [
+        ("phase-scan", "--grid-dt", "nan"),
+        ("phase-scan", "--grid-dt", "0.01"),
+        ("oracle-check", "--grid-dt", "0.01"),
+        ("martingale-decay", "--grid-dt", "0.01"),
+        ("phase-scan", "--band", "0.05"),
+        ("convergence", "--band", "0.05"),
+        ("oracle-check", "--band", "0.05"),
+        ("martingale-decay", "--band", "0.05"),
+    ])
+    def test_unread_flag_exits_2(self, capsys, tmp_path, experiment, flag, value):
+        """Each was once taken and ignored: phase-scan ran on with --grid-dt nan."""
+        code = cli.main(["experiment", "--experiment", experiment, "--n", "20", "--c2", "6",
+                         "--n-list", "20,40", "--r-grid", "0.3,0.7", "--horizon", "4",
+                         "--burn-in", "1", "--seed", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} is not read by the {experiment} experiment\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_config_grid_dt_is_not_a_given_flag(self, capsys, tmp_path):
+        """A config file may hold every key; only flags on the command line are refused."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_dt": 0.02}))
+        out = tmp_path / "out"
+        code = cli.main(["experiment", "--experiment", "phase-scan", "--config", str(cfg),
+                         "--n", "20", "--r-grid", "0.3,0.7", "--horizon", "4", "--burn-in", "1",
+                         "--seed", "1", "--out", str(out)])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.startswith("phase_scan: ")
+
+    @pytest.mark.parametrize("experiment, c2", [("saturation", "6"), ("no-blocking", "14")])
+    def test_certificates_read_band_and_grid_dt(self, capsys, tmp_path, experiment, c2):
+        code = cli.main(["experiment", "--experiment", experiment, "--n", "20", "--c2", c2,
+                         "--n-list", "20", "--horizon", "4", "--burn-in", "1",
+                         "--replications", "2", "--seed", "1", "--band", "0.05",
+                         "--grid-dt", "0.02", "--out", str(tmp_path)])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.startswith(experiment.replace("-", "_") + ": ")
 
     def test_out_dir_env_var_honored(self, tmp_path):
         proc = run_cli(

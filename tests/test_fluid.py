@@ -220,6 +220,39 @@ class TestStartPointRule:
                         solve(r, past)
                     assert err.value.field == field
 
+    @pytest.mark.parametrize("system, r, start", [
+        ("hybrid", 0.3, [0.3, 0.7, 0.0]),
+        ("hybrid", 0.7, [0.0, 0.3, 0.7]),
+        ("aux-saturated", 0.3, [0.2, 0.8, 0.0]),
+        ("aux-saturated", 0.3, [0.0, 1.0, 0.0]),
+        ("aux-noblock", 0.7, [0.0, 1.0, 0.0]),
+        ("aux-noblock", 0.7, [0.0, 0.2, 0.7]),
+        ("overloaded-ode", 0.3, [0.5, 0.5, 0.0]),
+        ("underloaded-ode", 0.7, [0.0, 1.0, 0.0]),
+        ("underloaded-ode", 0.7, [0.0, 0.3, 0.7]),
+    ])
+    def test_start_just_above_upper_boundary_is_clamped(self, system, r, start):
+        """1e-10 past y_star + y = 1 (in y) or z = r gives the path from the boundary.
+
+        Such a start once wrote a first row outside the domain."""
+        index = 2 if start[2] else 1
+        past = list(start)
+        past[index] += 1e-10
+        for solve in _solvers(system):
+            values, regulator = solve(r, past)
+            assert values[0, index] == start[index]
+            expected, expected_regulator = solve(r, start)
+            assert np.array_equal(values, expected)
+            assert regulator is None or np.array_equal(regulator, expected_regulator)
+
+    @pytest.mark.parametrize("system", ["aux-noblock", "underloaded-ode"])
+    def test_y_above_one_named_y_where_y_star_is_held(self, system):
+        """Such a system has no y_star, so y > 1 is not reported as y_star + y > 1."""
+        for solve in _solvers(system):
+            with pytest.raises(DomainError, match="^y exceeds 1$") as err:
+                solve(0.7, [0.0, 1.0 + 1e-8, 0.0])
+            assert err.value.field == "y"
+
     def test_held_coordinate_is_zeroed_before_the_check(self):
         """Each ODE ignores the coordinate it holds at 0, so y_star * z > 0 is no fault."""
         over = fluid.solve_system("overloaded-ode", SYM, 0.3, (0.1, 0.3, 0.2), 2.0, 1e-2)

@@ -1,9 +1,11 @@
-"""Import hygiene: the toolkit loads scipy.linalg and scipy.sparse, nothing heavier."""
+"""Import hygiene: scipy loads only where it is used, and then only linalg and sparse."""
 
 import ast
 import os
 import subprocess
 import sys
+
+import pytest
 
 import twolevel
 
@@ -18,20 +20,67 @@ def unwanted(module):
     return any(module == u or module.startswith(u + ".") for u in UNWANTED)
 
 
-def test_import_loads_only_linalg_and_sparse():
+def modules_after(code):
+    """The modules loaded after running ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(PACKAGE_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, twolevel, twolevel.cli; print(*sorted(sys.modules))"],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    loaded = proc.stdout.split()
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def scipy_subpackages(loaded):
+    return {m.split(".")[1] for m in loaded
+            if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+
+
+def test_import_loads_only_linalg_and_sparse():
+    loaded = modules_after("import twolevel, twolevel.cli")
     assert "twolevel.cli" in loaded
     assert [m for m in loaded if unwanted(m)] == []
-    public = {m.split(".")[1] for m in loaded
-              if m.startswith("scipy.") and not m.split(".")[1].startswith("_")}
+    public = scipy_subpackages(loaded)
     assert public - {"version"} <= {"linalg", "sparse"}
+
+
+@pytest.mark.parametrize("code", [
+    "import twolevel, twolevel.cli",
+    "from twolevel import cli\n"
+    "argv = ['simulate', '--n', '40', '--c2', '12', '--horizon', '2', '--seed', '1',\n"
+    "        '--out', {out!r}]\n"
+    "assert cli.main(argv) == 0",
+    "from twolevel import ExperimentConfig, ModelParams, saturation_certificate\n"
+    "cfg = ExperimentConfig(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (20,), 4.0, 1.0, 2, 3)\n"
+    "saturation_certificate(cfg, workers=1)",
+], ids=["import", "simulate", "saturation-certificate"])
+def test_scipy_not_loaded_where_unused(code, tmp_path):
+    """scipy takes about 0.4 s to import; the simulator and its certificates never need it."""
+    loaded = modules_after(code.format(out=str(tmp_path)))
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    # Nor the process pool, which only a run on several workers needs.
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_solvers_load_only_linalg_and_sparse():
+    loaded = modules_after(
+        "from twolevel import ModelParams, ScalingParams, fluid, oracle\n"
+        "sym = ModelParams(0.5, 1.0, 1.0, 1.0)\n"
+        "fluid.solve_system('hybrid', sym, 0.3, (0.0, 0.0, 0.0), 1.0, 1e-2)\n"
+        "oracle.build_generator(sym, ScalingParams(4, 2))")
+    assert scipy_subpackages(loaded) - {"version"} == {"linalg", "sparse"}
+
+
+def test_scipy_names_readable_before_first_use():
+    """Reading a lazily imported name loads it, so a test can patch it before any solve."""
+    modules_after(
+        "import scipy.linalg, scipy.linalg.blas, scipy.sparse.linalg\n"
+        "from twolevel import fluid, oracle\n"
+        "assert fluid.expm is scipy.linalg.expm\n"
+        "assert fluid.dtbsv is scipy.linalg.blas.dtbsv\n"
+        "assert oracle.spsolve is scipy.sparse.linalg.spsolve")
 
 
 def unwanted_imports(source, name):
