@@ -56,7 +56,6 @@ from .sim import (
     Trajectory,
     Transition,
     check_state,
-    martingale_residual,
     rescale,
     residual_sup,
     simulate,
@@ -74,7 +73,6 @@ from .oracle import (
     stationary_distribution,
     stationary_moments,
     transient_distribution,
-    write_stationary_csv,
 )
 from .experiments import (
     ExperimentConfig,
@@ -101,13 +99,12 @@ __all__ = [
     "SampledPath", "check_complementarity", "reflect_1d", "solve_generalized",
     "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
     "gbar_functional", "hybrid_fluid",
-    "MicroState", "Trajectory", "Transition", "check_state", "martingale_residual",
+    "MicroState", "Trajectory", "Transition", "check_state",
     "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
     "simulate_aux_saturated", "simulate_process", "step", "transitions",
     "write_trajectory_csv",
     "build_generator", "enumerate_states", "state_space_size",
     "stationary_distribution", "stationary_moments", "transient_distribution",
-    "write_stationary_csv",
     "ExperimentConfig", "Report", "convergence_sweep", "martingale_decay",
     "no_blocking_certificate", "oracle_cross_check", "phase_scan",
     "saturation_certificate", "save_report",

@@ -43,10 +43,18 @@ EXPERIMENT_NAMES = ("phase-scan", "convergence", "no-blocking",
 
 _INT_KEYS = {"n", "c2", "replications", "seed"}
 
-# The experiments that read each of these flags; given to any other, it is refused.
+# The experiments that read each of these flags.  Given on the command line to any
+# other experiment, a flag is refused; of several, the first listed here is named.
+_SWEEPS = ("convergence", "no-blocking", "saturation")
 _FLAG_READERS = {
-    "grid_dt": ("convergence", "no-blocking", "saturation"),
+    "burn_in": ("phase-scan", *_SWEEPS),
+    "replications": ("phase-scan", *_SWEEPS, "martingale-decay"),
+    "grid_dt": _SWEEPS,
+    "target": ("convergence",),
+    "n_list": (*_SWEEPS, "martingale-decay"),
+    "r_grid": ("phase-scan",),
     "band": ("no-blocking", "saturation"),
+    "workers": ("phase-scan", *_SWEEPS, "martingale-decay"),
 }
 
 
@@ -230,7 +238,7 @@ def _cmd_experiment(args, cfg):
             raise ConfigError(f"--{key.replace('_', '-')} is not read by the {name} experiment")
     params, scaling = _params_of(cfg)
     n_list = _parse_list(args.n_list, "--n-list", int) if args.n_list else [cfg["n"]]
-    workers = args.workers
+    workers = 1 if args.workers is None else args.workers
     if name == "phase-scan":
         if args.r_grid:
             r_grid = _parse_list(args.r_grid, "--r-grid", float)
@@ -242,7 +250,7 @@ def _cmd_experiment(args, cfg):
         )
     elif name == "convergence":
         report = experiments.convergence_sweep(
-            _experiment_config(cfg, n_list), args.target, workers=workers
+            _experiment_config(cfg, n_list), args.target or "main", workers=workers
         )
     elif name == "no-blocking":
         report = experiments.no_blocking_certificate(
@@ -308,13 +316,13 @@ def build_parser():
     p_exp = sub.add_parser("experiment", parents=[shared],
                            help="run an experiment suite and write its report")
     p_exp.add_argument("--experiment", required=True, choices=EXPERIMENT_NAMES)
-    p_exp.add_argument("--target", choices=experiments.TARGETS, default="main",
-                       help="process compared against its fluid (convergence)")
+    p_exp.add_argument("--target", choices=experiments.TARGETS,
+                       help="process compared against its fluid (convergence; default main)")
     p_exp.add_argument("--n-list", help="comma-separated scale parameters")
     p_exp.add_argument("--r-grid", help="comma-separated capacity ratios (phase-scan)")
     p_exp.add_argument("--band", type=float,
                        help="tolerance band for certificate level checks")
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument("--workers", type=int, help="worker processes (default 1)")
     return parser
 
 
@@ -331,8 +339,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command in ("simulate", "experiment") and cfg["seed"] is None:
-            raise ConfigError("seed is required (pass --seed or set it in the config file)")
+        if args.command in ("simulate", "experiment"):
+            if cfg["seed"] is None:
+                raise ConfigError("seed is required (pass --seed or set it in the config file)")
+            if cfg["seed"] < 0:
+                raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
         if args.dump_config:
             _dump(cfg)
             return 0

@@ -146,14 +146,17 @@ def c2_for(n, r):
 
 
 def _replicate(rep, args, base_seed, reps, workers):
-    """rep(*args, base_seed + i) for i < reps, run serially or on ``workers`` processes.
+    """rep(*args, base_seed + i) for i < reps, run serially or on up to ``workers`` processes.
 
     ``rep`` returns (absorbed, value); the result is the list of values
     and the number of absorbed runs.
     """
     _check_replications(reps)
+    if workers < 1:
+        raise DomainError("workers", f"workers must be at least 1, got {workers}")
     seeds = range(base_seed, base_seed + reps)
-    if workers <= 1 or reps == 1:
+    workers = min(workers, reps, os.cpu_count() or 1)  # a pool starts all its processes at once
+    if workers == 1:
         results = [rep(*args, seed) for seed in seeds]
     else:
         from concurrent.futures import ProcessPoolExecutor  # 12-14 ms a serial run never needs
@@ -468,8 +471,8 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     must match the blocked-fraction formula within ``formula_band``.
     """
     r_grid = sorted(_check_positive("r_grid", float(r)) for r in r_grid)
-    if len(r_grid) < 2:
-        raise DomainError("r_grid", "need at least two grid points")
+    if len(set(r_grid)) < max(2, len(r_grid)):
+        raise DomainError("r_grid", f"r_grid needs at least two distinct ratios, got {r_grid}")
     _check_scales("n", [n])
     _check_replications(reps)
     _check_windows(t1, horizon)

@@ -64,22 +64,6 @@ class _Mode(NamedTuple):
     pinned: int
 
 
-@functools.cache
-def _load_scipy():
-    """Import ``expm`` and ``dtbsv`` at first use: scipy.linalg takes about 0.4 s."""
-    global expm, dtbsv
-    from scipy.linalg import expm
-    from scipy.linalg.blas import dtbsv
-
-
-def __getattr__(name):
-    """PEP 562: reading one of the scipy names before first use loads it, so it can be patched."""
-    if name not in ("expm", "dtbsv"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_scipy()
-    return globals()[name]
-
-
 def _system_modes(system, params, r):
     """The modes of ``system`` at ratio r, the first tried first at t = 0.
 
@@ -178,7 +162,9 @@ def _affine_path(system, params, r, x0, horizon, dt):
     step; the path then toggles mode and sets the new mode's pinned
     coordinate to exactly 0.
     """
-    _load_scipy()
+    # Imported here, not at module level: scipy.linalg takes about 0.4 s to import.
+    from scipy.linalg import expm
+
     steps = grid_steps(horizon, dt)
     modes = _system_modes(system, params, r)
     x = np.array([*x0, 0.0, 1.0])
@@ -263,7 +249,8 @@ def gbar_functional(params, r, init):
     """
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
-    _load_scipy()
+    from scipy.linalg.blas import dtbsv
+
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 

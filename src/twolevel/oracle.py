@@ -8,7 +8,6 @@ purpose: it exists to check the simulator and the closed forms, not to
 scale.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -16,23 +15,6 @@ import numpy as np
 from . import sim
 from .errors import InvalidState, NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
-
-
-@functools.cache
-def _load_scipy():
-    """Import ``sparse`` and its two solvers at first use: scipy.sparse takes about 0.4 s."""
-    global sparse, connected_components, spsolve
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
-
-
-def __getattr__(name):
-    """PEP 562: reading one of the scipy names before first use loads it, so it can be patched."""
-    if name not in ("sparse", "connected_components", "spsolve"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_scipy()
-    return globals()[name]
 
 
 # A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  It
@@ -98,7 +80,9 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     positive-rate row leads out of the state space.
     """
     states = _state_array(scaling, cap)
-    _load_scipy()
+    # Imported here, after the size check: scipy.sparse takes about 0.4 s to import.
+    from scipy import sparse
+
     size = len(states)
     n1, c1 = scaling.n + 1, scaling.c2 + 1
 
@@ -153,7 +137,8 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
 
 def _csr(g):
     """The CSR form of ``g``: carried from the build, else converted."""
-    _load_scipy()
+    from scipy import sparse
+
     if isinstance(g, DenseGenerator) and g.csr is not None:
         return g.csr
     return sparse.csr_array(g, dtype=float)
@@ -169,6 +154,10 @@ def stationary_distribution(g):
     chain into a trap) and SingularSystem when the solve fails or leaves
     a residual above 1e-10.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
     g = _csr(g)
     size = g.shape[0]
     if size == 1:
@@ -248,10 +237,3 @@ def transient_distribution(g, init, t, tol=1e-12):
         return dist
     # v @ (I + g/lam) = v + (g/lam)^T @ v
     return _transient_from((g.T / lam).tocsr(), lam, dist, float(t), tol)
-
-
-def write_stationary_csv(pi, scaling, fp, cap=STATE_CAP_DEFAULT):
-    """CSV export `y_star,y,z,prob` in enumeration order."""
-    fp.write("y_star,y,z,prob\n")
-    for (y_star, y, z), prob in zip(_state_array(scaling, cap).tolist(), pi):
-        fp.write(f"{y_star},{y},{z},{float(prob)!r}\n")

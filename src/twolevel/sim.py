@@ -544,14 +544,6 @@ def simulate_process(process, init, params, scaling, horizon, seed,
     return globals()[_LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
 
 
-def _grid(traj, grid_dt):
-    """The grid k*grid_dt up to the horizon, and the row in force at each of its times."""
-    if not 0 < grid_dt < math.inf:
-        raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
-    grid = grid_dt * np.arange(int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1)
-    return grid, np.searchsorted(traj.times, grid, side="right") - 1
-
-
 def rescale(traj, scaling, grid_dt):
     """Sample the trajectory divided by n on the uniform grid k*grid_dt.
 
@@ -561,13 +553,21 @@ def rescale(traj, scaling, grid_dt):
     """
     if traj.truncated:
         raise InvalidState("rescaling needs the path up to the horizon, not a truncated run")
-    _, idx = _grid(traj, grid_dt)
+    if not 0 < grid_dt < math.inf:
+        raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
+    grid = grid_dt * np.arange(int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1)
+    idx = np.searchsorted(traj.times, grid, side="right") - 1
     values = traj.states[idx].astype(float) / scaling.n
     return SampledPath(0.0, grid_dt, values)
 
 
-def _compensator_pieces(traj, params, scaling):
-    """Per-interval table drifts and their prefix integrals for the main process."""
+def residual_sup(traj, params, scaling):
+    """Exact sup over [0, horizon] of |path / n - start - compensator| per coordinate.
+
+    The compensator integrates the table drift, constant between jumps, exactly.
+    The residual is then linear in t between jumps, so the supremum is attained
+    at jump times (left or right limit) or at the horizon.
+    """
     if traj.process != "main":
         raise InvalidState("martingale residuals are defined for the main process")
     if traj.truncated:
@@ -577,30 +577,6 @@ def _compensator_pieces(traj, params, scaling):
     prefix = np.zeros_like(g)
     np.cumsum(g[:-1] * gaps[:, None], axis=0, out=prefix[1:])
     coords = traj.states / scaling.n
-    return coords, g, prefix
-
-
-def martingale_residual(traj, params, scaling, grid_dt):
-    """Rescaled path minus initial value minus exact drift integrals, on a grid.
-
-    The drift integrands are constant between jumps, so the compensator is
-    integrated exactly; the residuals shrink like 1/sqrt(n) and certify
-    that the simulated jumps carry the advertised rates.
-    """
-    coords, g, prefix = _compensator_pieces(traj, params, scaling)
-    grid, idx = _grid(traj, grid_dt)
-    comp = prefix[idx] + g[idx] * (grid - traj.times[idx])[:, None]
-    residual = coords[idx] - coords[0] - comp
-    return SampledPath(0.0, grid_dt, residual)
-
-
-def residual_sup(traj, params, scaling):
-    """Exact sup over [0, horizon] of |residual| per coordinate.
-
-    Between jumps the residual is linear in t, so the supremum is attained
-    at jump times (left or right limit) or at the horizon.
-    """
-    coords, g, prefix = _compensator_pieces(traj, params, scaling)
     right = coords - coords[0] - prefix
     left = coords[:-1] - coords[0] - prefix[1:]
     tail = coords[-1] - coords[0] - (prefix[-1] + g[-1] * (traj.horizon - traj.times[-1]))

@@ -117,6 +117,15 @@ class TestSharedConfig:
         assert out == "" and err.startswith("error: seed is required") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["experiment", "--experiment", "saturation"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, argv):
+        """numpy refused it with 'expected non-negative integer', naming no input."""
+        assert cli.main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulateCommand:
     def test_writes_trajectories_and_manifest(self, tmp_path):
@@ -363,11 +372,16 @@ class TestExperimentCommand:
          "replications"),
         (["--experiment", "martingale-decay", "--n-list", "20"], "n_list"),
         (["--experiment", "martingale-decay", "--n-list", "20,20"], "n_list"),
-    ], ids=["phase-scan-reps0", "martingale-reps0", "martingale-one-n", "martingale-repeated-n"])
+        (["--experiment", "phase-scan", "--burn-in", "0.5", "--workers", "0"], "workers"),
+        (["--experiment", "martingale-decay", "--n-list", "20,40", "--workers", "-3"],
+         "workers"),
+    ], ids=["phase-scan-reps0", "martingale-reps0", "martingale-one-n", "martingale-repeated-n",
+            "phase-scan-workers0", "martingale-workers-negative"])
     def test_unusable_sweep_exits_2(self, capsys, tmp_path, flags, field):
+        """Workers below 1 once ran serially without a word."""
         code = cli.main([
             "experiment", *flags, "--n", "20", "--c2", "6", "--horizon", "2",
-            "--burn-in", "1", "--seed", "1", "--out", str(tmp_path),
+            "--seed", "1", "--out", str(tmp_path),
         ])
         assert code == 2
         err = capsys.readouterr().err
@@ -381,14 +395,17 @@ class TestExperimentCommand:
         (["--experiment", "martingale-decay", "--n-list", "0,100"], "n_list"),
         (["--experiment", "phase-scan", "--r-grid=-0.5,0.3"], "r_grid"),
         (["--experiment", "phase-scan", "--r-grid", "0.3,nan"], "r_grid"),
-        (["--experiment", "saturation", "--band", "nan"], "band"),
-        (["--experiment", "no-blocking", "--c2", "70", "--band", "-1"], "fixed_point_band"),
+        (["--experiment", "saturation", "--burn-in", "1", "--band", "nan"], "band"),
+        (["--experiment", "no-blocking", "--burn-in", "1", "--c2", "70", "--band", "-1"],
+         "fixed_point_band"),
+        (["--experiment", "phase-scan", "--r-grid", "0.3,0.3"], "r_grid"),
     ], ids=["convergence-n0", "saturation-n-negative", "martingale-n0", "phase-scan-r-negative",
-            "phase-scan-r-nan", "saturation-band-nan", "no-blocking-band-negative"])
+            "phase-scan-r-nan", "saturation-band-nan", "no-blocking-band-negative",
+            "phase-scan-r-repeated"])
     def test_bad_scale_ratio_or_band_exits_2(self, capsys, tmp_path, flags, field):
         """Each once crashed (exit 4), failed with a foreign message, or exited 1."""
         code = cli.main(["experiment", "--n", "100", "--c2", "30", "--horizon", "4",
-                         "--burn-in", "1", "--replications", "2", *flags, "--seed", "1",
+                         "--replications", "2", *flags, "--seed", "1",
                          "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -428,16 +445,38 @@ class TestExperimentCommand:
         ("convergence", "--band", "0.05"),
         ("oracle-check", "--band", "0.05"),
         ("martingale-decay", "--band", "0.05"),
+        ("oracle-check", "--burn-in", "7"),
+        ("martingale-decay", "--burn-in", "1"),
+        ("oracle-check", "--replications", "9"),
+        ("oracle-check", "--target", "aux-noblock"),
+        ("phase-scan", "--target", "main"),
+        ("martingale-decay", "--target", "main"),
+        ("oracle-check", "--n-list", "5,6"),
+        ("phase-scan", "--n-list", "20,40"),
+        ("oracle-check", "--r-grid", "0.3"),
+        ("convergence", "--r-grid", "0.3,0.7"),
+        ("martingale-decay", "--r-grid", "0.3,0.7"),
+        ("oracle-check", "--workers", "3"),
     ])
     def test_unread_flag_exits_2(self, capsys, tmp_path, experiment, flag, value):
         """Each was once taken and ignored: phase-scan ran on with --grid-dt nan."""
         code = cli.main(["experiment", "--experiment", experiment, "--n", "20", "--c2", "6",
-                         "--n-list", "20,40", "--r-grid", "0.3,0.7", "--horizon", "4",
-                         "--burn-in", "1", "--seed", "1", flag, value, "--out", str(tmp_path)])
+                         "--horizon", "4", "--seed", "1", flag, value, "--out", str(tmp_path)])
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {flag} is not read by the {experiment} experiment\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_first_unread_flag_named(self, capsys, tmp_path):
+        """oracle-check reads none of the six; this ran and exited 0."""
+        code = cli.main(["experiment", "--experiment", "oracle-check", "--n", "4", "--c2", "2",
+                         "--horizon", "20", "--burn-in", "7", "--target", "aux-noblock",
+                         "--r-grid", "0.3", "--n-list", "5,6", "--workers", "3",
+                         "--replications", "9", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --burn-in is not read by the oracle-check experiment\n")
         assert not any(tmp_path.iterdir())
 
     def test_config_grid_dt_is_not_a_given_flag(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Experiment harness: configs, report artifacts, and the six experiment types."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -22,6 +23,7 @@ from twolevel import (
     blocked_fraction_limit,
     cli,
     convergence_sweep,
+    experiments,
     critical_ratio,
     martingale_decay,
     no_blocking_certificate,
@@ -34,6 +36,11 @@ from twolevel import (
 )
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
+
+
+def seed_rep(seed):
+    """A replication that returns its seed and never absorbs."""
+    return False, seed
 
 
 def small_cfg(r, **overrides):
@@ -274,9 +281,12 @@ class TestPhaseScan:
         ([0.0, 0.3], 20, "r_grid"),
         ([0.3, math.inf], 20, "r_grid"),
         ([0.3, 0.7], 0, "n"),
+        ([0.3, 0.3], 20, "r_grid"),
+        ([0.3, 0.7, 0.3], 20, "r_grid"),
     ])
     def test_bad_ratio_or_scale_rejected(self, r_grid, n, field):
-        """r < 0 once ran and reported a blocked-fraction limit of 2.0."""
+        """r < 0 once ran and reported a blocked-fraction limit of 2.0; a repeated ratio
+        gave a grid spacing of 0 and a FAIL verdict."""
         with pytest.raises(DomainError) as info:
             phase_scan(SYM, r_grid, n=n, horizon=5.0, t1=1.0, reps=2, seed=0)
         assert info.value.field == field
@@ -449,3 +459,43 @@ class TestAbsorbedRuns:
     def test_no_note_without_absorbed_runs(self):
         rep = no_blocking_certificate(small_cfg(0.7, n_list=(20,), replications=2))
         assert not any("absorbed" in note for note in rep.notes)
+
+
+class TestReplicate:
+    """The run sweep behind every suite's ``workers``."""
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        """Both once ran serially without a word."""
+        with pytest.raises(DomainError) as info:
+            phase_scan(SYM, [0.3, 0.7], n=20, horizon=5.0, t1=1.0, reps=2, seed=0,
+                       workers=workers)
+        assert info.value.field == "workers"
+
+    @pytest.mark.parametrize("workers, reps, cpus, pools", [
+        (500, 2, 4, [2]), (500, 9, 4, [4]), (3, 9, 4, [3]), (2, 9, 1, []), (2, 9, None, []),
+        (2, 1, 4, []),
+    ])
+    def test_pool_capped_at_replications_and_cpus(self, monkeypatch, workers, reps, cpus,
+                                                   pools):
+        """A pool forks all its processes at once: 500 workers once meant 500 interpreters."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seeds, chunksize):
+                return map(fn, seeds)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert experiments._replicate(seed_rep, (), 7, reps, workers) == (
+            list(range(7, 7 + reps)), 0)
+        assert sizes == pools

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.signal import lfilter
@@ -604,14 +605,14 @@ class TestPicardRecursion:
     """The banded solve inside ``gbar_functional`` against scipy's lfilter recursion."""
 
     def test_recursion_matches_lfilter(self, monkeypatch):
-        blas_dtbsv, solves = fluid.dtbsv, []
+        blas_dtbsv, solves = scipy.linalg.blas.dtbsv, []
 
         def recording(k, band, c, **flags):
             before = c.copy()
             solves.append((before, blas_dtbsv(k, band, c, **flags).copy()))
             return solves[-1][1]
 
-        monkeypatch.setattr(fluid, "dtbsv", recording)
+        monkeypatch.setattr(scipy.linalg.blas, "dtbsv", recording)
         params = ModelParams(0.4, 1.3, 0.8, 1.1)
         t = 1e-3 * np.arange(10001)
         gbar_functional(params, 0.25, (0.1, 0.2))(SampledPath(0.0, 1e-3, np.sin(t) ** 2))

@@ -73,16 +73,6 @@ def test_solvers_load_only_linalg_and_sparse():
     assert scipy_subpackages(loaded) - {"version"} == {"linalg", "sparse"}
 
 
-def test_scipy_names_readable_before_first_use():
-    """Reading a lazily imported name loads it, so a test can patch it before any solve."""
-    modules_after(
-        "import scipy.linalg, scipy.linalg.blas, scipy.sparse.linalg\n"
-        "from twolevel import fluid, oracle\n"
-        "assert fluid.expm is scipy.linalg.expm\n"
-        "assert fluid.dtbsv is scipy.linalg.blas.dtbsv\n"
-        "assert oracle.spsolve is scipy.sparse.linalg.spsolve")
-
-
 def unwanted_imports(source, name):
     """``name:line module`` for each unwanted import in ``source``, at any depth."""
     found = []

@@ -1,11 +1,11 @@
 """Exact small-instance solver: enumeration, generator, stationary, transient."""
 
-import io
 import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 
 from twolevel import (
@@ -23,7 +23,6 @@ from twolevel import (
     stationary_distribution,
     stationary_moments,
     transient_distribution,
-    write_stationary_csv,
 )
 from twolevel import oracle, sim
 from rate_clauses import rate_clauses, reference_generator
@@ -230,7 +229,8 @@ class TestStationary:
 
     def test_non_finite_solve_is_singular(self, monkeypatch):
         """A singular factorisation returns NaN, which no residual or sign test catches."""
-        monkeypatch.setattr(oracle, "spsolve", lambda a, b, **kw: np.full(len(b), np.nan))
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                            lambda a, b, **kw: np.full(len(b), np.nan))
         with pytest.raises(SingularSystem):
             stationary_distribution(build_generator(SYM, ScalingParams(n=2, c2=1)))
 
@@ -311,16 +311,3 @@ class TestTransient:
             transient_distribution(g, 0, -1.0)
         with pytest.raises(ValueError):
             transient_distribution(g, np.array([0.5, 0.25, 0.25]), 1.0)
-
-
-class TestStationaryCsv:
-    def test_round_trip(self):
-        scaling = ScalingParams(n=2, c2=1)
-        pi = stationary_distribution(build_generator(SYM, scaling))
-        buf = io.StringIO()
-        write_stationary_csv(pi, scaling, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "y_star,y,z,prob"
-        assert len(lines) == len(pi) + 1
-        probs = [float(line.split(",")[3]) for line in lines[1:]]
-        np.testing.assert_allclose(probs, pi, rtol=0.0)

@@ -26,7 +26,6 @@ from twolevel import (
     Trajectory,
     build_generator,
     check_state,
-    martingale_residual,
     overloaded_fixed_point,
     rescale,
     residual_sup,
@@ -821,26 +820,7 @@ class TestMartingaleResidual:
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
         scaling = ScalingParams(n=1, c2=1)
         traj = simulate((0, 0, 1), params, scaling, 5.0, seed=3)
-        res = martingale_residual(traj, params, scaling, 0.01)
-        assert np.all(res.values == 0.0)
         assert residual_sup(traj, params, scaling).max() == 0.0
-
-    def test_residual_starts_at_zero(self):
-        scaling = ScalingParams(n=20, c2=6)
-        traj = simulate((0, 0, 0), SYM, scaling, 5.0, seed=11)
-        res = martingale_residual(traj, SYM, scaling, 0.01)
-        assert np.all(res.values[0] == 0.0)
-
-    def test_single_jump_size_is_one_over_n(self):
-        params = ModelParams(1.0, 1.0, 1.0, 1.0)
-        scaling = ScalingParams(n=1, c2=1)
-        traj = simulate((0, 0, 1), params, scaling, 3.0, seed=6)
-        assert traj.num_events >= 1
-        t1 = traj.times[1]
-        res = martingale_residual(traj, params, scaling, 1e-5)
-        k_after = int(np.searchsorted(res.times, t1, side="left"))
-        jump = res.values[k_after] - res.values[k_after - 1]
-        np.testing.assert_allclose(jump, (0.0, 1.0, 0.0), atol=1e-4)
 
     def test_sup_residual_shrinks_with_n(self):
         """Doubling n twice halves the sup-residual RMS (within sampling slack)."""
@@ -856,20 +836,22 @@ class TestMartingaleResidual:
         ratio = sups[100] / sups[400]
         assert ratio.min() >= 1.5
 
-    @pytest.mark.parametrize("params, n, c2, horizon, seed, min_events", [
-        (SYM, 200, 60, 10.0, 1, 1000),
-        (SYM, 200, 140, 10.0, 2, 1000),
-        (ModelParams(0.3, 1.7, 0.6, 1.2), 50, 30, 10.0, 3, 100),
-        (ModelParams(0.8, 0.9, 2.0, 0.5), 20, 4, 20.0, 4, 100),
-        (SYM, 3, 1, 2.0, 1, 1),  # y's sup is reached at the horizon
-        (SYM, 10, 3, 3.0, 1, 1),  # z's sup is reached at the horizon
+    @pytest.mark.parametrize("params, n, c2, horizon, seed, min_events, init", [
+        (SYM, 200, 60, 10.0, 1, 1000, (0, 0, 0)),
+        (SYM, 200, 140, 10.0, 2, 1000, (0, 0, 0)),
+        (ModelParams(0.3, 1.7, 0.6, 1.2), 50, 30, 10.0, 3, 100, (0, 0, 0)),
+        (ModelParams(0.8, 0.9, 2.0, 0.5), 20, 4, 20.0, 4, 100, (0, 0, 0)),
+        (SYM, 3, 1, 2.0, 1, 1, (0, 0, 0)),  # y's sup is reached at the horizon
+        (SYM, 10, 3, 3.0, 1, 1, (0, 0, 0)),  # z's sup is reached at the horizon
+        (ModelParams(0.0, 1.0, 1.0, 1.0), 1, 1, 5.0, 3, 0, (0, 0, 1)),  # nothing enabled: 0
+        (ModelParams(1.0, 1.0, 1.0, 1.0), 1, 1, 3.0, 6, 1, (0, 0, 1)),  # jumps of size 1/n
     ])
     def test_sup_matches_hand_written_compensator(self, params, n, c2, horizon, seed,
-                                                  min_events):
+                                                  min_events, init):
         """The sup from ``rate_clauses``, integrated exactly between jumps, without the tables:
         right and left limits at each jump, and the value at the horizon."""
         scaling = ScalingParams(n, c2)
-        traj = simulate((0, 0, 0), params, scaling, horizon, seed=seed)
+        traj = simulate(init, params, scaling, horizon, seed=seed)
         assert traj.num_events >= min_events
         states = [tuple(int(v) for v in row) for row in traj.states]
         ends = [*traj.times[1:], traj.horizon]
@@ -884,14 +866,6 @@ class TestMartingaleResidual:
             compensator = compensator + drift * (t1 - t0)
         sup = np.maximum(sup, np.abs(np.array(states[-1]) / n - start - compensator))
         np.testing.assert_allclose(residual_sup(traj, params, scaling), sup, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("grid_dt", [0.0, math.nan, math.inf, -0.5])
-    def test_bad_grid_rejected(self, grid_dt):
-        """0 once raised ZeroDivisionError and NaN 'cannot convert float NaN to integer'."""
-        scaling = ScalingParams(n=20, c2=6)
-        traj = simulate((0, 0, 0), SYM, scaling, 2.0, seed=1)
-        with pytest.raises(InvalidState, match="grid_dt"):
-            martingale_residual(traj, SYM, scaling, grid_dt)
 
     def test_truncated_or_foreign_trajectories_rejected(self):
         scaling = ScalingParams(n=4, c2=2)
