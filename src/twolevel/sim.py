@@ -9,14 +9,16 @@ explicitly; a run is a pure function of (parameters, seed).
 Each process is one table in ``PROCESSES``, the only statement of its
 rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
 ``transitions``, ``step``, ``drift`` and the oracle's generator;
-``loop_source`` generates a C function from it that runs a block of jumps.
+``loop_source`` generates a C function from it that runs a block of jumps,
+and ``residual_source`` the compensator of ``residual_sup`` (main table).
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to that function.  The
-three, and the row formatter of ``write_trajectory_csv``, are compiled into
-one shared library at the first use, never at import, with the system C
-compiler (``cc``); the library is kept in ``$XDG_CACHE_HOME/twolevel``
-(default ``~/.cache/twolevel``), so later processes load it without
-compiling.  Without a compiler a run or a trajectory CSV raises ``BuildError``.
+three, the compensator and the row formatter of ``write_trajectory_csv``
+are compiled into one shared library at the first use, never at import,
+with the system C compiler (``cc``); the library is kept in
+``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later
+processes load it without compiling.  Without a compiler a run, a residual
+or a trajectory CSV raises ``BuildError``.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -205,10 +207,17 @@ def _constants(params, scaling):
 
 
 @functools.lru_cache(maxsize=None)
-def _rates_code(table):
-    """The tuple of every row's ``(coefficient) * (factor) * (guard)``, compiled."""
-    rows = (" * ".join(f"({e})" for e in row[1:] if e is not None) for row in table)
+def _rates_code(table, fields=3):
+    """The tuple of every row's ``(coefficient) * (factor) * (guard)``, compiled; with
+    ``fields=1``, of every row's coefficient."""
+    rows = (" * ".join(f"({e})" for e in row[1:1 + fields] if e is not None) for row in table)
     return compile(f"({', '.join(rows)},)", "<rates>", "eval")
+
+
+def _coefficients(spec, params, scaling):
+    """Every table row's coefficient, in table order: the ``a`` the C functions take."""
+    names = _constants(params, scaling)
+    return np.array(eval(_rates_code(spec.table, 1), {"__builtins__": {}}, names), dtype=float)
 
 
 def rates(process, x, params, scaling):
@@ -235,7 +244,8 @@ def drift(process, x, params, scaling):
     """Sum of delta * rate / n over the table: the density-dependent drift.
 
     ``x`` holds the state columns, as numbers or as arrays of equal
-    length; the result has the columns on its last axis.
+    length; the result has the columns on its last axis.  Only the tests
+    call it, pinning the tables to the fluid model.
     """
     values = np.array(rates(process, x, params, scaling), dtype=float)
     deltas = np.array([row[0] for row in _process(process).table], dtype=float)
@@ -263,8 +273,10 @@ def step(process, state, rng, params, scaling):
     return (holding, MicroState(*nxt) if process == "main" else nxt)
 
 
-def _check_run(horizon, max_events):
-    """Refuse an event cap below 1 or a horizon that is negative, infinite or NaN."""
+def _check_run(horizon, max_events, seed):
+    """Refuse an event cap below 1, a horizon that is negative, infinite or NaN, or a seed < 0."""
+    if seed < 0:
+        raise DomainError("seed", f"seed must be >= 0, got {seed}")
     if max_events < 1:
         raise DomainError("max_events", f"max_events must be at least 1, got {max_events}")
     if not 0 <= horizon < math.inf:
@@ -369,6 +381,46 @@ def loop_source(process, spec=None):
     return "\n".join(lines) + "\n"
 
 
+def residual_source(spec):
+    """C source of ``residual_sup`` for the process of ``spec``, from its table.
+
+    Per state row: each rate ``a[i] * (factor) * (guard)``, then the drift,
+    0.0 plus each nonzero delta times its rate in table order, over n (as
+    numpy's ``tensordot`` rounds it).  ``p``, the compensator, adds drift * gap
+    up to each jump and the horizon; ``sup`` gets the largest
+    ``|(x / n - x0 / n) - p|`` at each left and right limit.
+    """
+    d = len(spec.columns)
+    products = (" * ".join([f"a[{i}]"] + [f"({e})" for e in row[2:] if e])
+                for i, row in enumerate(spec.table))
+    sums = ("".join(f" {'+-'[v < 0]} {abs(v)} * r{i}" for i, v in enumerate(col) if v)
+            for col in zip(*(row[0] for row in spec.table)))
+    return "\n".join([
+        "static void widen(double *sup, double e) { if (e < 0) e = -e; if (e > *sup) *sup = e; }",
+        "void residual_sup(const int64_t *x, const double *times, int64_t rows, const double *a,",
+        "                  int64_t n, int64_t c2, double horizon, double *sup)",
+        "{",
+        f"    double g[{d}] = {{0.0}}, p[{d}] = {{0.0}}, h[{d}], c[{d}];",
+        "    for (int64_t k = 0; k <= rows; k++) {",
+        "        /* To jump k, or from the last jump to the horizon: left limit, then right. */",
+        "        double gap = k == 0 ? 0.0 : (k < rows ? times[k] : horizon) - times[k - 1];",
+        f"        for (int j = 0; j < {d}; j++) {{",
+        "            if (k == 0) { sup[j] = 0.0; h[j] = c[j] = (double)x[j] / n; }",
+        "            p[j] += g[j] * gap;",
+        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
+        "            if (k == rows) continue;",
+        f"            c[j] = (double)x[{d} * k + j] / n;",
+        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
+        "        }",
+        "        if (k == rows) break;",
+        *(f"        int64_t {c} = x[{d} * k + {i}];" for i, c in enumerate(spec.columns)),
+        *(f"        double r{i} = {product};" for i, product in enumerate(products)),
+        *(f"        g[{j}] = (0.0{terms}) / n;" for j, terms in enumerate(sums)),
+        "    }",
+        "}",
+    ]) + "\n"
+
+
 # What ended a block of jumps, as the C functions return it.
 _USED_UP, _HORIZON, _ABSORBED = range(3)
 _PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <stdint.h>\n"
@@ -415,9 +467,9 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 
 
 def _library_source(processes):
-    """C source of one library: the simulator functions of ``processes``, then the formatter."""
+    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER)
+            + _FORMATTER + "\n" + residual_source(processes["main"]))
 
 
 def _built(source, private):
@@ -468,6 +520,9 @@ def _library(source):
         function.argtypes, function.restype = _ARGTYPES, ctypes.c_int
     lib.format_trajectory_rows.argtypes = _FORMAT_ARGTYPES
     lib.format_trajectory_rows.restype = ctypes.c_int64
+    lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
+                                 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
+    lib.residual_sup.restype = None
     return lib
 
 
@@ -491,17 +546,14 @@ def _jump_draws(rng, count):
 def _loop(process, spec, source):
     """The simulator loop of ``process``: draws in Python, jumps in C compiled from ``source``."""
     symbol = _LOOP_NAMES[process]
-    coefficients = compile(f"({', '.join(row[1] for row in spec.table)},)",
-                           "<coefficients>", "eval")
     deltas = np.array([row[0] for row in spec.table], dtype=np.int64)
 
     def run(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
         """Run the process from ``init`` up to ``horizon`` with the given seed."""
         spec.check(init, scaling)
-        _check_run(horizon, max_events)
+        _check_run(horizon, max_events, seed)
         jumps = getattr(_library(source), symbol)
-        a = np.array(eval(coefficients, {"__builtins__": {}}, _constants(params, scaling)),
-                     dtype=float)
+        a = _coefficients(spec, params, scaling)
         x, clock, done = np.array(init, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
         fixed = (x.ctypes.data, clock.ctypes.data, a.ctypes.data, scaling.n, scaling.c2, horizon)
         times, codes = np.zeros(_CHUNK + 1), np.empty(_CHUNK, dtype=np.int8)
@@ -528,7 +580,7 @@ def _loop(process, spec, source):
 
 
 # Bound to the tables as they are at import; the library is built at the first run.
-_SOURCE = _library_source(PROCESSES)
+_SOURCE, _MAIN = _library_source(PROCESSES), PROCESSES["main"]
 simulate, simulate_aux_saturated, simulate_aux_noblock = (
     _loop(name, PROCESSES[name], _SOURCE) for name in ("main", "aux-saturated", "aux-noblock"))
 
@@ -566,24 +618,22 @@ def residual_sup(traj, params, scaling):
 
     The compensator integrates the table drift, constant between jumps, exactly.
     The residual is then linear in t between jumps, so the supremum is attained
-    at jump times (left or right limit) or at the horizon.
+    at jump times (left or right limit) or at the horizon.  It runs in C generated
+    from the table (``residual_source``), so it needs ``cc`` as a run does.
     """
     if traj.process != "main":
         raise InvalidState("martingale residuals are defined for the main process")
     if traj.truncated:
         raise InvalidState("martingale residuals need the full event list, not a truncated run")
-    g = drift("main", traj.states.T, params, scaling)
-    gaps = np.diff(traj.times)
-    prefix = np.zeros_like(g)
-    np.cumsum(g[:-1] * gaps[:, None], axis=0, out=prefix[1:])
-    coords = traj.states / scaling.n
-    right = coords - coords[0] - prefix
-    left = coords[:-1] - coords[0] - prefix[1:]
-    tail = coords[-1] - coords[0] - (prefix[-1] + g[-1] * (traj.horizon - traj.times[-1]))
-    sup = np.max(np.abs(right), axis=0)
-    if len(left):
-        sup = np.maximum(sup, np.max(np.abs(left), axis=0))
-    return np.maximum(sup, np.abs(tail))
+    times = np.ascontiguousarray(traj.times, dtype=float)
+    states = np.ascontiguousarray(traj.states, dtype=np.int64)
+    if not len(times) or states.shape != (len(times), 3):
+        raise InvalidState(f"states of shape {states.shape}, not ({len(times)}, 3) with a row")
+    a, sup = _coefficients(_MAIN, params, scaling), np.zeros(3)
+    _library(_SOURCE).residual_sup(states.ctypes.data, times.ctypes.data, len(times),
+                                   a.ctypes.data, scaling.n, scaling.c2, traj.horizon,
+                                   sup.ctypes.data)
+    return sup
 
 
 def write_csv_rows(fp, row, times, values):

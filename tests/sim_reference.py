@@ -12,7 +12,7 @@ every jump.
 
 import numpy as np
 
-from twolevel.sim import _CHUNK, _jump_draws
+from twolevel.sim import _CHUNK, _jump_draws, drift
 
 
 def _result(times, cols):
@@ -189,3 +189,25 @@ SIMULATORS = {
     "aux-saturated": simulate_aux_saturated,
     "aux-noblock": simulate_aux_noblock,
 }
+
+
+def residual_sup(traj, params, scaling):
+    """The numpy form of ``sim.residual_sup``: whole-array drift, compensator and limits.
+
+    The drift is ``sim.drift`` (the table's rates, then a ``tensordot`` with
+    the deltas, over n); the compensator is the ``cumsum`` of drift * gap;
+    the residual is taken at every right limit, every left limit and the
+    horizon.  The compiled function must return the same floats.
+    """
+    g = drift("main", traj.states.T, params, scaling)
+    gaps = np.diff(traj.times)
+    prefix = np.zeros_like(g)
+    np.cumsum(g[:-1] * gaps[:, None], axis=0, out=prefix[1:])
+    coords = traj.states / scaling.n
+    right = coords - coords[0] - prefix
+    left = coords[:-1] - coords[0] - prefix[1:]
+    tail = coords[-1] - coords[0] - (prefix[-1] + g[-1] * (traj.horizon - traj.times[-1]))
+    sup = np.max(np.abs(right), axis=0)
+    if len(left):
+        sup = np.maximum(sup, np.max(np.abs(left), axis=0))
+    return np.maximum(sup, np.abs(tail))

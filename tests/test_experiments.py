@@ -447,6 +447,27 @@ class TestTruncatedRunsRefused:
         assert os.listdir(tmp_path) == []
 
 
+class TestNegativeSeedRefused:
+    """A negative seed is refused by name in the simulator, before numpy sees it."""
+
+    @pytest.mark.parametrize("suite", [
+        lambda: convergence_sweep(small_cfg(0.3, n_list=(20,), replications=2, base_seed=-5),
+                                  "aux-saturated"),
+        lambda: no_blocking_certificate(small_cfg(0.7, n_list=(20,), replications=2,
+                                                  base_seed=-5)),
+        lambda: saturation_certificate(small_cfg(0.3, n_list=(20,), replications=2,
+                                                 base_seed=-5)),
+        lambda: phase_scan(SYM, [0.3, 0.7], 20, 4.0, 1.0, 2, -1),
+        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, -3, bootstrap=10),
+        lambda: oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 10.0, seed=-1),
+    ], ids=["convergence", "no-blocking", "saturation", "phase-scan", "martingale",
+            "oracle-check"])
+    def test_suite_raises(self, suite):
+        with pytest.raises(DomainError, match="seed must be >= 0") as err:
+            suite()
+        assert err.value.field == "seed"
+
+
 class TestAbsorbedRuns:
     """With p = 0 nothing feeds class 0, so every run absorbs at (0, 0, c2); the report says so."""
 

@@ -418,6 +418,13 @@ class TestSimulate:
         assert capped.truncated and not capped.absorbed and capped.num_events == 3
 
     @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_negative_seed_rejected(self, process):
+        init = (0,) * len(PROCESSES[process].columns)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1") as err:
+            simulate_process(process, init, SYM, ScalingParams(n=4, c2=2), 5.0, seed=-1)
+        assert err.value.field == "seed"
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
     @pytest.mark.parametrize("cap", [0, -3])
     def test_event_cap_below_one_rejected(self, process, cap):
         init = (0,) * len(PROCESSES[process].columns)
@@ -507,6 +514,23 @@ class TestCompiledLoops:
         assert sim._library(patched)._name != sim._library(unpatched)._name
         assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
 
+    def test_patched_table_reaches_residual_sup(self, monkeypatch):
+        """The compensator is C generated from the table: patch a factor and a coefficient,
+        and the patched library's sup follows the numpy formula of the patched table."""
+        scaling = ScalingParams(n=60, c2=18)
+        traj = simulate((0, 25, 5), SYM, scaling, 20.0, seed=6)
+        unpatched = residual_sup(traj, SYM, scaling)
+        main = PROCESSES["main"]
+        table = list(main.table)
+        table[3] = (table[3][0], table[3][1], f"2 * ({table[3][2]})", table[3][3])
+        table[6] = (table[6][0], f"2.5 * {table[6][1]}", table[6][2], table[6][3])
+        monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
+        monkeypatch.setattr(sim, "_SOURCE", sim._library_source(PROCESSES))
+        monkeypatch.setattr(sim, "_MAIN", PROCESSES["main"])
+        patched = residual_sup(traj, SYM, scaling)
+        assert patched.tolist() == sim_reference.residual_sup(traj, SYM, scaling).tolist()
+        assert patched.tolist() != unpatched.tolist()
+
     def test_unreachable_guard_case_pruned(self):
         """main never has y_star > 0 and z > 0, so its loop has three cases, not four."""
         guarded, cases = sim._cases(PROCESSES["main"])
@@ -528,6 +552,10 @@ class TestCompiledLoops:
             assert getattr(lib, sim._LOOP_NAMES[process]).argtypes == sim._ARGTYPES
         assert lib.format_trajectory_rows.argtypes == sim._FORMAT_ARGTYPES
         assert lib.format_trajectory_rows.restype is ctypes.c_int64
+        assert lib.residual_sup.argtypes == [ctypes.c_void_p] * 2 + [
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_void_p]
+        assert lib.residual_sup.restype is None
         run = getattr(sim, sim._LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
 
@@ -613,6 +641,14 @@ class TestLibraryCache:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
             simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 1.0, seed=1)
+        assert list(cold_cache.iterdir()) == []
+
+    def test_missing_compiler_refuses_residual_sup(self, cold_cache, monkeypatch):
+        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BuildError, match="C compiler"):
+            residual_sup(traj, SYM, ScalingParams(n=5, c2=2))
         assert list(cold_cache.iterdir()) == []
 
     def test_cli_without_compiler(self, tmp_path):
@@ -872,6 +908,48 @@ class TestMartingaleResidual:
         aux = simulate_aux_saturated((0, 0), SYM, scaling, 2.0, seed=0)
         with pytest.raises(InvalidState):
             residual_sup(aux, SYM, scaling)
+
+    @pytest.mark.parametrize("params, n, c2, horizon, seeds, init", [
+        (SYM, 200, 60, 10.0, range(20), (0, 0, 0)),
+        (SYM, 200, 140, 10.0, range(20), (0, 0, 0)),
+        (SYM, 800, 240, 10.0, range(20), (0, 0, 0)),
+        (SYM, 800, 560, 10.0, range(20), (0, 0, 0)),
+        (ModelParams(0.0, 1.0, 1.0, 1.0), 1, 1, 5.0, [3], (0, 0, 1)),  # no jump: absorbed at 0
+        (ModelParams(0.0, 1.0, 1.0, 1.0), 3, 2, 100.0, [8], (0, 3, 0)),  # absorbed after jumps
+    ], ids=["r0.3-n200", "r0.7-n200", "r0.3-n800", "r0.7-n800", "no-jump", "absorbed"])
+    def test_bit_identical_to_numpy_reference(self, params, n, c2, horizon, seeds, init):
+        """The compiled sup equals the whole-array numpy formula (``tensordot`` drift,
+        ``cumsum`` compensator) float for float."""
+        scaling = ScalingParams(n, c2)
+        for seed in seeds:
+            traj = simulate(init, params, scaling, horizon, seed=seed)
+            expected = sim_reference.residual_sup(traj, params, scaling)
+            assert residual_sup(traj, params, scaling).tolist() == expected.tolist()
+
+    def test_any_array_layout_gives_the_same_sup(self):
+        """Fortran-order, strided, int32 or list states, and strided or list times."""
+        scaling = ScalingParams(n=50, c2=15)
+        traj = simulate((0, 0, 0), SYM, scaling, 10.0, seed=4)
+        wide = np.zeros((len(traj.times), 6), dtype=np.int64)
+        wide[:, ::2] = traj.states
+        spread = np.zeros(2 * len(traj.times))
+        spread[::2] = traj.times
+        layouts = [dict(states=s) for s in (np.asfortranarray(traj.states), wide[:, ::2],
+                                            traj.states.astype(np.int32), traj.states.tolist())]
+        layouts += [dict(times=spread[::2]), dict(times=traj.times.tolist())]
+        sup = residual_sup(traj, SYM, scaling).tolist()
+        for fields in layouts:
+            assert residual_sup(dataclasses.replace(traj, **fields), SYM, scaling).tolist() == sup
+
+    @pytest.mark.parametrize("times, shape", [
+        (6, (5, 3)), (6, (7, 3)), (6, (6, 2)), (3, (3, 6)), (0, (0, 3)),
+    ], ids=["row-short", "row-over", "two-columns", "six-columns", "no-row"])
+    def test_mismatched_states_refused(self, times, shape):
+        """Rows other than one per time, no row, or columns other than 3 never reach the C code."""
+        traj = Trajectory("main", PROCESSES["main"].columns, np.arange(float(times)),
+                          np.zeros(shape, dtype=np.int64), 10.0, 0, 4, 2)
+        with pytest.raises(InvalidState, match="shape"):
+            residual_sup(traj, SYM, ScalingParams(n=4, c2=2))
 
 
 class TestTrajectoryCsv:
