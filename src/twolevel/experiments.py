@@ -535,8 +535,15 @@ def oracle_cross_check(params, scaling, horizon, seed, batches=20):
 
     Splits the post-burn-in window into batches, estimates each summary
     by the batch-mean average, and passes iff every summary lands within
-    3 batch-mean standard errors of the exact value.
+    3 batch-mean standard errors of the exact value.  A negative seed, a
+    horizon that is not finite and > 0, and fewer than 2 batches (no
+    standard error) are refused before the oracle is built.
     """
+    if seed < 0:
+        raise DomainError("seed", f"seed must be >= 0, got {seed}")
+    _check_positive("horizon", horizon)
+    if batches < 2:
+        raise DomainError("batches", f"batches must be at least 2, got {batches}")
     gen = oracle.build_generator(params, scaling)
     pi = oracle.stationary_distribution(gen)
     exact = oracle.stationary_moments(pi, scaling)

@@ -246,6 +246,13 @@ def gbar_functional(params, r, init):
     quadrature rearranged for O(n) cost and overflow-free long horizons,
     solved as a unit lower-bidiagonal banded system.  The terms that depend
     on the grid alone are kept from one call to the next on the same grid.
+
+    The functional restarts, as ``solve_generalized`` calls it:
+    ``gbar(window, carried)`` takes x on a window of the grid (times
+    ``window.t0 + k dt``) and the pair (inner integral, convolution) at the
+    window's first point, None when the window starts at t = 0.  It returns
+    the free path on the window and that pair at the window's last point,
+    so consecutive windows sharing an end point continue the same recursion.
     """
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
@@ -268,20 +275,27 @@ def gbar_functional(params, r, init):
         band[1, :-1] = -decay
         return decay, band, y_star0 + mu01 * k_times_decay - mu02 * r * t
 
-    def gbar(path):
+    def gbar(path, carried):
         x = path.values
         if x.ndim != 1:
             raise DomainError("values", "the functional expects a scalar path")
         dt = path.dt
         n = len(x)
         decay, band, free = grid_terms(path.t0, dt, n)
-        inner = np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * (dt / 2))))
-        w = x + mu11 * inner
-        c = np.empty(n)
-        c[0] = 0.0
-        c[1:] = (dt / 2) * (w[:-1] * decay + w[1:])
+        inner, c = np.empty(n), np.empty(n)
+        inner[0], c[0] = (0.0, 0.0) if carried is None else carried
+        np.add(x[1:], x[:-1], out=inner[1:])
+        inner[1:] *= dt / 2
+        np.cumsum(inner, out=inner)
+        w = mu11 * inner
+        w += x
+        np.multiply(w[:-1], decay, out=c[1:])
+        c[1:] += w[1:]
+        c[1:] *= dt / 2
         conv = dtbsv(1, band, c, lower=1, diag=1, overwrite_x=1)
-        return SampledPath(path.t0, dt, -p * mu01 * conv + free)
+        out = -p * mu01 * conv
+        out += free
+        return SampledPath(path.t0, dt, out), (inner[-1], conv[-1])
 
     return gbar
 

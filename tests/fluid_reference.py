@@ -1,5 +1,5 @@
-"""Projected-Euler reference for the three reflected fluid systems, and the
-closed-form drifts of the two regime interiors.
+"""Projected-Euler reference for the three reflected fluid systems, the
+closed-form drifts of the two regime interiors, and full-horizon Picard.
 
 Written independently of the exact piecewise-affine solver in
 ``twolevel.fluid``: each system is advanced by explicit Euler steps of its
@@ -8,12 +8,14 @@ the regulator.  The result is first-order accurate in dt, so the tests
 compare it with the exact paths as dt shrinks, not to roundoff.
 ``overloaded_rhs`` and ``underloaded_rhs`` state the interior drifts by
 hand; the tests check them against the fixed points, the affine modes
-and the transition tables' drift.
+and the transition tables' drift.  ``picard_full_horizon`` is Picard on
+the whole horizon at once, the reference for the windowed
+``solve_generalized``.
 """
 
 import numpy as np
 
-from twolevel import y_b_closed_form
+from twolevel import NoConvergence, SampledPath, reflect_1d, y_b_closed_form
 
 
 def overloaded_rhs(state, params, r):
@@ -114,3 +116,22 @@ def euler_hybrid(params, r, init, horizon, dt):
         y = min(max(0.0, y + dt * d_y), 1.0 - y_star)
         out[k + 1] = (y_star, y, z)
     return out
+
+
+def picard_full_horizon(phi, horizon, dt, tol=1e-9, max_iter=200):
+    """(solution, regulator, sweeps) of x = reflect(phi(x)) by Picard on all of [0, horizon].
+
+    Every sweep applies ``phi`` to the whole grid from t = 0, with no
+    carried state, starting from x = 0; NoConvergence after ``max_iter``
+    sweeps.
+    """
+    x = SampledPath(0.0, dt, np.zeros(_steps(horizon, dt) + 1))
+    residual = np.inf
+    for sweep in range(1, max_iter + 1):
+        free, _ = phi(x, None)
+        new, regulator = reflect_1d(free)
+        residual = float(np.max(np.abs(new.values - x.values)))
+        x = new
+        if residual <= tol:
+            return x, regulator, sweep
+    raise NoConvergence(max_iter, residual)

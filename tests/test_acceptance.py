@@ -182,7 +182,8 @@ def test_criterion_06_cross_method_skorokhod(verdict):
         picard, _, _ = solve_generalized(gbar_functional(params, r, (0.0, 0.0)), 10.0, 1e-3)
         exact = aux_saturated_fluid(params, r, (0.0, 0.0), 10.0, dt=1e-3)
         worst = max(worst, float(np.abs(picard.values - exact.y_star).max()))
-    # Worst measured gap: 1.8e-7 here, 2.2e-7 on perfbench's draws (seeds 1-10).
+    # Worst measured gap with windowed Picard: 1.8e-7 here, 2.2e-7 on perfbench's draws
+    # (seeds 1-10), each within 3e-11 of full-horizon Picard's.
     ok = worst <= 1e-5
     verdict(6, "cross-method-skorokhod", ok, started)
     assert ok, f"worst sup-norm gap {worst}"

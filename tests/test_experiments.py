@@ -27,6 +27,7 @@ from twolevel import (
     critical_ratio,
     martingale_decay,
     no_blocking_certificate,
+    oracle,
     oracle_cross_check,
     phase_scan,
     saturation_certificate,
@@ -327,6 +328,26 @@ class TestOracleCrossCheck:
     def test_short_window_flagged_low_confidence(self):
         rep = oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 10.0, seed=5)
         assert any("low confidence" in note for note in rep.notes)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("seed", {"seed": -1}),
+        ("horizon", {"horizon": 0.0}),
+        ("horizon", {"horizon": -5.0}),
+        ("horizon", {"horizon": math.inf}),
+        ("horizon", {"horizon": math.nan}),
+        ("batches", {"batches": 1}),
+        ("batches", {"batches": 0}),
+    ])
+    def test_bad_input_refused_before_the_oracle_build(self, monkeypatch, field, kwargs):
+        """One batch has no standard error and none has no mean: both are
+        refused by name, as are a bad seed or horizon, before the build."""
+        built = []
+        monkeypatch.setattr(oracle, "build_generator", lambda *args: built.append(args))
+        args = {"horizon": 10.0, "seed": 5, **kwargs}
+        with pytest.raises(DomainError) as err:
+            oracle_cross_check(SYM, ScalingParams(n=2, c2=1), **args)
+        assert err.value.field == field
+        assert built == []
 
 
 class TestMartingaleDecay:

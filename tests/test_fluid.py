@@ -27,6 +27,7 @@ from twolevel import (
     hybrid_fluid,
     overloaded_fixed_point,
     reflect_1d,
+    skorokhod,
     solve_generalized,
     underloaded_fixed_point,
     y_b_closed_form,
@@ -36,6 +37,7 @@ from fluid_reference import (
     euler_noblock,
     euler_saturated,
     overloaded_rhs,
+    picard_full_horizon,
     underloaded_rhs,
 )
 
@@ -452,8 +454,22 @@ class TestGbarFunctional:
     def test_zero_path_zero_at_origin(self):
         phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
         n = int(round(2.0 / 1e-3)) + 1
-        out = phi(SampledPath(0.0, 1e-3, np.zeros(n)))
+        out, _ = phi(SampledPath(0.0, 1e-3, np.zeros(n)), None)
         assert out.values[0] == 0.0
+
+    def test_restart_continues_the_whole_path(self):
+        """A window fed the state carried out of the window before gives the
+        free path of the whole grid on its points, and the same end state."""
+        params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
+        x = np.sin(1e-3 * np.arange(5001)) ** 2
+        phi = gbar_functional(params, r, init)
+        whole, end = phi(SampledPath(0.0, 1e-3, x), None)
+        head, carried = phi(SampledPath(0.0, 1e-3, x[:2001]), None)
+        tail, tail_end = phi(SampledPath(2.0, 1e-3, x[2000:]), carried)
+        np.testing.assert_array_equal(head.values, whole.values[:2001])
+        # The grid terms read t = 2 + k dt here, not (2000 + k) dt.
+        np.testing.assert_allclose(tail.values, whole.values[2000:], rtol=0, atol=1e-14)
+        assert tail_end == end
 
     def test_matches_direct_double_quadrature(self):
         """The O(n) prefix recursion equals brute-force trapezoid convolution."""
@@ -464,7 +480,7 @@ class TestGbarFunctional:
         t = dt * np.arange(n)
         x = np.sin(t) ** 2
         phi = gbar_functional(params, r, init)
-        fast = phi(SampledPath(0.0, dt, x)).values
+        fast = phi(SampledPath(0.0, dt, x), None)[0].values
 
         mubar = (1 - params.p) * params.mu01 + params.p * params.mu11
         inner = np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * dt / 2)))
@@ -509,7 +525,7 @@ class TestPicardAgainstProjectedEuler:
         x = SampledPath(0.0, dt, np.zeros(n))
         residuals = []
         for _ in range(40):
-            new, _ = reflect_1d(phi(x))
+            new, _ = reflect_1d(phi(x, None)[0])
             residuals.append(float(np.abs(new.values - x.values).max()))
             x = new
             if residuals[-1] < 1e-12:
@@ -517,6 +533,65 @@ class TestPicardAgainstProjectedEuler:
         assert residuals[-1] < 1e-12
         for k in range(1, len(residuals) - 1):
             assert residuals[k] <= residuals[k - 1] * (budget / (k + 1)) * 2
+
+
+class TestWindowedPicard:
+    """Windowed ``solve_generalized`` against Picard on the whole horizon at once."""
+
+    def test_matches_full_horizon_picard_on_criterion_06_instances(self):
+        rng = np.random.default_rng(12345)
+        instances = [(SYM, 0.3)] + [random_overloaded_instance(rng) for _ in range(20)]
+        worst = 0.0
+        for params, r in instances:
+            phi = gbar_functional(params, r, (0.0, 0.0))
+            sol, reg, _ = solve_generalized(phi, 10.0, 1e-3)
+            ref, ref_reg, _ = picard_full_horizon(phi, 10.0, 1e-3)
+            worst = max(worst, np.abs(sol.values - ref.values).max(),
+                        np.abs(reg.values - ref_reg.values).max())
+            assert check_complementarity(sol, reg, 1e-12)
+        # Measured: 1.9e-10.
+        assert worst <= 1e-8
+
+    @pytest.mark.parametrize("horizon", [5.3, 0.5, 1e-3])
+    def test_window_edges(self, horizon):
+        """A last window shorter than the rest, a horizon inside one window,
+        and a grid of two points; one window is full-horizon Picard itself."""
+        phi = gbar_functional(SYM, 0.3, (0.1, 0.2))
+        sol, reg, _ = solve_generalized(phi, horizon, 1e-3)
+        ref, ref_reg, _ = picard_full_horizon(phi, horizon, 1e-3)
+        assert len(sol) == len(ref) == int(round(horizon / 1e-3)) + 1
+        if horizon <= skorokhod.WINDOW:
+            np.testing.assert_array_equal(sol.values, ref.values)
+            np.testing.assert_array_equal(reg.values, ref_reg.values)
+        else:
+            np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(reg.values, ref_reg.values, rtol=0, atol=1e-8)
+        assert check_complementarity(sol, reg, 1e-12)
+
+    @pytest.mark.parametrize("horizon", [60.0, 100.0])
+    def test_long_horizon_converges(self, horizon):
+        """Full-horizon Picard stalls at horizon 60 (residual 1.9e-6 after 200
+        sweeps); the windowed solve stays within 1e-5 of the exact path."""
+        sol, reg, iterations = solve_generalized(
+            gbar_functional(SYM, 0.3, (0.0, 0.0)), horizon, 1e-3)
+        exact = aux_saturated_fluid(SYM, 0.3, (0.0, 0.0), horizon, dt=1e-3)
+        assert iterations < 200
+        # Measured: 3.4e-8.
+        assert np.abs(sol.values - exact.y_star).max() <= 1e-5
+        assert check_complementarity(sol, reg, 1e-12)
+
+    def test_sweeps_cover_under_half_the_full_horizon_points(self):
+        """Grid points passed to the functional over all sweeps at horizon 10:
+        full-horizon Picard takes 25 sweeps of 10,001 points."""
+        phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
+        points = []
+
+        def counting(path, carried):
+            points.append(len(path))
+            return phi(path, carried)
+
+        solve_generalized(counting, 10.0, 1e-3)
+        assert sum(points) < 25 * 10001 / 2
 
 
 class TestHybridFluid:
@@ -615,7 +690,7 @@ class TestPicardRecursion:
         monkeypatch.setattr(scipy.linalg.blas, "dtbsv", recording)
         params = ModelParams(0.4, 1.3, 0.8, 1.1)
         t = 1e-3 * np.arange(10001)
-        gbar_functional(params, 0.25, (0.1, 0.2))(SampledPath(0.0, 1e-3, np.sin(t) ** 2))
+        gbar_functional(params, 0.25, (0.1, 0.2))(SampledPath(0.0, 1e-3, np.sin(t) ** 2), None)
         solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
         assert len(solves) >= 5
         for i, (c, conv) in enumerate(solves):
@@ -631,8 +706,8 @@ class TestPicardRecursion:
         paths = [SampledPath(0.0, 1e-3, x), SampledPath(0.0, 2e-3, x),
                  SampledPath(0.5, 1e-3, x), SampledPath(0.0, 1e-3, x[:1001])]
         for path in paths + paths:
-            fresh = gbar_functional(params, r, init)(path).values
-            assert np.array_equal(phi(path).values, fresh)
+            fresh = gbar_functional(params, r, init)(path, None)[0].values
+            assert np.array_equal(phi(path, None)[0].values, fresh)
 
 
 class TestBrentPort:
