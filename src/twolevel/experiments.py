@@ -140,6 +140,14 @@ def _check_windows(t1, horizon):
         )
 
 
+def _check_grid(cfg):
+    """Refuse a grid k * grid_dt, laid as ``sim.rescale`` lays it, with no point in [2 t1, T]."""
+    last = cfg.grid_dt * math.floor(cfg.horizon / cfg.grid_dt + 1e-9)
+    if last < 2 * cfg.burn_in:
+        raise DomainError("grid_dt", f"grid_dt {cfg.grid_dt!r} puts no grid point in the window "
+                          f"[2 burn_in, horizon] = [{2 * cfg.burn_in!r}, {cfg.horizon!r}]")
+
+
 def c2_for(n, r):
     """Specialist pool size floor(r*n), at least 1."""
     return max(1, int(math.floor(n * r + 1e-9)))
@@ -251,6 +259,7 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
     """
     if target not in TARGETS:
         raise DomainError("target", f"target must be one of {TARGETS}")
+    _check_grid(cfg)
     regime = classify_regime(cfg.params, cfg.r)
     if target == "main" and regime is Regime.Critical:
         raise RegimeMismatch("no fluid prediction exists at the critical ratio")
@@ -321,6 +330,7 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     """
     if fixed_point_band is not None:
         _check_band("fixed_point_band", fixed_point_band)
+    _check_grid(cfg)
     if classify_regime(cfg.params, cfg.r) is not Regime.Underloaded:
         raise RegimeMismatch(f"r={cfg.r} is not underloaded for these parameters")
     fp = underloaded_fixed_point(cfg.params, cfg.r)
@@ -610,11 +620,14 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     passes iff every coordinate's slope lies in ``slope_range``.  A
     bootstrap over replications gives a 95% interval per coordinate.  A
     coordinate with an RMS of 0 at some n has no slope and fails; its
-    bootstrap draws with an RMS of 0 are left out of its interval.
+    bootstrap draws with an RMS of 0 are left out of its interval.  A
+    horizon that is not finite and > 0 is refused before any run: at 0
+    every residual is 0, so no slope exists.
     """
     n_list = [int(n) for n in n_list]
     _check_scales("n_list", n_list)
     _check_positive("r", r)
+    _check_positive("horizon", horizon)
     if len(set(n_list)) < 2:
         raise DomainError("n_list", f"n_list needs two distinct n to fit a slope, got {n_list}")
     if bootstrap < 1:

@@ -23,19 +23,22 @@ or a trajectory CSV raises ``BuildError``.
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
 the first whose cumulative rate exceeds u' * total.  The loops draw them
-in blocks of ``2 * _CHUNK``.  Each C function branches on the guard case
-of the state (for ``main``: z > 0, or z = 0 with y* > 0, or z = 0 with
-y* = 0), sums only the rates enabled there, in table order and in double
-precision with no fused multiply-add, and walks a short cumulative chain.
-Per jump it records only the time and a code, the index of the table row
-that fired; the states are rebuilt afterwards as the running sum of the
-codes' deltas.  ``step`` draws the same two uniforms per call, so a loop
-of ``step`` calls replays a run bit for bit.
+in blocks sized to the run: ``_CHUNK`` jumps first, then the jumps that
+the run's mean pace so far needs to reach ``horizon``, plus a margin, at
+most ``_MAX_BLOCK``.  Jump k takes uniforms 2k and 2k+1 whatever the
+block sizes, so they never change a run.  Each C function branches on the
+guard case of the state (for ``main``: z > 0, or z = 0 with y* > 0, or
+z = 0 with y* = 0), sums only the rates enabled there, in table order and
+in double precision with no fused multiply-add, and walks a short
+cumulative chain.  Per jump it records only the time and a code, the index
+of the table row that fired; the states are rebuilt afterwards as the
+running sum of the codes' deltas.  ``step`` draws the same two uniforms
+per call, so a loop of ``step`` calls replays a run bit for bit.
 
-A run makes at most ``max_events`` jumps.  The loops test the cap when
-they refill their block of draws; a run that would make more comes back
-flagged ``truncated`` with its first ``max_events`` jumps, a bit-for-bit
-prefix of the uncapped run that ends before ``horizon``.
+A run makes at most ``max_events`` jumps.  No block draws past jump
+``max_events + 1``; a run that makes that jump comes back flagged
+``truncated`` with its first ``max_events`` jumps, a bit-for-bit prefix of
+the uncapped run that ends before ``horizon``.
 """
 
 import contextlib
@@ -58,8 +61,11 @@ from .errors import BuildError, DomainError, InvalidState
 from .skorokhod import SampledPath
 
 MAX_EVENTS_DEFAULT = 10_000_000
-# Jumps per block of random draws (two uniforms each).
+# Jumps in a run's first block of random draws (two uniforms each), and the
+# fewest in a later block.
 _CHUNK = 1024
+# The most jumps in one block: 2**20 jumps take 24 MiB of draws.
+_MAX_BLOCK = 1 << 20
 
 
 class MicroState(NamedTuple):
@@ -558,15 +564,20 @@ def _loop(process, spec, source):
         fixed = (x.ctypes.data, clock.ctypes.data, a.ctypes.data, scaling.n, scaling.c2, horizon)
         times, codes = np.zeros(_CHUNK + 1), np.empty(_CHUNK, dtype=np.int8)
         rng = np.random.default_rng(seed)
-        m, status = 0, _USED_UP
+        m, status, count = 0, _USED_UP, _CHUNK
         while status == _USED_UP and m <= max_events:
-            if m + _CHUNK > len(codes):
-                codes.resize(2 * len(codes), refcheck=False)
+            count = min(count, _MAX_BLOCK, max_events + 1 - m)
+            if m + count > len(codes):
+                codes.resize(max(m + count, 2 * len(codes)), refcheck=False)
                 times.resize(len(codes) + 1, refcheck=False)
-            exps, u = _draws(rng, _CHUNK)
-            status = jumps(*fixed, exps.ctypes.data, u.ctypes.data, _CHUNK,
+            exps, u = _draws(rng, count)
+            status = jumps(*fixed, exps.ctypes.data, u.ctypes.data, count,
                            times[m + 1:].ctypes.data, codes[m:].ctypes.data, done.ctypes.data)
             m += int(done[0])
+            t = float(clock[0])
+            if t > 0:
+                # The jumps the mean pace so far needs to reach the horizon, plus a margin.
+                count = max(_CHUNK, int(min((horizon - t) * m / t, _MAX_BLOCK)) + 128)
         truncated = m > max_events
         m = min(m, max_events)
         times.resize(m + 1, refcheck=False)

@@ -3,10 +3,12 @@
 Each loop evaluates every rate clause on every jump, as the transition
 tables state them, sums them in table order, and picks the transition with
 the cumulative chain ``u < r1``, ``u < r1 + r2``, ...; it appends the full
-state after each jump.  It takes the same two uniforms per jump from the
-same blocks of draws as ``twolevel.sim``, so the case-split loops there,
+state after each jump.  It takes the same two uniforms per jump as
+``twolevel.sim``, drawn in fixed blocks of ``_CHUNK`` (1,024) jumps while
+the loops there size their blocks to the run.  So the case-split loops,
 which skip disabled clauses and record one table-row code per jump, must
-return the same times and states bit for bit.  No event cap: a run keeps
+return the same times and states bit for bit, and their equality shows
+that block sizes do not change the stream.  No event cap: a run keeps
 every jump.
 """
 

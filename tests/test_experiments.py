@@ -425,6 +425,69 @@ class TestMartingaleDecay:
             assert "nan" not in note
 
 
+class TestRefusedBeforeAnyRun:
+    """Input that leaves a suite nothing to measure is a DomainError (CLI exit 2)
+    raised before the first run, never a FAIL verdict or a foreign error."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(sim, "simulate_process", refused)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_martingale_bad_horizon(self, horizon):
+        """At horizon 0 every residual is 0: the slopes were undefined and the verdict FAIL."""
+        with pytest.raises(DomainError, match="horizon must be finite and > 0") as info:
+            martingale_decay(SYM, 0.3, (100, 200), horizon, reps=2, seed=1, bootstrap=10)
+        assert info.value.field == "horizon"
+
+    def test_martingale_zero_horizon_cli_exits_2(self, capsys, tmp_path):
+        code = cli.main(["experiment", "--experiment", "martingale-decay", "--horizon", "0",
+                         "--seed", "1", "--n-list", "100,200", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: horizon ")
+        assert not any(tmp_path.iterdir())
+
+    # Grid points 0 and 15: none in the sensitivity window [16, 20].
+    COARSE = dict(n_list=(20,), horizon=20.0, burn_in=8.0, replications=2, grid_dt=15.0)
+
+    @pytest.mark.parametrize("suite", [
+        lambda cfg: convergence_sweep(cfg(0.3), "aux-saturated"),
+        lambda cfg: convergence_sweep(cfg(0.3), "main"),
+        lambda cfg: no_blocking_certificate(cfg(0.7)),
+    ], ids=["convergence-aux", "convergence-main", "no-blocking"])
+    def test_grid_without_point_in_sensitivity_window(self, suite):
+        """Numpy once refused the empty window: 'zero-size array to reduction operation'."""
+        with pytest.raises(DomainError, match="no grid point in the window") as info:
+            suite(lambda r: small_cfg(r, **self.COARSE))
+        assert info.value.field == "grid_dt"
+
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "convergence", "--target", "aux-noblock", "--c2", "70"],
+        ["--experiment", "no-blocking", "--c2", "70"],
+    ], ids=["convergence", "no-blocking"])
+    def test_coarse_grid_cli_exits_2(self, capsys, tmp_path, flags):
+        code = cli.main(["experiment", *flags, "--n", "100", "--n-list", "20,40",
+                         "--horizon", "20", "--burn-in", "8", "--grid-dt", "15",
+                         "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
+        assert not any(tmp_path.iterdir())
+
+
+def test_saturation_does_not_read_the_grid():
+    """The coarse grid that the path suites refuse leaves the saturation report as it was."""
+    cfg = small_cfg(0.3, n_list=(20,), horizon=20.0, burn_in=8.0, replications=2)
+    fine = saturation_certificate(cfg)
+    coarse = saturation_certificate(dataclasses.replace(cfg, grid_dt=15.0))
+    assert (coarse.metrics, coarse.sensitivity, coarse.criteria, coarse.notes) == (
+        fine.metrics, fine.sensitivity, fine.criteria, fine.notes)
+
+
 class TestTruncatedRunsRefused:
     """A run cut short by the event cap stops before its horizon: every
     suite refuses it instead of averaging it."""

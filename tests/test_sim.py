@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import shutil
@@ -68,6 +69,24 @@ def as_target_rates(state, enabled):
     return {
         tuple(a + b for a, b in zip(state, tr.delta)): tr.rate for tr in enabled
     }
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The jumps of each block of draws, in the order ``sim._draws`` hands them out."""
+    sizes, draws = [], sim._draws
+
+    def recording(rng, count):
+        sizes.append(count)
+        return draws(rng, count)
+
+    monkeypatch.setattr(sim, "_draws", recording)
+    return sizes
+
+
+def spanned(sizes, events):
+    """How many of the blocks ``sizes`` hold at least one of a run's ``events`` jumps."""
+    return sum(start < events for start in itertools.accumulate([0, *sizes[:-1]]))
 
 
 class TestCheckState:
@@ -308,19 +327,23 @@ class TestSimulate:
         assert set(states) <= reachable
 
     @pytest.mark.parametrize(
-        "process, n, c2, horizon, min_events",
-        [pytest.param(p, 8, 3, 6.0, 10, id=p) for p in PROCESSES]
-        # Past two refills of the loops' block of draws.
-        + [pytest.param(p, 200, 100, 20.0, 2 * _CHUNK, id=f"{p}-blocks") for p in PROCESSES],
+        "process, n, c2, horizon, min_blocks",
+        [pytest.param(p, 8, 3, 6.0, 1, id=p) for p in PROCESSES]
+        # Jumps in at least two blocks of draws, of different sizes.
+        + [pytest.param(p, 200, 100, 20.0, 2, id=f"{p}-blocks") for p in PROCESSES],
     )
-    def test_matches_manual_step_loop(self, process, n, c2, horizon, min_events):
-        """Each compiled loop replays exactly the embedded chain that step() exposes."""
+    def test_matches_manual_step_loop(self, process, n, c2, horizon, min_blocks, blocks):
+        """Each compiled loop replays exactly the embedded chain that step() exposes,
+        which draws one jump at a time: block sizes do not change the stream."""
         scaling = ScalingParams(n=n, c2=c2)
         init = (0,) * len(PROCESSES[process].columns)
         traj = simulate_process(process, init, SYM, scaling, horizon, seed=99)
+        sizes = blocks[:]
         assert traj.process == process and traj.columns == PROCESSES[process].columns
         times, states = step_loop(process, init, SYM, scaling, horizon, 99)
-        assert traj.num_events > min_events
+        assert traj.num_events > 10
+        assert spanned(sizes, traj.num_events) >= min_blocks
+        assert min_blocks == 1 or sizes[1] != _CHUNK
         assert traj.times.tolist() == times
         assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
 
@@ -378,24 +401,29 @@ class TestSimulate:
         assert abs(batch.mean() - exact) <= 3 * se
 
     @pytest.mark.parametrize("process", list(PROCESSES))
-    def test_event_cap_keeps_prefix_of_uncapped_run(self, process):
+    def test_event_cap_keeps_prefix_of_uncapped_run(self, process, blocks):
         """A capped run is the uncapped run's first min(cap, events) jumps, bit for bit."""
         scaling, horizon = ScalingParams(n=200, c2=100), 20.0
         init = (0,) * len(PROCESSES[process].columns)
         full = simulate_process(process, init, SYM, scaling, horizon, seed=4)
         events = full.num_events
         assert events > 2 * _CHUNK + 1 and not full.truncated
-        # Caps on both sides of the loops' refills of their block of draws.
-        for cap in (1, 300, 1023, 1024, 1025, 2048, events - 1, events, events + 1):
+        # Caps on both sides of the ends of the uncapped run's first two blocks of draws.
+        first, second = itertools.accumulate(blocks[:2])
+        assert second < events
+        for cap in (1, 300, 1023, 1024, 1025, 2048, first - 1, first, first + 1,
+                    second - 1, second, second + 1, events - 1, events, events + 1):
+            blocks.clear()
             capped = simulate_process(process, init, SYM, scaling, horizon, seed=4,
                                       max_events=cap)
             kept = min(cap, events)
+            assert sum(blocks) <= cap + 1, cap
             assert capped.truncated == (cap < events), cap
             assert capped.times.tolist() == full.times[: kept + 1].tolist(), cap
             assert np.array_equal(capped.states, full.states[: kept + 1]), cap
 
-    def test_event_cap_stops_the_loop(self):
-        """The loop stops at the first refill past the cap, not at the horizon.
+    def test_event_cap_stops_the_loop(self, blocks):
+        """The loop makes exactly max_events + 1 jumps, then stops short of the horizon.
 
         Uncapped, this run makes about 150,000 jumps: megabytes of times.
         """
@@ -407,6 +435,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert traj.truncated and traj.num_events == 10
+        assert blocks == [11]
         assert peak < 2**19
 
     def test_run_truncated_before_absorption_is_not_absorbed(self):
@@ -449,14 +478,17 @@ class TestReferenceLoops:
     @pytest.mark.parametrize("c2", [6, 18, 42])
     @pytest.mark.parametrize("params", list(PARAMS), ids=list(PARAMS))
     @pytest.mark.parametrize("process", list(PROCESSES))
-    def test_bit_identical_to_reference(self, process, params, c2):
+    def test_bit_identical_to_reference(self, process, params, c2, blocks):
+        """The reference draws in fixed blocks of _CHUNK jumps, the loops in blocks sized
+        to the run: the same bits show that block sizes do not change the stream."""
         scaling = ScalingParams(n=60, c2=c2)
         for init in self.STARTS[process]:
+            blocks.clear()
             traj = simulate_process(process, init, self.PARAMS[params], scaling, 150.0, seed=c2)
+            sizes = blocks[:]
             times, states, absorbed = sim_reference.SIMULATORS[process](
                 init, self.PARAMS[params], scaling, 150.0, seed=c2)
-            # Past two refills of the block of draws.
-            assert traj.num_events > 2 * _CHUNK
+            assert spanned(sizes, traj.num_events) >= 2 and sizes[1] != _CHUNK
             assert traj.times.tolist() == times.tolist()
             assert np.array_equal(traj.states, states) and traj.states.dtype == states.dtype
             assert traj.absorbed is absorbed is False
@@ -689,6 +721,36 @@ class TestJumpDraws:
         scalar = [rng.random() for _ in range(2 * _CHUNK)]
         assert unis == scalar[1::2]
         assert exps == (-np.log1p(-np.array(scalar[0::2]))).tolist()
+
+
+class TestDrawBlocks:
+    """The loops size each block of draws to the run; counted here, never timed."""
+
+    def test_long_run_takes_few_blocks(self, blocks):
+        """A certificate replication: in blocks of _CHUNK jumps it took 16."""
+        traj = simulate((0, 0, 0), SYM, ScalingParams(n=400, c2=120), 50.0, seed=1)
+        assert not traj.truncated
+        assert len(blocks) <= 4
+        assert sum(blocks) <= 1.25 * traj.num_events
+
+    @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 5000, 15_463, 15_464])
+    def test_capped_run_draws_for_at_most_cap_plus_one_jumps(self, blocks, cap):
+        """Uncapped, the run makes 15,464 jumps."""
+        traj = simulate((0, 0, 0), SYM, ScalingParams(n=400, c2=120), 50.0, seed=1,
+                        max_events=cap)
+        assert sum(blocks) <= cap + 1
+        assert not traj.truncated or sum(blocks) == cap + 1
+
+    @pytest.mark.parametrize("ceiling", [700, 1500])
+    def test_no_block_exceeds_the_ceiling(self, blocks, monkeypatch, ceiling):
+        scaling = ScalingParams(n=400, c2=120)
+        full = simulate((0, 0, 0), SYM, scaling, 20.0, seed=2)
+        monkeypatch.setattr(sim, "_MAX_BLOCK", ceiling)
+        blocks.clear()
+        bounded = simulate((0, 0, 0), SYM, scaling, 20.0, seed=2)
+        assert max(blocks) <= ceiling and spanned(blocks, full.num_events) > 3
+        assert bounded.times.tolist() == full.times.tolist()
+        assert np.array_equal(bounded.states, full.states)
 
 
 class TestAuxSimulate:
