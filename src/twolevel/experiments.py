@@ -140,11 +140,13 @@ def _check_windows(t1, horizon):
         )
 
 
-def _check_grid(cfg):
-    """Refuse a grid k * grid_dt, laid as ``sim.rescale`` lays it, with no point in [2 t1, T]."""
-    last = cfg.grid_dt * math.floor(cfg.horizon / cfg.grid_dt + 1e-9)
+def _check_grid(cfg, field="grid_dt", dt=None):
+    """Refuse a grid k * dt (``cfg.grid_dt`` by default), laid as ``sim.rescale`` lays
+    it, with no point in [2 t1, T]; the DomainError names ``field``."""
+    dt = cfg.grid_dt if dt is None else dt
+    last = dt * math.floor(cfg.horizon / dt + 1e-9)
     if last < 2 * cfg.burn_in:
-        raise DomainError("grid_dt", f"grid_dt {cfg.grid_dt!r} puts no grid point in the window "
+        raise DomainError(field, f"{field} {dt!r} puts no grid point in the window "
                           f"[2 burn_in, horizon] = [{2 * cfg.burn_in!r}, {cfg.horizon!r}]")
 
 
@@ -331,6 +333,7 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     if fixed_point_band is not None:
         _check_band("fixed_point_band", fixed_point_band)
     _check_grid(cfg)
+    _check_grid(cfg, "path_sample_dt", PATH_SAMPLE_DT)  # the mean path's samples
     if classify_regime(cfg.params, cfg.r) is not Regime.Underloaded:
         raise RegimeMismatch(f"r={cfg.r} is not underloaded for these parameters")
     fp = underloaded_fixed_point(cfg.params, cfg.r)

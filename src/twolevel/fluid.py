@@ -9,6 +9,7 @@ path of every system.  Also here: the integral functional that
 cross-validates the saturated system through the Picard solver.
 """
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -244,58 +245,47 @@ def gbar_functional(params, r, init):
     both nested integrals; the convolution is the exponentially-weighted
     prefix recursion conv_k = c_k + e^{-mubar dt} conv_{k-1}, the same
     quadrature rearranged for O(n) cost and overflow-free long horizons,
-    solved as a unit lower-bidiagonal banded system.  The terms that depend
-    on the grid alone are kept from one call to the next on the same grid.
+    run in one pass in the compiled library of ``sim`` (which needs ``cc``)
+    with the float operations, in order, of the numpy and banded-solve form
+    the tests keep.  The terms that depend on the grid alone are kept from
+    one call to the next on the same grid.
 
     The functional restarts, as ``solve_generalized`` calls it:
-    ``gbar(window, carried)`` takes x on a window of the grid (times
-    ``window.t0 + k dt``) and the pair (inner integral, convolution) at the
+    ``gbar(x, t0, dt, carried)`` takes x on a window of the grid (times
+    ``t0 + k dt``) and the pair (inner integral, convolution) at the
     window's first point, None when the window starts at t = 0.  It returns
     the free path on the window and that pair at the window's last point,
     so consecutive windows sharing an end point continue the same recursion.
     """
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
-    from scipy.linalg.blas import dtbsv
+    from . import sim  # sim imports skorokhod, which this module imports
 
+    kernel = sim._library(sim._SOURCE).gbar_window
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 
     @functools.lru_cache(maxsize=1)
     def grid_terms(t0, dt, n):
-        """e^{-mubar dt}, the recursion's band and Gbar's path-independent part."""
+        """e^{-mubar dt} and Gbar's path-independent part."""
         t = t0 + dt * np.arange(n)
         et = np.exp(-mubar * t)
         k_times_decay = (p * y_star0 + y0) / mubar * (1.0 - et) + (
             p * mu11 / mubar**2
         ) * (et + mubar * t - 1.0)
-        decay = np.exp(-mubar * dt)
-        # Row 0 is the unit diagonal (never read), row 1 the subdiagonal.
-        band = np.zeros((2, n), order="F")
-        band[1, :-1] = -decay
-        return decay, band, y_star0 + mu01 * k_times_decay - mu02 * r * t
+        return np.exp(-mubar * dt), y_star0 + mu01 * k_times_decay - mu02 * r * t
 
-    def gbar(path, carried):
-        x = path.values
-        if x.ndim != 1:
-            raise DomainError("values", "the functional expects a scalar path")
-        dt = path.dt
-        n = len(x)
-        decay, band, free = grid_terms(path.t0, dt, n)
-        inner, c = np.empty(n), np.empty(n)
-        inner[0], c[0] = (0.0, 0.0) if carried is None else carried
-        np.add(x[1:], x[:-1], out=inner[1:])
-        inner[1:] *= dt / 2
-        np.cumsum(inner, out=inner)
-        w = mu11 * inner
-        w += x
-        np.multiply(w[:-1], decay, out=c[1:])
-        c[1:] += w[1:]
-        c[1:] *= dt / 2
-        conv = dtbsv(1, band, c, lower=1, diag=1, overwrite_x=1)
-        out = -p * mu01 * conv
-        out += free
-        return SampledPath(path.t0, dt, out), (inner[-1], conv[-1])
+    def gbar(x, t0, dt, carried):
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim != 1 or not len(x):
+            raise DomainError("values", "the functional expects a scalar path with a point")
+        if not dt > 0:
+            raise DomainError("dt", "grid step must be positive")
+        decay, base = grid_terms(t0, dt, len(x))
+        state, out = (ctypes.c_double * 2)(*carried or (0.0, 0.0)), np.empty(len(x))
+        kernel(x.ctypes.data, base.ctypes.data, len(x), dt / 2, mu11, decay, -p * mu01, state,
+               out.ctypes.data)
+        return out, (state[0], state[1])
 
     return gbar
 

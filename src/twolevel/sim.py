@@ -13,12 +13,14 @@ rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
 and ``residual_source`` the compensator of ``residual_sup`` (main table).
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to that function.  The
-three, the compensator and the row formatter of ``write_trajectory_csv``
-are compiled into one shared library at the first use, never at import,
-with the system C compiler (``cc``); the library is kept in
-``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later
-processes load it without compiling.  Without a compiler a run, a residual
-or a trajectory CSV raises ``BuildError``.
+three, the compensator, the row formatter of ``write_trajectory_csv`` and
+the two halves of a Picard sweep (``fluid.gbar_functional``'s pass and
+``skorokhod.solve_generalized``'s reflection) are compiled into one shared
+library at the first use, never at import, with the system C compiler
+(``cc``); it is kept in ``$XDG_CACHE_HOME/twolevel`` (default
+``~/.cache/twolevel``), so later processes load it without compiling.
+Without a compiler a run, a residual, a trajectory CSV or a Picard solve
+raises ``BuildError``.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -429,8 +431,8 @@ def residual_source(spec):
 
 # What ended a block of jumps, as the C functions return it.
 _USED_UP, _HORIZON, _ABSORBED = range(3)
-_PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <stdint.h>\n"
-            "#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
+_PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
+            "#include <stdint.h>\n#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
 _ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
              + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
 # Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
@@ -467,15 +469,56 @@ int64_t format_trajectory_rows(const double *times, const int64_t *states, int64
 """
 _FORMAT_ARGTYPES = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
                     + [ctypes.c_void_p, ctypes.c_int64])
+# A Picard sweep on one window: Gbar of ``fluid.gbar_functional`` (its convolution
+# step an explicit fma, as a BLAS banded solve with FMA kernels rounds it), then the
+# reflection, which writes the regulator from sample 1 and returns the sup change, or
+# NaN for a value not finite.  min and max keep the second operand on a tie, as numpy's.
+_PICARD = r"""
+void gbar_window(const double *x, const double *base, int64_t n, double h, double mu11,
+                 double decay, double coef, double *carried, double *out)
+{
+    if (n < 1) return;
+    double inner = carried[0], conv = carried[1], w_prev = mu11 * inner + x[0];
+    out[0] = coef * conv + base[0];
+    for (int64_t k = 1; k < n; k++) {
+        inner += (x[k] + x[k - 1]) * h;
+        double w = mu11 * inner + x[k];
+        conv = fma(decay, conv, (w_prev * decay + w) * h);
+        out[k] = coef * conv + base[k];
+        w_prev = w;
+    }
+    carried[0] = inner;
+    carried[1] = conv;
+}
+
+double reflect_window(const double *free, double *x, double *reg, int64_t n,
+                      double running_min, int pinned)
+{
+    double acc = free[0], sup = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        acc = acc < free[k] ? acc : free[k];
+        double low = acc < running_min ? acc : running_min;
+        double lift = 0.0 > -low ? 0.0 : -low, next = free[k] + lift;
+        if (!isfinite(next)) return NAN;
+        if (k) reg[k] = lift;
+        if (k < pinned) continue;
+        double change = fabs(next - x[k]);
+        sup = sup < change ? change : sup;
+        x[k] = next;
+    }
+    return sup;
+}
+"""
 # No -ffast-math or -march=native, and no contraction of a * b + c into a
-# fused multiply-add: each must round as the Python rates do.
-_COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-o")
+# fused multiply-add: each must round as the Python rates do.  libm has fma.
+_COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-lm", "-o")
 
 
 def _library_source(processes):
-    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``."""
+    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``
+    and the Picard sweep."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER + "\n" + residual_source(processes["main"]))
+            + _FORMATTER + "\n" + residual_source(processes["main"]) + _PICARD)
 
 
 def _built(source, private):
@@ -528,7 +571,12 @@ def _library(source):
     lib.format_trajectory_rows.restype = ctypes.c_int64
     lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
                                  + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
-    lib.residual_sup.restype = None
+    lib.residual_sup.restype = lib.gbar_window.restype = None
+    lib.gbar_window.argtypes = [*[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_double] * 4,
+                                *[ctypes.c_void_p] * 2]
+    lib.reflect_window.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_double,
+                                   ctypes.c_int]
+    lib.reflect_window.restype = ctypes.c_double
     return lib
 
 

@@ -9,6 +9,7 @@ previous window, and the reflection from the running minimum of the free
 path so far.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,24 +112,34 @@ def check_complementarity(reflected, regulator, tol):
 def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     """Solve the generalized reflection problem x = reflect(phi(x)) by windowed Picard.
 
-    ``phi(window, carried)`` is a causal functional that restarts: given the
-    candidate path on a window of the grid and the state it carried out of
-    the window before (None for the window starting at t = 0), it returns
-    the free path on that window, whose value at index k depends only on
-    input indices <= k, and the state at the window's last point.
+    ``phi(x, t0, dt, carried)`` is a causal functional that restarts: given
+    the candidate path ``x`` on a window of the grid (times t0 + k dt) and
+    the state it carried out of the window before (None for the window
+    starting at t = 0), it returns the free path on that window, a
+    contiguous float64 array of ``len(x)`` points whose value at index k
+    depends only on input indices <= k, and the state at the window's last
+    point.  It must not keep ``x``, which the reflection overwrites, nor
+    return it or a view of it.
 
     The grid is cut into windows of ``WINDOW`` time units, each sharing its
     first point with the last point of the window before, where that point
-    stays pinned to its converged value.  On each window x <- reflect_1d(
+    stays pinned to its converged value.  On each window x <- reflect(
     phi(x)) runs until the sup-norm change is <= tol, starting from 0 on
     the first window, from the linear extrapolation of the last two
     converged points (clipped at 0) on the others, or from ``start``'s
-    slice when ``start`` is given.  Returns (solution, regulator,
-    iterations), ``iterations`` being the most sweeps any window took.
-    Raises NoConvergence(max_iter) with that window's last residual when a
-    window spends its budget of ``max_iter`` sweeps -- a functional that is
-    no contraction on a window, or a tol below the rounding of its sweeps.
+    slice when ``start`` is given.  A sweep is one ``phi`` call and the
+    reflection of ``reflect_1d`` in the compiled library of ``sim`` (which
+    needs ``cc``).  Returns (solution, regulator, iterations), ``iterations``
+    being the most sweeps any window took.  Raises NoConvergence(max_iter)
+    with that window's last residual when a window spends its budget of
+    ``max_iter`` sweeps -- a functional that is no contraction on a window,
+    or a tol below the rounding of its sweeps -- and DomainError for a free
+    path of another shape or type, sharing memory with ``x``, not finite, or
+    starting below 0.
     """
+    from . import sim  # sim imports this module
+
+    reflect = sim._library(sim._SOURCE).reflect_window
     n = grid_steps(horizon, dt) + 1
     x, regulator = np.zeros(n), np.zeros(n)
     if start is not None:
@@ -143,24 +154,31 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
         guess = x[a:b + 1]
         if a and start is None:
             guess[1:] = np.maximum(x[a] + (x[a] - x[a - 1]) * np.arange(1, b - a + 1), 0.0)
+        # The sweep writes the reflected path into guess and the regulator in place.
+        window = (guess.ctypes.data, regulator[a:].ctypes.data, len(guess),
+                  np.inf if running_min is None else running_min, a > 0)
         residual = np.inf
         for sweep in range(1, max_iter + 1):
-            free, out = phi(SampledPath(a * dt, dt, guess), carried)
-            reflected, reg = reflect_1d(free, running_min)
-            new = reflected.values
-            if a:
-                new[0] = guess[0]
-            residual = float(np.max(np.abs(new - guess)))
-            guess = new
+            free, out = phi(guess, a * dt, dt, carried)
+            if not (isinstance(free, np.ndarray) and free.dtype == np.float64
+                    and free.shape == guess.shape and free.flags.c_contiguous):
+                got = getattr(free, "dtype", type(free).__name__)
+                raise DomainError("free", f"phi must return a contiguous float64 array of shape "
+                                  f"{guess.shape}, got {got} of shape {np.shape(free)}")
+            if np.shares_memory(free, guess):
+                raise DomainError("free", "phi must return a new array, not x or a view of it")
+            residual = reflect(free.ctypes.data, *window)
+            if math.isnan(residual):
+                raise DomainError("values", "path values must be finite")
+            if running_min is None and free[0] < 0:
+                raise DomainError("values", f"free path must start >= 0, got {free[0]}")
             if residual <= tol:
                 break
         else:
             raise NoConvergence(max_iter, residual)
         iterations = max(iterations, sweep)
-        x[a:b + 1] = guess
-        regulator[a + 1:b + 1] = reg.values[1:]  # regulator[a] is 0 or the last window's
         if b == n - 1:
             return SampledPath(0.0, dt, x), SampledPath(0.0, dt, regulator), iterations
-        low = float(free.values.min())
+        low = float(free.min())
         carried, running_min = out, low if running_min is None else min(running_min, low)
         a = b

@@ -10,7 +10,9 @@ compare it with the exact paths as dt shrinks, not to roundoff.
 hand; the tests check them against the fixed points, the affine modes
 and the transition tables' drift.  ``picard_full_horizon`` is Picard on
 the whole horizon at once, the reference for the windowed
-``solve_generalized``.
+``solve_generalized``, and ``gbar_reference`` the Picard functional in
+numpy with a BLAS banded solve, the reference for the compiled
+``gbar_functional``.
 """
 
 import numpy as np
@@ -118,6 +120,48 @@ def euler_hybrid(params, r, init, horizon, dt):
     return out
 
 
+def gbar_reference(params, r, init):
+    """``fluid.gbar_functional``'s Gbar in numpy, with the same contract.
+
+    The nested trapezoid integrals are a cumulative sum and array
+    arithmetic; the convolution conv_k = c_k + e^{-mubar dt} conv_{k-1} is
+    solved as a unit lower-bidiagonal banded system by BLAS ``dtbsv``.
+    """
+    from scipy.linalg.blas import dtbsv
+
+    y_star0, y0 = init
+    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+    mubar = (1 - p) * mu01 + p * mu11
+
+    def gbar(x, t0, dt, carried):
+        n = len(x)
+        t = t0 + dt * np.arange(n)
+        et = np.exp(-mubar * t)
+        k_times_decay = (p * y_star0 + y0) / mubar * (1.0 - et) + (
+            p * mu11 / mubar**2
+        ) * (et + mubar * t - 1.0)
+        decay = np.exp(-mubar * dt)
+        # Row 0 is the unit diagonal (never read), row 1 the subdiagonal.
+        band = np.zeros((2, n), order="F")
+        band[1, :-1] = -decay
+        inner, c = np.empty(n), np.empty(n)
+        inner[0], c[0] = (0.0, 0.0) if carried is None else carried
+        np.add(x[1:], x[:-1], out=inner[1:])
+        inner[1:] *= dt / 2
+        np.cumsum(inner, out=inner)
+        w = mu11 * inner
+        w += x
+        np.multiply(w[:-1], decay, out=c[1:])
+        c[1:] += w[1:]
+        c[1:] *= dt / 2
+        conv = dtbsv(1, band, c, lower=1, diag=1, overwrite_x=1)
+        out = -p * mu01 * conv
+        out += y_star0 + mu01 * k_times_decay - mu02 * r * t
+        return out, (inner[-1], conv[-1])
+
+    return gbar
+
+
 def picard_full_horizon(phi, horizon, dt, tol=1e-9, max_iter=200):
     """(solution, regulator, sweeps) of x = reflect(phi(x)) by Picard on all of [0, horizon].
 
@@ -128,8 +172,8 @@ def picard_full_horizon(phi, horizon, dt, tol=1e-9, max_iter=200):
     x = SampledPath(0.0, dt, np.zeros(_steps(horizon, dt) + 1))
     residual = np.inf
     for sweep in range(1, max_iter + 1):
-        free, _ = phi(x, None)
-        new, regulator = reflect_1d(free)
+        free, _ = phi(x.values, 0.0, dt, None)
+        new, regulator = reflect_1d(SampledPath(0.0, dt, free))
         residual = float(np.max(np.abs(new.values - x.values)))
         x = new
         if residual <= tol:

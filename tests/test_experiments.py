@@ -478,6 +478,33 @@ class TestRefusedBeforeAnyRun:
         assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
         assert not any(tmp_path.iterdir())
 
+    # Whole time units 0-5: none in the sensitivity window [5.2, 5.5].
+    SHORT = dict(n_list=(20, 40), horizon=5.5, burn_in=2.6, replications=2)
+
+    def test_no_path_sample_in_sensitivity_window(self):
+        """The mean path's 1-unit samples (``PATH_SAMPLE_DT``) once met numpy's
+        'zero-size array to reduction operation maximum' after every run."""
+        with pytest.raises(DomainError, match="no grid point in the window") as info:
+            no_blocking_certificate(small_cfg(0.7, **self.SHORT))
+        assert info.value.field == "path_sample_dt"
+        assert str(info.value).startswith(f"path_sample_dt {experiments.PATH_SAMPLE_DT!r} ")
+
+    def test_no_path_sample_cli_exits_2(self, capsys, tmp_path):
+        code = cli.main(["experiment", "--experiment", "no-blocking", "--horizon", "5.5",
+                         "--burn-in", "2.6", "--n-list", "20,40", "--n", "40", "--c2", "28",
+                         "--replications", "2", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: path_sample_dt ")
+        assert not any(tmp_path.iterdir())
+
+
+def test_no_blocking_runs_with_one_path_sample_in_the_window():
+    """The last whole time unit at 2 burn_in still leaves the window one sample."""
+    report = no_blocking_certificate(small_cfg(0.7, n_list=(20,), horizon=5.5, burn_in=2.5,
+                                               replications=2))
+    assert len(report.metrics) == len(report.sensitivity) == 1
+
 
 def test_saturation_does_not_read_the_grid():
     """The coarse grid that the path suites refuse leaves the saturation report as it was."""

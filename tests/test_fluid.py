@@ -1,10 +1,14 @@
 """Fluid systems: drift fields, exact regime flows, reflected auxiliaries, hybrid path."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
 from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.signal import lfilter
@@ -36,6 +40,7 @@ from fluid_reference import (
     euler_hybrid,
     euler_noblock,
     euler_saturated,
+    gbar_reference,
     overloaded_rhs,
     picard_full_horizon,
     underloaded_rhs,
@@ -454,8 +459,8 @@ class TestGbarFunctional:
     def test_zero_path_zero_at_origin(self):
         phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
         n = int(round(2.0 / 1e-3)) + 1
-        out, _ = phi(SampledPath(0.0, 1e-3, np.zeros(n)), None)
-        assert out.values[0] == 0.0
+        out, _ = phi(np.zeros(n), 0.0, 1e-3, None)
+        assert out[0] == 0.0
 
     def test_restart_continues_the_whole_path(self):
         """A window fed the state carried out of the window before gives the
@@ -463,12 +468,12 @@ class TestGbarFunctional:
         params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
         x = np.sin(1e-3 * np.arange(5001)) ** 2
         phi = gbar_functional(params, r, init)
-        whole, end = phi(SampledPath(0.0, 1e-3, x), None)
-        head, carried = phi(SampledPath(0.0, 1e-3, x[:2001]), None)
-        tail, tail_end = phi(SampledPath(2.0, 1e-3, x[2000:]), carried)
-        np.testing.assert_array_equal(head.values, whole.values[:2001])
+        whole, end = phi(x, 0.0, 1e-3, None)
+        head, carried = phi(x[:2001], 0.0, 1e-3, None)
+        tail, tail_end = phi(x[2000:], 2.0, 1e-3, carried)
+        np.testing.assert_array_equal(head, whole[:2001])
         # The grid terms read t = 2 + k dt here, not (2000 + k) dt.
-        np.testing.assert_allclose(tail.values, whole.values[2000:], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tail, whole[2000:], rtol=0, atol=1e-14)
         assert tail_end == end
 
     def test_matches_direct_double_quadrature(self):
@@ -480,7 +485,7 @@ class TestGbarFunctional:
         t = dt * np.arange(n)
         x = np.sin(t) ** 2
         phi = gbar_functional(params, r, init)
-        fast = phi(SampledPath(0.0, dt, x), None)[0].values
+        fast = phi(x, 0.0, dt, None)[0]
 
         mubar = (1 - params.p) * params.mu01 + params.p * params.mu11
         inner = np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * dt / 2)))
@@ -495,6 +500,44 @@ class TestGbarFunctional:
             ) * (et + mubar * t[k] - 1.0)
             slow[k] = slow_g + init[0] + params.mu01 * k_decay - params.mu02 * r * t[k]
             assert fast[k] == pytest.approx(slow[k], abs=1e-9)
+
+    @pytest.mark.parametrize("t0, dt, carried", [
+        (0.0, 1e-3, None), (2.0, 1e-3, (0.3, 0.2)), (0.5, 2e-3, (1.0, -0.5)),
+        (0.0, 1e-3, (0.0, 0.0)),
+    ])
+    def test_matches_numpy_reference(self, t0, dt, carried):
+        """The compiled pass against the numpy and banded-solve form it replaced."""
+        params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
+        x = np.sin(t0 + dt * np.arange(2001)) ** 2
+        free, end = gbar_functional(params, r, init)(x, t0, dt, carried)
+        ref, ref_end = gbar_reference(params, r, init)(x, t0, dt, carried)
+        np.testing.assert_allclose(free, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_allclose(end, ref_end, rtol=1e-13, atol=0)
+
+    def test_reference_solves_to_the_same_path(self):
+        """Picard on the reference functional lands on the compiled one's path."""
+        phi, ref = (f(SYM, 0.3, (0.1, 0.2)) for f in (gbar_functional, gbar_reference))
+        sol, reg, _ = solve_generalized(phi, 5.0, 1e-3)
+        ref_sol, ref_reg, _ = solve_generalized(ref, 5.0, 1e-3)
+        np.testing.assert_allclose(sol.values, ref_sol.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(reg.values, ref_reg.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x, dt, field", [
+        (np.zeros(0), 1e-3, "values"), (np.zeros((3, 2)), 1e-3, "values"),
+        (np.zeros(3), 0.0, "dt"), (np.zeros(3), -1e-3, "dt"),
+    ], ids=["empty", "vector", "zero-dt", "negative-dt"])
+    def test_bad_window_refused(self, x, dt, field):
+        with pytest.raises(DomainError) as err:
+            gbar_functional(SYM, 0.3, (0.0, 0.0))(x, 0.0, dt, None)
+        assert err.value.field == field
+
+    def test_any_real_sequence_is_taken(self):
+        """A list, integers or a strided view are read as a contiguous float path."""
+        phi = gbar_functional(SYM, 0.3, (0.1, 0.2))
+        x = np.arange(20.0)
+        want = phi(x[::2].copy(), 0.0, 1e-3, None)[0]
+        for same in (x[::2], list(x[::2]), np.arange(0, 20, 2)):
+            np.testing.assert_array_equal(phi(same, 0.0, 1e-3, None)[0], want)
 
 
 class TestPicardAgainstProjectedEuler:
@@ -525,7 +568,7 @@ class TestPicardAgainstProjectedEuler:
         x = SampledPath(0.0, dt, np.zeros(n))
         residuals = []
         for _ in range(40):
-            new, _ = reflect_1d(phi(x, None)[0])
+            new, _ = reflect_1d(SampledPath(0.0, dt, phi(x.values, 0.0, dt, None)[0]))
             residuals.append(float(np.abs(new.values - x.values).max()))
             x = new
             if residuals[-1] < 1e-12:
@@ -586,9 +629,9 @@ class TestWindowedPicard:
         phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
         points = []
 
-        def counting(path, carried):
-            points.append(len(path))
-            return phi(path, carried)
+        def counting(x, t0, dt, carried):
+            points.append(len(x))
+            return phi(x, t0, dt, carried)
 
         solve_generalized(counting, 10.0, 1e-3)
         assert sum(points) < 25 * 10001 / 2
@@ -677,37 +720,105 @@ class TestHybridDrift:
 
 
 class TestPicardRecursion:
-    """The banded solve inside ``gbar_functional`` against scipy's lfilter recursion."""
+    """The convolution inside ``gbar_functional`` against scipy's lfilter recursion."""
 
-    def test_recursion_matches_lfilter(self, monkeypatch):
-        blas_dtbsv, solves = scipy.linalg.blas.dtbsv, []
+    def test_recursion_matches_lfilter(self):
+        """Each output, on one long path and on every window of a solve, is Gbar
+        with the convolution run by lfilter from the carried pair."""
+        calls = []
 
-        def recording(k, band, c, **flags):
-            before = c.copy()
-            solves.append((before, blas_dtbsv(k, band, c, **flags).copy()))
-            return solves[-1][1]
+        def recording(params, r, init):
+            phi = gbar_functional(params, r, init)
 
-        monkeypatch.setattr(scipy.linalg.blas, "dtbsv", recording)
-        params = ModelParams(0.4, 1.3, 0.8, 1.1)
+            def record(x, t0, dt, carried):
+                free, out = phi(x, t0, dt, carried)
+                calls.append((params, r, init, x.copy(), t0, dt, carried, free.copy()))
+                return free, out
+
+            return record
+
         t = 1e-3 * np.arange(10001)
-        gbar_functional(params, 0.25, (0.1, 0.2))(SampledPath(0.0, 1e-3, np.sin(t) ** 2), None)
-        solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
-        assert len(solves) >= 5
-        for i, (c, conv) in enumerate(solves):
-            p = params if i == 0 else SYM
-            decay = math.exp(-((1 - p.p) * p.mu01 + p.p * p.mu11) * 1e-3)
-            np.testing.assert_allclose(conv, lfilter([1.0], [1.0, -decay], c), rtol=1e-13, atol=0)
+        recording(ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2))(np.sin(t) ** 2, 0.0, 1e-3,
+                                                                     None)
+        solve_generalized(recording(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
+        assert len(calls) >= 5 and sum(c[6] is not None for c in calls) >= 4
+        for params, r, init, x, t0, dt, carried, free in calls:
+            p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
+            mubar = (1 - p) * mu01 + p * mu11
+            decay = math.exp(-mubar * dt)
+            inner0, conv0 = (0.0, 0.0) if carried is None else carried
+            inner = inner0 + np.concatenate(([0.0], np.cumsum((x[1:] + x[:-1]) * dt / 2)))
+            w = x + mu11 * inner
+            c = np.concatenate(([conv0], (w[1:] + decay * w[:-1]) * dt / 2))
+            conv = lfilter([1.0], [1.0, -decay], c)
+            times = t0 + dt * np.arange(len(x))
+            et = np.exp(-mubar * times)
+            k_decay = (p * init[0] + init[1]) / mubar * (1 - et) + (
+                p * mu11 / mubar**2) * (et + mubar * times - 1.0)
+            base = init[0] + mu01 * k_decay - mu02 * r * times
+            # Within 1e-13 of the larger of the two terms it sums, at each point.
+            bound = 1e-13 * (np.abs(p * mu01 * conv) + np.abs(base))
+            assert np.all(np.abs(free - (base - p * mu01 * conv)) <= bound)
+
+    def test_pass_is_the_stated_float_recursion(self):
+        """Bit for bit, the recursion in double precision with the convolution
+        step a fused multiply-add, rounded once (exactly, through Fraction):
+        what a BLAS banded solve with FMA kernels computes, on any host."""
+        params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
+        p, mu01, mu11 = params.p, params.mu01, params.mu11
+        dt, h, coef = 1e-3, 1e-3 / 2, -p * mu01
+        decay = float(np.exp(-((1 - p) * mu01 + p * mu11) * dt))
+        x = (np.sin(2.0 + dt * np.arange(300)) ** 2).tolist()
+        phi = gbar_functional(params, r, init)
+        base = phi(np.zeros(len(x)), 2.0, dt, None)[0].tolist()
+        inner, conv = 0.3, 0.2
+        w_prev, want = mu11 * inner + x[0], [coef * conv + base[0]]
+        for k in range(1, len(x)):
+            inner += (x[k] + x[k - 1]) * h
+            w = mu11 * inner + x[k]
+            c = (w_prev * decay + w) * h
+            conv = float(Fraction(decay) * Fraction(conv) + Fraction(c))
+            want.append(coef * conv + base[k])
+            w_prev = w
+        free, end = phi(np.array(x), 2.0, dt, (0.3, 0.2))
+        assert free.tobytes() == np.array(want).tobytes()
+        assert end == (inner, conv)
 
     def test_grid_terms_follow_the_grid(self):
         """One functional applied on alternating grids gives what a fresh one gives."""
         params, r, init = ModelParams(0.4, 1.3, 0.8, 1.1), 0.25, (0.1, 0.2)
         phi = gbar_functional(params, r, init)
         x = np.cos(1e-3 * np.arange(2001)) ** 2
-        paths = [SampledPath(0.0, 1e-3, x), SampledPath(0.0, 2e-3, x),
-                 SampledPath(0.5, 1e-3, x), SampledPath(0.0, 1e-3, x[:1001])]
-        for path in paths + paths:
-            fresh = gbar_functional(params, r, init)(path, None)[0].values
-            assert np.array_equal(phi(path, None)[0].values, fresh)
+        grids = [(x, 0.0, 1e-3), (x, 0.0, 2e-3), (x, 0.5, 1e-3), (x[:1001], 0.0, 1e-3)]
+        for grid in grids + grids:
+            fresh = gbar_functional(params, r, init)(*grid, None)[0]
+            assert np.array_equal(phi(*grid, None)[0], fresh)
+
+
+class TestHostIndependence:
+    """Picard's bits do not depend on the BLAS kernel the host selects."""
+
+    def test_symmetric_solve_same_under_another_blas_core(self):
+        """Criterion 06's symmetric solve, in fresh interpreters with OpenBLAS
+        free to pick its kernel and held to its Prescott (no FMA) one.  The
+        banded BLAS solve that the compiled pass replaced gave different bits."""
+        code = ("import hashlib; from twolevel import ModelParams, gbar_functional, "
+                "solve_generalized\n"
+                "x, u, k = solve_generalized(gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), "
+                "0.3, (0.0, 0.0)), 10.0, 1e-3)\n"
+                "print(k, hashlib.sha256(x.values.tobytes() + u.values.tobytes()).hexdigest())")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fluid.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**env, **extra}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        x, u, k = solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
+        here = f"{k} {hashlib.sha256(x.values.tobytes() + u.values.tobytes()).hexdigest()}\n"
+        assert outputs == [here, here]
 
 
 class TestBrentPort:

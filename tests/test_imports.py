@@ -55,9 +55,13 @@ def test_import_loads_only_linalg_and_sparse():
     "from twolevel import ExperimentConfig, ModelParams, saturation_certificate\n"
     "cfg = ExperimentConfig(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (20,), 4.0, 1.0, 2, 3)\n"
     "saturation_certificate(cfg, workers=1)",
-], ids=["import", "simulate", "saturation-certificate"])
+    "from twolevel import ModelParams, gbar_functional, solve_generalized\n"
+    "phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))\n"
+    "solve_generalized(phi, 3.0, 1e-3)",
+], ids=["import", "simulate", "saturation-certificate", "picard"])
 def test_scipy_not_loaded_where_unused(code, tmp_path):
-    """scipy takes about 0.4 s to import; the simulator and its certificates never need it."""
+    """scipy takes about 0.4 s to import; the simulator, its certificates and
+    the Picard solve on Gbar never need it."""
     loaded = modules_after(code.format(out=str(tmp_path)))
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
     # Nor the process pool, which only a run on several workers needs.

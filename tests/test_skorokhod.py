@@ -12,6 +12,7 @@ from twolevel import (
     check_complementarity,
     gbar_functional,
     reflect_1d,
+    sim,
     solve_generalized,
 )
 
@@ -128,28 +129,29 @@ class TestComplementarity:
 
 
 def pointwise(fn):
-    """A restartable functional acting on each grid point alone, carrying no state."""
-    return lambda path, carried: (SampledPath(path.t0, path.dt, fn(path)), None)
+    """A restartable functional acting on each grid point alone, carrying no state:
+    ``fn(x, times)`` gives the free path on the window."""
+    return lambda x, t0, dt, carried: (fn(x, t0 + dt * np.arange(len(x))), None)
 
 
 class TestSolveGeneralized:
     def test_constant_functional_identity(self):
         """phi ignoring its argument, returning t: solution is t, found in 2 passes."""
         solution, regulator, iterations = solve_generalized(
-            pointwise(lambda path: path.times), 1.0, DT)
+            pointwise(lambda x, t: t), 1.0, DT)
         np.testing.assert_allclose(solution.values, solution.times, atol=0.0)
         np.testing.assert_array_equal(regulator.values, 0.0)
         assert iterations == 2
 
     def test_constant_negative_drift_fully_reflected(self):
         solution, regulator, iterations = solve_generalized(
-            pointwise(lambda path: -path.times), 1.0, DT)
+            pointwise(lambda x, t: -t), 1.0, DT)
         np.testing.assert_array_equal(solution.values, 0.0)
         np.testing.assert_allclose(regulator.values, regulator.times, atol=0.0)
         assert iterations == 1
 
     def test_start_override_changes_nothing_for_contraction(self):
-        damp = pointwise(lambda path: 0.5 * path.values + 0.1)
+        damp = pointwise(lambda x, t: 0.5 * x + 0.1)
         sol_zero, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12)
         ones = SampledPath(0.0, DT, np.ones(len(sol_zero)))
         sol_one, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12, start=ones)
@@ -158,21 +160,21 @@ class TestSolveGeneralized:
 
     def test_oscillator_hits_iteration_budget(self):
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(pointwise(lambda path: 1.0 - path.values), 0.5, DT, max_iter=12)
+            solve_generalized(pointwise(lambda x, t: 1.0 - x), 0.5, DT, max_iter=12)
         assert err.value.max_iter == 12
         assert err.value.residual == pytest.approx(1.0)
 
     def test_no_budget_no_sweep(self):
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(pointwise(lambda path: path.values), 0.5, DT, max_iter=0)
+            solve_generalized(pointwise(lambda x, t: x), 0.5, DT, max_iter=0)
         assert err.value.max_iter == 0
         assert err.value.residual == np.inf
 
     def test_budget_is_per_window_and_reports_the_failing_window(self):
         """Contracting on [0, 3) and flipping after: the window [0, 2] converges
         in 28 sweeps, and the window [2, 4] spends its own 30 at residual 0.6."""
-        def damp_then_flip(path):
-            return np.where(path.times < 3.0, 0.5 * path.values + 0.1, 1.0 - path.values)
+        def damp_then_flip(x, t):
+            return np.where(t < 3.0, 0.5 * x + 0.1, 1.0 - x)
 
         with pytest.raises(NoConvergence) as err:
             solve_generalized(pointwise(damp_then_flip), 5.0, DT, max_iter=30)
@@ -184,9 +186,9 @@ class TestSolveGeneralized:
         converged points, clipped at 0: here that is already the solution."""
         seen = {}
 
-        def ramp(path, carried):
-            seen.setdefault(path.t0, path.values.copy())
-            return SampledPath(path.t0, path.dt, 3.0 - path.times), None
+        def ramp(x, t0, dt, carried):
+            seen.setdefault(t0, x.copy())
+            return 3.0 - (t0 + dt * np.arange(len(x))), None
 
         solution, _, iterations = solve_generalized(ramp, 5.3, DT)
         np.testing.assert_allclose(solution.values, np.maximum(3.0 - solution.times, 0.0),
@@ -204,9 +206,9 @@ class TestSolveGeneralized:
         first point of a later window pinned to its converged value."""
         seen = {}
 
-        def damp(path, carried):
-            seen.setdefault(path.t0, path.values.copy())
-            return SampledPath(path.t0, path.dt, 0.5 * path.values + 0.1), None
+        def damp(x, t0, dt, carried):
+            seen.setdefault(t0, x.copy())
+            return 0.5 * x + 0.1, None
 
         start = sampled(lambda t: 1.0 + t, 5.3)
         solution, _, _ = solve_generalized(damp, 5.3, DT, tol=1e-12, start=start)
@@ -218,7 +220,7 @@ class TestSolveGeneralized:
             assert first[0] == (start.values[0] if k == 0 else solution.values[k])
 
     def test_start_on_another_grid_rejected(self):
-        damp = pointwise(lambda path: 0.5 * path.values + 0.1)
+        damp = pointwise(lambda x, t: 0.5 * x + 0.1)
         with pytest.raises(GridMismatch):
             solve_generalized(damp, 1.0, DT, start=sampled(np.cos, 2.0))
 
@@ -228,3 +230,133 @@ class TestSolveGeneralized:
         with pytest.raises(DomainError) as err:
             solve_generalized(phi, 1.0, dt)
         assert err.value.field == "dt"
+
+
+def reflect_window(free, guess, running_min=None, pinned=False):
+    """``sim``'s compiled reflection on copies: (reflected, regulator, residual).
+
+    The regulator buffer starts at 7.0, so a sample the kernel leaves
+    alone shows."""
+    x, reg = guess.copy(), np.full(len(free), 7.0)
+    residual = sim._library(sim._SOURCE).reflect_window(
+        free.ctypes.data, x.ctypes.data, reg.ctypes.data, len(free),
+        np.inf if running_min is None else running_min, pinned)
+    return x, reg, residual
+
+
+def ties(seed, n=1000):
+    """A path that starts at 0 and returns to +0 and -0 often, with many equal values."""
+    steps = np.round(np.random.default_rng(seed).normal(-0.01, 0.3, n - 4), 1)
+    return np.concatenate(([0.0, -0.0], np.round(np.cumsum(steps), 1), [-0.0, 0.0]))
+
+
+class TestReflectWindow:
+    """The compiled reflection behind ``solve_generalized`` against ``reflect_1d``."""
+
+    @pytest.mark.parametrize("running_min", [None, 0.3, 0.0, -0.0, -0.4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_reflect_1d_bit_for_bit(self, seed, running_min):
+        free = ties(seed)
+        assert np.signbit(free[free == 0.0]).any() and not np.signbit(free[free == 0.0]).all()
+        guess = np.random.default_rng(seed + 10).normal(0.0, 1.0, len(free))
+        reflected, regulator = reflect_1d(SampledPath(0.0, DT, free), running_min)
+        x, reg, residual = reflect_window(free, guess, running_min)
+        # tobytes tells +0 from -0, which == does not.
+        assert x.tobytes() == reflected.values.tobytes()
+        assert reg[1:].tobytes() == regulator.values[1:].tobytes() and reg[0] == 7.0
+        assert residual == np.max(np.abs(reflected.values - guess))
+
+    def test_pinned_first_sample_kept(self):
+        free, guess = ties(4), np.linspace(0.0, 1.0, 1000)
+        reflected, regulator = reflect_1d(SampledPath(0.0, DT, free), running_min=-0.2)
+        x, reg, residual = reflect_window(free, guess, -0.2, pinned=True)
+        assert x[0] == guess[0] and x[1:].tobytes() == reflected.values[1:].tobytes()
+        assert reg[1:].tobytes() == regulator.values[1:].tobytes() and reg[0] == 7.0
+        assert residual == np.max(np.abs(reflected.values[1:] - guess[1:]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 500, 999])
+    def test_non_finite_free_value_gives_nan(self, bad, where):
+        free = np.linspace(0.0, 1.0, 1000)
+        free[where] = bad
+        assert np.isnan(reflect_window(free, np.zeros(1000))[2])
+        assert np.isnan(reflect_window(free, np.zeros(1000), 0.5, pinned=True)[2])
+
+    def test_overflow_gives_nan(self):
+        """A finite free path whose reflection overflows is no finite solution either."""
+        free = np.array([0.0, -1.7e308, 1.7e308])
+        assert np.isnan(reflect_window(free, np.zeros(3))[2])
+
+
+class TestFreePathRefused:
+    """What ``phi`` returns is checked before the compiled reflection reads it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x[:-1] + 0.1,
+        lambda x: np.append(x, 0.0) + 0.1,
+        lambda x: np.zeros((len(x), 2)),
+        lambda x: (x + 0.1).astype(np.float32),
+        lambda x: np.ones(len(x), dtype=np.int64),
+        lambda x: np.repeat(x + 0.1, 2)[::2],
+        lambda x: list(x + 0.1),
+        lambda x: None,
+    ], ids=["short", "long", "vector", "float32", "int64", "strided", "list", "none"])
+    def test_bad_free_path(self, make):
+        calls = []
+
+        def phi(x, t0, dt, carried):
+            calls.append(t0)
+            return make(x), None
+
+        with pytest.raises(DomainError, match="phi must return a contiguous float64 array") as err:
+            solve_generalized(phi, 5.0, DT)
+        assert err.value.field == "free"
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x,
+        lambda x: np.ascontiguousarray(x),
+        lambda x: x[:],
+        lambda x: np.add(x, 0.1, out=x),
+    ], ids=["input", "ascontiguousarray", "view", "in-place"])
+    def test_input_returned_as_free_path(self, make):
+        """The reflection overwrites x; a free path in x's memory would be read after."""
+        calls = []
+
+        def phi(x, t0, dt, carried):
+            calls.append(t0)
+            return make(x), None
+
+        with pytest.raises(DomainError, match="not x or a view of it") as err:
+            solve_generalized(phi, 5.0, DT)
+        assert err.value.field == "free"
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("t_bad", [0.0, 1.0, 3.0])
+    def test_non_finite_sweep_raises_at_once(self, bad, t_bad):
+        """Before, on and after the first window; never run on to NoConvergence."""
+        calls = []
+
+        def phi(x, t0, dt, carried):
+            calls.append(t0)
+            times = t0 + dt * np.arange(len(x))
+            return np.where(np.isclose(times, t_bad), bad, 0.5 * x + 0.1), None
+
+        with pytest.raises(DomainError, match="path values must be finite") as err:
+            solve_generalized(phi, 5.0, DT, max_iter=200)
+        assert err.value.field == "values"
+        assert calls.count(calls[-1]) == 1 and calls[-1] == (0.0 if t_bad < 2 else 2.0)
+
+    def test_negative_start_on_first_window(self):
+        with pytest.raises(DomainError, match=r"free path must start >= 0, got -0\.1") as err:
+            solve_generalized(pointwise(lambda x, t: t - 0.1), 1.0, DT)
+        assert err.value.field == "values"
+
+    def test_negative_start_on_later_window_continues(self):
+        """A later window starts where the path is, below 0 or not."""
+        solution, regulator, _ = solve_generalized(pointwise(lambda x, t: 1.0 - t), 5.0, DT)
+        np.testing.assert_allclose(solution.values, np.maximum(1.0 - solution.times, 0.0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(regulator.values, np.maximum(solution.times - 1.0, 0.0),
+                                   atol=1e-12)
