@@ -28,6 +28,7 @@ from .model import (
     Regime,
     ScalingParams,
     blocked_fraction_limit,
+    check_state,
     classify_regime,
     critical_ratio,
     h_bar,
@@ -55,7 +56,6 @@ from .sim import (
     MicroState,
     Trajectory,
     Transition,
-    check_state,
     rescale,
     residual_sup,
     simulate,
@@ -93,13 +93,13 @@ __all__ = [
     "NotIrreducible", "RegimeError", "RegimeMismatch", "SingularSystem", "TooLarge",
     "TooManySwitches",
     "FluidState", "ModelParams", "Regime", "ScalingParams",
-    "blocked_fraction_limit", "classify_regime", "critical_ratio", "h_bar",
+    "blocked_fraction_limit", "check_state", "classify_regime", "critical_ratio", "h_bar",
     "overloaded_fixed_point", "underloaded_fixed_point", "validate",
     "y_b_closed_form", "y_bar", "y_underline",
     "SampledPath", "check_complementarity", "reflect_1d", "solve_generalized",
     "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
     "gbar_functional", "hybrid_fluid",
-    "MicroState", "Trajectory", "Transition", "check_state",
+    "MicroState", "Trajectory", "Transition",
     "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
     "simulate_aux_saturated", "simulate_process", "step", "transitions",
     "write_trajectory_csv",

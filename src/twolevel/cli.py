@@ -41,7 +41,7 @@ DEFAULTS = {
 EXPERIMENT_NAMES = ("phase-scan", "convergence", "no-blocking",
                     "saturation", "oracle-check", "martingale-decay")
 
-_INT_KEYS = {"n", "c2", "replications", "seed"}
+_INT_KEYS = ("n", "c2", "replications", "seed")
 
 # The experiments that read each of these flags.  Given on the command line to any
 # other experiment, a flag is refused; of several, the first listed here is named.
@@ -80,11 +80,14 @@ def _load_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if cfg["c2"] is None:
-        cfg["c2"] = max(1, int(cfg["n"]) // 2)
     for key in _INT_KEYS:
-        if cfg[key] is not None:
-            cfg[key] = int(cfg[key])
+        value = cfg[key]
+        # A JSON file may hold 40.7 or true where a count belongs; int() would truncate it.
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        cfg[key] = None if value is None else int(value)
+    if cfg["c2"] is None:
+        cfg["c2"] = max(1, cfg["n"] // 2)
     for key in ("p", "mu01", "mu11", "mu02", "horizon", "burn_in", "grid_dt"):
         cfg[key] = float(cfg[key])
     return cfg
@@ -165,7 +168,7 @@ def _cmd_simulate(args, cfg):
     params, scaling = _params_of(cfg)
     experiments._check_replications(cfg["replications"])
     process = args.process
-    columns = sim.PROCESSES[process].columns
+    columns = model.PROCESSES[process].columns
     if args.init is not None:
         init = _parse_list(args.init, f"--init for {process}", int, columns)
     else:
@@ -285,7 +288,7 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     for key in ("p", "mu01", "mu11", "mu02", "horizon", "burn_in", "grid_dt"):
         shared.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    for key in ("n", "c2", "replications", "seed"):
+    for key in _INT_KEYS:
         shared.add_argument(f"--{key}", dest=key, type=int)
     shared.add_argument("--config", help="flat JSON config file")
     shared.add_argument("--dump-config", action="store_true",
@@ -303,7 +306,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", parents=[shared],
                            help="run seeded replications and write CSV trajectories")
-    p_sim.add_argument("--process", choices=tuple(sim.PROCESSES), default="main")
+    p_sim.add_argument("--process", choices=tuple(model.PROCESSES), default="main")
     p_sim.add_argument("--init", help="comma-separated integer start state")
 
     p_fluid = sub.add_parser("fluid", parents=[shared],

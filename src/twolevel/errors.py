@@ -66,4 +66,4 @@ class SingularSystem(ArithmeticError):
 
 
 class BuildError(RuntimeError):
-    """The simulator loops could not be compiled: no C compiler, or its stderr."""
+    """The compiled library could not be built: no C compiler, or its stderr."""

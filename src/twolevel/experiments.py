@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import fluid, oracle, sim
+from . import fluid, model, oracle, sim
 from .errors import DomainError, InvalidState, RegimeMismatch
 from .model import (
     ModelParams,
@@ -29,7 +29,7 @@ from .model import (
     y_bar,
 )
 
-TARGETS = tuple(sim.PROCESSES)
+TARGETS = tuple(model.PROCESSES)
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def _fluid_reference(target, params, r, horizon, grid_dt):
     """Fluid comparison path from the origin sampled on the grid, columns matching the target."""
     system = "hybrid" if target == "main" else target
     sol = fluid.solve_system(system, params, r, (0.0, 0.0, 0.0), horizon, grid_dt)
-    cols = [("y_star", "y", "z").index(c) for c in sim.PROCESSES[target].columns]
+    cols = [("y_star", "y", "z").index(c) for c in model.PROCESSES[target].columns]
     return sol.path.values[:, cols]
 
 
@@ -246,7 +246,7 @@ def _simulate(process, init, params, scaling, horizon, seed):
 
 def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, seed):
     scaling = ScalingParams(n, c2)
-    init = (0,) * len(sim.PROCESSES[target].columns)
+    init = (0,) * len(model.PROCESSES[target].columns)
     traj = _simulate(target, init, params, scaling, horizon, seed)
     path = sim.rescale(traj, scaling, grid_dt)
     diff = np.max(np.abs(path.values - fluid_values), axis=1)

@@ -6,7 +6,8 @@ auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
 expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
 switch time is a root of that closed form.  ``solve_system`` is the one
 path of every system.  Also here: the integral functional that
-cross-validates the saturated system through the Picard solver.
+cross-validates the saturated system through the Picard solver, run in the
+compiled library (``native``).
 """
 
 import ctypes
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import native
 from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
 from .skorokhod import SampledPath, grid_steps
@@ -245,10 +247,10 @@ def gbar_functional(params, r, init):
     both nested integrals; the convolution is the exponentially-weighted
     prefix recursion conv_k = c_k + e^{-mubar dt} conv_{k-1}, the same
     quadrature rearranged for O(n) cost and overflow-free long horizons,
-    run in one pass in the compiled library of ``sim`` (which needs ``cc``)
-    with the float operations, in order, of the numpy and banded-solve form
-    the tests keep.  The terms that depend on the grid alone are kept from
-    one call to the next on the same grid.
+    run in one pass in the compiled library with the float operations, in
+    order, of the numpy and banded-solve form the tests keep.  The terms
+    that depend on the grid alone are kept from one call to the next on the
+    same grid.
 
     The functional restarts, as ``solve_generalized`` calls it:
     ``gbar(x, t0, dt, carried)`` takes x on a window of the grid (times
@@ -259,9 +261,7 @@ def gbar_functional(params, r, init):
     """
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
-    from . import sim  # sim imports skorokhod, which this module imports
-
-    kernel = sim._library(sim._SOURCE).gbar_window
+    kernel = native.library().gbar_window
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 

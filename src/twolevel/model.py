@@ -11,16 +11,19 @@ needs no specialist proceeds at rate mu11.
 Everything here is a closed form in the parameters: the critical
 capacity ratio separating the blocking and non-blocking regimes, the
 fixed points of both fluid systems, the blocked-fraction limit, and the
-envelope / relaxation curves used by the fluid solvers.
+envelope / relaxation curves used by the fluid solvers.  Also here: each
+chain's transition table in ``PROCESSES``, the one statement of its rates
+and jumps, which ``sim`` evaluates and ``native`` compiles to C.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, InvalidState, RegimeError
 
 
 @dataclass(frozen=True)
@@ -210,3 +213,93 @@ def y_b_closed_form(t, params, y0):
     decay = np.exp(-rate * np.asarray(t, dtype=float))
     out = y0 * decay + y_bar(params) * (1.0 - decay)
     return float(out) if np.isscalar(t) else out
+
+
+def check_state(state, scaling):
+    """Raise InvalidState unless (y_star, y, z) lies in the main state space."""
+    y_star, y, z = state
+    if y_star < 0 or y < 0 or z < 0:
+        raise InvalidState(f"negative coordinate in {state}")
+    if y_star + y > scaling.n:
+        raise InvalidState(f"y_star + y exceeds n={scaling.n} in {state}")
+    if z > scaling.c2:
+        raise InvalidState(f"z exceeds c2={scaling.c2} in {state}")
+    if y_star > 0 and z > 0:
+        raise InvalidState(f"blocked operators with idle specialists in {state}")
+
+
+def _check_saturated(state, scaling):
+    y_star, y = state
+    if y_star < 0 or y < 0 or y_star + y > scaling.n:
+        raise InvalidState(f"state {tuple(state)} outside the saturated state space")
+
+
+def _check_noblock(state, scaling):
+    y, z = state
+    if y < 0 or y > scaling.n or z < 0 or z > scaling.c2:
+        raise InvalidState(f"state {tuple(state)} outside the no-blocking state space")
+
+
+class Process(NamedTuple):
+    """One chain: state columns, transition table and state-space check.
+
+    ``table`` is an ordered tuple of rows ``(delta, coefficient, factor,
+    guard)``.  A row's index is the code a simulator loop records when it
+    fires, and its delta is the only copy of that jump.  The other fields
+    are Python expressions over the state columns and ``p, mu01, mu11,
+    mu02, n, c2``: ``coefficient`` uses no column, ``factor`` may be None
+    (a constant rate), and ``guard``, which may be None (always enabled),
+    tests only whether columns are 0.  The rate is
+    ``(coefficient) * (factor) * (guard)``, multiplied in that order;
+    ``rates`` and the compiled loops, which hoist the coefficient and drop
+    a guard known to hold, give the same floats.
+    """
+
+    columns: tuple
+    table: tuple
+    check: Callable
+
+
+PROCESSES = {
+    "main": Process(
+        ("y_star", "y", "z"),
+        (
+            # level-1 completion into blocking: every specialist busy
+            ((1, -1, 0), "mu01", "y", "z == 0"),
+            # completion with handover: operator released / restarts class-0 work
+            ((0, -1, -1), "(1 - p) * mu01", "y", "z > 0"),
+            ((0, 0, -1), "p * mu01", "y", "z > 0"),
+            # a free operator starts a class-0 call
+            ((0, 1, 0), "p * mu11", "n - y_star - y", None),
+            # specialist completion unblocks an operator: released / restarting
+            ((-1, 0, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
+            ((-1, 1, 0), "p * mu02 * c2", None, "y_star > 0"),
+            # a specialist finishes with no one blocked
+            ((0, 0, 1), "mu02", "c2 - z", "y_star == 0"),
+        ),
+        check_state,
+    ),
+    # Every specialist always busy: state (y_star, y), no z.
+    "aux-saturated": Process(
+        ("y_star", "y"),
+        (
+            ((1, -1), "mu01", "y", None),
+            ((-1, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
+            ((-1, 1), "p * mu02 * c2", None, "y_star > 0"),
+            ((0, 1), "p * mu11", "n - y_star - y", None),
+        ),
+        _check_saturated,
+    ),
+    # No blocking: state (y, z); a handover that finds z = 0 is lost.
+    "aux-noblock": Process(
+        ("y", "z"),
+        (
+            ((-1, 0), "(1 - p) * mu01", "y", "z == 0"),
+            ((-1, -1), "(1 - p) * mu01", "y", "z > 0"),
+            ((0, -1), "p * mu01", "y", "z > 0"),
+            ((1, 0), "p * mu11", "n - y", None),
+            ((0, 1), "mu02", "c2 - z", None),
+        ),
+        _check_noblock,
+    ),
+}

@@ -1,0 +1,321 @@
+"""All of the toolkit's C, compiled into one shared library, and its build.
+
+It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``),
+the compensator of ``sim.residual_sup`` (``residual_source``), the row
+formatter of ``sim.write_trajectory_csv``, and the two halves of a Picard
+sweep: ``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s
+reflection.  ``library()``, the library of the tables as they are at import,
+compiles it at its first call, never at import, with the system C compiler
+(``cc``); it is kept in ``$XDG_CACHE_HOME/twolevel`` (default
+``~/.cache/twolevel``), so later processes load it without compiling.
+Without a compiler ``library()`` raises ``BuildError``.
+"""
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import itertools
+import os
+import shutil
+import subprocess
+import tempfile
+
+from .errors import BuildError, InvalidState
+from .model import PROCESSES, ScalingParams
+
+# The name of each process's simulator function in C, and of its loop in ``sim``.
+LOOP_NAMES = {"main": "simulate", "aux-saturated": "simulate_aux_saturated",
+              "aux-noblock": "simulate_aux_noblock"}
+
+
+def _cases(spec):
+    """(guarded columns, reachable guard cases) of a process.
+
+    The guarded columns are those the guards test, in the order the table
+    first tests them.  A case maps each to 1 (positive) or 0; it is
+    reachable if the process's own check passes a state that is 0 in every
+    other column, at n = c2 = 1.
+    """
+    guarded = list(dict.fromkeys(v for row in spec.table if row[3] is not None
+                                 for v in compile(row[3], "<guard>", "eval").co_names
+                                 if v in spec.columns))
+    probe = ScalingParams(n=1, c2=1)
+    cases = []
+    for bits in itertools.product((1, 0), repeat=len(guarded)):
+        case = dict(zip(guarded, bits))
+        try:
+            spec.check(tuple(case.get(c, 0) for c in spec.columns), probe)
+        except InvalidState:
+            continue
+        cases.append(case)
+    return guarded, cases
+
+
+def _case_lines(spec, case):
+    """One guard case of a jump, in C: its enabled rows' cumulative rates, the draws, the jump."""
+    rows = [(i, row) for i, row in enumerate(spec.table)
+            if row[3] is None or eval(row[3], {"__builtins__": {}}, case)]
+    lines, acc = [], None
+    for j, (i, row) in enumerate(rows):
+        rate = f"a[{i}]" if row[2] is None else f"a[{i}] * ({row[2]})"
+        name = "total" if j == len(rows) - 1 else f"r{i}"
+        lines.append(f"double {name} = {rate if acc is None else f'{acc} + {rate}'};")
+        acc = name
+    lines += ["if (total <= 0.0) { status = ABSORBED; break; }",
+              "t += e[k] / total;",
+              "if (t >= horizon) { status = HORIZON; break; }",
+              "double v = u[2 * k + 1] * total;"]
+    for j, (i, row) in enumerate(rows):
+        jump = " ".join([f"{c} {'+' if d > 0 else '-'}= {abs(d)};"
+                         for c, d in zip(spec.columns, row[0]) if d] + [f"codes[k] = {i};"])
+        test = "" if len(rows) == 1 else (
+            "else " if j == len(rows) - 1 else f"{'else ' * (j > 0)}if (v < r{i}) ")
+        lines.append(f"{test}{{ {jump} }}")
+    return lines
+
+
+def _branch(spec, guarded, cases):
+    """Nested ``if (column)`` tests down to one guard case each, then its lines."""
+    if len(cases) == 1:
+        return _case_lines(spec, cases[0])
+    col = next(v for v in guarded if len({c[v] for c in cases}) == 2)
+    on, off = [c for c in cases if c[col]], [c for c in cases if not c[col]]
+    return ([f"if ({col}) {{"] + [f"    {line}" for line in _branch(spec, guarded, on)]
+            + ["} else {"] + [f"    {line}" for line in _branch(spec, guarded, off)] + ["}"])
+
+
+def loop_source(process, spec=None):
+    """C source of the simulator function of ``process`` (or of ``spec``), from its table.
+
+    It runs up to ``count`` jumps from the state ``x`` at time ``*clock``;
+    jump k takes ``e[k]`` and ``u[2k + 1]``, and records its time and the
+    index of the table row that fired.  It branches on the reachable guard
+    cases (for ``main``: z > 0, z = 0 < y*, z = y* = 0) and walks a short
+    cumulative chain of the rates enabled there, in table order; a case's
+    sums skip only rows whose rate there is 0.0, so they equal the table's.
+    """
+    spec = spec or PROCESSES[process]
+    guarded, cases = _cases(spec)
+    lines = [
+        f"int {LOOP_NAMES[process]}(int64_t *x, double *clock, const double *a,"
+        " int64_t n, int64_t c2, double horizon,",
+        "        const double *e, const double *u, int64_t count,"
+        " double *times, int8_t *codes, int64_t *done)",
+        "{",
+        *(f"    int64_t {c} = x[{i}];" for i, c in enumerate(spec.columns)),
+        "    double t = *clock;",
+        "    int status = USED_UP;",
+        "    int64_t k;",
+        "    for (k = 0; k < count; k++) {",
+        *(f"        {line}" for line in _branch(spec, guarded, cases)),
+        "        times[k] = t;",
+        "    }",
+        *(f"    x[{i}] = {c};" for i, c in enumerate(spec.columns)),
+        "    *clock = t;",
+        "    *done = k;",
+        "    return status;",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def residual_source(spec):
+    """C source of ``residual_sup`` for the process of ``spec``, from its table.
+
+    Per state row: each rate ``a[i] * (factor) * (guard)``, then the drift,
+    0.0 plus each nonzero delta times its rate in table order, over n (as
+    numpy's ``tensordot`` rounds it).  ``p``, the compensator, adds drift * gap
+    up to each jump and the horizon; ``sup`` gets the largest
+    ``|(x / n - x0 / n) - p|`` at each left and right limit.
+    """
+    d = len(spec.columns)
+    products = (" * ".join([f"a[{i}]"] + [f"({e})" for e in row[2:] if e])
+                for i, row in enumerate(spec.table))
+    sums = ("".join(f" {'+-'[v < 0]} {abs(v)} * r{i}" for i, v in enumerate(col) if v)
+            for col in zip(*(row[0] for row in spec.table)))
+    return "\n".join([
+        "static void widen(double *sup, double e) { if (e < 0) e = -e; if (e > *sup) *sup = e; }",
+        "void residual_sup(const int64_t *x, const double *times, int64_t rows, const double *a,",
+        "                  int64_t n, int64_t c2, double horizon, double *sup)",
+        "{",
+        f"    double g[{d}] = {{0.0}}, p[{d}] = {{0.0}}, h[{d}], c[{d}];",
+        "    for (int64_t k = 0; k <= rows; k++) {",
+        "        /* To jump k, or from the last jump to the horizon: left limit, then right. */",
+        "        double gap = k == 0 ? 0.0 : (k < rows ? times[k] : horizon) - times[k - 1];",
+        f"        for (int j = 0; j < {d}; j++) {{",
+        "            if (k == 0) { sup[j] = 0.0; h[j] = c[j] = (double)x[j] / n; }",
+        "            p[j] += g[j] * gap;",
+        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
+        "            if (k == rows) continue;",
+        f"            c[j] = (double)x[{d} * k + j] / n;",
+        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
+        "        }",
+        "        if (k == rows) break;",
+        *(f"        int64_t {c} = x[{d} * k + {i}];" for i, c in enumerate(spec.columns)),
+        *(f"        double r{i} = {product};" for i, product in enumerate(products)),
+        *(f"        g[{j}] = (0.0{terms}) / n;" for j, terms in enumerate(sums)),
+        "    }",
+        "}",
+    ]) + "\n"
+
+
+# What ended a block of jumps, as the C functions return it.
+USED_UP, HORIZON, ABSORBED = range(3)
+_PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
+            "#include <stdint.h>\n#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
+_ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
+             + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
+# Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
+# A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).
+_FORMATTER = r"""
+int64_t format_trajectory_rows(const double *times, const int64_t *states, int64_t rows,
+                               int64_t cols, char *out, int64_t capacity)
+{
+    locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c_numeric == (locale_t)0) return -1;
+    locale_t caller = uselocale(c_numeric);
+    char *p = out, *end = out + capacity;
+    int64_t i;
+    for (i = 0; i < rows; i++) {
+        int w = snprintf(p, (size_t)(end - p), "%.9g", times[i]);
+        /* Room for this time, the counts and the newline: 17 + 21 * cols bytes always do. */
+        if (w < 0 || w + 21 * cols + 1 > end - p) break;
+        p += w;
+        for (int64_t j = 0; j < cols; j++) {
+            int64_t s = states[i * cols + j];
+            uint64_t v = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
+            char digits[21], *q = digits + 21;
+            do *--q = (char)('0' + v % 10); while (v /= 10);
+            if (s < 0) *--q = '-';
+            *--q = ',';
+            while (q < digits + 21) *p++ = *q++;
+        }
+        *p++ = '\n';
+    }
+    uselocale(caller);
+    freelocale(c_numeric);
+    return i < rows ? -1 : p - out;
+}
+"""
+_FORMAT_ARGTYPES = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
+                    + [ctypes.c_void_p, ctypes.c_int64])
+# A Picard sweep on one window: Gbar of ``fluid.gbar_functional`` (its convolution
+# step an explicit fma, as a BLAS banded solve with FMA kernels rounds it), then the
+# reflection, which writes the regulator from sample 1 and returns the sup change, or
+# NaN for a value not finite.  min and max keep the second operand on a tie, as numpy's.
+_PICARD = r"""
+void gbar_window(const double *x, const double *base, int64_t n, double h, double mu11,
+                 double decay, double coef, double *carried, double *out)
+{
+    if (n < 1) return;
+    double inner = carried[0], conv = carried[1], w_prev = mu11 * inner + x[0];
+    out[0] = coef * conv + base[0];
+    for (int64_t k = 1; k < n; k++) {
+        inner += (x[k] + x[k - 1]) * h;
+        double w = mu11 * inner + x[k];
+        conv = fma(decay, conv, (w_prev * decay + w) * h);
+        out[k] = coef * conv + base[k];
+        w_prev = w;
+    }
+    carried[0] = inner;
+    carried[1] = conv;
+}
+
+double reflect_window(const double *free, double *x, double *reg, int64_t n,
+                      double running_min, int pinned)
+{
+    double acc = free[0], sup = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        acc = acc < free[k] ? acc : free[k];
+        double low = acc < running_min ? acc : running_min;
+        double lift = 0.0 > -low ? 0.0 : -low, next = free[k] + lift;
+        if (!isfinite(next)) return NAN;
+        if (k) reg[k] = lift;
+        if (k < pinned) continue;
+        double change = fabs(next - x[k]);
+        sup = sup < change ? change : sup;
+        x[k] = next;
+    }
+    return sup;
+}
+"""
+# No -ffast-math or -march=native, and no contraction of a * b + c into a
+# fused multiply-add: each must round as the Python rates do.  libm has fma.
+_COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-lm", "-o")
+
+
+def _library_source(processes):
+    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``
+    and the Picard sweep."""
+    return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
+            + _FORMATTER + "\n" + residual_source(processes["main"]) + _PICARD)
+
+
+def _built(source, private):
+    """Path of the library compiled from ``source``, from the user's cache or built into it.
+
+    The file is named by the sha256 of the source and the compile command
+    and ends with the sha256 of its own bytes, so a damaged one is rebuilt.
+    A build is renamed into place whole, so processes may build at once;
+    with the cache unwritable it goes into the directory ``private``.
+    """
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                         "twolevel")
+    key = hashlib.sha256("\0".join((source,) + _COMPILE).encode()).hexdigest()
+    # "sim-" from when the simulator module held the library: caches built then still load.
+    path = os.path.join(cache, f"sim-{key}.so")
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        blob = fh.read()
+        if hashlib.sha256(blob[:-32]).digest() == blob[-32:]:
+            return path
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    except OSError:
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
+        path = tmp
+    os.close(fd)
+    try:
+        if shutil.which(_COMPILE[0]) is None:
+            raise BuildError("the compiled library needs a C compiler; there is no "
+                             f"{_COMPILE[0]!r} on PATH")
+        proc = subprocess.run([*_COMPILE, tmp], input=source, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise BuildError(f"{_COMPILE[0]} failed on the library source: {proc.stderr.strip()}")
+        with open(tmp, "rb+") as fh:
+            fh.write(hashlib.sha256(fh.read()).digest())
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+    return path
+
+
+@functools.lru_cache(maxsize=None)
+def _library(source):
+    """The library compiled from ``source``, loaded, with its functions declared."""
+    with tempfile.TemporaryDirectory() as private:
+        lib = ctypes.CDLL(_built(source, private))
+    for name in LOOP_NAMES.values():
+        function = getattr(lib, name)
+        function.argtypes, function.restype = _ARGTYPES, ctypes.c_int
+    lib.format_trajectory_rows.argtypes = _FORMAT_ARGTYPES
+    lib.format_trajectory_rows.restype = ctypes.c_int64
+    lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
+                                 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
+    lib.residual_sup.restype = lib.gbar_window.restype = None
+    lib.gbar_window.argtypes = [*[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_double] * 4,
+                                *[ctypes.c_void_p] * 2]
+    lib.reflect_window.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_double,
+                                   ctypes.c_int]
+    lib.reflect_window.restype = ctypes.c_double
+    return lib
+
+
+_SOURCE = _library_source(PROCESSES)  # of the tables as they are at import
+
+
+def library():
+    """The library of the tables as they are at import, built or loaded at the first call."""
+    return _library(_SOURCE)

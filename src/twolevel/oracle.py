@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from . import sim
-from .errors import InvalidState, NotIrreducible, SingularSystem, TooLarge
+from . import model, sim
+from .errors import DomainError, InvalidState, NotIrreducible, SingularSystem, TooLarge
 from .sim import MicroState
 
 
@@ -92,7 +92,7 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     keys = key(states)
     g = np.zeros((size, size))
     rows, cols, vals = [], [], []
-    table = sim.PROCESSES["main"].table
+    table = model.PROCESSES["main"].table
     for (delta, *_), rates in zip(table, sim.rates("main", states.T, params, scaling)):
         src = np.flatnonzero(rates > 0)
         targets = states[src] + delta
@@ -220,11 +220,13 @@ def transient_distribution(g, init, t, tol=1e-12):
     is truncated once its tail mass drops below tol.  Long horizons are
     split recursively so the Poisson weights never underflow.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    g = _csr(g)
+    if not 0 <= t < math.inf:
+        raise DomainError("t", f"t must be finite and >= 0, got {t!r}")
     size = g.shape[0]
     init = np.asarray(init)
+    if init.ndim == 0 and not 0 <= init < size:
+        raise DomainError("init", f"a start state index must lie in [0, {size}), got {init}")
+    g = _csr(g)
     if init.ndim == 0:
         dist = np.zeros(size)
         dist[int(init)] = 1.0

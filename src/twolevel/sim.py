@@ -6,21 +6,13 @@ enabled rate and the next transition is drawn proportionally to its rate
 exactly.  All randomness comes from numpy's PCG64 generator seeded
 explicitly; a run is a pure function of (parameters, seed).
 
-Each process is one table in ``PROCESSES``, the only statement of its
+Each process is one table in ``model.PROCESSES``, the only statement of its
 rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
-``transitions``, ``step``, ``drift`` and the oracle's generator;
-``loop_source`` generates a C function from it that runs a block of jumps,
-and ``residual_source`` the compensator of ``residual_sup`` (main table).
+``transitions``, ``step``, ``drift`` and the oracle's generator.
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
-the random numbers in Python and hand each block to that function.  The
-three, the compensator, the row formatter of ``write_trajectory_csv`` and
-the two halves of a Picard sweep (``fluid.gbar_functional``'s pass and
-``skorokhod.solve_generalized``'s reflection) are compiled into one shared
-library at the first use, never at import, with the system C compiler
-(``cc``); it is kept in ``$XDG_CACHE_HOME/twolevel`` (default
-``~/.cache/twolevel``), so later processes load it without compiling.
-Without a compiler a run, a residual, a trajectory CSV or a Picard solve
-raises ``BuildError``.
+the random numbers in Python and hand each block to the process's function
+in the compiled library (``native``), generated from the same table;
+``residual_sup`` and ``write_trajectory_csv`` run there too.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -28,14 +20,10 @@ the first whose cumulative rate exceeds u' * total.  The loops draw them
 in blocks sized to the run: ``_CHUNK`` jumps first, then the jumps that
 the run's mean pace so far needs to reach ``horizon``, plus a margin, at
 most ``_MAX_BLOCK``.  Jump k takes uniforms 2k and 2k+1 whatever the
-block sizes, so they never change a run.  Each C function branches on the
-guard case of the state (for ``main``: z > 0, or z = 0 with y* > 0, or
-z = 0 with y* = 0), sums only the rates enabled there, in table order and
-in double precision with no fused multiply-add, and walks a short
-cumulative chain.  Per jump it records only the time and a code, the index
-of the table row that fired; the states are rebuilt afterwards as the
-running sum of the codes' deltas.  ``step`` draws the same two uniforms
-per call, so a loop of ``step`` calls replays a run bit for bit.
+block sizes, so they never change a run.  The states are rebuilt from the
+recorded codes as the running sum of their rows' deltas.  ``step`` draws the
+same two uniforms per call, so a loop of ``step`` calls replays a run bit for
+bit.
 
 A run makes at most ``max_events`` jumps.  No block draws past jump
 ``max_events + 1``; a run that makes that jump comes back flagged
@@ -43,23 +31,16 @@ A run makes at most ``max_events`` jumps.  No block draws past jump
 the uncapped run that ends before ``horizon``.
 """
 
-import contextlib
-import ctypes
 import functools
-import hashlib
 import itertools
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BuildError, DomainError, InvalidState
+from . import model, native
+from .errors import DomainError, InvalidState
 from .skorokhod import SampledPath
 
 MAX_EVENTS_DEFAULT = 10_000_000
@@ -108,104 +89,11 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def check_state(state, scaling):
-    """Raise InvalidState unless (y_star, y, z) lies in the main state space."""
-    y_star, y, z = state
-    if y_star < 0 or y < 0 or z < 0:
-        raise InvalidState(f"negative coordinate in {state}")
-    if y_star + y > scaling.n:
-        raise InvalidState(f"y_star + y exceeds n={scaling.n} in {state}")
-    if z > scaling.c2:
-        raise InvalidState(f"z exceeds c2={scaling.c2} in {state}")
-    if y_star > 0 and z > 0:
-        raise InvalidState(f"blocked operators with idle specialists in {state}")
-
-
-def _check_saturated(state, scaling):
-    y_star, y = state
-    if y_star < 0 or y < 0 or y_star + y > scaling.n:
-        raise InvalidState(f"state {tuple(state)} outside the saturated state space")
-
-
-def _check_noblock(state, scaling):
-    y, z = state
-    if y < 0 or y > scaling.n or z < 0 or z > scaling.c2:
-        raise InvalidState(f"state {tuple(state)} outside the no-blocking state space")
-
-
-class Process(NamedTuple):
-    """One chain: state columns, transition table and state-space check.
-
-    ``table`` is an ordered tuple of rows ``(delta, coefficient, factor,
-    guard)``.  A row's index is the code a simulator loop records when it
-    fires, and its delta is the only copy of that jump.  The other fields
-    are Python expressions over the state columns and ``p, mu01, mu11,
-    mu02, n, c2``: ``coefficient`` uses no column, ``factor`` may be None
-    (a constant rate), and ``guard``, which may be None (always enabled),
-    tests only whether columns are 0.  The rate is
-    ``(coefficient) * (factor) * (guard)``, multiplied in that order;
-    ``rates`` and the compiled loops, which hoist the coefficient and drop
-    a guard known to hold, give the same floats.
-    """
-
-    columns: tuple
-    table: tuple
-    check: Callable
-
-
-PROCESSES = {
-    "main": Process(
-        ("y_star", "y", "z"),
-        (
-            # level-1 completion into blocking: every specialist busy
-            ((1, -1, 0), "mu01", "y", "z == 0"),
-            # completion with handover: operator released / restarts class-0 work
-            ((0, -1, -1), "(1 - p) * mu01", "y", "z > 0"),
-            ((0, 0, -1), "p * mu01", "y", "z > 0"),
-            # a free operator starts a class-0 call
-            ((0, 1, 0), "p * mu11", "n - y_star - y", None),
-            # specialist completion unblocks an operator: released / restarting
-            ((-1, 0, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
-            ((-1, 1, 0), "p * mu02 * c2", None, "y_star > 0"),
-            # a specialist finishes with no one blocked
-            ((0, 0, 1), "mu02", "c2 - z", "y_star == 0"),
-        ),
-        check_state,
-    ),
-    # Every specialist always busy: state (y_star, y), no z.
-    "aux-saturated": Process(
-        ("y_star", "y"),
-        (
-            ((1, -1), "mu01", "y", None),
-            ((-1, 0), "(1 - p) * mu02 * c2", None, "y_star > 0"),
-            ((-1, 1), "p * mu02 * c2", None, "y_star > 0"),
-            ((0, 1), "p * mu11", "n - y_star - y", None),
-        ),
-        _check_saturated,
-    ),
-    # No blocking: state (y, z); a handover that finds z = 0 is lost.
-    "aux-noblock": Process(
-        ("y", "z"),
-        (
-            ((-1, 0), "(1 - p) * mu01", "y", "z == 0"),
-            ((-1, -1), "(1 - p) * mu01", "y", "z > 0"),
-            ((0, -1), "p * mu01", "y", "z > 0"),
-            ((1, 0), "p * mu11", "n - y", None),
-            ((0, 1), "mu02", "c2 - z", None),
-        ),
-        _check_noblock,
-    ),
-}
-# The module attribute of each process's simulator loop, and the name of its C function.
-_LOOP_NAMES = {"main": "simulate", "aux-saturated": "simulate_aux_saturated",
-               "aux-noblock": "simulate_aux_noblock"}
-
-
 def _process(name):
     try:
-        return PROCESSES[name]
+        return model.PROCESSES[name]
     except KeyError:
-        raise DomainError("process", f"process must be one of {tuple(PROCESSES)}") from None
+        raise DomainError("process", f"process must be one of {tuple(model.PROCESSES)}") from None
 
 
 def _constants(params, scaling):
@@ -233,7 +121,7 @@ def rates(process, x, params, scaling):
 
     ``x`` holds the state columns as Python numbers or as numpy arrays (one
     entry per state); a disabled row's rate is 0.  The expressions are
-    compiled from the table in ``PROCESSES`` when that table is first met.
+    compiled from the table in ``model.PROCESSES`` when that table is first met.
     """
     spec = _process(process)
     names = dict(zip(spec.columns, x), **_constants(params, scaling))
@@ -300,286 +188,6 @@ def _states(deltas, init, codes):
     return np.cumsum(rows, axis=0, out=rows)
 
 
-def _cases(spec):
-    """(guarded columns, reachable guard cases) of a process.
-
-    The guarded columns are those the guards test, in the order the table
-    first tests them.  A case maps each to 1 (positive) or 0; it is
-    reachable if the process's own check passes a state that is 0 in every
-    other column, at n = c2 = 1.
-    """
-    guarded = list(dict.fromkeys(v for row in spec.table if row[3] is not None
-                                 for v in compile(row[3], "<guard>", "eval").co_names
-                                 if v in spec.columns))
-    probe = SimpleNamespace(n=1, c2=1)
-    cases = []
-    for bits in itertools.product((1, 0), repeat=len(guarded)):
-        case = dict(zip(guarded, bits))
-        try:
-            spec.check(tuple(case.get(c, 0) for c in spec.columns), probe)
-        except InvalidState:
-            continue
-        cases.append(case)
-    return guarded, cases
-
-
-def _case_lines(spec, case):
-    """One guard case of a jump, in C: its enabled rows' cumulative rates, the draws, the jump."""
-    rows = [(i, row) for i, row in enumerate(spec.table)
-            if row[3] is None or eval(row[3], {"__builtins__": {}}, case)]
-    lines, acc = [], None
-    for j, (i, row) in enumerate(rows):
-        rate = f"a[{i}]" if row[2] is None else f"a[{i}] * ({row[2]})"
-        name = "total" if j == len(rows) - 1 else f"r{i}"
-        lines.append(f"double {name} = {rate if acc is None else f'{acc} + {rate}'};")
-        acc = name
-    lines += ["if (total <= 0.0) { status = ABSORBED; break; }",
-              "t += e[k] / total;",
-              "if (t >= horizon) { status = HORIZON; break; }",
-              "double v = u[2 * k + 1] * total;"]
-    for j, (i, row) in enumerate(rows):
-        jump = " ".join([f"{c} {'+' if d > 0 else '-'}= {abs(d)};"
-                         for c, d in zip(spec.columns, row[0]) if d] + [f"codes[k] = {i};"])
-        test = "" if len(rows) == 1 else (
-            "else " if j == len(rows) - 1 else f"{'else ' * (j > 0)}if (v < r{i}) ")
-        lines.append(f"{test}{{ {jump} }}")
-    return lines
-
-
-def _branch(spec, guarded, cases):
-    """Nested ``if (column)`` tests down to one guard case each, then its lines."""
-    if len(cases) == 1:
-        return _case_lines(spec, cases[0])
-    col = next(v for v in guarded if len({c[v] for c in cases}) == 2)
-    on, off = [c for c in cases if c[col]], [c for c in cases if not c[col]]
-    return ([f"if ({col}) {{"] + [f"    {line}" for line in _branch(spec, guarded, on)]
-            + ["} else {"] + [f"    {line}" for line in _branch(spec, guarded, off)] + ["}"])
-
-
-def loop_source(process, spec=None):
-    """C source of the simulator function of ``process`` (or of ``spec``), from its table.
-
-    It runs up to ``count`` jumps from the state ``x`` at time ``*clock``;
-    jump k takes ``e[k]`` and ``u[2k + 1]``, and records its time and table
-    row.  It branches on the reachable guard cases; a case's sums skip only
-    rows whose rate there is 0.0, so they equal the whole table's sums.
-    """
-    spec = spec or _process(process)
-    guarded, cases = _cases(spec)
-    lines = [
-        f"int {_LOOP_NAMES[process]}(int64_t *x, double *clock, const double *a,"
-        " int64_t n, int64_t c2, double horizon,",
-        "        const double *e, const double *u, int64_t count,"
-        " double *times, int8_t *codes, int64_t *done)",
-        "{",
-        *(f"    int64_t {c} = x[{i}];" for i, c in enumerate(spec.columns)),
-        "    double t = *clock;",
-        "    int status = USED_UP;",
-        "    int64_t k;",
-        "    for (k = 0; k < count; k++) {",
-        *(f"        {line}" for line in _branch(spec, guarded, cases)),
-        "        times[k] = t;",
-        "    }",
-        *(f"    x[{i}] = {c};" for i, c in enumerate(spec.columns)),
-        "    *clock = t;",
-        "    *done = k;",
-        "    return status;",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def residual_source(spec):
-    """C source of ``residual_sup`` for the process of ``spec``, from its table.
-
-    Per state row: each rate ``a[i] * (factor) * (guard)``, then the drift,
-    0.0 plus each nonzero delta times its rate in table order, over n (as
-    numpy's ``tensordot`` rounds it).  ``p``, the compensator, adds drift * gap
-    up to each jump and the horizon; ``sup`` gets the largest
-    ``|(x / n - x0 / n) - p|`` at each left and right limit.
-    """
-    d = len(spec.columns)
-    products = (" * ".join([f"a[{i}]"] + [f"({e})" for e in row[2:] if e])
-                for i, row in enumerate(spec.table))
-    sums = ("".join(f" {'+-'[v < 0]} {abs(v)} * r{i}" for i, v in enumerate(col) if v)
-            for col in zip(*(row[0] for row in spec.table)))
-    return "\n".join([
-        "static void widen(double *sup, double e) { if (e < 0) e = -e; if (e > *sup) *sup = e; }",
-        "void residual_sup(const int64_t *x, const double *times, int64_t rows, const double *a,",
-        "                  int64_t n, int64_t c2, double horizon, double *sup)",
-        "{",
-        f"    double g[{d}] = {{0.0}}, p[{d}] = {{0.0}}, h[{d}], c[{d}];",
-        "    for (int64_t k = 0; k <= rows; k++) {",
-        "        /* To jump k, or from the last jump to the horizon: left limit, then right. */",
-        "        double gap = k == 0 ? 0.0 : (k < rows ? times[k] : horizon) - times[k - 1];",
-        f"        for (int j = 0; j < {d}; j++) {{",
-        "            if (k == 0) { sup[j] = 0.0; h[j] = c[j] = (double)x[j] / n; }",
-        "            p[j] += g[j] * gap;",
-        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
-        "            if (k == rows) continue;",
-        f"            c[j] = (double)x[{d} * k + j] / n;",
-        "            widen(&sup[j], (c[j] - h[j]) - p[j]);",
-        "        }",
-        "        if (k == rows) break;",
-        *(f"        int64_t {c} = x[{d} * k + {i}];" for i, c in enumerate(spec.columns)),
-        *(f"        double r{i} = {product};" for i, product in enumerate(products)),
-        *(f"        g[{j}] = (0.0{terms}) / n;" for j, terms in enumerate(sums)),
-        "    }",
-        "}",
-    ]) + "\n"
-
-
-# What ended a block of jumps, as the C functions return it.
-_USED_UP, _HORIZON, _ABSORBED = range(3)
-_PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
-            "#include <stdint.h>\n#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
-_ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
-             + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
-# Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
-# A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).
-_FORMATTER = r"""
-int64_t format_trajectory_rows(const double *times, const int64_t *states, int64_t rows,
-                               int64_t cols, char *out, int64_t capacity)
-{
-    locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-    if (c_numeric == (locale_t)0) return -1;
-    locale_t caller = uselocale(c_numeric);
-    char *p = out, *end = out + capacity;
-    int64_t i;
-    for (i = 0; i < rows; i++) {
-        int w = snprintf(p, (size_t)(end - p), "%.9g", times[i]);
-        /* Room for this time, the counts and the newline: 17 + 21 * cols bytes always do. */
-        if (w < 0 || w + 21 * cols + 1 > end - p) break;
-        p += w;
-        for (int64_t j = 0; j < cols; j++) {
-            int64_t s = states[i * cols + j];
-            uint64_t v = s < 0 ? 0 - (uint64_t)s : (uint64_t)s;
-            char digits[21], *q = digits + 21;
-            do *--q = (char)('0' + v % 10); while (v /= 10);
-            if (s < 0) *--q = '-';
-            *--q = ',';
-            while (q < digits + 21) *p++ = *q++;
-        }
-        *p++ = '\n';
-    }
-    uselocale(caller);
-    freelocale(c_numeric);
-    return i < rows ? -1 : p - out;
-}
-"""
-_FORMAT_ARGTYPES = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
-                    + [ctypes.c_void_p, ctypes.c_int64])
-# A Picard sweep on one window: Gbar of ``fluid.gbar_functional`` (its convolution
-# step an explicit fma, as a BLAS banded solve with FMA kernels rounds it), then the
-# reflection, which writes the regulator from sample 1 and returns the sup change, or
-# NaN for a value not finite.  min and max keep the second operand on a tie, as numpy's.
-_PICARD = r"""
-void gbar_window(const double *x, const double *base, int64_t n, double h, double mu11,
-                 double decay, double coef, double *carried, double *out)
-{
-    if (n < 1) return;
-    double inner = carried[0], conv = carried[1], w_prev = mu11 * inner + x[0];
-    out[0] = coef * conv + base[0];
-    for (int64_t k = 1; k < n; k++) {
-        inner += (x[k] + x[k - 1]) * h;
-        double w = mu11 * inner + x[k];
-        conv = fma(decay, conv, (w_prev * decay + w) * h);
-        out[k] = coef * conv + base[k];
-        w_prev = w;
-    }
-    carried[0] = inner;
-    carried[1] = conv;
-}
-
-double reflect_window(const double *free, double *x, double *reg, int64_t n,
-                      double running_min, int pinned)
-{
-    double acc = free[0], sup = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        acc = acc < free[k] ? acc : free[k];
-        double low = acc < running_min ? acc : running_min;
-        double lift = 0.0 > -low ? 0.0 : -low, next = free[k] + lift;
-        if (!isfinite(next)) return NAN;
-        if (k) reg[k] = lift;
-        if (k < pinned) continue;
-        double change = fabs(next - x[k]);
-        sup = sup < change ? change : sup;
-        x[k] = next;
-    }
-    return sup;
-}
-"""
-# No -ffast-math or -march=native, and no contraction of a * b + c into a
-# fused multiply-add: each must round as the Python rates do.  libm has fma.
-_COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-lm", "-o")
-
-
-def _library_source(processes):
-    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``
-    and the Picard sweep."""
-    return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER + "\n" + residual_source(processes["main"]) + _PICARD)
-
-
-def _built(source, private):
-    """Path of the library compiled from ``source``, from the user's cache or built into it.
-
-    The file is named by the sha256 of the source and the compile command
-    and ends with the sha256 of its own bytes, so a damaged one is rebuilt.
-    A build is renamed into place whole, so processes may build at once;
-    with the cache unwritable it goes into the directory ``private``.
-    """
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
-                         "twolevel")
-    key = hashlib.sha256("\0".join((source,) + _COMPILE).encode()).hexdigest()
-    path = os.path.join(cache, f"sim-{key}.so")
-    with contextlib.suppress(OSError), open(path, "rb") as fh:
-        blob = fh.read()
-        if hashlib.sha256(blob[:-32]).digest() == blob[-32:]:
-            return path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    except OSError:
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
-        path = tmp
-    os.close(fd)
-    try:
-        if shutil.which(_COMPILE[0]) is None:
-            raise BuildError(f"simulation needs a C compiler; there is no {_COMPILE[0]!r} on PATH")
-        proc = subprocess.run([*_COMPILE, tmp], input=source, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise BuildError(f"{_COMPILE[0]} failed on the simulator loops: {proc.stderr.strip()}")
-        with open(tmp, "rb+") as fh:
-            fh.write(hashlib.sha256(fh.read()).digest())
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)
-    return path
-
-
-@functools.lru_cache(maxsize=None)
-def _library(source):
-    """The library compiled from ``source``, loaded, with its functions declared."""
-    with tempfile.TemporaryDirectory() as private:
-        lib = ctypes.CDLL(_built(source, private))
-    for name in _LOOP_NAMES.values():
-        function = getattr(lib, name)
-        function.argtypes, function.restype = _ARGTYPES, ctypes.c_int
-    lib.format_trajectory_rows.argtypes = _FORMAT_ARGTYPES
-    lib.format_trajectory_rows.restype = ctypes.c_int64
-    lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
-                                 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
-    lib.residual_sup.restype = lib.gbar_window.restype = None
-    lib.gbar_window.argtypes = [*[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_double] * 4,
-                                *[ctypes.c_void_p] * 2]
-    lib.reflect_window.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_double,
-                                   ctypes.c_int]
-    lib.reflect_window.restype = ctypes.c_double
-    return lib
-
-
 def _draws(rng, count):
     """Random numbers for ``count`` jumps: (Exp(1) variates, the block of uniforms).
 
@@ -597,23 +205,23 @@ def _jump_draws(rng, count):
     return exps.tolist(), u[1::2].tolist()
 
 
-def _loop(process, spec, source):
-    """The simulator loop of ``process``: draws in Python, jumps in C compiled from ``source``."""
-    symbol = _LOOP_NAMES[process]
+def _loop(process, spec, library):
+    """The simulator loop of ``process``: draws in Python, jumps in the C of ``library()``."""
+    symbol = native.LOOP_NAMES[process]
     deltas = np.array([row[0] for row in spec.table], dtype=np.int64)
 
     def run(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
         """Run the process from ``init`` up to ``horizon`` with the given seed."""
         spec.check(init, scaling)
         _check_run(horizon, max_events, seed)
-        jumps = getattr(_library(source), symbol)
+        jumps = getattr(library(), symbol)
         a = _coefficients(spec, params, scaling)
         x, clock, done = np.array(init, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
         fixed = (x.ctypes.data, clock.ctypes.data, a.ctypes.data, scaling.n, scaling.c2, horizon)
         times, codes = np.zeros(_CHUNK + 1), np.empty(_CHUNK, dtype=np.int8)
         rng = np.random.default_rng(seed)
-        m, status, count = 0, _USED_UP, _CHUNK
-        while status == _USED_UP and m <= max_events:
+        m, status, count = 0, native.USED_UP, _CHUNK
+        while status == native.USED_UP and m <= max_events:
             count = min(count, _MAX_BLOCK, max_events + 1 - m)
             if m + count > len(codes):
                 codes.resize(max(m + count, 2 * len(codes)), refcheck=False)
@@ -632,27 +240,28 @@ def _loop(process, spec, source):
         codes.resize(m, refcheck=False)
         return Trajectory(process, spec.columns, times, _states(deltas, init, codes), horizon,
                           seed, scaling.n, scaling.c2,
-                          absorbed=status == _ABSORBED and not truncated, truncated=truncated)
+                          absorbed=status == native.ABSORBED and not truncated,
+                          truncated=truncated)
 
     run.__name__ = run.__qualname__ = symbol
     return run
 
 
-# Bound to the tables as they are at import; the library is built at the first run.
-_SOURCE, _MAIN = _library_source(PROCESSES), PROCESSES["main"]
+# Bound to the tables as they are at import, as ``native.library`` is.
+_MAIN = model.PROCESSES["main"]
 simulate, simulate_aux_saturated, simulate_aux_noblock = (
-    _loop(name, PROCESSES[name], _SOURCE) for name in ("main", "aux-saturated", "aux-noblock"))
+    _loop(name, model.PROCESSES[name], native.library) for name in native.LOOP_NAMES)
 
 
 def simulate_process(process, init, params, scaling, horizon, seed,
                      max_events=MAX_EVENTS_DEFAULT):
-    """Run ``process`` (a key of PROCESSES) with its simulator loop.
+    """Run ``process`` (a key of ``model.PROCESSES``) with its simulator loop.
 
     The loop is looked up on this module at call time, so a wrapper
     installed on the module attribute sees every dispatched run.
     """
     _process(process)
-    return globals()[_LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
+    return globals()[native.LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
 
 
 def rescale(traj, scaling, grid_dt):
@@ -677,8 +286,8 @@ def residual_sup(traj, params, scaling):
 
     The compensator integrates the table drift, constant between jumps, exactly.
     The residual is then linear in t between jumps, so the supremum is attained
-    at jump times (left or right limit) or at the horizon.  It runs in C generated
-    from the table (``residual_source``), so it needs ``cc`` as a run does.
+    at jump times (left or right limit) or at the horizon.  It runs in the
+    compiled library, in C generated from the main table.
     """
     if traj.process != "main":
         raise InvalidState("martingale residuals are defined for the main process")
@@ -689,9 +298,9 @@ def residual_sup(traj, params, scaling):
     if not len(times) or states.shape != (len(times), 3):
         raise InvalidState(f"states of shape {states.shape}, not ({len(times)}, 3) with a row")
     a, sup = _coefficients(_MAIN, params, scaling), np.zeros(3)
-    _library(_SOURCE).residual_sup(states.ctypes.data, times.ctypes.data, len(times),
-                                   a.ctypes.data, scaling.n, scaling.c2, traj.horizon,
-                                   sup.ctypes.data)
+    native.library().residual_sup(states.ctypes.data, times.ctypes.data, len(times),
+                                  a.ctypes.data, scaling.n, scaling.c2, traj.horizon,
+                                  sup.ctypes.data)
     return sup
 
 
@@ -711,12 +320,12 @@ def write_trajectory_csv(traj, fp):
     """Write the run as CSV: time with 9 significant digits, then the counts.
 
     The rows, Python's ``"%.9g" + ",%d" * columns`` in any locale, are formatted
-    in the simulator library, so writing needs ``cc`` as a run does.
+    in the compiled library.
     """
     fp.write("t," + ",".join(traj.columns) + "\n")
     cols, rows = len(traj.columns), 1 << 14
     out = np.empty(rows * (17 + 21 * cols), dtype=np.uint8)
-    fmt = _library(_SOURCE).format_trajectory_rows
+    fmt = native.library().format_trajectory_rows
     for lo in range(0, len(traj.times), rows):
         times = np.ascontiguousarray(traj.times[lo:lo + rows], dtype=float)
         states = np.ascontiguousarray(traj.states[lo:lo + rows], dtype=np.int64)
@@ -725,5 +334,5 @@ def write_trajectory_csv(traj, fp):
         size = fmt(times.ctypes.data, states.ctypes.data, len(times), cols, out.ctypes.data,
                    out.size)
         if size < 0:
-            raise RuntimeError("the simulator library could not format the trajectory rows")
+            raise RuntimeError("the compiled library could not format the trajectory rows")
         fp.write(out[:size].tobytes().decode("ascii"))

@@ -5,8 +5,8 @@ Picard solver for generalized problems where the free path is itself a
 causal functional of the (unknown) reflected solution.  The solver runs
 Picard on consecutive windows of ``WINDOW`` time units (waveform
 relaxation): the functional restarts from the state it carried out of the
-previous window, and the reflection from the running minimum of the free
-path so far.
+previous window, and the reflection, in the compiled library (``native``),
+from the running minimum of the free path so far.
 """
 
 import math
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .errors import DomainError, GridMismatch, NoConvergence
 
 # Length of one Picard window in time units.  Picard's contraction on [0, T]
@@ -44,8 +45,8 @@ class SampledPath:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.dt <= 0:
-            raise DomainError("dt", "grid step must be positive")
+        if not 0 < self.dt < np.inf:
+            raise DomainError("dt", f"grid step must be finite and positive, got {self.dt!r}")
         if len(self.values) < 1:
             raise DomainError("values", "a path needs at least one sample")
         if not np.isfinite(self.values).all():
@@ -128,19 +129,18 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     the first window, from the linear extrapolation of the last two
     converged points (clipped at 0) on the others, or from ``start``'s
     slice when ``start`` is given.  A sweep is one ``phi`` call and the
-    reflection of ``reflect_1d`` in the compiled library of ``sim`` (which
-    needs ``cc``).  Returns (solution, regulator, iterations), ``iterations``
-    being the most sweeps any window took.  Raises NoConvergence(max_iter)
+    reflection of ``reflect_1d`` in the compiled library, so without a C
+    compiler the solve raises ``BuildError`` for every ``phi``, a numpy one
+    too.  Returns (solution, regulator, iterations), ``iterations`` being
+    the most sweeps any window took.  Raises NoConvergence(max_iter)
     with that window's last residual when a window spends its budget of
     ``max_iter`` sweeps -- a functional that is no contraction on a window,
     or a tol below the rounding of its sweeps -- and DomainError for a free
     path of another shape or type, sharing memory with ``x``, not finite, or
     starting below 0.
     """
-    from . import sim  # sim imports this module
-
-    reflect = sim._library(sim._SOURCE).reflect_window
     n = grid_steps(horizon, dt) + 1
+    reflect = native.library().reflect_window
     x, regulator = np.zeros(n), np.zeros(n)
     if start is not None:
         if not start.same_grid(SampledPath(0.0, dt, x)):

@@ -126,6 +126,27 @@ class TestSharedConfig:
         assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("n", 40.7), ("c2", 12.5), ("replications", True), ("seed", 1.5), ("seed", False),
+        ("n", float("inf")),
+    ])
+    def test_config_count_that_is_no_integer_exits_2(self, capsys, tmp_path, key, value):
+        """int() truncated it: n 40.7 ran with n = 40, and true as 1 replication."""
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"n": 40, "seed": 1, key: value}))
+        argv = ["simulate", "--config", str(cfg), "--horizon", "1", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {key} must be an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_integral_float_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"n": 40.0, "c2": 12.0, "replications": 2.0, "seed": 3.0}))
+        assert cli.main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["n"], got["c2"], got["replications"], got["seed"]) == (40, 12, 2, 3)
+        assert all(type(got[k]) is int for k in ("n", "c2", "replications", "seed"))
+
 
 class TestSimulateCommand:
     def test_writes_trajectories_and_manifest(self, tmp_path):

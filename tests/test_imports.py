@@ -1,4 +1,5 @@
-"""Import hygiene: scipy loads only where it is used, and then only linalg and sparse."""
+"""Import hygiene: scipy loads only where it is used, and then only linalg and sparse;
+the toolkit's modules import each other at the top, and only `native` builds C."""
 
 import ast
 import os
@@ -77,28 +78,57 @@ def test_solvers_load_only_linalg_and_sparse():
     assert scipy_subpackages(loaded) - {"version"} == {"linalg", "sparse"}
 
 
-def unwanted_imports(source, name):
-    """``name:line module`` for each unwanted import in ``source``, at any depth."""
-    found = []
-    for node in ast.walk(ast.parse(source, name)):
+def package_trees():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def imports(tree):
+    """(line, module) for each module an import under ``tree`` names, at any depth.
+
+    A relative import's module keeps its leading dots: ``from . import sim``
+    names ``.`` and ``.sim``."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            modules = [base] + [f"{base}{sep}{a.name}" for a in node.names]
         else:
             continue
-        found += [f"{name}:{node.lineno} {m}" for m in modules if unwanted(m)]
-    return found
+        yield from ((node.lineno, m) for m in modules)
 
 
 def test_source_imports_no_unwanted_module():
     """No import of them anywhere in the package, at module level or inside a function."""
-    found = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE_DIR, name)) as fh:
-                found += unwanted_imports(fh.read(), name)
+    found = [f"{name}:{line} {m}" for name, tree in package_trees()
+             for line, m in imports(tree) if unwanted(m)]
     assert found == []
+
+
+def test_no_function_imports_a_toolkit_module():
+    """Each module imports the toolkit's others at its top, so an import cycle cannot hide
+    inside a function; only third-party imports (scipy) may wait for first use."""
+    found = [f"{name}:{line} {m}" for name, tree in package_trees() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for line, m in imports(node)
+             if m.startswith(".") or m.split(".")[0] == "twolevel"]
+    assert found == []
+
+
+def test_only_native_builds_or_loads_the_library():
+    """The compile command and ctypes' loader are named in ``native`` alone."""
+    naming = []
+    for name, tree in package_trees():
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 or getattr(node, "name", None) for node in ast.walk(tree)}
+        if names & {"CDLL", "_COMPILE"}:
+            naming.append(name)
+    assert naming == ["native.py"]
 
 
 def test_import_builds_and_loads_no_simulator_library(tmp_path):
@@ -107,7 +137,7 @@ def test_import_builds_and_loads_no_simulator_library(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.dirname(PACKAGE_DIR), env.get("PYTHONPATH")]))
     code = ("import subprocess; subprocess.Popen = None; import twolevel, twolevel.cli; "
-            "print(twolevel.sim._library.cache_info().currsize)")
+            "print(twolevel.native._library.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Exact small-instance solver: enumeration, generator, stationary, transient."""
 
+import math
 import pickle
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse.linalg
 from scipy import sparse
 
 from twolevel import (
+    DomainError,
     InvalidState,
     MicroState,
     ModelParams,
@@ -24,7 +26,7 @@ from twolevel import (
     stationary_moments,
     transient_distribution,
 )
-from twolevel import oracle, sim
+from twolevel import model, oracle
 from rate_clauses import rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
@@ -94,10 +96,10 @@ class TestGenerator:
 
     def test_target_outside_state_space_rejected(self, monkeypatch):
         """A table row that lets z exceed c2 fails the build instead of landing on a neighbour."""
-        main = sim.PROCESSES["main"]
+        main = model.PROCESSES["main"]
         table = list(main.table)
         table[-1] = ((0, 0, 1), "mu02", "c2 + 1 - z", "y_star == 0")
-        monkeypatch.setitem(sim.PROCESSES, "main", main._replace(table=tuple(table)))
+        monkeypatch.setitem(model.PROCESSES, "main", main._replace(table=tuple(table)))
         with pytest.raises(InvalidState, match=r"\(0, 0, 2\) to \(0, 0, 3\)"):
             build_generator(SYM, ScalingParams(n=4, c2=2))
 
@@ -264,6 +266,21 @@ class TestMoments:
 
 
 class TestTransient:
+    @pytest.mark.parametrize("init,t,field", [
+        (0, math.nan, "t"),    # returned an all-NaN distribution
+        (0, math.inf, "t"),    # recursed until RecursionError
+        (-1, 1.0, "init"),     # started from the last state
+        (25, 1.0, "init"),
+    ], ids=["t-nan", "t-inf", "init-negative", "init-past-end"])
+    def test_bad_time_or_start_index_refused(self, init, t, field, monkeypatch):
+        g = build_generator(SYM, ScalingParams(4, 2))
+        assert len(g) == 25
+        # Refused before the generator is converted for the solve.
+        monkeypatch.setattr(oracle, "_csr", None)
+        with pytest.raises(DomainError) as err:
+            transient_distribution(g, init, t)
+        assert err.value.field == field
+
     def test_zero_time_returns_start(self):
         g = build_generator(SYM, ScalingParams(n=2, c2=1))
         dist = transient_distribution(g, 3, 0.0)

@@ -3,6 +3,7 @@
 import ast
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -34,6 +35,7 @@ from twolevel import (
     simulate_aux_noblock,
     simulate_aux_saturated,
     simulate_process,
+    solve_generalized,
     stationary_distribution,
     stationary_moments,
     step,
@@ -41,8 +43,9 @@ from twolevel import (
     underloaded_fixed_point,
     write_trajectory_csv,
 )
-from twolevel import experiments, fluid, sim
-from twolevel.sim import _CHUNK, PROCESSES, _jump_draws, drift
+from twolevel import experiments, fluid, native, sim
+from twolevel.model import PROCESSES
+from twolevel.sim import _CHUNK, _jump_draws, drift
 from fluid_reference import overloaded_rhs, underloaded_rhs
 from rate_clauses import rate_clauses
 import sim_reference
@@ -517,7 +520,8 @@ class TestCompiledLoops:
         table[3] = (delta, f"2.5 * {coefficient}", factor, guard)
         monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
         scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
-        traj = sim._loop("main", PROCESSES["main"], sim._library_source(PROCESSES))(
+        traj = sim._loop("main", PROCESSES["main"],
+                         functools.partial(native._library, native._library_source(PROCESSES)))(
             init, SYM, scaling, 60.0, seed=6)
         times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
         assert traj.num_events > 2 * _CHUNK
@@ -528,22 +532,23 @@ class TestCompiledLoops:
 
     def test_patched_factor_gets_its_own_library(self, monkeypatch):
         """A factor is C source, so a patched one is a new cache key and a fresh build."""
-        unpatched = sim._library_source(PROCESSES)
+        unpatched = native._library_source(PROCESSES)
         main = PROCESSES["main"]
         table = list(main.table)
         delta, coefficient, factor, guard = table[3]
         table[3] = (delta, coefficient, f"2 * ({factor})", guard)
         monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
         scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
-        traj = sim._loop("main", PROCESSES["main"], sim._library_source(PROCESSES))(
+        traj = sim._loop("main", PROCESSES["main"],
+                         functools.partial(native._library, native._library_source(PROCESSES)))(
             init, SYM, scaling, 60.0, seed=6)
         times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
         assert traj.num_events > 2 * _CHUNK
         assert traj.times.tolist() == times
         assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
-        patched = sim._library_source(PROCESSES)
+        patched = native._library_source(PROCESSES)
         assert patched != unpatched
-        assert sim._library(patched)._name != sim._library(unpatched)._name
+        assert native._library(patched)._name != native._library(unpatched)._name
         assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
 
     def test_patched_table_reaches_residual_sup(self, monkeypatch):
@@ -557,7 +562,7 @@ class TestCompiledLoops:
         table[3] = (table[3][0], table[3][1], f"2 * ({table[3][2]})", table[3][3])
         table[6] = (table[6][0], f"2.5 * {table[6][1]}", table[6][2], table[6][3])
         monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
-        monkeypatch.setattr(sim, "_SOURCE", sim._library_source(PROCESSES))
+        monkeypatch.setattr(native, "_SOURCE", native._library_source(PROCESSES))
         monkeypatch.setattr(sim, "_MAIN", PROCESSES["main"])
         patched = residual_sup(traj, SYM, scaling)
         assert patched.tolist() == sim_reference.residual_sup(traj, SYM, scaling).tolist()
@@ -565,36 +570,36 @@ class TestCompiledLoops:
 
     def test_unreachable_guard_case_pruned(self):
         """main never has y_star > 0 and z > 0, so its loop has three cases, not four."""
-        guarded, cases = sim._cases(PROCESSES["main"])
+        guarded, cases = native._cases(PROCESSES["main"])
         assert guarded == ["z", "y_star"]
         assert cases == [{"z": 1, "y_star": 0}, {"z": 0, "y_star": 1}, {"z": 0, "y_star": 0}]
-        assert sim.loop_source("main").count("if (y_star) {") == 1
+        assert native.loop_source("main").count("if (y_star) {") == 1
 
     @pytest.mark.parametrize("process", list(PROCESSES))
     def test_source_holds_each_reachable_guard_case_once(self, process):
-        source = sim.loop_source(process)
-        assert source.count("double total = ") == len(sim._cases(PROCESSES[process])[1])
-        assert source.count(f"int {sim._LOOP_NAMES[process]}(") == 1
+        source = native.loop_source(process)
+        assert source.count("double total = ") == len(native._cases(PROCESSES[process])[1])
+        assert source.count(f"int {native.LOOP_NAMES[process]}(") == 1
 
     def test_library_exports_one_function_per_process(self):
-        source = sim._library_source(PROCESSES)
+        source = native._library_source(PROCESSES)
         assert source.count("\nint ") == len(PROCESSES)
-        lib = sim._library(source)
+        lib = native._library(source)
         for process in PROCESSES:
-            assert getattr(lib, sim._LOOP_NAMES[process]).argtypes == sim._ARGTYPES
-        assert lib.format_trajectory_rows.argtypes == sim._FORMAT_ARGTYPES
+            assert getattr(lib, native.LOOP_NAMES[process]).argtypes == native._ARGTYPES
+        assert lib.format_trajectory_rows.argtypes == native._FORMAT_ARGTYPES
         assert lib.format_trajectory_rows.restype is ctypes.c_int64
         assert lib.residual_sup.argtypes == [ctypes.c_void_p] * 2 + [
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
             ctypes.c_void_p]
         assert lib.residual_sup.restype is None
-        run = getattr(sim, sim._LOOP_NAMES["aux-noblock"])
+        run = getattr(sim, native.LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
 
     def test_library_source_compiles_without_warnings(self):
         """Strict C99 with -Wall catches an implicit declaration or a missing feature macro."""
         proc = subprocess.run(["cc", "-std=c99", "-Wall", "-Werror", "-fsyntax-only", "-x", "c",
-                               "-"], input=sim._library_source(PROCESSES), capture_output=True,
+                               "-"], input=native._library_source(PROCESSES), capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -603,9 +608,9 @@ class TestCompiledLoops:
 def cold_cache(tmp_path, monkeypatch):
     """An empty cache directory, and no simulator library loaded by this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    sim._library.cache_clear()
+    native._library.cache_clear()
     yield tmp_path / "twolevel"
-    sim._library.cache_clear()
+    native._library.cache_clear()
 
 
 @pytest.fixture
@@ -623,15 +628,15 @@ class TestLibraryCache:
         assert [cmd[0] for cmd in compiler_calls] == ["cc"]
         # One library and no temporary file.
         assert [p.suffix for p in cold_cache.iterdir()] == [".so"]
-        sim._library.cache_clear()
+        native._library.cache_clear()
         again = simulate((0, 25, 5), SYM, scaling, 20.0, seed=3)
         assert len(compiler_calls) == 1
         assert again.times.tolist() == first.times.tolist()
 
     @pytest.mark.parametrize("damage", ["flip", "truncate"])
     def test_damaged_library_is_rebuilt(self, cold_cache, compiler_calls, damage):
-        source = sim._library_source(PROCESSES)
-        sim._library(source)
+        source = native._library_source(PROCESSES)
+        native._library(source)
         (path,) = cold_cache.iterdir()
         blob = bytearray(path.read_bytes())
         if damage == "flip":
@@ -642,8 +647,8 @@ class TestLibraryCache:
         damaged = cold_cache / "damaged"
         damaged.write_bytes(bytes(blob))
         os.replace(damaged, path)
-        sim._library.cache_clear()
-        sim._library(source)
+        native._library.cache_clear()
+        native._library(source)
         assert len(compiler_calls) == 2
         blob = path.read_bytes()
         assert hashlib.sha256(blob[:-32]).digest() == blob[-32:]
@@ -654,11 +659,11 @@ class TestLibraryCache:
         blocker.write_text("")
         # The cache directory would be a subdirectory of a plain file.
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        sim._library.cache_clear()
+        native._library.cache_clear()
         try:
             traj = simulate((0, 0, 0), SYM, ScalingParams(n=8, c2=3), 5.0, seed=2)
         finally:
-            sim._library.cache_clear()
+            native._library.cache_clear()
         assert traj.num_events > 0
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
@@ -681,6 +686,15 @@ class TestLibraryCache:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
             residual_sup(traj, SYM, ScalingParams(n=5, c2=2))
+        assert list(cold_cache.iterdir()) == []
+
+    def test_missing_compiler_refuses_picard(self, cold_cache, monkeypatch):
+        """Both halves of a Picard sweep are in the library, so a numpy ``phi`` needs it too."""
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BuildError, match="C compiler"):
+            fluid.gbar_functional(SYM, 0.3, (0.0, 0.0))
+        with pytest.raises(BuildError, match="C compiler"):
+            solve_generalized(lambda x, t0, dt, carried: (np.ones(len(x)), None), 1.0, 0.1)
         assert list(cold_cache.iterdir()) == []
 
     def test_cli_without_compiler(self, tmp_path):
@@ -1085,7 +1099,7 @@ class TestTrajectoryCsv:
         assert len(buf.getvalue()) == len("t,y_star,y,z\n") + rows * (17 + 21 * 3)
 
     def test_formatter_stops_before_capacity(self):
-        fmt = sim._library(sim._SOURCE).format_trajectory_rows
+        fmt = native.library().format_trajectory_rows
         times, states = np.array([1.5, 2.0]), np.array([[1, -2], [30, 4]], dtype=np.int64)
         out = np.zeros(64, dtype=np.uint8)
         args = (times.ctypes.data, states.ctypes.data, 2, 2, out.ctypes.data)

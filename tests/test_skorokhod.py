@@ -11,8 +11,8 @@ from twolevel import (
     SampledPath,
     check_complementarity,
     gbar_functional,
+    native,
     reflect_1d,
-    sim,
     solve_generalized,
 )
 
@@ -33,6 +33,13 @@ class TestSampledPath:
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):
             SampledPath(0.0, 0.0, [1.0])
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        """A NaN step made every time NaN."""
+        with pytest.raises(DomainError) as err:
+            SampledPath(0.0, dt, [1.0, 2.0])
+        assert err.value.field == "dt"
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -233,12 +240,12 @@ class TestSolveGeneralized:
 
 
 def reflect_window(free, guess, running_min=None, pinned=False):
-    """``sim``'s compiled reflection on copies: (reflected, regulator, residual).
+    """The compiled reflection on copies: (reflected, regulator, residual).
 
     The regulator buffer starts at 7.0, so a sample the kernel leaves
     alone shows."""
     x, reg = guess.copy(), np.full(len(free), 7.0)
-    residual = sim._library(sim._SOURCE).reflect_window(
+    residual = native.library().reflect_window(
         free.ctypes.data, x.ctypes.data, reg.ctypes.data, len(free),
         np.inf if running_min is None else running_min, pinned)
     return x, reg, residual
