@@ -42,6 +42,7 @@ EXPERIMENT_NAMES = ("phase-scan", "convergence", "no-blocking",
                     "saturation", "oracle-check", "martingale-decay")
 
 _INT_KEYS = ("n", "c2", "replications", "seed")
+_FLOAT_KEYS = ("p", "mu01", "mu11", "mu02", "horizon", "burn_in", "grid_dt")
 
 # The experiments that read each of these flags.  Given on the command line to any
 # other experiment, a flag is refused; of several, the first listed here is named.
@@ -80,16 +81,20 @@ def _load_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key in _INT_KEYS:
-        value = cfg[key]
-        # A JSON file may hold 40.7 or true where a count belongs; int() would truncate it.
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        cfg[key] = None if value is None else int(value)
+    # int() truncates 40.7, int() and float() take true as 1, and neither names the key.
+    for key in (*_INT_KEYS, *_FLOAT_KEYS):
+        value, kind = cfg[key], int if key in _INT_KEYS else float
+        if value is None and DEFAULTS[key] is None:
+            continue
+        try:
+            if isinstance(value, bool) or kind is int and not float(value).is_integer():
+                raise ValueError
+            cfg[key] = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     if cfg["c2"] is None:
         cfg["c2"] = max(1, cfg["n"] // 2)
-    for key in ("p", "mu01", "mu11", "mu02", "horizon", "burn_in", "grid_dt"):
-        cfg[key] = float(cfg[key])
     return cfg
 
 
@@ -286,7 +291,7 @@ def _cmd_experiment(args, cfg):
 
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
-    for key in ("p", "mu01", "mu11", "mu02", "horizon", "burn_in", "grid_dt"):
+    for key in _FLOAT_KEYS:
         shared.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
     for key in _INT_KEYS:
         shared.add_argument(f"--{key}", dest=key, type=int)

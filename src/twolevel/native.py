@@ -2,13 +2,14 @@
 
 It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``),
 the compensator of ``sim.residual_sup`` (``residual_source``), the row
-formatter of ``sim.write_trajectory_csv``, and the two halves of a Picard
-sweep: ``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s
+formatter of ``sim.write_trajectory_csv`` (exact integer digits; ``snprintf``
+only out of range), and the two halves of a Picard sweep:
+``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s
 reflection.  ``library()``, the library of the tables as they are at import,
 compiles it at its first call, never at import, with the system C compiler
 (``cc``); it is kept in ``$XDG_CACHE_HOME/twolevel`` (default
-``~/.cache/twolevel``), so later processes load it without compiling.
-Without a compiler ``library()`` raises ``BuildError``.
+``~/.cache/twolevel``), so later processes load it without compiling.  Without
+a compiler ``library()`` raises ``BuildError``.
 """
 
 import contextlib
@@ -163,24 +164,63 @@ def residual_source(spec):
 # What ended a block of jumps, as the C functions return it.
 USED_UP, HORIZON, ABSORBED = range(3)
 _PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
-            "#include <stdint.h>\n#include <stdio.h>\n\nenum { USED_UP, HORIZON, ABSORBED };\n\n")
+            "#include <stdint.h>\n#include <stdio.h>\n#include <string.h>\n\n"
+            "enum { USED_UP, HORIZON, ABSORBED };\n\n")
 _ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
              + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
 # Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
-# A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).
+# A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).  format_g9 takes
+# a time's digits from integers, q = m * 10^k / 2^s rounded half to even for v = m / 2^s,
+# k in [0, 22] (about 1e-14 <= |v| < 1e9); any other time but ±0 goes to snprintf.
 _FORMATTER = r"""
+static int format_g9(double v, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int s = 1075 - (int)(bits >> 52 & 0x7ff), k, n;
+    char *p = out, d[9];
+    if (bits >> 63) *p++ = '-';
+    if (bits << 1 == 0) { *p++ = '0'; return (int)(p - out); }
+    unsigned __int128 m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52, x, q;
+    /* k steps from 8 - floor(E log10 2), |v| >= 2^E = 2^(52 - s), until q has 9 digits. */
+    for (k = 8 - (int)floor((52 - s) * 0.30102999566398120); ; k += q < 100000000 ? 1 : -1) {
+        if (s < 0 || s > 127 || k < 0 || k > 22) return snprintf(out, 32, "%.9g", v);
+        for (x = m, n = 0; n < k; n++) x *= 10;
+        q = x >> s;
+        if (q >= 100000000 && q < 1000000000) break;
+    }
+    unsigned __int128 twice = 2 * (x - (q << s)), unit = (unsigned __int128)1 << s;
+    if (twice > unit || (twice == unit && (q & 1))) q++;
+    if (q == 1000000000) { q = 100000000; k--; }  /* carried into the next decade */
+    uint32_t r = (uint32_t)q;
+    for (n = 8; n >= 0; n--, r /= 10) d[n] = (char)('0' + r % 10);
+    for (n = 9; d[n - 1] == '0'; n--) {}  /* %g drops trailing zeros */
+    int e = 8 - k, ex = e < -4 || e > 8 ? e : 0;  /* %g's exponent form outside [-4, 8] */
+    e -= ex;  /* the first digit's place, 10^e: each place down to the last digit's or 1 */
+    for (int t = e > 0 ? e : 0; t >= 0 || t > e - n; t--) {
+        *p++ = t > e || t <= e - n ? '0' : d[e - t];
+        if (t == 0 && e - n < -1) *p++ = '.';
+    }
+    if (ex) {  /* |ex| <= 14, so two exponent digits */
+        *p++ = 'e'; *p++ = ex < 0 ? '-' : '+'; ex = ex < 0 ? -ex : ex;
+        *p++ = (char)('0' + ex / 10); *p++ = (char)('0' + ex % 10);
+    }
+    return (int)(p - out);
+}
+
 int64_t format_trajectory_rows(const double *times, const int64_t *states, int64_t rows,
                                int64_t cols, char *out, int64_t capacity)
 {
     locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
     if (c_numeric == (locale_t)0) return -1;
     locale_t caller = uselocale(c_numeric);
-    char *p = out, *end = out + capacity;
+    char *p = out, *end = out + capacity, num[32];
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int w = snprintf(p, (size_t)(end - p), "%.9g", times[i]);
-        /* Room for this time, the counts and the newline: 17 + 21 * cols bytes always do. */
+        int w = format_g9(times[i], num);
+        /* Copied only with room for it, the counts and the newline: 17 + 21 * cols do. */
         if (w < 0 || w + 21 * cols + 1 > end - p) break;
+        memcpy(p, num, (size_t)w);
         p += w;
         for (int64_t j = 0; j < cols; j++) {
             int64_t s = states[i * cols + j];

@@ -214,26 +214,31 @@ def transient_distribution(g, init, t, tol=1e-12):
 
     ``g`` may be a dense ndarray or any ``scipy.sparse`` array; a
     ``build_generator`` result is solved on its carried CSR form.  ``init``
-    may be a state index (point-mass start) or a probability vector over
-    the enumeration order.  The jump kernel is I + g/lam with lam = 1.01 x
-    the largest exit rate, applied as a sparse matvec; the Poisson mixture
-    is truncated once its tail mass drops below tol.  Long horizons are
-    split recursively so the Poisson weights never underflow.
+    may be an integer state index (point-mass start) or a probability vector
+    over the enumeration order, non-negative with mass 1 within 1e-9; any
+    other raises ``DomainError("init")``.  The jump kernel is I + g/lam with
+    lam = 1.01 x the largest exit rate, applied as a sparse matvec; the
+    Poisson mixture is truncated once its tail mass drops below tol.  Long
+    horizons are split recursively so the Poisson weights never underflow.
     """
     if not 0 <= t < math.inf:
         raise DomainError("t", f"t must be finite and >= 0, got {t!r}")
     size = g.shape[0]
     init = np.asarray(init)
-    if init.ndim == 0 and not 0 <= init < size:
-        raise DomainError("init", f"a start state index must lie in [0, {size}), got {init}")
-    g = _csr(g)
     if init.ndim == 0:
+        if init.dtype.kind not in "iu" or not 0 <= init < size:  # 2.7 or True is no state
+            raise DomainError("init", f"a start state index must be an integer in [0, {size}), "
+                                      f"got {init}")
         dist = np.zeros(size)
         dist[int(init)] = 1.0
     else:
         dist = init.astype(float)
         if dist.shape != (size,):
             raise ValueError("initial distribution length must match the generator")
+        if not ((dist >= 0).all() and abs(dist.sum() - 1.0) <= 1e-9):  # false for NaN, inf
+            raise DomainError("init", "a start distribution must be finite, non-negative and of "
+                                      f"mass 1 within 1e-9, got mass {dist.sum():g}")
+    g = _csr(g)
     lam = 1.01 * float(-g.diagonal().min())
     if lam <= 0.0 or t == 0.0:
         return dist

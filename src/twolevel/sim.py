@@ -319,8 +319,8 @@ def write_csv_rows(fp, row, times, values):
 def write_trajectory_csv(traj, fp):
     """Write the run as CSV: time with 9 significant digits, then the counts.
 
-    The rows, Python's ``"%.9g" + ",%d" * columns`` in any locale, are formatted
-    in the compiled library.
+    The rows, Python's ``"%.9g" + ",%d" * columns`` in any locale, come from the
+    compiled library: exact integer digits, ``snprintf`` only outside 1e-14..1e9.
     """
     fp.write("t," + ",".join(traj.columns) + "\n")
     cols, rows = len(traj.columns), 1 << 14

@@ -128,7 +128,7 @@ class TestSharedConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("n", 40.7), ("c2", 12.5), ("replications", True), ("seed", 1.5), ("seed", False),
-        ("n", float("inf")),
+        ("n", float("inf")), ("n", "4.5"), ("n", None),
     ])
     def test_config_count_that_is_no_integer_exits_2(self, capsys, tmp_path, key, value):
         """int() truncated it: n 40.7 ran with n = 40, and true as 1 replication."""
@@ -138,6 +138,26 @@ class TestSharedConfig:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {key} must be an integer, got {value!r}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("horizon", True),     # ran with horizon 1.0
+        ("p", False),          # ran with p 0.0
+        ("horizon", "soon"),   # exited 2 with a message naming no key
+        ("horizon", None),     # exited 4 as an internal error
+    ])
+    def test_config_value_that_is_no_number_exits_2(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"n": 40, "seed": 1, "horizon": 1.0, key: value}))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: {key} must be a number, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_numeric_strings_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "instance.json"
+        cfg.write_text(json.dumps({"n": "40", "horizon": "2.5", "p": 0, "seed": 1}))
+        assert cli.main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["n"], got["horizon"], got["p"], got["c2"]) == (40, 2.5, 0.0, 20)
 
     def test_config_integral_float_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "instance.json"

@@ -271,7 +271,13 @@ class TestTransient:
         (0, math.inf, "t"),    # recursed until RecursionError
         (-1, 1.0, "init"),     # started from the last state
         (25, 1.0, "init"),
-    ], ids=["t-nan", "t-inf", "init-negative", "init-past-end"])
+        (2.7, 1.0, "init"),    # started from state 2
+        (True, 1.0, "init"),   # started from state 1
+        ([math.nan] + [0.0] * 24, 1.0, "init"),   # returned an all-NaN distribution
+        ([3.0, -1.0] + [0.0] * 23, 1.0, "init"),  # returned a "distribution" of mass 2
+        ([0.5] + [0.0] * 24, 1.0, "init"),
+    ], ids=["t-nan", "t-inf", "init-negative", "init-past-end", "init-2.7", "init-true",
+            "init-nan", "init-three-minus-one", "init-mass-half"])
     def test_bad_time_or_start_index_refused(self, init, t, field, monkeypatch):
         g = build_generator(SYM, ScalingParams(4, 2))
         assert len(g) == 25
@@ -280,6 +286,15 @@ class TestTransient:
         with pytest.raises(DomainError) as err:
             transient_distribution(g, init, t)
         assert err.value.field == field
+
+    def test_start_within_mass_tolerance_accepted(self):
+        g = build_generator(SYM, ScalingParams(4, 2))
+        start = np.full(len(g), 1.0 / len(g))
+        start[0] += 5e-10
+        dist = transient_distribution(g, start, 1.0)
+        assert abs(dist.sum() - start.sum()) <= 1e-11
+        np.testing.assert_array_equal(transient_distribution(g, np.int64(3), 1.0),
+                                      transient_distribution(g, 3, 1.0))
 
     def test_zero_time_returns_start(self):
         g = build_generator(SYM, ScalingParams(n=2, c2=1))

@@ -1088,6 +1088,26 @@ class TestTrajectoryCsv:
             write_trajectory_csv(dataclasses.replace(traj, states=states), buf)
             assert buf.getvalue() == self.python_csv(traj)
 
+    def test_digit_range_and_its_ends_match_python_format(self):
+        """About 200k times in and around 1e-14..1e9, where a time's digits come from integers."""
+        rng = np.random.default_rng(23)
+        bits = rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64).view(float)
+        # Both sides of each decade's rounding carry, 10^j (1 - 5e-10), ulp by ulp.
+        carries = [(np.array([10.0 ** j * (1 - 5e-10)]).view(np.int64)
+                    + np.arange(-500, 501)).view(float) for j in range(-16, 11)]
+        # In decade j, c / 2^(9 - j) with c odd has ten significant digits, the last a 5:
+        # an exact tie on the ninth digit.  Decades below 10^-3 hold none.
+        ties = [np.ldexp(2 * rng.integers(int(256 * 5.0 ** j) + 1, int(2560 * 5.0 ** j), 5_000) + 1,
+                         j - 9) for j in range(-3, 9)]
+        times = np.concatenate([bits[np.isfinite(bits)], 10 ** rng.uniform(-16, 10, 60_000),
+                                *carries, *ties, [0.0, -0.0]])
+        times[:-2] *= rng.choice([-1.0, 1.0], len(times) - 2)
+        states = rng.integers(-5, 5_000, (len(times), 3))
+        traj = Trajectory("main", ("y_star", "y", "z"), times, states, 1.0, 0, 1, 1)
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == self.python_csv(traj)
+
     def test_widest_rows_fill_a_block_exactly(self):
         """16,384 rows of 16-byte times and 20-byte counts need the whole buffer."""
         rows = 2 * 16384 + 5
