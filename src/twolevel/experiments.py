@@ -141,10 +141,10 @@ def _check_windows(t1, horizon):
 
 
 def _check_grid(cfg, field="grid_dt", dt=None):
-    """Refuse a grid k * dt (``cfg.grid_dt`` by default), laid as ``sim.rescale`` lays
-    it, with no point in [2 t1, T]; the DomainError names ``field``."""
+    """Refuse a grid k * dt (``cfg.grid_dt`` by default), of ``sim.grid_points`` points,
+    with no point in [2 t1, T]; the DomainError names ``field``."""
     dt = cfg.grid_dt if dt is None else dt
-    last = dt * math.floor(cfg.horizon / dt + 1e-9)
+    last = (sim.grid_points(cfg.horizon, dt) - 1) * dt
     if last < 2 * cfg.burn_in:
         raise DomainError(field, f"{field} {dt!r} puts no grid point in the window "
                           f"[2 burn_in, horizon] = [{2 * cfg.burn_in!r}, {cfg.horizon!r}]")
@@ -248,9 +248,8 @@ def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, 
     scaling = ScalingParams(n, c2)
     init = (0,) * len(model.PROCESSES[target].columns)
     traj = _simulate(target, init, params, scaling, horizon, seed)
-    path = sim.rescale(traj, scaling, grid_dt)
-    diff = np.max(np.abs(path.values - fluid_values), axis=1)
-    return traj.absorbed, tuple(float(diff[path.times >= t].max()) for t in (t1, 2 * t1))
+    sups = sim.grid_sup(traj, scaling, grid_dt, fluid_values, (t1, 2 * t1))
+    return traj.absorbed, tuple(sups.tolist())
 
 
 def convergence_sweep(cfg, target, threshold=0.08, workers=1):
@@ -262,6 +261,8 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
     if target not in TARGETS:
         raise DomainError("target", f"target must be one of {TARGETS}")
     _check_grid(cfg)
+    if cfg.horizon < cfg.grid_dt:
+        raise DomainError("grid_dt", f"grid_dt {cfg.grid_dt!r} exceeds the horizon {cfg.horizon!r}")
     regime = classify_regime(cfg.params, cfg.r)
     if target == "main" and regime is Regime.Critical:
         raise RegimeMismatch("no fluid prediction exists at the critical ratio")
@@ -306,16 +307,9 @@ def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
     scaling = ScalingParams(n, c2)
     traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     _assert_exclusive(traj)
-    path = sim.rescale(traj, scaling, grid_dt)
-    grid = path.times
-    out = []
-    for window_start in (t1, 2 * t1):
-        blocked = np.any(traj.states[_window_index(traj.times, window_start):, 0] > 0)
-        mask = grid >= window_start
-        dist = float(
-            np.max(np.abs(path.values[mask][:, 1:] - np.asarray(fp)))
-        )
-        out.append((not blocked, dist))
+    dists = sim.grid_sup(traj, scaling, grid_dt, fp, (t1, 2 * t1)).tolist()
+    out = [(not np.any(traj.states[_window_index(traj.times, start):, 0] > 0), dist)
+           for start, dist in zip((t1, 2 * t1), dists)]
     coarse = sim.rescale(traj, scaling, PATH_SAMPLE_DT)
     return traj.absorbed, out + [coarse.values[:, 1:]]
 

@@ -1,15 +1,14 @@
 """All of the toolkit's C, compiled into one shared library, and its build.
 
-It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``),
-the compensator of ``sim.residual_sup`` (``residual_source``), the row
-formatter of ``sim.write_trajectory_csv`` (exact integer digits; ``snprintf``
-only out of range), and the two halves of a Picard sweep:
-``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s
-reflection.  ``library()``, the library of the tables as they are at import,
-compiles it at its first call, never at import, with the system C compiler
-(``cc``); it is kept in ``$XDG_CACHE_HOME/twolevel`` (default
-``~/.cache/twolevel``), so later processes load it without compiling.  Without
-a compiler ``library()`` raises ``BuildError``.
+It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``), the
+compensator of ``sim.residual_sup`` (``residual_source``), the one walk over the jumps and
+the grid of ``sim.grid_sup``, the row formatter of ``sim.write_trajectory_csv`` (exact
+integer digits; ``snprintf`` only out of range), and the two halves of a Picard sweep:
+``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s reflection.
+``library()``, the library of the tables as they are at import, compiles it at its first
+call, never at import, with the system C compiler (``cc``); it is kept in
+``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later processes load it
+without compiling.  Without a compiler ``library()`` raises ``BuildError``.
 """
 
 import contextlib
@@ -161,6 +160,26 @@ def residual_source(spec):
     ]) + "\n"
 
 
+# At grid times k * dt, k < points: the last jump's state / n, last c columns, minus ref + k * step
+# (step 0: one row).  sup[w]: the largest |difference| from starts[w] on; NaN wins, as in numpy.
+_GRID_SUP = r"""
+static double nan_max(double m, double e) { return m != m || m >= e ? m : e; }
+void grid_sup(const double *times, const int64_t *x, const double *ref, const double *starts,
+              double *sup, int64_t rows, int64_t cols, int64_t n, int64_t points, int64_t step,
+              int64_t c, int64_t windows, double dt)
+{
+    for (int64_t w = 0; w < windows; w++) sup[w] = 0.0;
+    for (int64_t k = 0, i = 0; k < points; k++) {
+        double t = (double)k * dt, d = 0.0;
+        while (i + 1 < rows && times[i + 1] <= t) i++;
+        for (int64_t j = 0; j < c; j++)
+            d = nan_max(d, fabs((double)x[i * cols + cols - c + j] / n - ref[k * step + j]));
+        for (int64_t w = 0; w < windows; w++)
+            if (t >= starts[w]) sup[w] = nan_max(sup[w], d);
+    }
+}
+"""
+
 # What ended a block of jumps, as the C functions return it.
 USED_UP, HORIZON, ABSORBED = range(3)
 _PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
@@ -286,10 +305,10 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 
 
 def _library_source(processes):
-    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``
-    and the Picard sweep."""
+    """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``,
+    ``grid_sup`` and the Picard sweep."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER + "\n" + residual_source(processes["main"]) + _PICARD)
+            + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP + _PICARD)
 
 
 def _built(source, private):
@@ -344,7 +363,8 @@ def _library(source):
     lib.format_trajectory_rows.restype = ctypes.c_int64
     lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
                                  + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
-    lib.residual_sup.restype = lib.gbar_window.restype = None
+    lib.grid_sup.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [ctypes.c_double]
+    lib.residual_sup.restype = lib.gbar_window.restype = lib.grid_sup.restype = None
     lib.gbar_window.argtypes = [*[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_double] * 4,
                                 *[ctypes.c_void_p] * 2]
     lib.reflect_window.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_double,

@@ -12,7 +12,8 @@ rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to the process's function
 in the compiled library (``native``), generated from the same table;
-``residual_sup`` and ``write_trajectory_csv`` run there too.
+``residual_sup``, ``grid_sup`` (``rescale``'s grid and a sup distance in one
+pass, with no rescaled path) and ``write_trajectory_csv`` run there too.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -264,6 +265,13 @@ def simulate_process(process, init, params, scaling, horizon, seed,
     return globals()[native.LOOP_NAMES[process]](init, params, scaling, horizon, seed, max_events)
 
 
+def grid_points(horizon, grid_dt):
+    """How many grid times k*grid_dt, k >= 0, lie in [0, horizon] (with 1e-9 steps of slack)."""
+    if not 0 < grid_dt < math.inf:
+        raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
+    return int(math.floor(horizon / grid_dt + 1e-9)) + 1
+
+
 def rescale(traj, scaling, grid_dt):
     """Sample the trajectory divided by n on the uniform grid k*grid_dt.
 
@@ -273,12 +281,35 @@ def rescale(traj, scaling, grid_dt):
     """
     if traj.truncated:
         raise InvalidState("rescaling needs the path up to the horizon, not a truncated run")
-    if not 0 < grid_dt < math.inf:
-        raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
-    grid = grid_dt * np.arange(int(math.floor(traj.horizon / grid_dt + 1e-9)) + 1)
+    grid = grid_dt * np.arange(grid_points(traj.horizon, grid_dt))
     idx = np.searchsorted(traj.times, grid, side="right") - 1
     values = traj.states[idx].astype(float) / scaling.n
     return SampledPath(0.0, grid_dt, values)
+
+
+def grid_sup(traj, scaling, grid_dt, reference, window_starts):
+    """Per window start, the sup of |run / n - reference| at the grid times k*grid_dt at
+    or after it: the run as ``rescale`` samples it, its last ``reference.shape[-1]`` columns
+    against one row, or a row per grid time (rows past the horizon are not read); a NaN
+    gives NaN.  One pass over the jumps in the compiled library, with no rescaled path.
+    """
+    if traj.truncated:
+        raise InvalidState("a grid distance needs the path up to the horizon, not a truncated run")
+    points, cols = grid_points(traj.horizon, grid_dt), len(traj.columns)
+    times, ref, starts = (np.ascontiguousarray(a, dtype=float)
+                          for a in (traj.times, reference, window_starts))
+    states = np.ascontiguousarray(traj.states, dtype=np.int64)
+    if not len(times) or states.shape != (len(times), cols):
+        raise InvalidState(f"states of shape {states.shape}, not {(len(times), cols)}")
+    if ref.ndim > 2 or not 0 < ref.shape[-1] <= cols or ref.ndim == 2 and len(ref) < points:
+        raise InvalidState(f"reference of shape {ref.shape} for {points} times and {cols} columns")
+    if starts.ndim != 1 or not np.all(starts <= (points - 1) * grid_dt):
+        raise DomainError("window_starts", f"no grid time at or after a start of {starts.tolist()}")
+    sup = np.zeros(len(starts))
+    native.library().grid_sup(*(a.ctypes.data for a in (times, states, ref, starts, sup)),
+                              len(times), cols, scaling.n, points, ref.shape[-1] * (ref.ndim - 1),
+                              ref.shape[-1], len(starts), grid_dt)
+    return sup
 
 
 def residual_sup(traj, params, scaling):

@@ -14,7 +14,7 @@ every jump.
 
 import numpy as np
 
-from twolevel.sim import _CHUNK, _jump_draws, drift
+from twolevel.sim import _CHUNK, _jump_draws, drift, rescale
 
 
 def _result(times, cols):
@@ -213,3 +213,21 @@ def residual_sup(traj, params, scaling):
     if len(left):
         sup = np.maximum(sup, np.max(np.abs(left), axis=0))
     return np.maximum(sup, np.abs(tail))
+
+
+def grid_sup(traj, scaling, grid_dt, reference, window_starts):
+    """The numpy form of ``sim.grid_sup``, as the experiments once computed it.
+
+    ``rescale`` samples the run on the grid; a reference with a row per grid
+    point is compared row by row (each row's largest column difference, then
+    a mask per window), one constant row with a mask per window and one
+    ``max`` over the window's rows and the run's last columns.  The compiled
+    function must return the same floats.
+    """
+    path = rescale(traj, scaling, grid_dt)
+    ref = np.asarray(reference, dtype=float)
+    values = path.values[:, path.values.shape[1] - ref.shape[-1]:]
+    if ref.ndim == 2:
+        diff = np.max(np.abs(values - ref), axis=1)
+        return [float(diff[path.times >= t].max()) for t in window_starts]
+    return [float(np.max(np.abs(values[path.times >= t] - ref))) for t in window_starts]

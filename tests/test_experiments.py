@@ -478,6 +478,27 @@ class TestRefusedBeforeAnyRun:
         assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("horizon, grid_dt", [(1.0, 2.0), (0.5, 0.75)])
+    def test_grid_dt_past_the_horizon_refused(self, monkeypatch, horizon, grid_dt):
+        """The fluid path then has no step; it was refused from inside the fluid solve as
+        'horizon must be at least dt', after the first n's reference, naming horizon."""
+        monkeypatch.setattr(experiments.fluid, "solve_system",
+                            lambda *a: pytest.fail("a fluid path was solved"))
+        cfg = small_cfg(0.3, n_list=(20,), horizon=horizon, burn_in=0.0, replications=2,
+                        grid_dt=grid_dt)
+        with pytest.raises(DomainError, match="exceeds the horizon") as info:
+            convergence_sweep(cfg, "aux-saturated")
+        assert info.value.field == "grid_dt"
+
+    def test_grid_dt_past_the_horizon_cli_exits_2(self, capsys, tmp_path):
+        code = cli.main(["experiment", "--experiment", "convergence", "--target", "main",
+                         "--n-list", "20", "--horizon", "1", "--burn-in", "0", "--grid-dt", "2",
+                         "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
+        assert not any(tmp_path.iterdir())
+
     # Whole time units 0-5: none in the sensitivity window [5.2, 5.5].
     SHORT = dict(n_list=(20, 40), horizon=5.5, burn_in=2.6, replications=2)
 
@@ -504,6 +525,30 @@ def test_no_blocking_runs_with_one_path_sample_in_the_window():
     report = no_blocking_certificate(small_cfg(0.7, n_list=(20,), horizon=5.5, burn_in=2.5,
                                                replications=2))
     assert len(report.metrics) == len(report.sensitivity) == 1
+
+
+@pytest.mark.parametrize("target, r", [("main", 0.3), ("aux-saturated", 0.3),
+                                       ("aux-noblock", 0.7)])
+def test_fluid_row_past_the_horizon_not_compared(target, r):
+    """20 / 0.03 = 666.67: the fluid path rounds to 668 rows and the run's grid has 667
+    points; numpy once refused 'operands could not be broadcast together'."""
+    cfg = small_cfg(r, n_list=(20, 40), horizon=20.0, burn_in=5.0, replications=2, grid_dt=0.03)
+    report = convergence_sweep(cfg, target)
+    scaling = ScalingParams(40, experiments.c2_for(40, r))
+    ref = experiments._fluid_reference(target, SYM, scaling.c2 / 40, 20.0, 0.03)
+    assert len(ref) == sim.grid_points(20.0, 0.03) + 1 == 668
+    traj = sim.simulate_process(target, (0,) * ref.shape[1], SYM, scaling, 20.0, cfg.base_seed)
+    sups = sim.grid_sup(traj, scaling, 0.03, ref[:667], (5.0, 10.0)).tolist()
+    assert [row["sup_distances"][0] for row in (report.metrics[1], report.sensitivity[1])] == sups
+
+
+def test_fluid_row_past_the_horizon_cli_runs(capsys, tmp_path):
+    code = cli.main(["experiment", "--experiment", "convergence", "--target", "aux-saturated",
+                     "--n-list", "50,100", "--replications", "3", "--horizon", "20",
+                     "--burn-in", "5", "--grid-dt", "0.03", "--seed", "1", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
 
 
 def test_saturation_does_not_read_the_grid():

@@ -9,6 +9,7 @@ import io
 import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -593,8 +594,27 @@ class TestCompiledLoops:
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
             ctypes.c_void_p]
         assert lib.residual_sup.restype is None
+        assert lib.grid_sup.argtypes == [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [
+            ctypes.c_double]
+        assert lib.grid_sup.restype is None
         run = getattr(sim, native.LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
+
+    def test_every_exported_function_declared_as_its_c_signature(self):
+        """Each non-static function of the source has ctypes argtypes and restype matching
+        its C parameters and return type: undeclared, ctypes would pass every argument and
+        read every result as an int."""
+        kinds = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+                 "void": None}
+        lib = native.library()
+        found = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", native._SOURCE, re.M)
+        assert {name for _, name, _ in found} >= {"simulate", "grid_sup", "residual_sup",
+                                                  "format_trajectory_rows", "reflect_window"}
+        for result, name, params in found:
+            args = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]]
+                    for p in params.split(",")]
+            function = getattr(lib, name)
+            assert (function.argtypes, function.restype) == (args, kinds[result]), name
 
     def test_library_source_compiles_without_warnings(self):
         """Strict C99 with -Wall catches an implicit declaration or a missing feature macro."""
@@ -686,6 +706,14 @@ class TestLibraryCache:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
             residual_sup(traj, SYM, ScalingParams(n=5, c2=2))
+        assert list(cold_cache.iterdir()) == []
+
+    def test_missing_compiler_refuses_grid_sup(self, cold_cache, monkeypatch):
+        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BuildError, match="C compiler"):
+            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0, 0.0), (0.0,))
         assert list(cold_cache.iterdir()) == []
 
     def test_missing_compiler_refuses_picard(self, cold_cache, monkeypatch):
@@ -925,6 +953,116 @@ class TestRescale:
         for bad in (math.nan, math.inf, -0.5):
             with pytest.raises(InvalidState, match="grid_dt"):
                 rescale(traj, ScalingParams(n=2, c2=1), bad)
+
+
+class TestGridSup:
+    """``grid_sup`` walks the jumps and the grid once in C; ``sim_reference.grid_sup``
+    is the rescaled path and whole-array distances the experiments used before."""
+
+    # The fluid system, r and the fluid columns of each process, as the convergence suite has them.
+    TARGETS = {"main": ("hybrid", 0.3, [0, 1, 2]),
+               "aux-saturated": ("aux-saturated", 0.3, [0, 1]),
+               "aux-noblock": ("aux-noblock", 0.7, [1, 2])}
+
+    @pytest.mark.parametrize("n", [50, 200, 800])
+    @pytest.mark.parametrize("target", list(TARGETS))
+    def test_bit_identical_to_numpy_reference(self, target, n):
+        """Per grid point (the fluid path, in the Fortran order its column pick leaves it in)
+        and one constant row, on the windows from 0 and from two burn-ins."""
+        system, r, cols = self.TARGETS[target]
+        scaling, horizon, grid_dt = ScalingParams(n, int(r * n)), 10.0, 0.01
+        ref = fluid.solve_system(system, SYM, r, (0.0, 0.0, 0.0), horizon, grid_dt).path.values
+        ref = ref[:, cols]
+        assert ref.flags.f_contiguous and not ref.flags.c_contiguous
+        init = (0,) * len(cols)
+        fixed = (0.25, 0.5)[:len(cols) - 1]  # one row, against the last columns
+        starts = (0.0, 2.5, 5.0)
+        for seed in range(20):
+            traj = simulate_process(target, init, SYM, scaling, horizon, seed)
+            for reference in (ref, fixed):
+                expected = sim_reference.grid_sup(traj, scaling, grid_dt, reference, starts)
+                assert sim.grid_sup(traj, scaling, grid_dt, reference, starts).tolist() == expected
+
+    def test_run_without_jump(self):
+        params = ModelParams(0.0, 1.0, 1.0, 1.0)
+        scaling = ScalingParams(n=3, c2=2)
+        traj = simulate((0, 0, 2), params, scaling, 5.0, seed=1)
+        assert traj.num_events == 0
+        ref = np.linspace(0.0, 1.0, 3 * 51).reshape(51, 3)
+        got = sim.grid_sup(traj, scaling, 0.1, ref, (0.0, 4.0, 5.0))
+        assert got.tolist() == sim_reference.grid_sup(traj, scaling, 0.1, ref, (0.0, 4.0, 5.0))
+
+    def test_jump_on_a_grid_time_counts_from_that_time(self):
+        """A jump at 3 * 0.1 (0.30000000000000004), undone at 0.35, is seen at grid point 3
+        only, as rescale sees it; a window starting at 0.3 holds that point."""
+        traj = Trajectory("aux-noblock", ("y", "z"), np.array([0.0, 3 * 0.1, 0.35, 0.5]),
+                          np.array([[0, 0], [4, 0], [0, 0], [0, 2]]), 1.0, 0, 4, 2)
+        scaling = ScalingParams(n=4, c2=2)
+        starts = (0.0, 0.3, 0.31)
+        assert sim.grid_sup(traj, scaling, 0.1, (0.0, 0.0), starts).tolist() == [1.0, 1.0, 0.5]
+        ref = np.zeros((11, 2))
+        ref[3] = (1.0, 0.0)
+        assert sim.grid_sup(traj, scaling, 0.1, ref, starts).tolist() == [0.5, 0.5, 0.5]
+        for reference in ((0.0, 0.0), ref):
+            assert sim.grid_sup(traj, scaling, 0.1, reference, starts).tolist() == (
+                sim_reference.grid_sup(traj, scaling, 0.1, reference, starts))
+
+    def test_nan_in_reference_propagates_as_numpy_max(self):
+        scaling = ScalingParams(n=50, c2=15)
+        traj = simulate((0, 0, 0), SYM, scaling, 4.0, seed=2)
+        ref = np.full((41, 3), 0.2)
+        ref[20, 1] = math.nan
+        starts = (0.0, 2.0, 2.1)
+        got = sim.grid_sup(traj, scaling, 0.1, ref, starts)
+        assert math.isnan(got[0]) and math.isnan(got[1]) and not math.isnan(got[2])
+        np.testing.assert_array_equal(got, sim_reference.grid_sup(traj, scaling, 0.1, ref, starts))
+        assert math.isnan(sim.grid_sup(traj, scaling, 0.1, (0.2, math.nan), (0.0,))[0])
+
+    @pytest.fixture
+    def no_c(self, monkeypatch):
+        """The compiled library is not reached."""
+        monkeypatch.setattr(native, "library", lambda: pytest.fail("the C function was called"))
+
+    def test_truncated_run_refused(self, no_c):
+        scaling = ScalingParams(n=20, c2=6)
+        traj = simulate((0, 0, 0), SYM, scaling, 20.0, seed=1, max_events=10)
+        assert traj.truncated
+        with pytest.raises(InvalidState, match="truncated"):
+            sim.grid_sup(traj, scaling, 0.1, (0.0, 0.0, 0.0), (0.0,))
+
+    @pytest.mark.parametrize("shape", [(100, 3), (101, 4), (4,), (101, 0), (101, 3, 1)],
+                             ids=["rows-short", "columns-over", "row-over", "no-column",
+                                  "three-axes"])
+    def test_mismatched_reference_refused(self, no_c, shape):
+        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+        with pytest.raises(InvalidState, match="reference of shape"):
+            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.01, np.zeros(shape), (0.0,))
+
+    @pytest.mark.parametrize("starts", [(0.0, 1.05), (math.nan,), ((0.0, 0.5),)],
+                             ids=["after-last-point", "nan", "two-axes"])
+    def test_window_without_grid_point_refused(self, no_c, starts):
+        """The numpy distances raised 'zero-size array to reduction operation maximum' here;
+        the walk would have returned 0.0."""
+        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0]),
+                          np.array([[0, 0, 0]]), 1.07, 1, 5, 2)
+        with pytest.raises(DomainError, match="no grid time at or after") as info:
+            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0, 0.0, 0.0), starts)
+        assert info.value.field == "window_starts"
+
+    def test_mismatched_states_refused(self, no_c):
+        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+                          np.zeros((3, 3), dtype=np.int64), 1.0, 1, 5, 2)
+        with pytest.raises(InvalidState, match="states of shape"):
+            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0,), (0.0,))
+
+    def test_grid_points_rule(self):
+        """floor(h / dt + 1e-9) + 1, shared by rescale and the experiments' grid check."""
+        assert sim.grid_points(20.0, 0.03) == 667  # 666.67: rounding would give 668
+        assert sim.grid_points(0.3, 0.1) == 4  # 2.9999999999999996
+        assert sim.grid_points(1.0, 2.0) == 1
+        traj = simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 20.0, seed=0)
+        assert len(rescale(traj, ScalingParams(n=5, c2=2), 0.03)) == 667
 
 
 class TestMartingaleResidual:
