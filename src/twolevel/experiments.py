@@ -142,12 +142,15 @@ def _check_windows(t1, horizon):
 
 def _check_grid(cfg, field="grid_dt", dt=None):
     """Refuse a grid k * dt (``cfg.grid_dt`` by default), of ``sim.grid_points`` points,
-    with no point in [2 t1, T]; the DomainError names ``field``."""
+    with no point in [2 t1, T], or with a step past the horizon (its only point t = 0);
+    the DomainError names ``field``."""
     dt = cfg.grid_dt if dt is None else dt
     last = (sim.grid_points(cfg.horizon, dt) - 1) * dt
     if last < 2 * cfg.burn_in:
         raise DomainError(field, f"{field} {dt!r} puts no grid point in the window "
                           f"[2 burn_in, horizon] = [{2 * cfg.burn_in!r}, {cfg.horizon!r}]")
+    if cfg.horizon < dt:
+        raise DomainError(field, f"{field} {dt!r} exceeds the horizon {cfg.horizon!r}")
 
 
 def c2_for(n, r):
@@ -261,8 +264,6 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
     if target not in TARGETS:
         raise DomainError("target", f"target must be one of {TARGETS}")
     _check_grid(cfg)
-    if cfg.horizon < cfg.grid_dt:
-        raise DomainError("grid_dt", f"grid_dt {cfg.grid_dt!r} exceeds the horizon {cfg.horizon!r}")
     regime = classify_regime(cfg.params, cfg.r)
     if target == "main" and regime is Regime.Critical:
         raise RegimeMismatch("no fluid prediction exists at the critical ratio")
@@ -467,15 +468,19 @@ def _phase_rep(params, n, c2, horizon, t1, seed):
         _time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
 
 
-def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
-               blocked_tol=0.02, formula_band=0.07, workers=1):
+# phase_scan's cut-off for "no blocking" and its tolerance for the blocked-fraction formula.
+BLOCKED_TOL = 0.02
+FORMULA_BAND = 0.07
+
+
+def phase_scan(params, r_grid, n, horizon, t1, reps, seed, workers=1):
     """Empirical blocked fraction across a grid of capacity ratios.
 
     The estimated threshold is the first grid ratio whose mean blocked
-    fraction drops below ``blocked_tol``; it must land within one grid
+    fraction drops below ``BLOCKED_TOL``; it must land within one grid
     spacing of the critical ratio.  Overloaded grid points (except the
     one nearest the critical ratio, where relaxation is arbitrarily slow)
-    must match the blocked-fraction formula within ``formula_band``.
+    must match the blocked-fraction formula within ``FORMULA_BAND``.
     """
     r_grid = sorted(_check_positive("r_grid", float(r)) for r in r_grid)
     if len(set(r_grid)) < max(2, len(r_grid)):
@@ -506,9 +511,9 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
         pairs.append(_window_rows("r", r, c2, t1, reps, seed, stats))
     metrics, sensitivity = map(list, zip(*pairs))
     means = [row["mean_blocked_fraction"] for row in metrics]
-    threshold = next((r for r, m in zip(r_grid, means) if m < blocked_tol), None)
+    threshold = next((r for r, m in zip(r_grid, means) if m < BLOCKED_TOL), None)
     formula_ok = all(
-        abs(row["mean_blocked_fraction"] - row["blocked_fraction_limit"]) <= formula_band
+        abs(row["mean_blocked_fraction"] - row["blocked_fraction_limit"]) <= FORMULA_BAND
         for i, row in enumerate(metrics)
         if row["blocked_fraction_limit"] is not None and i != nearest
     )
@@ -523,8 +528,7 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
         name="phase_scan",
         config=_params_echo(
             params, r_grid=r_grid, n=n, horizon=horizon, burn_in=t1, replications=reps,
-            base_seed=seed, blocked_tol=blocked_tol,
-            formula_band=formula_band,
+            base_seed=seed, blocked_tol=BLOCKED_TOL, formula_band=FORMULA_BAND,
         ),
         metrics=metrics,
         criteria=criteria,
@@ -537,20 +541,19 @@ def phase_scan(params, r_grid, n, horizon, t1, reps, seed,
     )
 
 
-def oracle_cross_check(params, scaling, horizon, seed, batches=20):
+def oracle_cross_check(params, scaling, horizon, seed):
     """One long run against the exact stationary moments of the same instance.
 
-    Splits the post-burn-in window into batches, estimates each summary
+    Splits the post-burn-in window into 20 batches, estimates each summary
     by the batch-mean average, and passes iff every summary lands within
-    3 batch-mean standard errors of the exact value.  A negative seed, a
-    horizon that is not finite and > 0, and fewer than 2 batches (no
-    standard error) are refused before the oracle is built.
+    3 batch-mean standard errors of the exact value.  A negative seed and
+    a horizon that is not finite and > 0 are refused before the oracle is
+    built.
     """
     if seed < 0:
         raise DomainError("seed", f"seed must be >= 0, got {seed}")
     _check_positive("horizon", horizon)
-    if batches < 2:
-        raise DomainError("batches", f"batches must be at least 2, got {batches}")
+    batches = 20
     gen = oracle.build_generator(params, scaling)
     pi = oracle.stationary_distribution(gen)
     exact = oracle.stationary_moments(pi, scaling)

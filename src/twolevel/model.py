@@ -68,12 +68,14 @@ class FluidState:
     y: float
     z: float
 
-    def check(self, r, tol=1e-9, y_star_held=False):
+    def check(self, r, y_star_held=False):
         """Raise DomainError naming the first violated fluid-domain constraint.
 
-        With ``y_star_held`` (a system that holds y_star at 0) the bound
-        y_star + y <= 1 is a bound on y and is reported as one.
+        Each bound holds within 1e-9.  With ``y_star_held`` (a system that
+        holds y_star at 0) the bound y_star + y <= 1 is a bound on y and is
+        reported as one.
         """
+        tol = 1e-9
         if not (-tol <= self.y_star):
             raise DomainError("y_star", "y_star must be non-negative")
         if not (-tol <= self.y):
@@ -120,16 +122,15 @@ def critical_ratio(params):
     )
 
 
-def classify_regime(params, r, tol=None):
+def classify_regime(params, r):
     """Classify the load regime of capacity ratio r.
 
     Underloaded iff r > r_c + tol, Overloaded iff r < r_c - tol, Critical
-    otherwise.  When tol is omitted it defaults to 1e-12 relative to r_c;
+    otherwise, with tol = 1e-12 relative to r_c (absolute below r_c = 1);
     equality is always surfaced as Critical, never silently assigned.
     """
     r_c = critical_ratio(params)
-    if tol is None:
-        tol = 1e-12 * max(1.0, r_c)
+    tol = 1e-12 * max(1.0, r_c)
     if r > r_c + tol:
         return Regime.Underloaded
     if r < r_c - tol:

@@ -8,7 +8,9 @@ integer digits; ``snprintf`` only out of range), and the two halves of a Picard 
 ``library()``, the library of the tables as they are at import, compiles it at its first
 call, never at import, with the system C compiler (``cc``); it is kept in
 ``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later processes load it
-without compiling.  Without a compiler ``library()`` raises ``BuildError``.
+without compiling.  Without a compiler ``library()`` raises ``BuildError``.  Each
+exported function's ctypes declaration is read from its C signature in the source, the
+one statement of the library's ABI.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import functools
 import hashlib
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -185,8 +188,6 @@ USED_UP, HORIZON, ABSORBED = range(3)
 _PRELUDE = ("#define _POSIX_C_SOURCE 200809L\n#include <locale.h>\n#include <math.h>\n"
             "#include <stdint.h>\n#include <stdio.h>\n#include <string.h>\n\n"
             "enum { USED_UP, HORIZON, ABSORBED };\n\n")
-_ARGTYPES = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [ctypes.c_double]
-             + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3)
 # Rows of "%.9g,%d,...,%d\n" in the "C" numeric locale; -1 rather than pass capacity.
 # A time takes at most 16 bytes and a count 21 (comma, sign, 19 digits).  format_g9 takes
 # a time's digits from integers, q = m * 10^k / 2^s rounded half to even for v = m / 2^s,
@@ -257,8 +258,6 @@ int64_t format_trajectory_rows(const double *times, const int64_t *states, int64
     return i < rows ? -1 : p - out;
 }
 """
-_FORMAT_ARGTYPES = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
-                    + [ctypes.c_void_p, ctypes.c_int64])
 # A Picard sweep on one window: Gbar of ``fluid.gbar_functional`` (its convolution
 # step an explicit fma, as a BLAS banded solve with FMA kernels rounds it), then the
 # reflection, which writes the regulator from sample 1 and returns the sup change, or
@@ -322,8 +321,7 @@ def _built(source, private):
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
                          "twolevel")
     key = hashlib.sha256("\0".join((source,) + _COMPILE).encode()).hexdigest()
-    # "sim-" from when the simulator module held the library: caches built then still load.
-    path = os.path.join(cache, f"sim-{key}.so")
+    path = os.path.join(cache, f"{key}.so")
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         blob = fh.read()
         if hashlib.sha256(blob[:-32]).digest() == blob[-32:]:
@@ -351,25 +349,22 @@ def _built(source, private):
     return path
 
 
+# The ctypes type of each C type the exported functions take or return; any pointer is c_void_p.
+_CTYPES = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+           "void": None}
+
+
 @functools.lru_cache(maxsize=None)
 def _library(source):
-    """The library compiled from ``source``, loaded, with its functions declared."""
+    """The library compiled from ``source``, loaded, with each function that is not
+    ``static`` declared from its C signature in ``source``."""
     with tempfile.TemporaryDirectory() as private:
         lib = ctypes.CDLL(_built(source, private))
-    for name in LOOP_NAMES.values():
+    for result, name, params in re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", source, re.M):
         function = getattr(lib, name)
-        function.argtypes, function.restype = _ARGTYPES, ctypes.c_int
-    lib.format_trajectory_rows.argtypes = _FORMAT_ARGTYPES
-    lib.format_trajectory_rows.restype = ctypes.c_int64
-    lib.residual_sup.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p]
-                                 + [ctypes.c_int64] * 2 + [ctypes.c_double, ctypes.c_void_p])
-    lib.grid_sup.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [ctypes.c_double]
-    lib.residual_sup.restype = lib.gbar_window.restype = lib.grid_sup.restype = None
-    lib.gbar_window.argtypes = [*[ctypes.c_void_p] * 2, ctypes.c_int64, *[ctypes.c_double] * 4,
-                                *[ctypes.c_void_p] * 2]
-    lib.reflect_window.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_double,
-                                   ctypes.c_int]
-    lib.reflect_window.restype = ctypes.c_double
+        function.restype = _CTYPES[result]
+        function.argtypes = [ctypes.c_void_p if "*" in p else _CTYPES[p.split()[-2]]
+                             for p in params.split(",")]
     return lib
 
 

@@ -29,11 +29,11 @@ def state_space_size(scaling):
     return (n + 1) * (c2 + 1) + n * (n + 1) // 2
 
 
-def _state_array(scaling, cap):
+def _state_array(scaling):
     """The (y_star, y, z) rows of ``enumerate_states`` as an int64 array."""
     size = state_space_size(scaling)
-    if size > cap:
-        raise TooLarge(size, cap)
+    if size > STATE_CAP_DEFAULT:
+        raise TooLarge(size, STATE_CAP_DEFAULT)
     n, c2 = scaling.n, scaling.c2
     states = np.zeros((size, 3), dtype=np.int64)
     # y_star = 0: y = 0..n, each with z = 0..c2.
@@ -48,13 +48,13 @@ def _state_array(scaling, cap):
     return states
 
 
-def enumerate_states(scaling, cap=STATE_CAP_DEFAULT):
+def enumerate_states(scaling):
     """All states (y_star, y, z) with y_star+y <= n, z <= c2, y_star*z = 0.
 
     Lexicographically ordered.  Raises TooLarge with the computed size if
-    the instance exceeds ``cap``.
+    the instance exceeds ``STATE_CAP_DEFAULT``, before any allocation.
     """
-    return [MicroState(*row) for row in _state_array(scaling, cap).tolist()]
+    return [MicroState(*row) for row in _state_array(scaling).tolist()]
 
 
 class DenseGenerator(np.ndarray):
@@ -69,7 +69,7 @@ class DenseGenerator(np.ndarray):
         self.csr = None
 
 
-def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
+def build_generator(params, scaling):
     """Dense generator matrix over the lexicographic state order.
 
     Filled from the main process's transition table, one vectorised pass
@@ -79,7 +79,7 @@ def build_generator(params, scaling, cap=STATE_CAP_DEFAULT):
     entry for entry, built from the same rates.  Raises InvalidState if a
     positive-rate row leads out of the state space.
     """
-    states = _state_array(scaling, cap)
+    states = _state_array(scaling)
     # Imported here, after the size check: scipy.sparse takes about 0.4 s to import.
     from scipy import sparse
 
@@ -183,9 +183,9 @@ def stationary_distribution(g):
     return pi / pi.sum()
 
 
-def stationary_moments(pi, scaling, cap=STATE_CAP_DEFAULT):
+def stationary_moments(pi, scaling):
     """(E[y_star]/n, E[y]/n, E[z]/n, P(y_star > 0)) under ``pi``."""
-    states = _state_array(scaling, cap).astype(float)
+    states = _state_array(scaling).astype(float)
     mean = pi @ states / scaling.n
     p_block = float(pi[states[:, 0] > 0].sum())
     return (float(mean[0]), float(mean[1]), float(mean[2]), p_block)
@@ -209,7 +209,7 @@ def _transient_from(step, lam, dist, t, tol):
     return acc
 
 
-def transient_distribution(g, init, t, tol=1e-12):
+def transient_distribution(g, init, t):
     """Distribution at time t via uniformization.
 
     ``g`` may be a dense ndarray or any ``scipy.sparse`` array; a
@@ -218,7 +218,7 @@ def transient_distribution(g, init, t, tol=1e-12):
     over the enumeration order, non-negative with mass 1 within 1e-9; any
     other raises ``DomainError("init")``.  The jump kernel is I + g/lam with
     lam = 1.01 x the largest exit rate, applied as a sparse matvec; the
-    Poisson mixture is truncated once its tail mass drops below tol.  Long
+    Poisson mixture is truncated once its tail mass drops below 1e-12.  Long
     horizons are split recursively so the Poisson weights never underflow.
     """
     if not 0 <= t < math.inf:
@@ -243,4 +243,4 @@ def transient_distribution(g, init, t, tol=1e-12):
     if lam <= 0.0 or t == 0.0:
         return dist
     # v @ (I + g/lam) = v + (g/lam)^T @ v
-    return _transient_from((g.T / lam).tocsr(), lam, dist, float(t), tol)
+    return _transient_from((g.T / lam).tocsr(), lam, dist, float(t), 1e-12)

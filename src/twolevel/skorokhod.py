@@ -110,7 +110,7 @@ def check_complementarity(reflected, regulator, tol):
     return coupling <= tol
 
 
-def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
+def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
     """Solve the generalized reflection problem x = reflect(phi(x)) by windowed Picard.
 
     ``phi(x, t0, dt, carried)`` is a causal functional that restarts: given
@@ -126,33 +126,28 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200, start=None):
     first point with the last point of the window before, where that point
     stays pinned to its converged value.  On each window x <- reflect(
     phi(x)) runs until the sup-norm change is <= tol, starting from 0 on
-    the first window, from the linear extrapolation of the last two
-    converged points (clipped at 0) on the others, or from ``start``'s
-    slice when ``start`` is given.  A sweep is one ``phi`` call and the
-    reflection of ``reflect_1d`` in the compiled library, so without a C
-    compiler the solve raises ``BuildError`` for every ``phi``, a numpy one
-    too.  Returns (solution, regulator, iterations), ``iterations`` being
-    the most sweeps any window took.  Raises NoConvergence(max_iter)
-    with that window's last residual when a window spends its budget of
-    ``max_iter`` sweeps -- a functional that is no contraction on a window,
-    or a tol below the rounding of its sweeps -- and DomainError for a free
-    path of another shape or type, sharing memory with ``x``, not finite, or
-    starting below 0.
+    the first window and from the linear extrapolation of the last two
+    converged points (clipped at 0) on the others.  A sweep is one ``phi``
+    call and the reflection of ``reflect_1d`` in the compiled library, so
+    without a C compiler the solve raises ``BuildError`` for every ``phi``,
+    a numpy one too.  Returns (solution, regulator, iterations),
+    ``iterations`` being the most sweeps any window took.  Raises
+    NoConvergence(max_iter) with that window's last residual when a window
+    spends its budget of ``max_iter`` sweeps -- a functional that is no
+    contraction on a window, or a tol below the rounding of its sweeps --
+    and DomainError for a free path of another shape or type, sharing
+    memory with ``x``, not finite, or starting below 0.
     """
     n = grid_steps(horizon, dt) + 1
     reflect = native.library().reflect_window
     x, regulator = np.zeros(n), np.zeros(n)
-    if start is not None:
-        if not start.same_grid(SampledPath(0.0, dt, x)):
-            raise GridMismatch("start does not live on the solution's grid")
-        x[:] = start.values
     width = max(1, int(round(WINDOW / dt)))
     carried, running_min, iterations = None, None, 0
     a = 0
     while True:
         b = min(a + width, n - 1)
         guess = x[a:b + 1]
-        if a and start is None:
+        if a:
             guess[1:] = np.maximum(x[a] + (x[a] - x[a - 1]) * np.arange(1, b - a + 1), 0.0)
         # The sweep writes the reflected path into guess and the regulator in place.
         window = (guess.ctypes.data, regulator[a:].ctypes.data, len(guess),

@@ -335,12 +335,9 @@ class TestOracleCrossCheck:
         ("horizon", {"horizon": -5.0}),
         ("horizon", {"horizon": math.inf}),
         ("horizon", {"horizon": math.nan}),
-        ("batches", {"batches": 1}),
-        ("batches", {"batches": 0}),
     ])
     def test_bad_input_refused_before_the_oracle_build(self, monkeypatch, field, kwargs):
-        """One batch has no standard error and none has no mean: both are
-        refused by name, as are a bad seed or horizon, before the build."""
+        """A bad seed or horizon is refused by name before the build."""
         built = []
         monkeypatch.setattr(oracle, "build_generator", lambda *args: built.append(args))
         args = {"horizon": 10.0, "seed": 5, **kwargs}
@@ -478,26 +475,41 @@ class TestRefusedBeforeAnyRun:
         assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("horizon, grid_dt", [(1.0, 2.0), (0.5, 0.75)])
-    def test_grid_dt_past_the_horizon_refused(self, monkeypatch, horizon, grid_dt):
-        """The fluid path then has no step; it was refused from inside the fluid solve as
-        'horizon must be at least dt', after the first n's reference, naming horizon."""
+    @pytest.mark.parametrize("suite, horizon, grid_dt, field", [
+        pytest.param("convergence", 1.0, 2.0, "grid_dt", id="1.0-2.0"),
+        pytest.param("convergence", 0.5, 0.75, "grid_dt", id="0.5-0.75"),
+        pytest.param("no-blocking", 20.0, 50.0, "grid_dt", id="no-blocking"),
+        pytest.param("no-blocking", 0.5, 0.01, "path_sample_dt", id="no-blocking-path-samples"),
+    ])
+    def test_grid_dt_past_the_horizon_refused(self, monkeypatch, suite, horizon, grid_dt, field):
+        """The grid's only point is then t = 0.  The convergence fluid path has no step; it
+        was refused from inside the fluid solve as 'horizon must be at least dt', after the
+        first n's reference, naming horizon.  No-blocking took its fixed-point distance at
+        t = 0 alone, before any jump, and printed FAIL; its 1-unit path samples
+        (``PATH_SAMPLE_DT``) past the horizon are refused by name the same way."""
         monkeypatch.setattr(experiments.fluid, "solve_system",
                             lambda *a: pytest.fail("a fluid path was solved"))
-        cfg = small_cfg(0.3, n_list=(20,), horizon=horizon, burn_in=0.0, replications=2,
-                        grid_dt=grid_dt)
+        monkeypatch.setattr(experiments, "_replicate", lambda *a: pytest.fail("a run started"))
+        cfg = small_cfg(0.3 if suite == "convergence" else 0.7, n_list=(20,), horizon=horizon,
+                        burn_in=0.0, replications=2, grid_dt=grid_dt)
         with pytest.raises(DomainError, match="exceeds the horizon") as info:
-            convergence_sweep(cfg, "aux-saturated")
-        assert info.value.field == "grid_dt"
+            if suite == "convergence":
+                convergence_sweep(cfg, "aux-saturated")
+            else:
+                no_blocking_certificate(cfg)
+        assert info.value.field == field
 
     def test_grid_dt_past_the_horizon_cli_exits_2(self, capsys, tmp_path):
-        code = cli.main(["experiment", "--experiment", "convergence", "--target", "main",
-                         "--n-list", "20", "--horizon", "1", "--burn-in", "0", "--grid-dt", "2",
-                         "--seed", "1", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: grid_dt ")
-        assert not any(tmp_path.iterdir())
+        for flags in (["--experiment", "convergence", "--target", "main", "--horizon", "1",
+                       "--grid-dt", "2"],
+                      ["--experiment", "no-blocking", "--n", "100", "--c2", "70",
+                       "--replications", "2", "--horizon", "20", "--grid-dt", "50"]):
+            code = cli.main(["experiment", *flags, "--n-list", "20", "--burn-in", "0",
+                             "--seed", "1", "--out", str(tmp_path)])
+            assert code == 2, flags
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: grid_dt "), flags
+            assert not any(tmp_path.iterdir())
 
     # Whole time units 0-5: none in the sensitivity window [5.2, 5.5].
     SHORT = dict(n_list=(20, 40), horizon=5.5, burn_in=2.6, replications=2)

@@ -76,7 +76,7 @@ class TestClassifyRegime:
 
     def test_tolerance_band_is_critical(self):
         assert classify_regime(SYM, 0.5 + 1e-13) is Regime.Critical
-        assert classify_regime(SYM, 0.5 + 1e-3, tol=1e-2) is Regime.Critical
+        assert classify_regime(SYM, 0.5 + 1e-11) is Regime.Underloaded
 
 
 class TestBlockedFractionLimit:

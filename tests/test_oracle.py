@@ -54,11 +54,13 @@ class TestEnumeration:
             scaling = ScalingParams(n=n, c2=c2)
             assert state_space_size(scaling) == len(enumerate_states(scaling))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        """n=150, c2=1 has 11,627 states, just above the cap: refused before any allocation."""
+        monkeypatch.setattr(oracle.np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         with pytest.raises(TooLarge) as exc:
-            enumerate_states(ScalingParams(n=100, c2=50), cap=100)
-        assert exc.value.cap == 100
-        assert exc.value.size > 100
+            enumerate_states(ScalingParams(n=150, c2=1))
+        assert exc.value.cap == oracle.STATE_CAP_DEFAULT
+        assert exc.value.size == 11_627
 
     def test_lexicographic_order(self):
         states = enumerate_states(ScalingParams(n=3, c2=2))

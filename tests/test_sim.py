@@ -587,8 +587,13 @@ class TestCompiledLoops:
         assert source.count("\nint ") == len(PROCESSES)
         lib = native._library(source)
         for process in PROCESSES:
-            assert getattr(lib, native.LOOP_NAMES[process]).argtypes == native._ARGTYPES
-        assert lib.format_trajectory_rows.argtypes == native._FORMAT_ARGTYPES
+            loop = getattr(lib, native.LOOP_NAMES[process])
+            assert loop.argtypes == [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 2 + [
+                ctypes.c_double] + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [
+                ctypes.c_void_p] * 3
+            assert loop.restype is ctypes.c_int
+        assert lib.format_trajectory_rows.argtypes == [ctypes.c_void_p] * 2 + [
+            ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64]
         assert lib.format_trajectory_rows.restype is ctypes.c_int64
         assert lib.residual_sup.argtypes == [ctypes.c_void_p] * 2 + [
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
@@ -597,6 +602,12 @@ class TestCompiledLoops:
         assert lib.grid_sup.argtypes == [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 7 + [
             ctypes.c_double]
         assert lib.grid_sup.restype is None
+        assert lib.gbar_window.argtypes == [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [
+            ctypes.c_double] * 4 + [ctypes.c_void_p] * 2
+        assert lib.gbar_window.restype is None
+        assert lib.reflect_window.argtypes == [ctypes.c_void_p] * 3 + [
+            ctypes.c_int64, ctypes.c_double, ctypes.c_int]
+        assert lib.reflect_window.restype is ctypes.c_double
         run = getattr(sim, native.LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
 

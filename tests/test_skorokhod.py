@@ -157,13 +157,10 @@ class TestSolveGeneralized:
         np.testing.assert_allclose(regulator.values, regulator.times, atol=0.0)
         assert iterations == 1
 
-    def test_start_override_changes_nothing_for_contraction(self):
+    def test_contraction_converges_to_its_fixed_point(self):
         damp = pointwise(lambda x, t: 0.5 * x + 0.1)
-        sol_zero, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12)
-        ones = SampledPath(0.0, DT, np.ones(len(sol_zero)))
-        sol_one, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12, start=ones)
-        np.testing.assert_allclose(sol_zero.values, sol_one.values, atol=1e-10)
-        np.testing.assert_allclose(sol_zero.values, 0.2, atol=1e-10)
+        solution, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12)
+        np.testing.assert_allclose(solution.values, 0.2, atol=1e-10)
 
     def test_oscillator_hits_iteration_budget(self):
         with pytest.raises(NoConvergence) as err:
@@ -207,29 +204,6 @@ class TestSolveGeneralized:
                 np.testing.assert_allclose(first, solution.values[k:k + len(first)],
                                            atol=1e-12)
         assert iterations == 2
-
-    def test_start_seeds_every_window(self):
-        """With ``start`` given, each window starts from its slice of it, the
-        first point of a later window pinned to its converged value."""
-        seen = {}
-
-        def damp(x, t0, dt, carried):
-            seen.setdefault(t0, x.copy())
-            return 0.5 * x + 0.1, None
-
-        start = sampled(lambda t: 1.0 + t, 5.3)
-        solution, _, _ = solve_generalized(damp, 5.3, DT, tol=1e-12, start=start)
-        np.testing.assert_allclose(solution.values, 0.2, atol=1e-11)
-        assert len(seen) == 3
-        for t0, first in seen.items():
-            k = int(round(t0 / DT))
-            np.testing.assert_array_equal(first[1:], start.values[k + 1:k + len(first)])
-            assert first[0] == (start.values[0] if k == 0 else solution.values[k])
-
-    def test_start_on_another_grid_rejected(self):
-        damp = pointwise(lambda x, t: 0.5 * x + 0.1)
-        with pytest.raises(GridMismatch):
-            solve_generalized(damp, 1.0, DT, start=sampled(np.cos, 2.0))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_nonpositive_dt_rejected(self, dt):
