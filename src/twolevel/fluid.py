@@ -4,10 +4,11 @@ Every fluid system is piecewise affine: between switches it follows the
 overloaded interior (z = 0), the underloaded interior (y_star = 0), or an
 auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
 expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
-switch time is a root of that closed form.  ``solve_system`` is the one
-path of every system.  Also here: the integral functional that
-cross-validates the saturated system through the Picard solver, run in the
-compiled library (``native``).
+switch time is a root of that closed form, found in Python on the guard
+that the compiled library (``native``) computes, as it does the segments.
+``solve_system`` is the one path of every system.  Also here: the integral
+functional that cross-validates the saturated system through the Picard
+solver, compiled apart from the segments.
 """
 
 import ctypes
@@ -158,58 +159,45 @@ def _brentq(f, xa, xb, xtol, maxiter=100):
 def _affine_path(system, params, r, x0, horizon, dt):
     """Exact path of ``system`` from x0 = (y_star, y, z) on the grid k*dt.
 
-    Returns rows (y_star, y, z) and the regulator u, all 0 without one.
-    A segment is sampled by doubling: rows [m, 2m) are rows [0, m) moved by
-    the affine map expm(M dt)^m.  Past a guard crossing, the local Brent
-    solver ``_brentq`` on expm(M s) x finds the switch time inside that grid
-    step; the path then toggles mode and sets the new mode's pinned
-    coordinate to exactly 0.
+    Returns rows (y_star, y, z), the regulator u (all 0 without one) and
+    the switches as (first grid index of the new mode, time).  A segment is
+    the compiled ``affine_segment``: rows [m, 2m) are rows [0, m) moved by
+    expm(M dt)^m, up to the first row past a guard crossing.  There
+    ``_brentq`` on the guard of expm(M s) x (``segment_flow``) finds the
+    switch time inside that grid step; the path then toggles mode and sets
+    the new mode's pinned coordinate to exactly 0.
     """
-    # Imported here, not at module level: scipy.linalg takes about 0.4 s to import.
-    from scipy.linalg import expm
-
+    lib = native.library()
     steps = grid_steps(horizon, dt)
     modes = _system_modes(system, params, r)
     x = np.array([*x0, 0.0, 1.0])
     mode = 0 if _starts_in(modes[0], x) else 1
     n = ONE if any(m.matrix[U].any() for m in modes) else U
     out = np.empty((steps + 1, n))
-    t, k = 0.0, 0  # start time of the segment, first grid index it samples
+    t, k, switches = 0.0, 0, []  # start time of the segment, first grid index it samples
     for _ in range(MAX_SWITCHES + 1):
         matrix, guard, pinned = modes[mode]
         x[pinned] = 0.0
         held = ~matrix[:n].any(axis=1)
         seg = out[k:]
-        seg[0] = (expm(matrix * (k * dt - t)) @ x)[:n]
-        phi = expm(matrix * dt)
-        checked, filled, end = 0, 1, len(seg)
-        while True:
-            if guard is not None:
-                crossed = np.flatnonzero(seg[checked:filled] @ guard[:n] + guard[ONE] < 0)
-                if crossed.size:
-                    end = checked + int(crossed[0])
-                    break
-            if filled == len(seg):
-                break
-            take = min(filled, len(seg) - filled)
-            block = seg[filled:filled + take]
-            np.matmul(seg[:take], phi[:n, :n].T, out=block)
-            block += phi[:n, ONE]
-            checked, filled = filled, filled + take
-            phi = phi @ phi
+        m, g = matrix.ctypes.data, None if guard is None else guard.ctypes.data
+        end = lib.affine_segment(m, g, x.ctypes.data, k * dt - t, dt, len(seg), n,
+                                 seg.ctypes.data)
         seg[:end, held] = x[:n][held]
         if not np.isfinite(seg[:end]).all():
             raise NonFinite(f"{system} fluid state non-finite after t={t}")
         if end == len(seg):
-            return out[:, :U], out[:, U] if n > U else np.zeros(len(out))
+            return out[:, :U], out[:, U] if n > U else np.zeros(len(out)), switches
         # The guard crossed 0 in the grid step before sample `end`.
         t0, width = ((k + end - 1) * dt, dt) if end else (t, k * dt - t)
         base = np.concatenate((seg[end - 1], x[n:])) if end else x
-        s = (_brentq(lambda s: guard @ (expm(matrix * s) @ base), 0.0, width, xtol=1e-15)
-             if guard @ base > 0 else 0.0)
-        x = expm(matrix * s) @ base
+        x = np.empty(5)
+        flow = functools.partial(lib.segment_flow, m, g, base.ctypes.data, x.ctypes.data)
+        s = _brentq(flow, 0.0, width, xtol=1e-15) if flow(0.0) > 0 else 0.0
+        flow(s)
         x[:n][held] = base[:n][held]
         t, k, mode = t0 + s, k + end, 1 - mode
+        switches.append((k, t))
     raise TooManySwitches(f"fluid path switched mode more than {MAX_SWITCHES} times by t={t:.6g}")
 
 
@@ -336,7 +324,7 @@ def solve_system(system, params, r, init, horizon, dt):
     FluidState(y_star, y, z).check(r, y_star_held=y_star_held)
     x0 = np.maximum((y_star, y, z), 0.0)
     x0 = np.minimum(x0, (1.0, 1.0 - min(x0[Y_STAR], 1.0), r))
-    values, regulator = _affine_path(system, params, r, x0, horizon, dt)
+    values, regulator, _ = _affine_path(system, params, r, x0, horizon, dt)
     if system == "aux-noblock":
         values[:, Y] = y_b_closed_form(dt * np.arange(len(values)), params, x0[Y])
     return ReflectedSolution(SampledPath(0.0, dt, values), SampledPath(0.0, dt, regulator))

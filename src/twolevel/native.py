@@ -3,8 +3,9 @@
 It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``), the
 compensator of ``sim.residual_sup`` (``residual_source``), the one walk over the jumps and
 the grid of ``sim.grid_sup``, the row formatter of ``sim.write_trajectory_csv`` (exact
-integer digits; ``snprintf`` only out of range), and the two halves of a Picard sweep:
-``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s reflection.
+integer digits; ``snprintf`` only out of range), the two halves of a Picard sweep:
+``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s reflection, and the
+exact segments of ``fluid._affine_path``, their 5x5 matrix exponential and guard scan.
 ``library()``, the library of the tables as they are at import, compiles it at its first
 call, never at import, with the system C compiler (``cc``); it is kept in
 ``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later processes load it
@@ -298,6 +299,90 @@ double reflect_window(const double *free, double *x, double *reg, int64_t n,
     return sup;
 }
 """
+# The exact segment of ``fluid._affine_path``, sharing nothing with the Picard sweep that
+# criterion 06 checks it against; modes are 5x5 row-major on (y_star, y, z, u, 1).  expm5
+# scales M s to a norm <= 1/2, sums its Taylor series until a term is below unit roundoff
+# of the sum, squares back (Higham 2005), and is NaN where ||M|| |s| overflows.  Plain
+# products and sums in a fixed order: the bits do not depend on the host's BLAS.
+_FLUID = r"""
+static void mul5(const double *a, const double *b, double *c)
+{
+    for (int i = 0; i < 25; i++) {
+        double acc = 0.0;
+        for (int k = 0; k < 5; k++) acc += a[i - i % 5 + k] * b[5 * k + i % 5];
+        c[i] = acc;
+    }
+}
+
+static double norm5(const double *a)  /* the largest absolute row sum */
+{
+    double norm = 0.0;
+    for (int i = 0; i < 25; i += 5) {
+        double r = fabs(a[i]) + fabs(a[i + 1]) + fabs(a[i + 2]) + fabs(a[i + 3]) + fabs(a[i + 4]);
+        norm = norm < r ? r : norm;
+    }
+    return norm;
+}
+
+static void expm5(const double *m, double s, double *e)
+{
+    double a[25], term[25], next[25], norm = norm5(m) * fabs(s);
+    int q = 0;
+    if (!isfinite(norm)) { for (int i = 0; i < 25; i++) e[i] = NAN; return; }
+    for (; norm > 0.5; q++) norm *= 0.5;
+    for (int i = 0; i < 25; i++) { a[i] = ldexp(m[i] * s, -q); term[i] = e[i] = i % 6 == 0; }
+    for (int k = 1; k <= 30; k++) {
+        mul5(term, a, next);
+        for (int i = 0; i < 25; i++) { term[i] = next[i] / k; e[i] += term[i]; }
+        if (norm5(term) <= 0x1p-53 * norm5(e)) break;
+    }
+    for (; q > 0; q--) { mul5(e, e, next); memcpy(e, next, sizeof next); }
+}
+
+/* out = expm(m s) x; returns the guard g . out (0 without one). */
+double segment_flow(const double *m, const double *g, const double *x, double *out, double s)
+{
+    double e[25], v = 0.0;
+    expm5(m, s, e);
+    for (int i = 0; i < 5; i++) {
+        double acc = 0.0;
+        for (int j = 0; j < 5; j++) acc += e[5 * i + j] * x[j];
+        out[i] = acc;
+        if (g) v += g[i] * acc;
+    }
+    return v;
+}
+
+/* Rows [0, len) of n columns: row 0 expm(m s0) x, then rows [j, 2j) rows [0, j) moved by
+   phi^j, phi = expm(m dt).  Returns the first row whose guard g[:n] . row + g[4] is
+   negative, each block scanned as it is filled, or len (g NULL: no guard). */
+int64_t affine_segment(const double *m, const double *g, const double *x, double s0, double dt,
+                       int64_t len, int64_t n, double *seg)
+{
+    double phi[25], next[25], row[5];
+    segment_flow(m, NULL, x, row, s0);
+    memcpy(seg, row, (size_t)n * sizeof *row);
+    expm5(m, dt, phi);
+    for (int64_t checked = 0, filled = 1;;) {
+        for (; g && checked < filled; checked++) {
+            double v = 0.0;
+            for (int64_t j = 0; j < n; j++) v += seg[checked * n + j] * g[j];
+            if (v + g[4] < 0) return checked;
+        }
+        if (filled == len) return len;
+        int64_t take = filled < len - filled ? filled : len - filled;
+        for (int64_t i = 0; i < take; i++)
+            for (int64_t r = 0; r < n; r++) {
+                double acc = 0.0;
+                for (int64_t c = 0; c < n; c++) acc += seg[i * n + c] * phi[5 * r + c];
+                seg[(filled + i) * n + r] = acc + phi[5 * r + 4];
+            }
+        filled += take;
+        mul5(phi, phi, next);
+        memcpy(phi, next, sizeof next);
+    }
+}
+"""
 # No -ffast-math or -march=native, and no contraction of a * b + c into a
 # fused multiply-add: each must round as the Python rates do.  libm has fma.
 _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-", "-lm", "-o")
@@ -305,9 +390,10 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 
 def _library_source(processes):
     """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``,
-    ``grid_sup`` and the Picard sweep."""
+    ``grid_sup``, the Picard sweep and the exact fluid segment."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP + _PICARD)
+            + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP + _PICARD
+            + _FLUID)
 
 
 def _built(source, private):

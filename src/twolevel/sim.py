@@ -42,7 +42,7 @@ import numpy as np
 
 from . import model, native
 from .errors import DomainError, InvalidState
-from .skorokhod import SampledPath
+from .skorokhod import SampledPath, whole_steps
 
 MAX_EVENTS_DEFAULT = 10_000_000
 # Jumps in a run's first block of random draws (two uniforms each), and the
@@ -269,7 +269,7 @@ def grid_points(horizon, grid_dt):
     """How many grid times k*grid_dt, k >= 0, lie in [0, horizon] (with 1e-9 steps of slack)."""
     if not 0 < grid_dt < math.inf:
         raise InvalidState(f"grid_dt must be finite and > 0, got {grid_dt!r}")
-    return int(math.floor(horizon / grid_dt + 1e-9)) + 1
+    return whole_steps(horizon, grid_dt) + 1
 
 
 def rescale(traj, scaling, grid_dt):

@@ -22,13 +22,18 @@ from .errors import DomainError, GridMismatch, NoConvergence
 WINDOW = 2.0
 
 
+def whole_steps(horizon, dt):
+    """floor(horizon / dt + 1e-9): the one rule of ``grid_steps`` and ``sim.grid_points``."""
+    return int(math.floor(horizon / dt + 1e-9))
+
+
 def grid_steps(horizon, dt):
-    """Number of dt steps to reach ``horizon``; DomainError for dt <= 0 or horizon < 0."""
+    """Number of dt steps within ``horizon``; DomainError for dt <= 0 or horizon < 0."""
     if not dt > 0:
         raise DomainError("dt", f"dt must be positive, got {dt!r}")
     if not 0 <= horizon < np.inf:
         raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
-    return int(round(horizon / dt))
+    return whole_steps(horizon, dt)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,21 @@ and the transition tables' drift.  ``picard_full_horizon`` is Picard on
 the whole horizon at once, the reference for the windowed
 ``solve_generalized``, and ``gbar_reference`` the Picard functional in
 numpy with a BLAS banded solve, the reference for the compiled
-``gbar_functional``.
+``gbar_functional``.  ``affine_path_reference`` is the exact solver's
+segment loop with the doubling in numpy and scipy's ``expm`` and ``brentq``,
+the reference for the compiled segments of ``fluid._affine_path``.
 """
 
 import numpy as np
 
-from twolevel import NoConvergence, SampledPath, reflect_1d, y_b_closed_form
+from twolevel import (
+    NoConvergence,
+    SampledPath,
+    TooManySwitches,
+    fluid,
+    reflect_1d,
+    y_b_closed_form,
+)
 
 
 def overloaded_rhs(state, params, r):
@@ -179,3 +188,58 @@ def picard_full_horizon(phi, horizon, dt, tol=1e-9, max_iter=200):
         if residual <= tol:
             return x, regulator, sweep
     raise NoConvergence(max_iter, residual)
+
+
+def affine_path_reference(system, params, r, x0, horizon, dt):
+    """``fluid._affine_path`` with numpy doubling: (rows, regulator, switches).
+
+    Each segment's first row is scipy's ``expm(M s) x``; rows [m, 2m) are
+    rows [0, m) times expm(M dt)^m by ``np.matmul``, the guard scanned after
+    each block.  A switch time is scipy's ``brentq`` root of the guard of
+    ``expm(M s) x`` inside the grid step where the guard went negative.
+    """
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
+
+    one, u = fluid.ONE, fluid.U
+    steps = int(np.floor(horizon / dt + 1e-9))
+    modes = fluid._system_modes(system, params, r)
+    x = np.array([*x0, 0.0, 1.0])
+    mode = 0 if fluid._starts_in(modes[0], x) else 1
+    n = one if any(m.matrix[u].any() for m in modes) else u
+    out = np.empty((steps + 1, n))
+    t, k, switches = 0.0, 0, []
+    for _ in range(fluid.MAX_SWITCHES + 1):
+        matrix, guard, pinned = modes[mode]
+        x[pinned] = 0.0
+        held = ~matrix[:n].any(axis=1)
+        seg = out[k:]
+        seg[0] = (expm(matrix * (k * dt - t)) @ x)[:n]
+        phi = expm(matrix * dt)
+        checked, filled, end = 0, 1, len(seg)
+        while True:
+            if guard is not None:
+                crossed = np.flatnonzero(seg[checked:filled] @ guard[:n] + guard[one] < 0)
+                if crossed.size:
+                    end = checked + int(crossed[0])
+                    break
+            if filled == len(seg):
+                break
+            take = min(filled, len(seg) - filled)
+            block = seg[filled:filled + take]
+            np.matmul(seg[:take], phi[:n, :n].T, out=block)
+            block += phi[:n, one]
+            checked, filled = filled, filled + take
+            phi = phi @ phi
+        seg[:end, held] = x[:n][held]
+        if end == len(seg):
+            return out[:, :u], out[:, u] if n > u else np.zeros(len(out)), switches
+        t0, width = ((k + end - 1) * dt, dt) if end else (t, k * dt - t)
+        base = np.concatenate((seg[end - 1], x[n:])) if end else x
+        s = (brentq(lambda s: guard @ (expm(matrix * s) @ base), 0.0, width, xtol=1e-15)
+             if guard @ base > 0 else 0.0)
+        x = expm(matrix * s) @ base
+        x[:n][held] = base[:n][held]
+        t, k, mode = t0 + s, k + end, 1 - mode
+        switches.append((k, t))
+    raise TooManySwitches(f"reference path switched mode more than {fluid.MAX_SWITCHES} times")

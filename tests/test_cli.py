@@ -294,6 +294,14 @@ class TestFluidCommand:
         assert all(b >= a for a, b in zip(u, u[1:]))
         assert u[-1] > 0.1
 
+    def test_no_row_past_the_horizon(self, tmp_path):
+        """1 / 0.6 = 1.67 steps: the path once rounded to 2 and wrote a row at t = 1.2."""
+        assert cli.main(["fluid", "--system", "hybrid", "--n", "100", "--c2", "30",
+                         "--horizon", "1", "--dt", "0.6", "--init", "0,0,0",
+                         "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fluid_hybrid.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "0.6"]
+
     def test_regime_mismatch_exits_2(self, tmp_path):
         proc = run_cli(
             "fluid", "--system", "overloaded-ode", "--n", "100", "--c2", "70",

@@ -542,15 +542,16 @@ def test_no_blocking_runs_with_one_path_sample_in_the_window():
 @pytest.mark.parametrize("target, r", [("main", 0.3), ("aux-saturated", 0.3),
                                        ("aux-noblock", 0.7)])
 def test_fluid_row_past_the_horizon_not_compared(target, r):
-    """20 / 0.03 = 666.67: the fluid path rounds to 668 rows and the run's grid has 667
-    points; numpy once refused 'operands could not be broadcast together'."""
+    """20 / 0.03 = 666.67: the fluid path once rounded to 668 rows, one past the horizon,
+    against the run's 667 grid points, and numpy refused 'operands could not be broadcast
+    together'.  Both now floor to the same 667."""
     cfg = small_cfg(r, n_list=(20, 40), horizon=20.0, burn_in=5.0, replications=2, grid_dt=0.03)
     report = convergence_sweep(cfg, target)
     scaling = ScalingParams(40, experiments.c2_for(40, r))
     ref = experiments._fluid_reference(target, SYM, scaling.c2 / 40, 20.0, 0.03)
-    assert len(ref) == sim.grid_points(20.0, 0.03) + 1 == 668
+    assert len(ref) == sim.grid_points(20.0, 0.03) == 667
     traj = sim.simulate_process(target, (0,) * ref.shape[1], SYM, scaling, 20.0, cfg.base_seed)
-    sups = sim.grid_sup(traj, scaling, 0.03, ref[:667], (5.0, 10.0)).tolist()
+    sups = sim.grid_sup(traj, scaling, 0.03, ref, (5.0, 10.0)).tolist()
     assert [row["sup_distances"][0] for row in (report.metrics[1], report.sensitivity[1])] == sups
 
 

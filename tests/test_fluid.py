@@ -29,6 +29,7 @@ from twolevel import (
     gbar_functional,
     h_bar,
     hybrid_fluid,
+    native,
     overloaded_fixed_point,
     reflect_1d,
     skorokhod,
@@ -37,6 +38,7 @@ from twolevel import (
     y_b_closed_form,
 )
 from fluid_reference import (
+    affine_path_reference,
     euler_hybrid,
     euler_noblock,
     euler_saturated,
@@ -796,7 +798,8 @@ class TestPicardRecursion:
 
 
 class TestHostIndependence:
-    """Picard's bits do not depend on the BLAS kernel the host selects."""
+    """Picard's and the exact solver's bits do not depend on the BLAS kernel the host
+    selects."""
 
     def test_symmetric_solve_same_under_another_blas_core(self):
         """Criterion 06's symmetric solve, in fresh interpreters with OpenBLAS
@@ -819,6 +822,114 @@ class TestHostIndependence:
         x, u, k = solve_generalized(gbar_functional(SYM, 0.3, (0.0, 0.0)), 10.0, 1e-3)
         here = f"{k} {hashlib.sha256(x.values.tobytes() + u.values.tobytes()).hexdigest()}\n"
         assert outputs == [here, here]
+
+    def test_exact_paths_same_under_other_blas_cores(self):
+        """The exact solver's doubling and exponentials are in the compiled library, in a
+        fixed order: the saturated paths at r = 0.2 and 0.3 and a congested hybrid path hash
+        alike whichever kernel OpenBLAS picks.  Through numpy's matmul and scipy's expm the
+        three hashes differed.  (aux-noblock's y column is numpy's exp, not covered here.)"""
+        code = ("import hashlib; from twolevel import FluidState, ModelParams, "
+                "aux_saturated_fluid, hybrid_fluid\n"
+                "sym, h = ModelParams(0.5, 1.0, 1.0, 1.0), hashlib.sha256()\n"
+                "for r in (0.2, 0.3):\n"
+                "    sol = aux_saturated_fluid(sym, r, (0.0, 0.0), 10.0, dt=1e-3)\n"
+                "    h.update(sol.path.values.tobytes() + sol.regulator.values.tobytes())\n"
+                "h.update(hybrid_fluid(sym, 0.3, FluidState(0.5, 0.4, 0.0), 10.0, dt=1e-3)"
+                ".values.tobytes())\n"
+                "print(h.hexdigest())")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fluid.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**env, **extra}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        h = hashlib.sha256()
+        for r in (0.2, 0.3):
+            sol = aux_saturated_fluid(SYM, r, (0.0, 0.0), 10.0, dt=1e-3)
+            h.update(sol.path.values.tobytes() + sol.regulator.values.tobytes())
+        h.update(hybrid_fluid(SYM, 0.3, FluidState(0.5, 0.4, 0.0), 10.0, dt=1e-3).values.tobytes())
+        assert outputs == [h.hexdigest() + "\n"] * 3
+
+
+def compiled_expm(matrix, s):
+    """expm(matrix s) from the library's ``segment_flow``, one unit vector per column."""
+    lib, e, out = native.library(), np.ascontiguousarray(matrix, dtype=float), np.empty((5, 5))
+    column = np.empty(5)
+    for j, unit in enumerate(np.eye(5)):
+        lib.segment_flow(e.ctypes.data, None, unit.ctypes.data, column.ctypes.data, s)
+        out[:, j] = column
+    return out
+
+
+class TestCompiledSegment:
+    """The library's exact segments against scipy's ``expm`` and the numpy doubling."""
+
+    def test_exponential_matches_scipy(self):
+        """Every mode of the five systems over random draws: within 5e-14 of scipy's expm,
+        relative to its largest entry (measured: 5.8e-15 here, 8.9e-15 over 200 draws)."""
+        rng = np.random.default_rng(26)
+        worst, squared = 0.0, 0
+        for _ in range(40):
+            params, r = random_overloaded_instance(rng)
+            r_under = critical_ratio(params) * rng.uniform(1.1, 1.6)
+            for system in fluid.SYSTEMS:
+                ratio = r_under if system in ("aux-noblock", "underloaded-ode") else r
+                for mode in fluid._system_modes(system, params, ratio):
+                    for s in (0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0):
+                        want = expm(mode.matrix * s)
+                        got = compiled_expm(mode.matrix, s)
+                        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+                        # Above 1/2 the series is taken on M s / 2^q and squared q times.
+                        squared += np.abs(mode.matrix * s).sum(axis=1).max() > 0.5
+        assert squared > 500
+        assert worst <= 5e-14
+        np.testing.assert_array_equal(compiled_expm(fluid._system_modes("hybrid", SYM, 0.3)[0]
+                                                    .matrix, 0.0), np.eye(5))
+
+    def test_overflowing_norm_gives_nan(self):
+        """||M|| |s| past the largest double has no scaling: NaN, which the solver refuses."""
+        matrix = np.zeros((5, 5))
+        matrix[0, 0] = 1e308
+        assert np.isnan(compiled_expm(matrix, 10.0)).all()
+        matrix[0, 1] = 1e308
+        assert np.isnan(compiled_expm(matrix, 1e-9)).all()
+
+    def test_guard_value_is_the_guard_of_the_flow(self):
+        mode = fluid._system_modes("aux-saturated", SYM, 0.3)[1]
+        x, out = np.array([0.0, 0.2, 0.0, 0.1, 1.0]), np.empty(5)
+        g = native.library().segment_flow(mode.matrix.ctypes.data, mode.guard.ctypes.data,
+                                          x.ctypes.data, out.ctypes.data, 0.25)
+        np.testing.assert_allclose(out, expm(mode.matrix * 0.25) @ x, rtol=0, atol=1e-15)
+        assert g == pytest.approx(mode.guard @ out, abs=1e-16)
+
+    def test_same_as_numpy_doubling(self):
+        """Criterion 06's 21 saturated instances and 20 drawn instances of the three
+        reflected systems: the same crossing indices, paths and regulators within 1e-12,
+        switch times within 1e-11 (measured: 2.5e-13 and 2.9e-13 over 61 switches)."""
+        rng = np.random.default_rng(12345)
+        cases = [("aux-saturated", params, r) for params, r in
+                 [(SYM, 0.3)] + [random_overloaded_instance(rng) for _ in range(20)]]
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            params, r = random_overloaded_instance(rng)
+            cases += [("aux-saturated", params, r), ("hybrid", params, r),
+                      ("aux-noblock", params, 1.3 * critical_ratio(params))]
+        switches = 0
+        for system, params, r in cases:
+            x0 = np.zeros(3)
+            values, regulator, got = fluid._affine_path(system, params, r, x0, 10.0, 1e-3)
+            ref_values, ref_regulator, want = affine_path_reference(system, params, r, x0,
+                                                                    10.0, 1e-3)
+            assert [k for k, _ in got] == [k for k, _ in want], system
+            np.testing.assert_allclose(values, ref_values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(regulator, ref_regulator, rtol=0, atol=1e-12)
+            np.testing.assert_allclose([t for _, t in got], [t for _, t in want], rtol=0,
+                                       atol=1e-11)
+            switches += len(got)
+        assert switches >= 40
 
 
 class TestBrentPort:

@@ -59,10 +59,21 @@ def test_import_loads_only_linalg_and_sparse():
     "from twolevel import ModelParams, gbar_functional, solve_generalized\n"
     "phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))\n"
     "solve_generalized(phi, 3.0, 1e-3)",
-], ids=["import", "simulate", "saturation-certificate", "picard"])
+    "from twolevel import ModelParams, fluid\n"
+    "sym = ModelParams(0.5, 1.0, 1.0, 1.0)\n"
+    "for system, r, init in [('hybrid', 0.3, (0.2, 0.3, 0.0)), ('aux-saturated', 0.3, (0, 0, 0)),\n"
+    "                        ('aux-noblock', 0.7, (0, 0, 0)), ('overloaded-ode', 0.3, (0, 0, 0)),\n"
+    "                        ('underloaded-ode', 0.7, (0.0, 0.2, 0.5))]:\n"
+    "    fluid.solve_system(system, sym, r, init, 5.0, 1e-2)",
+    "from twolevel import ExperimentConfig, ModelParams, convergence_sweep\n"
+    "for target, r in [('main', 0.3), ('aux-saturated', 0.3), ('aux-noblock', 0.7)]:\n"
+    "    cfg = ExperimentConfig(ModelParams(0.5, 1.0, 1.0, 1.0), r, (20, 40), 4.0, 1.0, 2, 3)\n"
+    "    convergence_sweep(cfg, target)",
+], ids=["import", "simulate", "saturation-certificate", "picard", "fluid", "convergence"])
 def test_scipy_not_loaded_where_unused(code, tmp_path):
-    """scipy takes about 0.4 s to import; the simulator, its certificates and
-    the Picard solve on Gbar never need it."""
+    """scipy takes about 0.4 s to import; the simulator, its certificates, the
+    Picard solve on Gbar, the exact fluid solves of the five systems and the
+    convergence sweep never need it."""
     loaded = modules_after(code.format(out=str(tmp_path)))
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
     # Nor the process pool, which only a run on several workers needs.
@@ -70,11 +81,12 @@ def test_scipy_not_loaded_where_unused(code, tmp_path):
 
 
 def test_solvers_load_only_linalg_and_sparse():
+    """The oracle's generator and stationary solve are scipy's only users; the fluid
+    solvers, in the compiled library, load none of it (``test_scipy_not_loaded_where_unused``)."""
     loaded = modules_after(
-        "from twolevel import ModelParams, ScalingParams, fluid, oracle\n"
+        "from twolevel import ModelParams, ScalingParams, oracle\n"
         "sym = ModelParams(0.5, 1.0, 1.0, 1.0)\n"
-        "fluid.solve_system('hybrid', sym, 0.3, (0.0, 0.0, 0.0), 1.0, 1e-2)\n"
-        "oracle.build_generator(sym, ScalingParams(4, 2))")
+        "oracle.stationary_distribution(oracle.build_generator(sym, ScalingParams(4, 2)))")
     assert scipy_subpackages(loaded) - {"version"} == {"linalg", "sparse"}
 
 

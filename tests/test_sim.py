@@ -47,6 +47,7 @@ from twolevel import (
 from twolevel import experiments, fluid, native, sim
 from twolevel.model import PROCESSES
 from twolevel.sim import _CHUNK, _jump_draws, drift
+from twolevel.skorokhod import grid_steps
 from fluid_reference import overloaded_rhs, underloaded_rhs
 from rate_clauses import rate_clauses
 import sim_reference
@@ -620,7 +621,8 @@ class TestCompiledLoops:
         lib = native.library()
         found = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", native._SOURCE, re.M)
         assert {name for _, name, _ in found} >= {"simulate", "grid_sup", "residual_sup",
-                                                  "format_trajectory_rows", "reflect_window"}
+                                                  "format_trajectory_rows", "reflect_window",
+                                                  "affine_segment", "segment_flow"}
         for result, name, params in found:
             args = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]]
                     for p in params.split(",")]
@@ -736,8 +738,17 @@ class TestLibraryCache:
             solve_generalized(lambda x, t0, dt, carried: (np.ones(len(x)), None), 1.0, 0.1)
         assert list(cold_cache.iterdir()) == []
 
+    def test_missing_compiler_refuses_fluid(self, cold_cache, monkeypatch):
+        """Every exact fluid segment is in the library, an ODE system's too."""
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        for system, r in (("hybrid", 0.3), ("aux-saturated", 0.3), ("aux-noblock", 0.7),
+                          ("overloaded-ode", 0.3), ("underloaded-ode", 0.7)):
+            with pytest.raises(BuildError, match="C compiler"):
+                fluid.solve_system(system, SYM, r, (0.0, 0.0, 0.0), 1.0, 0.1)
+        assert list(cold_cache.iterdir()) == []
+
     def test_cli_without_compiler(self, tmp_path):
-        """``simulate`` exits 2 with one error line; ``params`` and ``fluid`` need no compiler."""
+        """``simulate`` and ``fluid`` exit 2 with one error line; ``params`` needs no compiler."""
         (tmp_path / "bin").mkdir()
         env = dict(os.environ, PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path / "cache"))
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
@@ -757,7 +768,10 @@ class TestLibraryCache:
         assert cli("params").returncode == 0
         fluid_run = cli("fluid", "--system", "underloaded-ode", "--n", "100", "--c2", "70",
                         "--horizon", "5", "--out", str(out))
-        assert fluid_run.returncode == 0, fluid_run.stderr
+        assert fluid_run.returncode == 2
+        (line,) = fluid_run.stderr.splitlines()
+        assert line.startswith("error: ") and "C compiler" in line
+        assert list(out.iterdir()) == []
 
 
 class TestJumpDraws:
@@ -1074,6 +1088,18 @@ class TestGridSup:
         assert sim.grid_points(1.0, 2.0) == 1
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 20.0, seed=0)
         assert len(rescale(traj, ScalingParams(n=5, c2=2), 0.03)) == 667
+
+    def test_fluid_grid_has_the_same_points(self):
+        """The fluid and Picard grids (``grid_steps``) and the runs' grid floor alike, over
+        fractions of a step below and at or above one half, and on exact multiples."""
+        sweep = [(1.0, 0.6), (20.0, 0.03), (0.3, 0.1), (10.0, 1e-3), (1.0, 2.0), (0.9, 0.6),
+                 (5.3, 1e-3), (7.3, 0.01), (2.0, 0.3), (0.0, 0.1)]
+        sweep += [(h, dt) for h in np.linspace(0.05, 3.0, 60) for dt in (0.07, 0.1, 0.25, 0.4)]
+        for horizon, dt in sweep:
+            assert grid_steps(horizon, dt) + 1 == sim.grid_points(horizon, dt), (horizon, dt)
+            assert grid_steps(horizon, dt) * dt <= horizon * (1 + 1e-9)
+        assert grid_steps(10.0, 1e-3) == 10_000
+        assert sim.grid_points(1.0, 0.6) == 2
 
 
 class TestMartingaleResidual:

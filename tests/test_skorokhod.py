@@ -205,6 +205,12 @@ class TestSolveGeneralized:
                                            atol=1e-12)
         assert iterations == 2
 
+    def test_no_point_past_the_horizon(self):
+        """1 / 0.6 = 1.67 steps: the solve once rounded to 2, one point past the horizon."""
+        phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))
+        solution, regulator, _ = solve_generalized(phi, 1.0, 0.6)
+        assert len(solution) == len(regulator) == 2
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_nonpositive_dt_rejected(self, dt):
         phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))
