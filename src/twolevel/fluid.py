@@ -2,13 +2,13 @@
 
 Every fluid system is piecewise affine: between switches it follows the
 overloaded interior (z = 0), the underloaded interior (y_star = 0), or an
-auxiliary system's sliding mode on y_star = 0 or z = 0.  A segment is
-expm(M t) x0 on the state (y_star, y, z, u, 1), regulator u included, and a
-switch time is a root of that closed form, found in Python on the guard
-that the compiled library (``native``) computes, as it does the segments.
-``solve_system`` is the one path of every system.  Also here: the integral
-functional that cross-validates the saturated system through the Picard
-solver, compiled apart from the segments.
+auxiliary system's sliding mode on y_star = 0 or z = 0, each derived from its
+table in ``model.PROCESSES``.  A segment is expm(M t) x0 on the state
+(y_star, y, z, u, 1), regulator u included, and a switch time is a root of
+that closed form, found in Python on the guard that the compiled library
+(``native``) computes, as it does the segments.  ``solve_system`` is the one
+path of every system.  Also here: the integral functional that cross-validates
+the saturated system through the Picard solver, compiled apart from the segments.
 """
 
 import ctypes
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import native
+from . import model, native, sim
 from .errors import DomainError, NonFinite, RegimeMismatch, TooManySwitches
 from .model import FluidState, Regime, classify_regime, y_b_closed_form
 from .skorokhod import SampledPath, grid_steps
@@ -59,37 +59,65 @@ MAX_SWITCHES = 100
 
 
 class _Mode(NamedTuple):
-    """One affine regime x' = matrix @ x on (y_star, y, z, u, 1): it lasts
-    while ``guard @ x >= 0`` (for ever without a guard) and holds
-    coordinate ``pinned`` at exactly 0."""
+    """One affine regime x' = matrix @ x on (y_star, y, z, u, 1): it lasts while
+    ``guard @ x >= 0`` (for ever without a guard) and holds ``pinned`` at exactly 0."""
 
     matrix: np.ndarray
     guard: np.ndarray | None
     pinned: int
 
 
-def _system_modes(system, params, r):
-    """The modes of ``system`` at ratio r, the first tried first at t = 0.
+# Per system, its table and per mode the one of y_star and z above 0; a repeat slides on it.
+_SIDES = {"hybrid": ("main", (Y_STAR, Z)), "aux-saturated": ("aux-saturated", (Y_STAR, Y_STAR)),
+          "aux-noblock": ("aux-noblock", (Z, Z)), "overloaded-ode": ("main", (Y_STAR,)),
+          "underloaded-ode": ("main", (Z,))}
+SYSTEMS = tuple(_SIDES)
 
-    ``blocked`` is the overloaded interior (z = 0), ``free`` the underloaded
-    one (y_star = 0).  A sliding mode holds an auxiliary system on its
-    boundary while u cancels the outward drift, until that rate turns negative.
-    """
-    p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
-    surplus = np.array([0.0, mu01, 0.0, 0.0, -mu02 * r])  # mu01 y - mu02 r
-    relax = (0.0, -(1 - p) * mu01 - p * mu11, 0.0, 0.0, p * mu11)  # dy while y_star = 0
-    blocked, free, sliding, unit = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros((5, 5)), np.eye(5)
-    blocked[Y_STAR] = surplus
-    blocked[Y] = (-p * mu11, -(mu01 + p * mu11), 0.0, 0.0, p * (mu02 * r + mu11))
-    free[Y], free[Z] = relax, (0.0, -mu01, -mu02, 0.0, mu02 * r)
-    sliding[Y], sliding[U] = relax, -surplus if system == "aux-saturated" else surplus
-    return {
-        "overloaded-ode": (_Mode(blocked, None, Z),),
-        "underloaded-ode": (_Mode(free, None, Y_STAR),),
-        "hybrid": (_Mode(blocked, unit[Y_STAR], Z), _Mode(free, unit[Z], Y_STAR)),
-        "aux-saturated": (_Mode(blocked, unit[Y_STAR], Z), _Mode(sliding, sliding[U], Y_STAR)),
-        "aux-noblock": (_Mode(free, unit[Z], Y_STAR), _Mode(sliding, sliding[U], Z)),
-    }[system]
+
+@functools.lru_cache(maxsize=None)
+def _table_form(spec):
+    """Per row of ``spec``'s table, the weights delta_i * slope_j (integers: factors are
+    affine) of its coefficient and delta_i of its rate at 0 (column ONE) in the drift on
+    (y_star, y, z, u, 1); and per key, y_star or z above 0 or None for neither, the rows enabled."""
+    coords = [model.PROCESSES["main"].columns.index(c) for c in spec.columns]
+    zero = sim._constants(model.ModelParams(0, 0, 0, 0), model.ScalingParams(0, 0))
+
+    def at(expr, k):
+        point = {c: int(j == k) for c, j in zip(spec.columns, coords)}
+        return 1 if expr is None else eval(expr, {"__builtins__": {}}, zero | point)
+
+    deltas, slopes = np.zeros((len(spec.table), 5, 1)), np.zeros((len(spec.table), 1, 5))
+    for i, (delta, _, factor, _) in enumerate(spec.table):
+        deltas[i, coords, 0] = delta
+        slopes[i, 0, coords] = [at(factor, k) - at(factor, None) for k in coords]
+    return deltas * slopes, deltas * np.eye(5)[ONE], {
+        k: np.flatnonzero([at(row[3], k) for row in spec.table]) for k in (None, *coords)}
+
+
+def _system_modes(system, params, r):
+    """The modes of ``system`` at ratio r from its table, the first tried first at t = 0.
+
+    An interior mode is the table drift at n = 1, c2 = r (0.0 plus each enabled row's delta
+    * rate, in table order), the other of y_star and z pinned.  A sliding mode on c is
+    Filippov's F+ - (F+_c / (F+_c - F0_c)) (F+ - F0) of the drifts above and on c, with
+    u' = -F+_c while that is >= 0: F+ - k F+_c, as each row of F+ - F0 is k times row c."""
+    process, sides = _SIDES[system]
+    spec, unit, modes = model.PROCESSES[process], np.eye(5), []
+    by_coefficient, by_origin_rate, enabled = _table_form(spec)
+    a, at_origin = (sim._coefficients(spec, params, model.ScalingParams(1, r), k) for k in (1, 2))
+    terms = by_coefficient * a[:, None, None] + by_origin_rate * at_origin[:, None, None]
+    for c in sides:
+        matrix, pinned = np.add.accumulate(terms.take(enabled[c], 0))[-1], Y_STAR + Z - c
+        if modes and c == sides[0]:
+            d = matrix - np.add.accumulate(terms.take(enabled[None], 0))[-1]
+            j, outward, pinned = np.abs(d[c]).argmax(), -matrix[c], c
+            # With no jump across c (F+ = F0), k is c's unit vector: only c itself is held.
+            matrix += (d[:, j, None] / d[c, j] if d[c, j] else unit[:, c, None]) * outward
+            matrix[U] = outward
+        matrix[:, pinned] = 0.0  # the pinned coordinate is 0 throughout
+        guard = matrix[U] if pinned == c else unit[c] if len(sides) > 1 else None
+        modes.append(_Mode(matrix, guard, pinned))
+    return tuple(modes)
 
 
 def _starts_in(mode, x):
@@ -202,23 +230,14 @@ def _affine_path(system, params, r, x0, horizon, dt):
 
 
 def aux_saturated_fluid(params, r, init, horizon, dt=1e-3):
-    """Fluid path of the always-saturated system, reflected at y_star = 0.
-
-    In the interior both coordinates follow the overloaded drift.  On
-    y_star = 0 the path slides with dy = -(1-p) mu01 y + p mu11 (1 - y)
-    while the regulator u absorbs the deficit mu02 r - mu01 y, and leaves
-    the boundary when that deficit turns negative.
-    """
+    """Fluid path of the always-saturated system, reflected at y_star = 0, where it slides
+    while the regulator u absorbs the outward drift, until that drift turns inward."""
     return solve_system("aux-saturated", params, r, (init[0], init[1], 0.0), horizon, dt)
 
 
 def aux_noblock_fluid(params, r, init, horizon, dt=1e-3):
-    """Fluid path of the no-blocking system: y in closed form, z reflected at 0.
-
-    z follows dz = mu02*(r - z) - mu01*y_b(t); while mu01*y_b exceeds
-    mu02*r the path slides on z = 0 and the deficit accumulates in the
-    regulator.  The y column is ``y_b_closed_form`` itself.
-    """
+    """Fluid path of the no-blocking system, reflected at z = 0, where it slides while the
+    regulator u absorbs the outward drift.  The y column is ``y_b_closed_form`` itself."""
     return solve_system("aux-noblock", params, r, (0.0, init[0], init[1]), horizon, dt)
 
 
@@ -283,14 +302,10 @@ def hybrid_fluid(params, r, init, horizon, dt=1e-3):
 
     Switches from the overloaded interior (z = 0) to the underloaded one
     (y_star = 0) when y_star reaches 0, and back when z reaches 0.  At the
-    double boundary the surplus of class-0 inflow mu01*y over specialist
-    throughput mu02*r decides: a positive surplus accumulates blocked
-    operators, a deficit accumulates idle specialists.
+    double boundary it enters the overloaded interior if y_star rises there,
+    else the underloaded one.
     """
     return solve_system("hybrid", params, r, init.as_array(), horizon, dt).path
-
-
-SYSTEMS = ("hybrid", "aux-saturated", "aux-noblock", "overloaded-ode", "underloaded-ode")
 
 
 def solve_system(system, params, r, init, horizon, dt):
@@ -305,6 +320,8 @@ def solve_system(system, params, r, init, horizon, dt):
     within that check's tolerance outside the domain starts on its
     boundary: at 0, at z = r, or at y_star + y = 1 with y lowered.
     """
+    if system not in SYSTEMS:
+        raise DomainError("system", f"system must be one of {SYSTEMS}")
     grid_steps(horizon, dt)
     if horizon < dt:
         raise DomainError("horizon", "horizon must be at least dt")
@@ -316,13 +333,10 @@ def solve_system(system, params, r, init, horizon, dt):
                 f"{system} needs an {wanted.name.lower()} ratio; r={r!r} is {regime.name}"
             )
     y_star, y, z = init
-    y_star_held = system in ("aux-noblock", "underloaded-ode")
-    if system in ("aux-saturated", "overloaded-ode"):
-        z = 0.0
-    elif y_star_held:
-        y_star = 0.0
-    FluidState(y_star, y, z).check(r, y_star_held=y_star_held)
-    x0 = np.maximum((y_star, y, z), 0.0)
+    held = {Y_STAR, Z}.difference(_SIDES[system][1])  # what the system holds at 0
+    x0 = [0.0 if c in held else v for c, v in enumerate((y_star, y, z))]
+    FluidState(*x0).check(r, y_star_held=Y_STAR in held)
+    x0 = np.maximum(x0, 0.0)
     x0 = np.minimum(x0, (1.0, 1.0 - min(x0[Y_STAR], 1.0), r))
     values, regulator, _ = _affine_path(system, params, r, x0, horizon, dt)
     if system == "aux-noblock":

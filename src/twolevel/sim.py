@@ -8,7 +8,7 @@ explicitly; a run is a pure function of (parameters, seed).
 
 Each process is one table in ``model.PROCESSES``, the only statement of its
 rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
-``transitions``, ``step``, ``drift`` and the oracle's generator.
+``transitions``, ``step`` and the oracle's generator; ``fluid`` reads its drift from it.
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to the process's function
 in the compiled library (``native``), generated from the same table;
@@ -111,10 +111,10 @@ def _rates_code(table, fields=3):
     return compile(f"({', '.join(rows)},)", "<rates>", "eval")
 
 
-def _coefficients(spec, params, scaling):
-    """Every table row's coefficient, in table order: the ``a`` the C functions take."""
-    names = _constants(params, scaling)
-    return np.array(eval(_rates_code(spec.table, 1), {"__builtins__": {}}, names), dtype=float)
+def _coefficients(spec, params, scaling, fields=1):
+    """Each row's coefficient (``fields=2``: times its factor at 0), the C functions' ``a``."""
+    names = dict.fromkeys(spec.columns, 0) | _constants(params, scaling)
+    return np.array(eval(_rates_code(spec.table, fields), {"__builtins__": {}}, names), dtype=float)
 
 
 def rates(process, x, params, scaling):
@@ -135,18 +135,6 @@ def transitions(process, state, params, scaling):
     spec.check(state, scaling)
     values = rates(process, state, params, scaling)
     return [Transition(row[0], value) for row, value in zip(spec.table, values) if value > 0]
-
-
-def drift(process, x, params, scaling):
-    """Sum of delta * rate / n over the table: the density-dependent drift.
-
-    ``x`` holds the state columns, as numbers or as arrays of equal
-    length; the result has the columns on its last axis.  Only the tests
-    call it, pinning the tables to the fluid model.
-    """
-    values = np.array(rates(process, x, params, scaling), dtype=float)
-    deltas = np.array([row[0] for row in _process(process).table], dtype=float)
-    return np.tensordot(values, deltas, (0, 0)) / scaling.n
 
 
 def step(process, state, rng, params, scaling):

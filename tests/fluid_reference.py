@@ -7,8 +7,9 @@ drift and projected back onto its constraint set, the deficit booked into
 the regulator.  The result is first-order accurate in dt, so the tests
 compare it with the exact paths as dt shrinks, not to roundoff.
 ``overloaded_rhs`` and ``underloaded_rhs`` state the interior drifts by
-hand; the tests check them against the fixed points, the affine modes
-and the transition tables' drift.  ``picard_full_horizon`` is Picard on
+hand; the tests check them against the fixed points and the transition
+tables' drift, and ``reference_modes`` builds from them the affine modes
+that ``fluid`` derives from the tables.  ``picard_full_horizon`` is Picard on
 the whole horizon at once, the reference for the windowed
 ``solve_generalized``, and ``gbar_reference`` the Picard functional in
 numpy with a BLAS banded solve, the reference for the compiled
@@ -45,6 +46,42 @@ def underloaded_rhs(state, params, r):
     d_y = -(params.p * params.mu11 + (1 - params.p) * params.mu01) * y + params.p * params.mu11
     d_z = -params.mu02 * z - params.mu01 * y + params.mu02 * r
     return (d_y, d_z)
+
+
+def _affine(rhs, coords, params, r):
+    """The matrix on (y_star, y, z, u, 1) of ``rhs``, an affine drift of the coordinates
+    ``coords``: its value at 0 in column ONE, less that, its value at each unit vector."""
+    one, matrix = fluid.ONE, np.zeros((5, 5))
+    matrix[coords, one] = rhs((0.0, 0.0), params, r)
+    for unit, j in zip(np.eye(2), coords):
+        matrix[coords, j] = np.array(rhs(unit, params, r)) - matrix[coords, one]
+    return matrix
+
+
+def reference_modes(system, params, r):
+    """(matrix, guard, pinned) of each mode of ``system``, as ``fluid._system_modes``
+    orders them, from the closed-form drifts above.
+
+    ``blocked`` is ``overloaded_rhs`` with z pinned, ``free`` is ``underloaded_rhs``
+    with y_star pinned.  A sliding mode moves y by ``underloaded_rhs``'s dy (the relax
+    row) and u by -(mu01 y - mu02 r) on y_star = 0, +(mu01 y - mu02 r) on z = 0; its
+    guard is that u row.
+    """
+    y_star, y, z, u, one = range(5)
+    blocked = _affine(overloaded_rhs, [y_star, y], params, r)
+    free = _affine(underloaded_rhs, [y, z], params, r)
+    surplus = np.zeros(5)
+    surplus[y], surplus[one] = params.mu01, -params.mu02 * r
+    saturated, noblock, unit = np.zeros((5, 5)), np.zeros((5, 5)), np.eye(5)
+    saturated[y], saturated[u] = free[y], -surplus
+    noblock[y], noblock[u] = free[y], surplus
+    return {
+        "overloaded-ode": [(blocked, None, z)],
+        "underloaded-ode": [(free, None, y_star)],
+        "hybrid": [(blocked, unit[y_star], z), (free, unit[z], y_star)],
+        "aux-saturated": [(blocked, unit[y_star], z), (saturated, saturated[u], y_star)],
+        "aux-noblock": [(free, unit[z], y_star), (noblock, noblock[u], z)],
+    }[system]
 
 
 def _steps(horizon, dt):

@@ -14,7 +14,8 @@ every jump.
 
 import numpy as np
 
-from twolevel.sim import _CHUNK, _jump_draws, drift, rescale
+from twolevel.model import PROCESSES
+from twolevel.sim import _CHUNK, _jump_draws, rates, rescale
 
 
 def _result(times, cols):
@@ -193,11 +194,23 @@ SIMULATORS = {
 }
 
 
+def drift(process, x, params, scaling):
+    """Sum of delta * rate / n over the table: the density-dependent drift.
+
+    ``x`` holds the state columns, as numbers or as arrays of equal length;
+    the result has the columns on its last axis.  The rates are the table's
+    (``sim.rates``), then a ``tensordot`` with the deltas.
+    """
+    values = np.array(rates(process, x, params, scaling), dtype=float)
+    deltas = np.array([row[0] for row in PROCESSES[process].table], dtype=float)
+    return np.tensordot(values, deltas, (0, 0)) / scaling.n
+
+
 def residual_sup(traj, params, scaling):
     """The numpy form of ``sim.residual_sup``: whole-array drift, compensator and limits.
 
-    The drift is ``sim.drift`` (the table's rates, then a ``tensordot`` with
-    the deltas, over n); the compensator is the ``cumsum`` of drift * gap;
+    The drift is ``drift`` above (the table's rates, then a ``tensordot``
+    with the deltas, over n); the compensator is the ``cumsum`` of drift * gap;
     the residual is taken at every right limit, every left limit and the
     horizon.  The compiled function must return the same floats.
     """

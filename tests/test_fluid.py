@@ -19,6 +19,7 @@ from twolevel import (
     ModelParams,
     NonFinite,
     SampledPath,
+    ScalingParams,
     TooManySwitches,
     aux_noblock_fluid,
     aux_saturated_fluid,
@@ -45,8 +46,10 @@ from fluid_reference import (
     gbar_reference,
     overloaded_rhs,
     picard_full_horizon,
+    reference_modes,
     underloaded_rhs,
 )
+from sim_reference import drift
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
@@ -113,6 +116,66 @@ class TestDriftFields:
             r_under = critical_ratio(params) * rng.uniform(1.1, 1.6)
             d = underloaded_rhs(underloaded_fixed_point(params, r_under), params, r_under)
             assert max(abs(d[0]), abs(d[1])) <= 1e-12
+
+
+class TestTableModes:
+    """The modes ``fluid`` derives from the transition tables, against the closed forms
+    of ``fluid_reference``, and the premise that makes the sliding modes affine."""
+
+    def test_modes_match_closed_forms(self):
+        """Every mode of the five systems at 250 draws, each at an overloaded and an
+        underloaded ratio: the same pinned coordinates, matrices and guards within 8 ulps
+        of the reference matrix's largest entry (measured: 2.5; 7.1 over 2,000 draws with
+        p in [0, 1] and rates in [0.2, 3])."""
+        rng, eps, worst = np.random.default_rng(27), np.finfo(float).eps, 0.0
+        for _ in range(250):
+            params, r = random_overloaded_instance(rng)
+            for ratio in (r, critical_ratio(params) * rng.uniform(1.1, 1.6)):
+                for system in fluid.SYSTEMS:
+                    got = fluid._system_modes(system, params, ratio)
+                    want = reference_modes(system, params, ratio)
+                    assert [m.pinned for m in got] == [pinned for *_, pinned in want], system
+                    for mode, (matrix, guard, _) in zip(got, want, strict=True):
+                        scale = np.abs(matrix).max()
+                        worst = max(worst, np.abs(mode.matrix - matrix).max() / scale)
+                        assert (mode.guard is None) == (guard is None), system
+                        if guard is not None:
+                            worst = max(worst, np.abs(mode.guard - guard).max() / scale)
+        assert worst <= 8 * eps
+
+    def test_filippov_premise_of_the_auxiliary_tables(self):
+        """Across its boundary coordinate c, each auxiliary table's drift jumps by F+ - F0,
+        every row of which is a constant times row c: -p times it in y for aux-saturated
+        (c = y_star), 0 for aux-noblock (c = z).  F+ on c = 0 is the affine drift above c,
+        extrapolated from c = 1 and 2."""
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            params, r = random_overloaded_instance(rng)
+            scaling, y = ScalingParams(1, r), rng.uniform(0.1, 1.0)
+            cases = (("aux-saturated", lambda t: (t, y), 0, -params.p),
+                     ("aux-noblock", lambda t: (y, t), 1, 0.0))
+            for process, point, c, multiple in cases:
+                at = [drift(process, point(t), params, scaling) for t in (0.0, 1.0, 2.0)]
+                jump = 2 * at[1] - at[2] - at[0]
+                assert abs(jump[c]) > 0.01, process
+                assert jump[1 - c] == pytest.approx(multiple * jump[c], rel=0, abs=1e-12), process
+
+    def test_no_jump_across_the_boundary_never_slides(self):
+        """At r = 0 no specialist ever frees a blocked operator, so F+ = F0 on y_star = 0:
+        the saturated path from 0 leaves the boundary at once and is the overloaded ODE's."""
+        params = ModelParams(0.5, 1.0, 1.0, 1.0)
+        sol = aux_saturated_fluid(params, 0.0, (0.0, 0.0), 5.0, dt=1e-2)
+        ode = fluid.solve_system("overloaded-ode", params, 0.0, (0.0, 0.0, 0.0), 5.0, 1e-2)
+        assert np.array_equal(sol.path.values, ode.path.values)
+        assert not sol.regulator.values.any() and sol.y_star[-1] > 0.5
+
+    def test_unknown_system_refused_before_any_work(self):
+        """It once raised a bare KeyError from the mode lookup, after the grid checks."""
+        for horizon, dt in ((1.0, 0.1), (-1.0, 0.0)):
+            with pytest.raises(DomainError) as err:
+                fluid.solve_system("bogus", SYM, 0.3, (0.0, 0.0, 0.0), horizon, dt)
+            assert err.value.field == "system"
+            assert str(fluid.SYSTEMS) in str(err.value)
 
 
 class TestIntegrate:
@@ -825,17 +888,21 @@ class TestHostIndependence:
 
     def test_exact_paths_same_under_other_blas_cores(self):
         """The exact solver's doubling and exponentials are in the compiled library, in a
-        fixed order: the saturated paths at r = 0.2 and 0.3 and a congested hybrid path hash
-        alike whichever kernel OpenBLAS picks.  Through numpy's matmul and scipy's expm the
-        three hashes differed.  (aux-noblock's y column is numpy's exp, not covered here.)"""
+        fixed order, and the modes are plain sums of the table's rates: the saturated paths
+        at r = 0.2 and 0.3, a congested hybrid path and the z and u columns of a no-blocking
+        path that slides on z = 0 hash alike whichever kernel OpenBLAS picks.  Through
+        numpy's matmul and scipy's expm the first three hashes differed.  (aux-noblock's y
+        column is numpy's exp, not covered here.)"""
         code = ("import hashlib; from twolevel import FluidState, ModelParams, "
-                "aux_saturated_fluid, hybrid_fluid\n"
+                "aux_noblock_fluid, aux_saturated_fluid, hybrid_fluid\n"
                 "sym, h = ModelParams(0.5, 1.0, 1.0, 1.0), hashlib.sha256()\n"
                 "for r in (0.2, 0.3):\n"
                 "    sol = aux_saturated_fluid(sym, r, (0.0, 0.0), 10.0, dt=1e-3)\n"
                 "    h.update(sol.path.values.tobytes() + sol.regulator.values.tobytes())\n"
                 "h.update(hybrid_fluid(sym, 0.3, FluidState(0.5, 0.4, 0.0), 10.0, dt=1e-3)"
                 ".values.tobytes())\n"
+                "sol = aux_noblock_fluid(sym, 0.3, (0.0, 0.3), 10.0, dt=1e-3)\n"
+                "h.update(sol.z.tobytes() + sol.regulator.values.tobytes())\n"
                 "print(h.hexdigest())")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fluid.__file__)))
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -851,6 +918,9 @@ class TestHostIndependence:
             sol = aux_saturated_fluid(SYM, r, (0.0, 0.0), 10.0, dt=1e-3)
             h.update(sol.path.values.tobytes() + sol.regulator.values.tobytes())
         h.update(hybrid_fluid(SYM, 0.3, FluidState(0.5, 0.4, 0.0), 10.0, dt=1e-3).values.tobytes())
+        sol = aux_noblock_fluid(SYM, 0.3, (0.0, 0.3), 10.0, dt=1e-3)
+        assert sol.regulator.values[-1] > 0.5  # it slides on z = 0
+        h.update(sol.z.tobytes() + sol.regulator.values.tobytes())
         assert outputs == [h.hexdigest() + "\n"] * 3
 
 

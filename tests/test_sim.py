@@ -46,11 +46,12 @@ from twolevel import (
 )
 from twolevel import experiments, fluid, native, sim
 from twolevel.model import PROCESSES
-from twolevel.sim import _CHUNK, _jump_draws, drift
+from twolevel.sim import _CHUNK, _jump_draws
 from twolevel.skorokhod import grid_steps
-from fluid_reference import overloaded_rhs, underloaded_rhs
+from fluid_reference import overloaded_rhs, reference_modes, underloaded_rhs
 from rate_clauses import rate_clauses
 import sim_reference
+from sim_reference import drift
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
@@ -225,7 +226,8 @@ class TestTableDrift:
 
     Kurtz's fluid limit of a density-dependent chain is this drift, so the
     tables must vanish at the model's fixed points and reproduce the fluid
-    right-hand sides, which are written out separately in ``fluid``.
+    right-hand sides and the interior modes built from them, which are
+    written out separately in ``fluid_reference``.
     """
 
     PARAMS = ModelParams(0.35, 1.4, 0.7, 1.2)  # critical ratio ~0.2475
@@ -237,8 +239,8 @@ class TestTableDrift:
         return drift(process, x, self.PARAMS, scaling)
 
     def mode(self, system, point, scaling):
-        """(d y_star, d y, d z) of the exact fluid solver's first mode of ``system``."""
-        matrix = fluid._system_modes(system, self.PARAMS, scaling.r)[0].matrix
+        """(d y_star, d y, d z) of the first closed-form mode of ``system``."""
+        matrix = reference_modes(system, self.PARAMS, scaling.r)[0][0]
         return (matrix @ (*point, 0.0, 1.0))[:3]
 
     def test_vanishes_at_fixed_points(self):
@@ -259,8 +261,9 @@ class TestTableDrift:
         for _ in range(50):
             ys = rng.uniform(0.01, 0.99)
             y = rng.uniform(0.0, 1.0 - ys)
-            blocked = (*overloaded_rhs((ys, y), p, over.r), 0.0)
-            np.testing.assert_allclose(self.at("main", (ys, y, 0.0), over), blocked, rtol=0, atol=1e-12)
+            blocked = self.at("main", (ys, y, 0.0), over)
+            np.testing.assert_allclose(blocked, (*overloaded_rhs((ys, y), p, over.r), 0.0),
+                                       rtol=0, atol=1e-12)
             for system in ("hybrid", "aux-saturated", "overloaded-ode"):
                 np.testing.assert_allclose(self.mode(system, (ys, y, 0.0), over), blocked,
                                            rtol=0, atol=1e-12)
@@ -268,8 +271,9 @@ class TestTableDrift:
                                        rtol=0, atol=1e-12)
             y = rng.uniform(0.0, 1.0)
             z = rng.uniform(0.01, under.r)
-            idle = (0.0, *underloaded_rhs((y, z), p, under.r))
-            np.testing.assert_allclose(self.at("main", (0.0, y, z), under), idle, rtol=0, atol=1e-12)
+            idle = self.at("main", (0.0, y, z), under)
+            np.testing.assert_allclose(idle, (0.0, *underloaded_rhs((y, z), p, under.r)),
+                                       rtol=0, atol=1e-12)
             for system in ("aux-noblock", "underloaded-ode"):
                 np.testing.assert_allclose(self.mode(system, (0.0, y, z), under), idle,
                                            rtol=0, atol=1e-12)
