@@ -198,12 +198,13 @@ def _window_rows(key, value, c2, t1, reps, seed, stats):
     )
 
 
-def _time_average(times, values, t_lo, t_hi, horizon):
-    """Exact time average of a piecewise-constant path on [t_lo, t_hi]."""
-    ends = np.append(times[1:], horizon)
-    lo = np.clip(times, t_lo, t_hi)
-    hi = np.clip(ends, t_lo, t_hi)
-    return float(np.sum(values * (hi - lo)) / (t_hi - t_lo))
+def _time_average(times, values, t_lo, t_hi):
+    """Exact time average of a piecewise-constant path on [t_lo, t_hi], t_hi at most its
+    horizon, read from the rows whose holding interval meets the window alone."""
+    first = _window_index(times, t_lo)
+    stop = np.searchsorted(times, t_hi)
+    edges = np.concatenate(([t_lo], times[first + 1:stop], [t_hi]))
+    return float(np.sum(values[first:stop] * np.diff(edges)) / (t_hi - t_lo))
 
 
 def _window_index(times, t_lo):
@@ -394,9 +395,7 @@ def _saturation_rep(params, n, c2, horizon, t1, seed):
     for window_start in (t1, 2 * t1):
         idx = _window_index(traj.times, window_start)
         idle = np.any(traj.states[idx:, 2] > 0)
-        avg = _time_average(
-            traj.times, traj.states[:, 0] / n, window_start, horizon, horizon
-        )
+        avg = _time_average(traj.times, traj.states[:, 0] / n, window_start, horizon)
         out.append((not idle, avg, float(sum_frac[idx:].min())))
     return traj.absorbed, out
 
@@ -465,7 +464,7 @@ def _phase_rep(params, n, c2, horizon, t1, seed):
     traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
     frac = traj.states[:, 0] / n
     return traj.absorbed, tuple(
-        _time_average(traj.times, frac, t, horizon, horizon) for t in (t1, 2 * t1))
+        _time_average(traj.times, frac, t, horizon) for t in (t1, 2 * t1))
 
 
 # phase_scan's cut-off for "no blocking" and its tolerance for the blocked-fraction formula.
@@ -572,7 +571,7 @@ def oracle_cross_check(params, scaling, horizon, seed):
     low_confidence = window < 1000.0
     for (key, values), exact_val in zip(summaries.items(), exact):
         batch_means = [
-            _time_average(traj.times, values, lo, hi, traj.horizon)
+            _time_average(traj.times, values, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         estimate = float(np.mean(batch_means))

@@ -318,10 +318,13 @@ def solve_system(system, params, r, init, horizon, dt):
     ``dt``, which has no grid step, is refused for every system.  The start,
     its held coordinate set to 0, must pass ``FluidState.check``; a start
     within that check's tolerance outside the domain starts on its
-    boundary: at 0, at z = r, or at y_star + y = 1 with y lowered.
+    boundary: at 0, at z = r, or at y_star + y = 1 with y lowered.  An
+    unknown system, then an r that is not finite and >= 0, is refused first.
     """
     if system not in SYSTEMS:
         raise DomainError("system", f"system must be one of {SYSTEMS}")
+    if not 0 <= r < math.inf:
+        raise DomainError("r", f"r must be finite and >= 0, got {r!r}")
     grid_steps(horizon, dt)
     if horizon < dt:
         raise DomainError("horizon", "horizon must be at least dt")

@@ -149,12 +149,12 @@ def stationary_distribution(g):
 
     ``g`` may be a dense ndarray or any ``scipy.sparse`` array; it is
     solved in CSR form, the carried one for a ``build_generator`` result.
-    The normalization equation replaces the last column equation.  Raises NotIrreducible when the positive-rate graph
-    is not strongly connected (degenerate corners such as p=0 drain the
-    chain into a trap) and SingularSystem when the solve fails or leaves
-    a residual above 1e-10.
+    The last state's mass is pinned to 1 and its balance equation dropped;
+    pi is that solution, normalised.  Raises NotIrreducible when the
+    positive-rate graph is not strongly connected (degenerate corners such
+    as p=0 drain the chain into a trap) and SingularSystem when the solve
+    fails or leaves a residual above 1e-10.
     """
-    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
@@ -165,15 +165,16 @@ def stationary_distribution(g):
     # A generator's diagonal is <= 0, so g > 0 keeps only the off-diagonal rates.
     if connected_components(g > 0, connection="strong")[0] != 1:
         raise NotIrreducible("the rate graph is not strongly connected")
-    a = sparse.vstack([g.T[:-1], np.ones((1, size))], format="csc")
-    b = np.zeros(size)
-    b[-1] = 1.0
-    # Minimum degree on a^T + a fills in less than the default COLAMD: 2-3x
-    # faster from 3,721 to 72,541 states.
-    pi = spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
-    # A singular factorisation yields NaN, which every comparison below lets through.
-    if not np.isfinite(pi).all():
+    # pi[-1] = 1 turns columns j < S-1 of pi @ g = 0 into
+    # sum_{i < S-1} g[i, j] pi[i] = -g[-1, j].
+    b = -g[[size - 1], :-1].toarray()[0]
+    # Minimum degree on a^T + a beats COLAMD here: 10 against 12 ms at 3,721 states.
+    pi = np.append(spsolve(g[:-1, :-1].T, b, permc_spec="MMD_AT_PLUS_A"), 1.0)
+    total = pi.sum()
+    # NaN from a singular factorisation, or a sum past the float range, passes every check below.
+    if not math.isfinite(total):
         raise SingularSystem("stationary solve is singular")
+    pi /= total
     residual = float(np.max(np.abs(pi @ g)))
     if residual > 1e-10:
         raise SingularSystem(f"stationary residual {residual:.3e} exceeds 1e-10")
@@ -183,9 +184,27 @@ def stationary_distribution(g):
     return pi / pi.sum()
 
 
+def _check_distribution(field, dist, size):
+    """``dist`` as a float array, refused with DomainError(field) unless it is a
+    length-``size`` vector that is finite, non-negative and of mass 1 within 1e-9."""
+    dist = np.array(dist, dtype=float)
+    if dist.shape != (size,):
+        raise DomainError(field, f"{field} must be a vector of length {size}, "
+                                 f"got shape {dist.shape}")
+    if not ((dist >= 0).all() and abs(dist.sum() - 1.0) <= 1e-9):  # false for NaN, inf
+        raise DomainError(field, f"{field} must be finite, non-negative and of mass 1 within "
+                                 f"1e-9, got mass {dist.sum():g}")
+    return dist
+
+
 def stationary_moments(pi, scaling):
-    """(E[y_star]/n, E[y]/n, E[z]/n, P(y_star > 0)) under ``pi``."""
+    """(E[y_star]/n, E[y]/n, E[z]/n, P(y_star > 0)) under ``pi``.
+
+    ``pi`` must be a distribution over ``enumerate_states(scaling)``: any
+    other vector raises ``DomainError("pi")``.
+    """
     states = _state_array(scaling).astype(float)
+    pi = _check_distribution("pi", pi, len(states))
     mean = pi @ states / scaling.n
     p_block = float(pi[states[:, 0] > 0].sum())
     return (float(mean[0]), float(mean[1]), float(mean[2]), p_block)
@@ -215,8 +234,8 @@ def transient_distribution(g, init, t):
     ``g`` may be a dense ndarray or any ``scipy.sparse`` array; a
     ``build_generator`` result is solved on its carried CSR form.  ``init``
     may be an integer state index (point-mass start) or a probability vector
-    over the enumeration order, non-negative with mass 1 within 1e-9; any
-    other raises ``DomainError("init")``.  The jump kernel is I + g/lam with
+    over the enumeration order, finite, non-negative and of mass 1 within
+    1e-9; any other raises ``DomainError("init")``.  The jump kernel is I + g/lam with
     lam = 1.01 x the largest exit rate, applied as a sparse matvec; the
     Poisson mixture is truncated once its tail mass drops below 1e-12.  Long
     horizons are split recursively so the Poisson weights never underflow.
@@ -232,12 +251,7 @@ def transient_distribution(g, init, t):
         dist = np.zeros(size)
         dist[int(init)] = 1.0
     else:
-        dist = init.astype(float)
-        if dist.shape != (size,):
-            raise ValueError("initial distribution length must match the generator")
-        if not ((dist >= 0).all() and abs(dist.sum() - 1.0) <= 1e-9):  # false for NaN, inf
-            raise DomainError("init", "a start distribution must be finite, non-negative and of "
-                                      f"mass 1 within 1e-9, got mass {dist.sum():g}")
+        dist = _check_distribution("init", init, size)
     g = _csr(g)
     lam = 1.01 * float(-g.diagonal().min())
     if lam <= 0.0 or t == 0.0:

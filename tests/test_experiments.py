@@ -312,6 +312,49 @@ class TestPhaseScan:
         assert "grid_dt" not in rep.config
 
 
+class TestTimeAverage:
+    """``experiments._time_average`` against fsum of value x overlap over every row."""
+
+    TIMES = np.array([0.0, 0.7, 1.3, 2.0, 3.1])
+    VALUES = np.array([0.2, 1.0, 0.45, 0.6, 0.35])
+    HORIZON = 4.0
+
+    @staticmethod
+    def reference(times, values, t_lo, t_hi, horizon):
+        ends = list(times[1:]) + [horizon]
+        overlap = (max(0.0, min(end, t_hi) - max(start, t_lo))
+                   for start, end in zip(times, ends))
+        return math.fsum(v * w for v, w in zip(values, overlap)) / (t_hi - t_lo)
+
+    @pytest.mark.parametrize("t_lo,t_hi", [
+        (0.0, 1.0), (0.0, HORIZON), (0.8, 1.2), (0.5, 2.0), (1.3, 3.1), (2.5, HORIZON),
+        (3.3, HORIZON),
+    ], ids=["from-0", "whole-path", "inside-one-row", "ends-on-jump", "jump-to-jump",
+            "ends-at-horizon", "after-last-jump"])
+    def test_matches_reference(self, t_lo, t_hi):
+        got = experiments._time_average(self.TIMES, self.VALUES, t_lo, t_hi)
+        expected = self.reference(self.TIMES, self.VALUES, t_lo, t_hi, self.HORIZON)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t_lo,t_hi", [(0.0, 2.5), (1.0, 2.5), (0.3, 0.9)])
+    def test_one_row_path(self, t_lo, t_hi):
+        times, values = np.array([0.0]), np.array([0.35])
+        assert experiments._time_average(times, values, t_lo, t_hi) == pytest.approx(
+            self.reference(times, values, t_lo, t_hi, 2.5), rel=1e-14, abs=0.0)
+
+    def test_long_path_batches(self):
+        """The oracle cross-check's use: 20 batches over a path of many rows."""
+        rng = np.random.default_rng(7)
+        times = np.concatenate([[0.0], np.cumsum(rng.exponential(0.05, 4000))])
+        horizon = float(times[-1]) + 0.03
+        values = rng.integers(0, 9, len(times)) / 8
+        edges = np.linspace(horizon / 10, horizon, 21)
+        for t_lo, t_hi in zip(edges[:-1], edges[1:]):
+            got = experiments._time_average(times, values, t_lo, t_hi)
+            assert got == pytest.approx(self.reference(times, values, t_lo, t_hi, horizon),
+                                        rel=1e-14, abs=0.0)
+
+
 class TestOracleCrossCheck:
     def test_tiny_instance_agrees(self):
         rep = oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 1100.0, seed=5)

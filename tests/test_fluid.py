@@ -177,6 +177,16 @@ class TestTableModes:
             assert err.value.field == "system"
             assert str(fluid.SYSTEMS) in str(err.value)
 
+    @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+    def test_bad_ratio_refused_as_r(self, r):
+        """Negative and NaN r were reported as a fault in z ("z must lie in [0, -0.1]");
+        r = inf reached the segments and ended in NonFinite."""
+        for solve in (lambda: fluid.solve_system("hybrid", SYM, r, (0, 0, 0), 1.0, 0.1),
+                      lambda: hybrid_fluid(SYM, r, FluidState(0.0, 0.0, 0.0), 1.0, 0.1)):
+            with pytest.raises(DomainError, match="^r must be finite and >= 0") as err:
+                solve()
+            assert err.value.field == "r"
+
 
 class TestIntegrate:
     """The two regime ODEs through ``solve_system``."""

@@ -216,9 +216,18 @@ class TestStationary:
         with pytest.raises(NotIrreducible):
             stationary_distribution(g)
 
-    def test_matches_dense_bordered_solve(self):
+    @pytest.mark.parametrize("params,scaling", [
+        (ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=20, c2=10)),
+        (SYM, ScalingParams(n=12, c2=4)),
+        (ModelParams(0.8, 0.5, 2.0, 0.7), ScalingParams(n=15, c2=25)),
+        # The pinned last state (all n operators blocked) has mass 1.1e-105, by
+        # Grassmann-Taksar-Heyman elimination, which keeps every component's
+        # relative accuracy.
+        (ModelParams(0.05, 3.0, 3.0, 3.0), ScalingParams(n=40, c2=40)),
+    ], ids=["skewed", "symmetric", "specialist-bound", "pinned-mass-1e-105"])
+    def test_matches_dense_bordered_solve(self, params, scaling):
         """Independent dense reference: g^T with its last row replaced by ones."""
-        g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=20, c2=10))
+        g = build_generator(params, scaling)
         a = g.T.copy()
         a[-1, :] = 1.0
         b = np.zeros(len(g))
@@ -265,6 +274,20 @@ class TestMoments:
         pi = np.zeros(len(states))
         pi[states.index(MicroState(2, 1, 0))] = 1.0
         assert stationary_moments(pi, scaling) == (0.5, 0.25, 0.0, 1.0)
+
+    @pytest.mark.parametrize("pi", [
+        np.full(26, 1.0 / 26),           # crashed in matmul, naming no input
+        np.full(25, math.nan),           # returned four NaNs
+        np.full(25, -1.0),               # returned negative "probabilities"
+        np.array([2.0, -1.0] + [0.0] * 23),
+        np.full(25, 0.5 / 25),
+    ], ids=["length-26", "all-nan", "minus-one", "two-minus-one", "mass-half"])
+    def test_non_distribution_refused(self, pi):
+        scaling = ScalingParams(4, 2)
+        assert state_space_size(scaling) == 25
+        with pytest.raises(DomainError) as err:
+            stationary_moments(pi, scaling)
+        assert err.value.field == "pi"
 
 
 class TestTransient:
