@@ -42,7 +42,6 @@ from .model import (
 from .skorokhod import (
     SampledPath,
     check_complementarity,
-    reflect_1d,
     solve_generalized,
 )
 from .fluid import (
@@ -53,22 +52,17 @@ from .fluid import (
     hybrid_fluid,
 )
 from .sim import (
-    MicroState,
     Trajectory,
-    Transition,
     rescale,
     residual_sup,
     simulate,
     simulate_aux_noblock,
     simulate_aux_saturated,
     simulate_process,
-    step,
-    transitions,
     write_trajectory_csv,
 )
 from .oracle import (
     build_generator,
-    enumerate_states,
     state_space_size,
     stationary_distribution,
     stationary_moments,
@@ -96,14 +90,12 @@ __all__ = [
     "blocked_fraction_limit", "check_state", "classify_regime", "critical_ratio", "h_bar",
     "overloaded_fixed_point", "underloaded_fixed_point", "validate",
     "y_b_closed_form", "y_bar", "y_underline",
-    "SampledPath", "check_complementarity", "reflect_1d", "solve_generalized",
+    "SampledPath", "check_complementarity", "solve_generalized",
     "ReflectedSolution", "aux_noblock_fluid", "aux_saturated_fluid",
     "gbar_functional", "hybrid_fluid",
-    "MicroState", "Trajectory", "Transition",
-    "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
-    "simulate_aux_saturated", "simulate_process", "step", "transitions",
-    "write_trajectory_csv",
-    "build_generator", "enumerate_states", "state_space_size",
+    "Trajectory", "rescale", "residual_sup", "simulate", "simulate_aux_noblock",
+    "simulate_aux_saturated", "simulate_process", "write_trajectory_csv",
+    "build_generator", "state_space_size",
     "stationary_distribution", "stationary_moments", "transient_distribution",
     "ExperimentConfig", "Report", "convergence_sweep", "martingale_decay",
     "no_blocking_certificate", "oracle_cross_check", "phase_scan",

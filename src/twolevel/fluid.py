@@ -265,7 +265,9 @@ def gbar_functional(params, r, init):
     window's first point, None when the window starts at t = 0.  It returns
     the free path on the window and that pair at the window's last point,
     so consecutive windows sharing an end point continue the same recursion.
+    Parameters that ``model.validate`` refuses raise its DomainError first.
     """
+    model.validate(params)
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
     kernel = native.library().gbar_window
@@ -319,10 +321,12 @@ def solve_system(system, params, r, init, horizon, dt):
     its held coordinate set to 0, must pass ``FluidState.check``; a start
     within that check's tolerance outside the domain starts on its
     boundary: at 0, at z = r, or at y_star + y = 1 with y lowered.  An
-    unknown system, then an r that is not finite and >= 0, is refused first.
+    unknown system, then parameters that ``model.validate`` refuses, then an
+    r that is not finite and >= 0, is refused first.
     """
     if system not in SYSTEMS:
         raise DomainError("system", f"system must be one of {SYSTEMS}")
+    model.validate(params)
     if not 0 <= r < math.inf:
         raise DomainError("r", f"r must be finite and >= 0, got {r!r}")
     grid_steps(horizon, dt)

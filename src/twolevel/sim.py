@@ -7,8 +7,8 @@ exactly.  All randomness comes from numpy's PCG64 generator seeded
 explicitly; a run is a pure function of (parameters, seed).
 
 Each process is one table in ``model.PROCESSES``, the only statement of its
-rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for
-``transitions``, ``step`` and the oracle's generator; ``fluid`` reads its drift from it.
+rates and jumps.  ``rates`` evaluates it, on numbers or on arrays, for the
+oracle's generator; ``fluid`` reads its drift from it.
 ``simulate``, ``simulate_aux_saturated`` and ``simulate_aux_noblock`` draw
 the random numbers in Python and hand each block to the process's function
 in the compiled library (``native``), generated from the same table;
@@ -22,9 +22,9 @@ in blocks sized to the run: ``_CHUNK`` jumps first, then the jumps that
 the run's mean pace so far needs to reach ``horizon``, plus a margin, at
 most ``_MAX_BLOCK``.  Jump k takes uniforms 2k and 2k+1 whatever the
 block sizes, so they never change a run.  The states are rebuilt from the
-recorded codes as the running sum of their rows' deltas.  ``step`` draws the
-same two uniforms per call, so a loop of ``step`` calls replays a run bit for
-bit.
+recorded codes as the running sum of their rows' deltas.  The straight-line
+loops of ``tests/sim_reference.py`` draw in fixed blocks of ``_CHUNK`` jumps
+and replay every run bit for bit.
 
 A run makes at most ``max_events`` jumps.  No block draws past jump
 ``max_events + 1``; a run that makes that jump comes back flagged
@@ -33,10 +33,8 @@ the uncapped run that ends before ``horizon``.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +48,6 @@ MAX_EVENTS_DEFAULT = 10_000_000
 _CHUNK = 1024
 # The most jumps in one block: 2**20 jumps take 24 MiB of draws.
 _MAX_BLOCK = 1 << 20
-
-
-class MicroState(NamedTuple):
-    y_star: int
-    y: int
-    z: int
-
-
-class Transition(NamedTuple):
-    delta: tuple
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -129,35 +116,6 @@ def rates(process, x, params, scaling):
     return eval(_rates_code(spec.table), {"__builtins__": {}}, names)
 
 
-def transitions(process, state, params, scaling):
-    """All transitions with positive rate out of ``state``, in table order."""
-    spec = _process(process)
-    spec.check(state, scaling)
-    values = rates(process, state, params, scaling)
-    return [Transition(row[0], value) for row, value in zip(spec.table, values) if value > 0]
-
-
-def step(process, state, rng, params, scaling):
-    """One jump from ``state``: (exponential holding time, next state).
-
-    Draws the same two uniforms per jump as the ``simulate*`` loops, so a
-    loop of ``step`` calls replays their runs bit for bit.  With nothing
-    enabled the absorbing marker (math.inf, state) is returned and nothing
-    is drawn.
-    """
-    enabled = transitions(process, state, params, scaling)
-    if not enabled:
-        return (math.inf, state)
-    # Running sums in table order, the loops' cumulative rates; the last is the total.
-    sums = list(itertools.accumulate(tr.rate for tr in enabled))
-    exps, unis = _jump_draws(rng, 1)
-    holding = exps[0] / sums[-1]
-    u = unis[0] * sums[-1]
-    chosen = next((tr for tr, acc in zip(enabled, sums) if u < acc), enabled[-1])
-    nxt = tuple(a + b for a, b in zip(state, chosen.delta))
-    return (holding, MicroState(*nxt) if process == "main" else nxt)
-
-
 def _check_run(horizon, max_events, seed):
     """Refuse an event cap below 1, a horizon that is negative, infinite or NaN, or a seed < 0."""
     if seed < 0:
@@ -188,12 +146,6 @@ def _draws(rng, count):
     return -np.log1p(-u[0::2]), u
 
 
-def _jump_draws(rng, count):
-    """The draws of ``count`` jumps as Python float lists: (exponentials, picking uniforms)."""
-    exps, u = _draws(rng, count)
-    return exps.tolist(), u[1::2].tolist()
-
-
 def _loop(process, spec, library):
     """The simulator loop of ``process``: draws in Python, jumps in the C of ``library()``."""
     symbol = native.LOOP_NAMES[process]
@@ -201,6 +153,7 @@ def _loop(process, spec, library):
 
     def run(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
         """Run the process from ``init`` up to ``horizon`` with the given seed."""
+        model.validate(params, scaling)
         spec.check(init, scaling)
         _check_run(horizon, max_events, seed)
         jumps = getattr(library(), symbol)

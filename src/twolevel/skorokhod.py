@@ -1,7 +1,6 @@
 """One-dimensional Skorokhod reflection on sampled paths.
 
-Two pieces: the explicit reflection map for a known free path, and a
-Picard solver for generalized problems where the free path is itself a
+A Picard solver for generalized problems where the free path is itself a
 causal functional of the (unknown) reflected solution.  The solver runs
 Picard on consecutive windows of ``WINDOW`` time units (waveform
 relaxation): the functional restarts from the state it carried out of the
@@ -72,34 +71,6 @@ class SampledPath:
         )
 
 
-def reflect_1d(free, running_min=None):
-    """Reflect a sampled path at zero.
-
-    Returns (reflected, regulator) with reflected = free + regulator,
-    reflected >= 0, regulator non-decreasing from 0 and increasing only
-    where the reflected path sits at (grid-resolution) zero.  Computed by
-    the running-infimum formula, one pass over the samples.  A path that
-    continues one reflected earlier passes ``running_min``, the minimum of
-    the free path up to its first sample, and its regulator continues from
-    that level; a path without one must start >= 0.
-    """
-    f = free.values
-    if f.ndim != 1:
-        raise DomainError("values", "reflect_1d expects a scalar path")
-    low = np.minimum.accumulate(f)
-    if running_min is None:
-        if f[0] < 0:
-            raise DomainError("values", f"free path must start >= 0, got {f[0]}")
-    else:
-        np.minimum(low, running_min, out=low)
-    regulator = np.maximum(0.0, -low)
-    reflected = f + regulator
-    return (
-        SampledPath(free.t0, free.dt, reflected),
-        SampledPath(free.t0, free.dt, regulator),
-    )
-
-
 def check_complementarity(reflected, regulator, tol):
     """True iff the regulator only grows while the reflected path is at zero.
 
@@ -133,7 +104,9 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
     phi(x)) runs until the sup-norm change is <= tol, starting from 0 on
     the first window and from the linear extrapolation of the last two
     converged points (clipped at 0) on the others.  A sweep is one ``phi``
-    call and the reflection of ``reflect_1d`` in the compiled library, so
+    call and the reflection reflected = free + max(0, -m), the regulator
+    max(0, -m) and m the running minimum of the free path since t = 0
+    (this window's and those before it), in the compiled library; so
     without a C compiler the solve raises ``BuildError`` for every ``phi``,
     a numpy one too.  Returns (solution, regulator, iterations),
     ``iterations`` being the most sweeps any window took.  Raises

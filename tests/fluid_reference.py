@@ -6,6 +6,8 @@ Written independently of the exact piecewise-affine solver in
 drift and projected back onto its constraint set, the deficit booked into
 the regulator.  The result is first-order accurate in dt, so the tests
 compare it with the exact paths as dt shrinks, not to roundoff.
+``reflect_1d`` is the running-infimum reflection in numpy, the reference
+for the compiled one behind ``solve_generalized``.
 ``overloaded_rhs`` and ``underloaded_rhs`` state the interior drifts by
 hand; the tests check them against the fixed points and the transition
 tables' drift, and ``reference_modes`` builds from them the affine modes
@@ -21,13 +23,41 @@ the reference for the compiled segments of ``fluid._affine_path``.
 import numpy as np
 
 from twolevel import (
+    DomainError,
     NoConvergence,
     SampledPath,
     TooManySwitches,
     fluid,
-    reflect_1d,
     y_b_closed_form,
 )
+
+
+def reflect_1d(free, running_min=None):
+    """Reflect a sampled path at zero.
+
+    Returns (reflected, regulator) with reflected = free + regulator,
+    reflected >= 0, regulator non-decreasing from 0 and increasing only
+    where the reflected path sits at (grid-resolution) zero.  Computed by
+    the running-infimum formula, one pass over the samples.  A path that
+    continues one reflected earlier passes ``running_min``, the minimum of
+    the free path up to its first sample, and its regulator continues from
+    that level; a path without one must start >= 0.
+    """
+    f = free.values
+    if f.ndim != 1:
+        raise DomainError("values", "reflect_1d expects a scalar path")
+    low = np.minimum.accumulate(f)
+    if running_min is None:
+        if f[0] < 0:
+            raise DomainError("values", f"free path must start >= 0, got {f[0]}")
+    else:
+        np.minimum(low, running_min, out=low)
+    regulator = np.maximum(0.0, -low)
+    reflected = f + regulator
+    return (
+        SampledPath(free.t0, free.dt, reflected),
+        SampledPath(free.t0, free.dt, regulator),
+    )
 
 
 def overloaded_rhs(state, params, r):

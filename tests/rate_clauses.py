@@ -1,14 +1,22 @@
 """Hand-written reference for the main process's transitions.
 
-Written independently of the transition tables in ``twolevel.sim``, so the
-tests that compare the tables (and the oracle generator derived from them)
-against it check two separate statements of the model, not one against
-itself.
+Written independently of the transition tables in ``twolevel.model`` and of
+the oracle's enumeration, so the tests that compare the tables (and the
+oracle generator derived from them) against it check two separate
+statements of the model, not one against itself.
 """
 
 import numpy as np
 
-from twolevel import enumerate_states
+
+def all_states(scaling):
+    """Every state (y_star, y, z) with y_star + y <= n, z <= c2 and y_star * z = 0, as
+    tuples in lexicographic order, by nested loops."""
+    n, c2 = scaling.n, scaling.c2
+    return [(y_star, y, z)
+            for y_star in range(n + 1)
+            for y in range(n - y_star + 1)
+            for z in (range(c2 + 1) if y_star == 0 else (0,))]
 
 
 def rate_clauses(state, params, scaling):
@@ -34,10 +42,10 @@ def rate_clauses(state, params, scaling):
 
 def reference_generator(params, scaling):
     """Dense generator built state by state from ``rate_clauses``."""
-    states = enumerate_states(scaling)
-    index = {s: i for i, s in enumerate(states)}
-    g = np.zeros((len(states), len(states)))
-    for i, state in enumerate(states):
+    space = all_states(scaling)
+    index = {s: i for i, s in enumerate(space)}
+    g = np.zeros((len(space), len(space)))
+    for i, state in enumerate(space):
         for target, rate in rate_clauses(state, params, scaling):
             g[i, index[target]] += rate
         g[i, i] = -g[i].sum()

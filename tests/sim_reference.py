@@ -15,7 +15,25 @@ every jump.
 import numpy as np
 
 from twolevel.model import PROCESSES
-from twolevel.sim import _CHUNK, _jump_draws, rates, rescale
+from twolevel.sim import _CHUNK, rates, rescale
+
+
+def jump_draws(rng, count):
+    """The draws of ``count`` jumps as Python float lists: (exponentials, picking uniforms).
+
+    Jump k takes uniforms 2k and 2k+1 of one ``rng.random(2 * count)`` block:
+    the first becomes the Exp(1) variate -log1p(-u) (inversion), the second
+    picks the transition.
+    """
+    u = rng.random(2 * count)
+    return (-np.log1p(-u[0::2])).tolist(), u[1::2].tolist()
+
+
+def enabled(process, state, params, scaling):
+    """The (delta, rate) pairs of the table rows with positive rate at ``state``, in
+    table order, read off ``sim.rates``."""
+    values = rates(process, state, params, scaling)
+    return [(row[0], rate) for row, rate in zip(PROCESSES[process].table, values) if rate > 0]
 
 
 def _result(times, cols):
@@ -58,7 +76,7 @@ def simulate_main(init, params, scaling, horizon, seed):
             absorbed = True
             break
         if k == _CHUNK:
-            exps, unis = _jump_draws(rng, _CHUNK)
+            exps, unis = jump_draws(rng, _CHUNK)
             k = 0
         t += exps[k] / total
         if t >= horizon:
@@ -113,7 +131,7 @@ def simulate_aux_saturated(init, params, scaling, horizon, seed):
             absorbed = True
             break
         if k == _CHUNK:
-            exps, unis = _jump_draws(rng, _CHUNK)
+            exps, unis = jump_draws(rng, _CHUNK)
             k = 0
         t += exps[k] / total
         if t >= horizon:
@@ -163,7 +181,7 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed):
             absorbed = True
             break
         if k == _CHUNK:
-            exps, unis = _jump_draws(rng, _CHUNK)
+            exps, unis = jump_draws(rng, _CHUNK)
             k = 0
         t += exps[k] / total
         if t >= horizon:

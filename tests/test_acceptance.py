@@ -19,14 +19,12 @@ import pytest
 import twolevel
 from twolevel import (
     ExperimentConfig,
-    MicroState,
     ModelParams,
     ScalingParams,
     aux_saturated_fluid,
     build_generator,
     convergence_sweep,
     critical_ratio,
-    enumerate_states,
     gbar_functional,
     h_bar,
     martingale_decay,
@@ -36,12 +34,12 @@ from twolevel import (
     phase_scan,
     saturation_certificate,
     solve_generalized,
-    transitions,
     underloaded_fixed_point,
     y_b_closed_form,
 )
 from fluid_reference import overloaded_rhs, underloaded_rhs
-from rate_clauses import rate_clauses
+from rate_clauses import all_states, rate_clauses
+from sim_reference import enabled
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 BASE_SEED = 12345
@@ -154,19 +152,18 @@ def test_criterion_05_oracle_equivalence(verdict):
     for n in range(1, 5):
         for c2 in range(1, 4):
             scaling = ScalingParams(n=n, c2=c2)
-            states = enumerate_states(scaling)
+            states = all_states(scaling)
             index = {s: k for k, s in enumerate(states)}
             g = build_generator(params, scaling)
             for i, state in enumerate(states):
                 # Independent hand-written clauses vs the oracle generator and
-                # the simulator's transitions, both derived from the table.
+                # the table's rates as the simulator reads them.
                 expected = np.zeros(len(states))
                 for target, rate in rate_clauses(state, params, scaling):
                     expected[index[target]] += rate
                 simulated = np.zeros(len(states))
-                for tr in transitions("main", state, params, scaling):
-                    target = MicroState(*(a + b for a, b in zip(state, tr.delta)))
-                    simulated[index[target]] += tr.rate
+                for delta, rate in enabled("main", state, params, scaling):
+                    simulated[index[tuple(a + b for a, b in zip(state, delta))]] += rate
                 ok = ok and np.abs(np.delete(g[i], i) - np.delete(expected, i)).max() <= 1e-13
                 ok = ok and np.abs(simulated - expected).max() <= 1e-13
     verdict(5, "oracle-equivalence", ok, started)

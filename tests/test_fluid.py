@@ -32,7 +32,6 @@ from twolevel import (
     hybrid_fluid,
     native,
     overloaded_fixed_point,
-    reflect_1d,
     skorokhod,
     solve_generalized,
     underloaded_fixed_point,
@@ -47,6 +46,7 @@ from fluid_reference import (
     overloaded_rhs,
     picard_full_horizon,
     reference_modes,
+    reflect_1d,
     underloaded_rhs,
 )
 from sim_reference import drift

@@ -13,10 +13,14 @@ from twolevel import (
     RegimeError,
     ScalingParams,
     blocked_fraction_limit,
+    build_generator,
     classify_regime,
     critical_ratio,
+    fluid,
+    gbar_functional,
     h_bar,
     overloaded_fixed_point,
+    simulate,
     underloaded_fixed_point,
     validate,
     y_b_closed_form,
@@ -54,6 +58,49 @@ class TestValidate:
         with pytest.raises(DomainError) as err:
             validate(SYM, ScalingParams(10, 0))
         assert err.value.field == "c2"
+
+
+GOOD_SCALING = ScalingParams(3, 1)
+BAD = {  # case: (field, params, scaling)
+    "p-nan": ("p", ModelParams(math.nan, 1.0, 1.0, 1.0), GOOD_SCALING),
+    "p-negative": ("p", ModelParams(-0.1, 1.0, 1.0, 1.0), GOOD_SCALING),
+    "p-above-1": ("p", ModelParams(1.5, 1.0, 1.0, 1.0), GOOD_SCALING),
+    "mu01-nan": ("mu01", ModelParams(0.5, math.nan, 1.0, 1.0), GOOD_SCALING),
+    "mu11-negative": ("mu11", ModelParams(0.5, 1.0, -1.0, 1.0), GOOD_SCALING),
+    "mu02-nan": ("mu02", ModelParams(0.5, 1.0, 1.0, math.nan), GOOD_SCALING),
+    "n-negative": ("n", SYM, ScalingParams(-1, 1)),
+    "c2-nan": ("c2", SYM, ScalingParams(3, math.nan)),
+    "c2-negative": ("c2", SYM, ScalingParams(3, -1)),
+}
+PARAMS_ONLY = [case for case, (_, _, scaling) in BAD.items() if scaling is GOOD_SCALING]
+
+
+class TestEnginesValidate:
+    """The engines refuse what ``validate`` refuses, naming the field, before any work."""
+
+    def refused(self, case, call):
+        field, params, scaling = BAD[case]
+        with pytest.raises(DomainError) as err:
+            call(params, scaling)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_simulator(self, case):
+        self.refused(case, lambda params, scaling: simulate((0, 0, 0), params, scaling, 5.0, 1))
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_oracle_build(self, case):
+        self.refused(case, build_generator)
+
+    @pytest.mark.parametrize("system", fluid.SYSTEMS)
+    @pytest.mark.parametrize("case", PARAMS_ONLY)
+    def test_fluid_solve(self, case, system):
+        self.refused(case, lambda params, _: fluid.solve_system(
+            system, params, 0.3, (0.0, 0.0, 0.0), 2.0, 0.01))
+
+    @pytest.mark.parametrize("case", PARAMS_ONLY)
+    def test_gbar_functional(self, case):
+        self.refused(case, lambda params, _: gbar_functional(params, 0.3, (0.0, 0.0)))
 
 
 class TestCriticalRatio:

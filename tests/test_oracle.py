@@ -12,7 +12,6 @@ from scipy import sparse
 from twolevel import (
     DomainError,
     InvalidState,
-    MicroState,
     ModelParams,
     NotIrreducible,
     ScalingParams,
@@ -20,63 +19,64 @@ from twolevel import (
     TooLarge,
     blocked_fraction_limit,
     build_generator,
-    enumerate_states,
     state_space_size,
     stationary_distribution,
     stationary_moments,
     transient_distribution,
 )
 from twolevel import model, oracle
-from rate_clauses import rate_clauses, reference_generator
+from rate_clauses import all_states, rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
 
 class TestEnumeration:
+    """The oracle's vectorised enumeration, ``oracle._state_array``."""
+
+    @staticmethod
+    def states(scaling):
+        return [tuple(row) for row in oracle._state_array(scaling).tolist()]
+
     def test_single_operator_space(self):
-        states = enumerate_states(ScalingParams(n=1, c2=1))
+        states = self.states(ScalingParams(n=1, c2=1))
         assert states == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
         ]
 
     def test_no_operators_only_specialist_axis(self):
-        states = enumerate_states(ScalingParams(n=0, c2=3))
+        states = self.states(ScalingParams(n=0, c2=3))
         assert states == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3)]
 
     def test_two_operator_count(self):
-        states = enumerate_states(ScalingParams(n=2, c2=1))
+        states = self.states(ScalingParams(n=2, c2=1))
         assert len(states) == 9
-        assert all(s.y_star * s.z == 0 for s in states)
-        assert all(s.y_star + s.y <= 2 and s.z <= 1 for s in states)
+        assert all(y_star * z == 0 for y_star, _, z in states)
+        assert all(y_star + y <= 2 and z <= 1 for y_star, y, z in states)
 
     def test_size_formula_matches_enumeration(self):
         for n, c2 in [(1, 1), (3, 2), (5, 5), (8, 3)]:
             scaling = ScalingParams(n=n, c2=c2)
-            assert state_space_size(scaling) == len(enumerate_states(scaling))
+            assert state_space_size(scaling) == len(self.states(scaling))
 
     def test_cap_enforced(self, monkeypatch):
         """n=150, c2=1 has 11,627 states, just above the cap: refused before any allocation."""
         monkeypatch.setattr(oracle.np, "zeros", lambda *a, **k: pytest.fail("allocated"))
         with pytest.raises(TooLarge) as exc:
-            enumerate_states(ScalingParams(n=150, c2=1))
+            oracle._state_array(ScalingParams(n=150, c2=1))
         assert exc.value.cap == oracle.STATE_CAP_DEFAULT
         assert exc.value.size == 11_627
 
     def test_lexicographic_order(self):
-        states = enumerate_states(ScalingParams(n=3, c2=2))
+        states = self.states(ScalingParams(n=3, c2=2))
         assert states == sorted(states)
 
     @pytest.mark.parametrize("n,c2", [(0, 0), (0, 3), (1, 0), (5, 0), (7, 3), (20, 10)])
     def test_matches_nested_loop_reference(self, n, c2):
-        """The vectorised builder gives the per-state loop's states, as MicroStates of ints."""
-        expected = []
-        for y_star in range(n + 1):
-            for y in range(n - y_star + 1):
-                for z in range(c2 + 1) if y_star == 0 else (0,):
-                    expected.append((y_star, y, z))
-        states = enumerate_states(ScalingParams(n=n, c2=c2))
-        assert states == expected
-        assert all(type(s) is MicroState and all(type(v) is int for v in s) for s in states)
+        """The vectorised builder gives the per-state loop's states, as int64 rows."""
+        scaling = ScalingParams(n=n, c2=c2)
+        states = oracle._state_array(scaling)
+        assert states.dtype == np.int64 and states.shape == (state_space_size(scaling), 3)
+        assert self.states(scaling) == all_states(scaling)
 
 
 class TestGenerator:
@@ -88,10 +88,10 @@ class TestGenerator:
         """With p=1 the empty state can only admit a class-1 call."""
         params = ModelParams(1.0, 1.0, 1.0, 1.0)
         scaling = ScalingParams(n=1, c2=1)
-        states = enumerate_states(scaling)
+        states = all_states(scaling)
         g = build_generator(params, scaling)
-        i = states.index(MicroState(0, 0, 1))
-        j = states.index(MicroState(0, 1, 1))
+        i = states.index((0, 0, 1))
+        j = states.index((0, 1, 1))
         row = np.zeros(len(states))
         row[i], row[j] = -1.0, 1.0
         np.testing.assert_allclose(g[i], row, atol=1e-15)
@@ -109,7 +109,7 @@ class TestGenerator:
     def test_offdiagonal_matches_clause_enumeration(self, n, c2):
         params = ModelParams(0.35, 1.3, 0.8, 1.1)
         scaling = ScalingParams(n=n, c2=c2)
-        states = enumerate_states(scaling)
+        states = all_states(scaling)
         index = {s: k for k, s in enumerate(states)}
         g = build_generator(params, scaling)
         for i, state in enumerate(states):
@@ -200,7 +200,7 @@ class TestStationary:
         scaling = ScalingParams(n=3, c2=2)
         g = build_generator(SYM, scaling)
         pi = stationary_distribution(g)
-        states = np.array(enumerate_states(scaling))
+        states = np.array(all_states(scaling))
         blocked = pi[states[:, 0] > 0].sum()
         assert blocked + pi[states[:, 0] == 0].sum() == pytest.approx(1.0, abs=1e-12)
         assert stationary_moments(pi, scaling)[3] == pytest.approx(blocked)
@@ -235,6 +235,17 @@ class TestStationary:
         np.testing.assert_allclose(stationary_distribution(g), np.linalg.solve(a, b),
                                    rtol=0.0, atol=1e-13)
 
+    def test_tiny_mass_is_accurate_in_absolute_terms_only(self):
+        """The all-blocked state's exact mass is 1.1e-105 (Grassmann-Taksar-Heyman); the
+        solve returns rounding noise for it, below 1e-15, in a distribution of mass 1 and
+        residual <= 1e-10."""
+        g = build_generator(ModelParams(0.05, 3.0, 3.0, 3.0), ScalingParams(n=40, c2=40))
+        pi = stationary_distribution(g)
+        assert all_states(ScalingParams(n=40, c2=40))[-1] == (40, 0, 0)
+        assert 0.0 <= pi[-1] < 1e-15
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(pi @ g).max() <= 1e-10
+
     def test_sparse_input_matches_dense(self):
         g = build_generator(SYM, ScalingParams(n=6, c2=3))
         np.testing.assert_array_equal(stationary_distribution(sparse.csr_array(g)),
@@ -263,16 +274,16 @@ class TestStationary:
 class TestMoments:
     def test_point_mass(self):
         scaling = ScalingParams(n=1, c2=1)
-        states = enumerate_states(scaling)
+        states = all_states(scaling)
         pi = np.zeros(len(states))
-        pi[states.index(MicroState(0, 1, 0))] = 1.0
+        pi[states.index((0, 1, 0))] = 1.0
         assert stationary_moments(pi, scaling) == (0.0, 1.0, 0.0, 0.0)
 
     def test_rescaling_by_n(self):
         scaling = ScalingParams(n=4, c2=2)
-        states = enumerate_states(scaling)
+        states = all_states(scaling)
         pi = np.zeros(len(states))
-        pi[states.index(MicroState(2, 1, 0))] = 1.0
+        pi[states.index((2, 1, 0))] = 1.0
         assert stationary_moments(pi, scaling) == (0.5, 0.25, 0.0, 1.0)
 
     @pytest.mark.parametrize("pi", [
@@ -354,6 +365,17 @@ class TestTransient:
         g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=4, c2=2))
         np.testing.assert_allclose(transient_distribution(g, 0, t),
                                    scipy.linalg.expm(g * t)[0], rtol=0.0, atol=1e-12)
+
+    def test_tiny_mass_is_accurate_in_absolute_terms_only(self):
+        """The all-blocked state's exact mass is 1.1e-105 (Grassmann-Taksar-Heyman); the
+        solve returns rounding noise for it, below 1e-15, in a distribution of mass 1 and
+        residual <= 1e-10."""
+        g = build_generator(ModelParams(0.05, 3.0, 3.0, 3.0), ScalingParams(n=40, c2=40))
+        pi = stationary_distribution(g)
+        assert all_states(ScalingParams(n=40, c2=40))[-1] == (40, 0, 0)
+        assert 0.0 <= pi[-1] < 1e-15
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(pi @ g).max() <= 1e-10
 
     def test_sparse_input_matches_dense(self):
         g = build_generator(SYM, ScalingParams(n=6, c2=3))

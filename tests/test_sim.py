@@ -39,42 +39,49 @@ from twolevel import (
     solve_generalized,
     stationary_distribution,
     stationary_moments,
-    step,
-    transitions,
     underloaded_fixed_point,
     write_trajectory_csv,
 )
 from twolevel import experiments, fluid, native, sim
 from twolevel.model import PROCESSES
-from twolevel.sim import _CHUNK, _jump_draws
+from twolevel.sim import _CHUNK
 from twolevel.skorokhod import grid_steps
 from fluid_reference import overloaded_rhs, reference_modes, underloaded_rhs
 from rate_clauses import rate_clauses
 import sim_reference
-from sim_reference import drift
+from sim_reference import drift, enabled, jump_draws
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
 
 
 def step_loop(process, init, params, scaling, horizon, seed):
-    """(times, states) of repeated ``step`` calls from ``init`` up to ``horizon``."""
+    """(times, states) of one jump at a time from ``init`` up to ``horizon``.
+
+    The rates are the table's as it is at the call, through ``sim.rates``;
+    each jump draws its own two uniforms and takes the first row whose
+    cumulative rate exceeds u' * total, as the loops do.
+    """
+    deltas = [row[0] for row in PROCESSES[process].table]
     rng = np.random.default_rng(seed)
-    t, state = 0.0, init
+    t, state = 0.0, tuple(init)
     times, states = [0.0], [state]
     while True:
-        holding, nxt = step(process, state, rng, params, scaling)
-        t += holding
+        sums = list(itertools.accumulate(sim.rates(process, state, params, scaling)))
+        if sums[-1] <= 0:
+            return times, states
+        exps, unis = jump_draws(rng, 1)
+        t += exps[0] / sums[-1]
         if t >= horizon:
             return times, states
-        state = nxt
+        u = unis[0] * sums[-1]
+        row = next((k for k, acc in enumerate(sums) if u < acc), len(sums) - 1)
+        state = tuple(a + b for a, b in zip(state, deltas[row]))
         times.append(t)
         states.append(state)
 
 
-def as_target_rates(state, enabled):
-    return {
-        tuple(a + b for a, b in zip(state, tr.delta)): tr.rate for tr in enabled
-    }
+def as_target_rates(state, pairs):
+    return {tuple(a + b for a, b in zip(state, delta)): rate for delta, rate in pairs}
 
 
 @pytest.fixture
@@ -110,17 +117,17 @@ class TestCheckState:
 class TestEnabledTransitions:
     def test_idle_specialist_state_enumeration(self):
         scaling = ScalingParams(n=3, c2=1)
-        got = as_target_rates((0, 2, 1), transitions("main", (0, 2, 1), SYM, scaling))
+        got = as_target_rates((0, 2, 1), enabled("main", (0, 2, 1), SYM, scaling))
         assert got == {(0, 1, 0): 1.0, (0, 2, 0): 1.0, (0, 3, 1): 0.5}
 
     def test_blocked_operator_state_enumeration(self):
         scaling = ScalingParams(n=3, c2=1)
-        got = as_target_rates((1, 1, 0), transitions("main", (1, 1, 0), SYM, scaling))
+        got = as_target_rates((1, 1, 0), enabled("main", (1, 1, 0), SYM, scaling))
         assert got == {(2, 0, 0): 1.0, (0, 1, 0): 0.5, (0, 2, 0): 0.5, (1, 2, 0): 0.5}
 
     def test_degenerate_corner_is_absorbing(self):
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
-        assert transitions("main", (0, 0, 1), params, ScalingParams(n=1, c2=1)) == []
+        assert enabled("main", (0, 0, 1), params, ScalingParams(n=1, c2=1)) == []
 
     def test_total_rate_double_entry(self):
         """Sum of clause rates equals the independently derived exit rate."""
@@ -131,7 +138,7 @@ class TestEnabledTransitions:
             y_star = int(rng.integers(0, 8))
             y = int(rng.integers(0, 8 - y_star))
             z = 0 if y_star > 0 else int(rng.integers(0, 4))
-            total = sum(tr.rate for tr in transitions("main", (y_star, y, z), params, scaling))
+            total = sum(rate for _, rate in enabled("main", (y_star, y, z), params, scaling))
             spec_total = params.mu01 * y + params.p * params.mu11 * (7 - y_star - y)
             spec_total += params.mu02 * (3 if y_star > 0 else 3 - z)
             assert total == pytest.approx(spec_total, abs=1e-12)
@@ -143,43 +150,41 @@ class TestEnabledTransitions:
                 for z in range(3):
                     if y_star > 0 and z > 0:
                         continue
-                    for tr in transitions("main", (y_star, y, z), SYM, scaling):
-                        target = tuple(
-                            a + b for a, b in zip((y_star, y, z), tr.delta)
-                        )
-                        check_state(target, scaling)
-                        assert tr.rate > 0
+                    for delta, rate in enabled("main", (y_star, y, z), SYM, scaling):
+                        check_state(tuple(a + b for a, b in zip((y_star, y, z), delta)), scaling)
+                        assert rate > 0
 
 
 class TestAuxTransitions:
     def test_saturated_no_blocked_operators_disables_level2(self):
-        got = transitions("aux-saturated", (0, 5), SYM, ScalingParams(n=10, c2=2))
-        deltas = {tr.delta for tr in got}
+        got = enabled("aux-saturated", (0, 5), SYM, ScalingParams(n=10, c2=2))
+        deltas = {delta for delta, _ in got}
         assert deltas == {(1, -1), (0, 1)}
 
     def test_saturated_blocked_state_enumeration(self):
-        got = transitions("aux-saturated", (1, 0), SYM, ScalingParams(n=3, c2=2))
+        got = enabled("aux-saturated", (1, 0), SYM, ScalingParams(n=3, c2=2))
         assert as_target_rates((1, 0), got) == {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}
 
     def test_noblock_busy_specialists_drop_handover(self):
-        got = transitions("aux-noblock", (4, 0), SYM, ScalingParams(n=10, c2=3))
-        rates = {tr.delta: tr.rate for tr in got}
+        rates = dict(enabled("aux-noblock", (4, 0), SYM, ScalingParams(n=10, c2=3)))
         assert rates[(-1, 0)] == pytest.approx(0.5 * 4)
         assert (-1, -1) not in rates and (0, -1) not in rates
 
     def test_noblock_all_idle_only_admission(self):
-        got = transitions("aux-noblock", (0, 3), SYM, ScalingParams(n=10, c2=3))
-        assert [(tr.delta, tr.rate) for tr in got] == [((1, 0), 0.5 * 10)]
+        got = enabled("aux-noblock", (0, 3), SYM, ScalingParams(n=10, c2=3))
+        assert got == [((1, 0), 0.5 * 10)]
 
     def test_unknown_process_rejected(self):
         with pytest.raises(DomainError):
-            transitions("warp", (0, 0), SYM, ScalingParams(n=3, c2=1))
+            sim.rates("warp", (0, 0), SYM, ScalingParams(n=3, c2=1))
+        with pytest.raises(DomainError):
+            simulate_process("warp", (0, 0), SYM, ScalingParams(n=3, c2=1), 1.0, seed=1)
 
     def test_out_of_space_states_rejected(self):
         with pytest.raises(InvalidState):
-            transitions("aux-saturated", (-1, 0), SYM, ScalingParams(n=3, c2=1))
+            simulate_process("aux-saturated", (-1, 0), SYM, ScalingParams(n=3, c2=1), 1.0, 1)
         with pytest.raises(InvalidState):
-            transitions("aux-noblock", (0, 2), SYM, ScalingParams(n=3, c2=1))
+            simulate_process("aux-noblock", (0, 2), SYM, ScalingParams(n=3, c2=1), 1.0, 1)
 
 
 class TestCouplingConsistency:
@@ -202,10 +207,7 @@ class TestCouplingConsistency:
         for y_star in range(1, 7):
             for y in range(7 - y_star):
                 main = self.reference_deltas((y_star, y, 0), params, scaling, slice(0, 2))
-                aux = {
-                    tr.delta: tr.rate
-                    for tr in transitions("aux-saturated", (y_star, y), params, scaling)
-                }
+                aux = dict(enabled("aux-saturated", (y_star, y), params, scaling))
                 assert main == aux
 
     def test_idle_states_match_noblock_chain(self):
@@ -214,10 +216,7 @@ class TestCouplingConsistency:
         for y in range(7):
             for z in range(1, 4):
                 main = self.reference_deltas((0, y, z), params, scaling, slice(1, 3))
-                aux = {
-                    tr.delta: tr.rate
-                    for tr in transitions("aux-noblock", (y, z), params, scaling)
-                }
+                aux = dict(enabled("aux-noblock", (y, z), params, scaling))
                 assert main == aux
 
 
@@ -282,41 +281,66 @@ class TestTableDrift:
 
 
 class TestStep:
+    """The law of one jump, read off ``simulate`` runs: the holding time is exponential in
+    the total rate before the jump, and the row that fires is drawn in proportion to its rate."""
+
+    ASYM, NEAR_CRITICAL = ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=30, c2=9)
+
+    @staticmethod
+    def pre_jump_rates(traj, params, scaling):
+        """Per jump, each table row's rate at the state the jump leaves (rows x jumps)."""
+        rates = sim.rates(traj.process, traj.states[:-1].T, params, scaling)
+        return np.array([np.broadcast_to(r, traj.num_events) for r in rates], dtype=float)
+
     def test_single_transition_deterministic_target_and_mean_holding(self):
-        scaling = ScalingParams(n=1, c2=1)
-        rng = np.random.default_rng(2024)
-        holdings = np.empty(100_000)
-        for i in range(len(holdings)):
-            holding, nxt = step("main", (0, 0, 1), rng, SYM, scaling)
-            assert nxt == (0, 1, 1)
-            holdings[i] = holding
+        """From (0, 0, 1) at n = c2 = 1 only an admission, at rate 0.5, is enabled."""
+        traj = simulate((0, 0, 1), SYM, ScalingParams(n=1, c2=1), 700_000.0, seed=2024)
+        leaving = np.all(traj.states[:-1] == (0, 0, 1), axis=1)
+        holdings = np.diff(traj.times)[leaving]
+        assert len(holdings) > 90_000
+        assert np.all(traj.states[1:][leaving] == (0, 1, 1))
         lam = 0.5
         se = (1 / lam) / math.sqrt(len(holdings))
         assert abs(holdings.mean() - 1 / lam) <= 3 * se
 
     def test_selection_frequencies(self):
-        scaling = ScalingParams(n=3, c2=1)
-        rng = np.random.default_rng(7)
-        counts = {(0, 1, 0): 0, (0, 2, 0): 0, (0, 3, 1): 0}
-        draws = 100_000
-        for _ in range(draws):
-            _, nxt = step("main", (0, 2, 1), rng, SYM, scaling)
-            counts[tuple(nxt)] += 1
+        """Out of (0, 2, 1) at n = 3, c2 = 1 the three rows have rates 1, 1 and 0.5."""
+        traj = simulate((0, 2, 1), SYM, ScalingParams(n=3, c2=1), 850_000.0, seed=7)
+        leaving = np.all(traj.states[:-1] == (0, 2, 1), axis=1)
+        targets = [tuple(row) for row in traj.states[1:][leaving].tolist()]
+        draws = len(targets)
+        assert draws > 90_000
+        assert set(targets) == {(0, 1, 0), (0, 2, 0), (0, 3, 1)}
         for target, prob in [((0, 1, 0), 0.4), ((0, 2, 0), 0.4), ((0, 3, 1), 0.2)]:
             sigma = math.sqrt(prob * (1 - prob) / draws)
-            assert abs(counts[target] / draws - prob) <= 3 * sigma
+            assert abs(targets.count(target) / draws - prob) <= 3 * sigma
 
-    def test_absorbing_state_returns_marker(self):
-        params = ModelParams(0.0, 1.0, 1.0, 1.0)
-        rng = np.random.default_rng(0)
-        holding, nxt = step("main", (0, 0, 1), rng, params, ScalingParams(n=1, c2=1))
-        assert holding == math.inf and nxt == (0, 0, 1)
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_holding_times_scaled_by_total_rate_are_exp1(self, process):
+        params, scaling = self.ASYM, self.NEAR_CRITICAL
+        init = (0,) * len(PROCESSES[process].columns)
+        traj = simulate_process(process, init, params, scaling, 2_000.0, seed=21)
+        total = self.pre_jump_rates(traj, params, scaling).sum(axis=0)
+        assert traj.num_events > 40_000 and np.all(total > 0)
+        assert stats.kstest(np.diff(traj.times) * total, "expon").pvalue > 0.01
 
-    def test_fixed_seed_reproducible(self):
-        scaling = ScalingParams(n=3, c2=1)
-        a = step("main", (0, 2, 1), np.random.default_rng(55), SYM, scaling)
-        b = step("main", (0, 2, 1), np.random.default_rng(55), SYM, scaling)
-        assert a == b
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_row_firing_counts_match_rate_shares(self, process):
+        """Row j fires sum_k rate_j / total at jump k times in expectation, with variance
+        sum_k share (1 - share); every row fires, within 3 sigma."""
+        params, scaling = self.ASYM, self.NEAR_CRITICAL
+        spec = PROCESSES[process]
+        traj = simulate_process(process, (0,) * len(spec.columns), params, scaling, 2_000.0,
+                                seed=22)
+        rates = self.pre_jump_rates(traj, params, scaling)
+        shares = rates / rates.sum(axis=0)
+        deltas = np.array([row[0] for row in spec.table])
+        fired = np.all(np.diff(traj.states, axis=0)[None] == deltas[:, None], axis=2)
+        assert np.array_equal(fired.sum(axis=0), np.ones(traj.num_events))
+        counts, expected = fired.sum(axis=1), shares.sum(axis=1)
+        sigma = np.sqrt((shares * (1 - shares)).sum(axis=1))
+        assert np.all(counts > 100)
+        assert np.all(np.abs(counts - expected) <= 3 * sigma), (counts, expected, sigma)
 
 
 class TestSimulate:
@@ -342,8 +366,8 @@ class TestSimulate:
         + [pytest.param(p, 200, 100, 20.0, 2, id=f"{p}-blocks") for p in PROCESSES],
     )
     def test_matches_manual_step_loop(self, process, n, c2, horizon, min_blocks, blocks):
-        """Each compiled loop replays exactly the embedded chain that step() exposes,
-        which draws one jump at a time: block sizes do not change the stream."""
+        """Each compiled loop replays exactly the embedded chain of ``step_loop``, which
+        draws one jump at a time: block sizes do not change the stream."""
         scaling = ScalingParams(n=n, c2=c2)
         init = (0,) * len(PROCESSES[process].columns)
         traj = simulate_process(process, init, SYM, scaling, horizon, seed=99)
@@ -779,19 +803,21 @@ class TestLibraryCache:
 
 
 class TestJumpDraws:
+    """``sim._draws``, the block of random numbers the loops take."""
+
     def test_exponentials_follow_exp1(self):
-        exps, unis = _jump_draws(np.random.default_rng(2024), 100_000)
-        assert len(exps) == len(unis) == 100_000
+        exps, u = sim._draws(np.random.default_rng(2024), 100_000)
+        assert len(exps) == 100_000 and len(u) == 200_000
         assert stats.kstest(exps, "expon").pvalue > 0.01
-        assert stats.kstest(unis, "uniform").pvalue > 0.01
+        assert stats.kstest(u[1::2], "uniform").pvalue > 0.01
 
     def test_block_equals_scalar_draws(self):
         """Jump k of a block takes uniforms 2k and 2k+1 of the scalar stream."""
-        exps, unis = _jump_draws(np.random.default_rng(11), _CHUNK)
+        exps, u = sim._draws(np.random.default_rng(11), _CHUNK)
         rng = np.random.default_rng(11)
         scalar = [rng.random() for _ in range(2 * _CHUNK)]
-        assert unis == scalar[1::2]
-        assert exps == (-np.log1p(-np.array(scalar[0::2]))).tolist()
+        assert u.tolist() == scalar
+        assert exps.tolist() == (-np.log1p(-np.array(scalar[0::2]))).tolist()
 
 
 class TestDrawBlocks:

@@ -12,9 +12,9 @@ from twolevel import (
     check_complementarity,
     gbar_functional,
     native,
-    reflect_1d,
     solve_generalized,
 )
+from fluid_reference import reflect_1d
 
 DT = 1e-3
 
@@ -57,6 +57,8 @@ class TestSampledPath:
 
 
 class TestReflect1d:
+    """The numpy running-infimum reflection, the reference for the compiled one."""
+
     def test_sine_reflection_pinned_values(self):
         """Reflected sine touches zero at the trough and carries its depth after."""
         path = sampled(np.sin, 2 * np.pi)
