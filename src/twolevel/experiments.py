@@ -130,8 +130,9 @@ def _check_band(field, band):
 
 
 def _check_windows(t1, horizon):
-    """Refuse a metrics window [t1, T] or sensitivity window [2 t1, T] that is
-    empty or starts before time 0."""
+    """Refuse a horizon T that is not finite and > 0, and a metrics window [t1, T]
+    or sensitivity window [2 t1, T] that is empty or starts before time 0."""
+    _check_positive("horizon", horizon)
     if not 0 <= 2 * t1 < horizon:
         raise DomainError(
             "burn_in",
@@ -249,10 +250,9 @@ def _simulate(process, init, params, scaling, horizon, seed):
 
 
 def _convergence_rep(target, params, n, c2, horizon, grid_dt, fluid_values, t1, seed):
-    scaling = ScalingParams(n, c2)
     init = (0,) * len(model.PROCESSES[target].columns)
-    traj = _simulate(target, init, params, scaling, horizon, seed)
-    sups = sim.grid_sup(traj, scaling, grid_dt, fluid_values, (t1, 2 * t1))
+    traj = _simulate(target, init, params, ScalingParams(n, c2), horizon, seed)
+    sups = sim.grid_sup(traj, grid_dt, fluid_values, (t1, 2 * t1))
     return traj.absorbed, tuple(sups.tolist())
 
 
@@ -306,13 +306,12 @@ PATH_SAMPLE_DT = 1.0
 
 
 def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
-    scaling = ScalingParams(n, c2)
-    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
+    traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
     _assert_exclusive(traj)
-    dists = sim.grid_sup(traj, scaling, grid_dt, fp, (t1, 2 * t1)).tolist()
+    dists = sim.grid_sup(traj, grid_dt, fp, (t1, 2 * t1)).tolist()
     out = [(not np.any(traj.states[_window_index(traj.times, start):, 0] > 0), dist)
            for start, dist in zip((t1, 2 * t1), dists)]
-    coarse = sim.rescale(traj, scaling, PATH_SAMPLE_DT)
+    coarse = sim.rescale(traj, PATH_SAMPLE_DT)
     return traj.absorbed, out + [coarse.values[:, 1:]]
 
 
@@ -606,9 +605,8 @@ def oracle_cross_check(params, scaling, horizon, seed):
 
 
 def _martingale_rep(params, n, c2, horizon, seed):
-    scaling = ScalingParams(n, c2)
-    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
-    return traj.absorbed, tuple(float(s) for s in sim.residual_sup(traj, params, scaling))
+    traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
+    return traj.absorbed, tuple(float(s) for s in sim.residual_sup(traj))
 
 
 def martingale_decay(params, r, n_list, horizon, reps, seed,

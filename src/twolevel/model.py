@@ -113,8 +113,10 @@ def critical_ratio(params):
     """Capacity ratio c2/n below which blocking persists in the large-n limit.
 
     Balances the specialist drain rate against the long-run rate at which
-    level-1 operators produce specialist-bound work.
+    level-1 operators produce specialist-bound work.  Like every closed form
+    here, it first refuses, through ``validate``, parameters no chain has.
     """
+    validate(params)
     if params.p == 0:
         return 0.0
     return (params.p / params.mu02) / (
@@ -179,12 +181,14 @@ def underloaded_fixed_point(params, r):
 
 def y_bar(params):
     """Long-run class-0 share of level-1 operators when none are ever blocked."""
+    validate(params)
     birth = params.p * params.mu11
     return birth / (birth + (1 - params.p) * params.mu01)
 
 
 def y_underline(params, r):
     """Class-0 occupancy at level 1 needed to keep every specialist busy."""
+    validate(params)
     return r * params.mu02 / params.mu01
 
 
@@ -195,6 +199,7 @@ def h_bar(t, params, r, init_sum):
     1 - (1-p)*mu02*r/(p*mu11), which coincides with the coordinate sum of
     the overloaded fixed point.  Accepts scalar or array t.
     """
+    validate(params)
     if params.p == 0:
         raise DomainError("p", "h_bar requires p > 0")
     rate = params.p * params.mu11
@@ -210,6 +215,7 @@ def y_b_closed_form(t, params, y0):
     Solves dy/dt = -(p*mu11 + (1-p)*mu01) * y + p*mu11 from y0; relaxes to
     y_bar.  Accepts scalar or array t.
     """
+    validate(params)
     rate = params.p * params.mu11 + (1 - params.p) * params.mu01
     decay = np.exp(-rate * np.asarray(t, dtype=float))
     out = y0 * decay + y_bar(params) * (1.0 - decay)

@@ -14,6 +14,8 @@ the random numbers in Python and hand each block to the process's function
 in the compiled library (``native``), generated from the same table;
 ``residual_sup``, ``grid_sup`` (``rescale``'s grid and a sup distance in one
 pass, with no rescaled path) and ``write_trajectory_csv`` run there too.
+They and ``rescale`` take the ``Trajectory`` alone: it carries its checked
+parameters and scale.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -52,13 +54,15 @@ _MAX_BLOCK = 1 << 20
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulation run: right-continuous piecewise-constant path.
+    """One run of ``process`` under ``params`` at ``scaling``: right-continuous path.
 
-    ``states`` holds one row per recorded time, row 0 being the initial
-    state at t=0, and consecutive rows differ by exactly one transition
-    (the simulators record its table row and rebuild the rows from the
-    deltas).  When the event cap was hit, ``truncated`` is set and the rows
-    stop at the cap, before ``horizon``.
+    ``states`` holds one row of ``columns`` per time in ``times``, row 0 being
+    the initial state at t=0, and consecutive rows differ by exactly one
+    transition (the simulators record its table row and rebuild the rows
+    from the deltas).  When the event cap was hit, ``truncated`` is set and
+    the rows stop at the cap, before ``horizon``.  Construction makes the
+    times float64 and the states int64, both contiguous, and refuses other
+    shapes or columns (InvalidState) and parameters ``model.validate`` refuses.
     """
 
     process: str
@@ -67,10 +71,22 @@ class Trajectory:
     states: np.ndarray
     horizon: float
     seed: int
-    n: int
-    c2: int
+    params: model.ModelParams
+    scaling: model.ScalingParams
     absorbed: bool = False
     truncated: bool = False
+
+    def __post_init__(self):
+        times = np.ascontiguousarray(self.times, dtype=float)
+        states = np.ascontiguousarray(self.states, dtype=np.int64)
+        columns = _process(self.process).columns
+        if (self.columns != columns or times.ndim != 1 or not len(times)
+                or states.shape != (len(times), len(columns))):
+            raise InvalidState(f"{self.process} run with columns {self.columns}, times of shape "
+                               f"{times.shape} and states of shape {states.shape}")
+        model.validate(self.params, self.scaling)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     @property
     def num_events(self):
@@ -181,7 +197,7 @@ def _loop(process, spec, library):
         times.resize(m + 1, refcheck=False)
         codes.resize(m, refcheck=False)
         return Trajectory(process, spec.columns, times, _states(deltas, init, codes), horizon,
-                          seed, scaling.n, scaling.c2,
+                          seed, params, scaling,
                           absorbed=status == native.ABSORBED and not truncated,
                           truncated=truncated)
 
@@ -213,8 +229,8 @@ def grid_points(horizon, grid_dt):
     return whole_steps(horizon, grid_dt) + 1
 
 
-def rescale(traj, scaling, grid_dt):
-    """Sample the trajectory divided by n on the uniform grid k*grid_dt.
+def rescale(traj, grid_dt):
+    """Sample the trajectory divided by its n on the uniform grid k*grid_dt.
 
     Right-continuous: the value at a grid time is the state of the last
     jump at or before it.  A truncated run, which stops before its
@@ -224,11 +240,11 @@ def rescale(traj, scaling, grid_dt):
         raise InvalidState("rescaling needs the path up to the horizon, not a truncated run")
     grid = grid_dt * np.arange(grid_points(traj.horizon, grid_dt))
     idx = np.searchsorted(traj.times, grid, side="right") - 1
-    values = traj.states[idx].astype(float) / scaling.n
+    values = traj.states[idx].astype(float) / traj.scaling.n
     return SampledPath(0.0, grid_dt, values)
 
 
-def grid_sup(traj, scaling, grid_dt, reference, window_starts):
+def grid_sup(traj, grid_dt, reference, window_starts):
     """Per window start, the sup of |run / n - reference| at the grid times k*grid_dt at
     or after it: the run as ``rescale`` samples it, its last ``reference.shape[-1]`` columns
     against one row, or a row per grid time (rows past the horizon are not read); a NaN
@@ -237,40 +253,32 @@ def grid_sup(traj, scaling, grid_dt, reference, window_starts):
     if traj.truncated:
         raise InvalidState("a grid distance needs the path up to the horizon, not a truncated run")
     points, cols = grid_points(traj.horizon, grid_dt), len(traj.columns)
-    times, ref, starts = (np.ascontiguousarray(a, dtype=float)
-                          for a in (traj.times, reference, window_starts))
-    states = np.ascontiguousarray(traj.states, dtype=np.int64)
-    if not len(times) or states.shape != (len(times), cols):
-        raise InvalidState(f"states of shape {states.shape}, not {(len(times), cols)}")
+    ref, starts = (np.ascontiguousarray(a, dtype=float) for a in (reference, window_starts))
     if ref.ndim > 2 or not 0 < ref.shape[-1] <= cols or ref.ndim == 2 and len(ref) < points:
         raise InvalidState(f"reference of shape {ref.shape} for {points} times and {cols} columns")
     if starts.ndim != 1 or not np.all(starts <= (points - 1) * grid_dt):
         raise DomainError("window_starts", f"no grid time at or after a start of {starts.tolist()}")
-    sup = np.zeros(len(starts))
+    times, states, sup = traj.times, traj.states, np.zeros(len(starts))
     native.library().grid_sup(*(a.ctypes.data for a in (times, states, ref, starts, sup)),
-                              len(times), cols, scaling.n, points, ref.shape[-1] * (ref.ndim - 1),
-                              ref.shape[-1], len(starts), grid_dt)
+                              len(times), cols, traj.scaling.n, points,
+                              ref.shape[-1] * (ref.ndim - 1), ref.shape[-1], len(starts), grid_dt)
     return sup
 
 
-def residual_sup(traj, params, scaling):
+def residual_sup(traj):
     """Exact sup over [0, horizon] of |path / n - start - compensator| per coordinate.
 
-    The compensator integrates the table drift, constant between jumps, exactly.
-    The residual is then linear in t between jumps, so the supremum is attained
-    at jump times (left or right limit) or at the horizon.  It runs in the
-    compiled library, in C generated from the main table.
+    The compensator integrates the drift of the run's own rates at its own n,
+    constant between jumps, exactly.  The residual is then linear in t between
+    jumps, so the supremum is attained at jump times (left or right limit) or
+    at the horizon.  It runs in the compiled library, in C generated from the main table.
     """
     if traj.process != "main":
         raise InvalidState("martingale residuals are defined for the main process")
     if traj.truncated:
         raise InvalidState("martingale residuals need the full event list, not a truncated run")
-    times = np.ascontiguousarray(traj.times, dtype=float)
-    states = np.ascontiguousarray(traj.states, dtype=np.int64)
-    if not len(times) or states.shape != (len(times), 3):
-        raise InvalidState(f"states of shape {states.shape}, not ({len(times)}, 3) with a row")
-    a, sup = _coefficients(_MAIN, params, scaling), np.zeros(3)
-    native.library().residual_sup(states.ctypes.data, times.ctypes.data, len(times),
+    a, sup, scaling = _coefficients(_MAIN, traj.params, traj.scaling), np.zeros(3), traj.scaling
+    native.library().residual_sup(traj.states.ctypes.data, traj.times.ctypes.data, len(traj.times),
                                   a.ctypes.data, scaling.n, scaling.c2, traj.horizon,
                                   sup.ctypes.data)
     return sup
@@ -299,10 +307,7 @@ def write_trajectory_csv(traj, fp):
     out = np.empty(rows * (17 + 21 * cols), dtype=np.uint8)
     fmt = native.library().format_trajectory_rows
     for lo in range(0, len(traj.times), rows):
-        times = np.ascontiguousarray(traj.times[lo:lo + rows], dtype=float)
-        states = np.ascontiguousarray(traj.states[lo:lo + rows], dtype=np.int64)
-        if states.shape != (len(times), cols):
-            raise InvalidState(f"states block of shape {states.shape}, not {(len(times), cols)}")
+        times, states = traj.times[lo:lo + rows], traj.states[lo:lo + rows]
         size = fmt(times.ctypes.data, states.ctypes.data, len(times), cols, out.ctypes.data,
                    out.size)
         if size < 0:

@@ -22,8 +22,12 @@ WINDOW = 2.0
 
 
 def whole_steps(horizon, dt):
-    """floor(horizon / dt + 1e-9): the one rule of ``grid_steps`` and ``sim.grid_points``."""
-    return int(math.floor(horizon / dt + 1e-9))
+    """floor(horizon / dt + 1e-9): the one rule of ``grid_steps`` and ``sim.grid_points``;
+    DomainError naming ``horizon`` when the ratio is not finite."""
+    steps = horizon / dt + 1e-9
+    if not math.isfinite(steps):
+        raise DomainError("horizon", f"horizon {horizon!r} over the step {dt!r} is not finite")
+    return int(math.floor(steps))
 
 
 def grid_steps(horizon, dt):

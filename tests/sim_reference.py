@@ -224,15 +224,17 @@ def drift(process, x, params, scaling):
     return np.tensordot(values, deltas, (0, 0)) / scaling.n
 
 
-def residual_sup(traj, params, scaling):
+def residual_sup(traj):
     """The numpy form of ``sim.residual_sup``: whole-array drift, compensator and limits.
 
-    The drift is ``drift`` above (the table's rates, then a ``tensordot``
-    with the deltas, over n); the compensator is the ``cumsum`` of drift * gap;
-    the residual is taken at every right limit, every left limit and the
-    horizon.  The compiled function must return the same floats.
+    The drift is ``drift`` above at the run's own parameters and scale (the
+    table's rates, then a ``tensordot`` with the deltas, over n); the
+    compensator is the ``cumsum`` of drift * gap; the residual is taken at
+    every right limit, every left limit and the horizon.  The compiled
+    function must return the same floats.
     """
-    g = drift("main", traj.states.T, params, scaling)
+    scaling = traj.scaling
+    g = drift("main", traj.states.T, traj.params, scaling)
     gaps = np.diff(traj.times)
     prefix = np.zeros_like(g)
     np.cumsum(g[:-1] * gaps[:, None], axis=0, out=prefix[1:])
@@ -246,7 +248,7 @@ def residual_sup(traj, params, scaling):
     return np.maximum(sup, np.abs(tail))
 
 
-def grid_sup(traj, scaling, grid_dt, reference, window_starts):
+def grid_sup(traj, grid_dt, reference, window_starts):
     """The numpy form of ``sim.grid_sup``, as the experiments once computed it.
 
     ``rescale`` samples the run on the grid; a reference with a row per grid
@@ -255,7 +257,7 @@ def grid_sup(traj, scaling, grid_dt, reference, window_starts):
     ``max`` over the window's rows and the run's last columns.  The compiled
     function must return the same floats.
     """
-    path = rescale(traj, scaling, grid_dt)
+    path = rescale(traj, grid_dt)
     ref = np.asarray(reference, dtype=float)
     values = path.values[:, path.values.shape[1] - ref.shape[-1]:]
     if ref.ndim == 2:

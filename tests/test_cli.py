@@ -320,7 +320,9 @@ class TestFluidCommand:
         (["--horizon", "-1"], "horizon"),
         (["--horizon", "inf"], "horizon"),
         (["--horizon", "0.0006"], "horizon"),
-    ], ids=["dt-zero", "dt-negative", "horizon-negative", "horizon-inf", "horizon-below-dt"])
+        (["--horizon", "1e308", "--dt", "1e-300"], "horizon"),
+    ], ids=["dt-zero", "dt-negative", "horizon-negative", "horizon-inf", "horizon-below-dt",
+            "steps-overflow"])
     def test_bad_step_or_horizon_rejected(self, capsys, tmp_path, system, c2, flags, field):
         out = tmp_path / "out"
         code = cli.main([
@@ -472,6 +474,19 @@ class TestExperimentCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: burn_in ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", ["convergence", "no-blocking", "saturation",
+                                            "phase-scan"])
+    def test_infinite_horizon_exits_2(self, capsys, tmp_path, experiment):
+        """Convergence and no-blocking once failed with 'cannot convert float infinity to
+        integer' and exit 4."""
+        code = cli.main(["experiment", "--experiment", experiment, "--horizon", "inf",
+                         "--burn-in", "1", "--seed", "1", "--n", "20", "--c2", "6",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: horizon ")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("grid_dt", ["nan", "0", "-0.5", "inf"])

@@ -74,6 +74,13 @@ class TestExperimentConfig:
             small_cfg(0.7, burn_in=burn_in)
         assert info.value.field == "burn_in"
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -5.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        """An infinite horizon passed the window check and crashed at the grid."""
+        with pytest.raises(DomainError) as info:
+            small_cfg(0.7, horizon=horizon, burn_in=0.0)
+        assert info.value.field == "horizon"
+
     def test_grid_dt_positive(self):
         with pytest.raises(DomainError):
             small_cfg(0.7, grid_dt=0.0)
@@ -594,7 +601,7 @@ def test_fluid_row_past_the_horizon_not_compared(target, r):
     ref = experiments._fluid_reference(target, SYM, scaling.c2 / 40, 20.0, 0.03)
     assert len(ref) == sim.grid_points(20.0, 0.03) == 667
     traj = sim.simulate_process(target, (0,) * ref.shape[1], SYM, scaling, 20.0, cfg.base_seed)
-    sups = sim.grid_sup(traj, scaling, 0.03, ref, (5.0, 10.0)).tolist()
+    sups = sim.grid_sup(traj, 0.03, ref, (5.0, 10.0)).tolist()
     assert [row["sup_distances"][0] for row in (report.metrics[1], report.sensitivity[1])] == sups
 
 

@@ -76,7 +76,8 @@ PARAMS_ONLY = [case for case, (_, _, scaling) in BAD.items() if scaling is GOOD_
 
 
 class TestEnginesValidate:
-    """The engines refuse what ``validate`` refuses, naming the field, before any work."""
+    """The engines and the closed forms refuse what ``validate`` refuses, naming the field,
+    before any work."""
 
     def refused(self, case, call):
         field, params, scaling = BAD[case]
@@ -101,6 +102,24 @@ class TestEnginesValidate:
     @pytest.mark.parametrize("case", PARAMS_ONLY)
     def test_gbar_functional(self, case):
         self.refused(case, lambda params, _: gbar_functional(params, 0.3, (0.0, 0.0)))
+
+    CLOSED_FORMS = {
+        "critical_ratio": critical_ratio,
+        "classify_regime": lambda params: classify_regime(params, 0.3),
+        "blocked_fraction_limit": lambda params: blocked_fraction_limit(params, 0.1),
+        "overloaded_fixed_point": lambda params: overloaded_fixed_point(params, 0.1),
+        "underloaded_fixed_point": lambda params: underloaded_fixed_point(params, 0.9),
+        "y_bar": y_bar,
+        "y_underline": lambda params: y_underline(params, 0.3),
+        "h_bar": lambda params: h_bar(1.0, params, 0.3, 0.5),
+        "y_b_closed_form": lambda params: y_b_closed_form(1.0, params, 0.2),
+    }
+
+    @pytest.mark.parametrize("form", list(CLOSED_FORMS))
+    @pytest.mark.parametrize("case", PARAMS_ONLY)
+    def test_closed_form(self, case, form):
+        """critical_ratio at p = 1.5 once returned 1.5, and y_bar at p = NaN returned NaN."""
+        self.refused(case, lambda params, _: self.CLOSED_FORMS[form](params))
 
 
 class TestCriticalRatio:

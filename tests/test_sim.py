@@ -586,7 +586,7 @@ class TestCompiledLoops:
         and the patched library's sup follows the numpy formula of the patched table."""
         scaling = ScalingParams(n=60, c2=18)
         traj = simulate((0, 25, 5), SYM, scaling, 20.0, seed=6)
-        unpatched = residual_sup(traj, SYM, scaling)
+        unpatched = residual_sup(traj)
         main = PROCESSES["main"]
         table = list(main.table)
         table[3] = (table[3][0], table[3][1], f"2 * ({table[3][2]})", table[3][3])
@@ -594,8 +594,8 @@ class TestCompiledLoops:
         monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
         monkeypatch.setattr(native, "_SOURCE", native._library_source(PROCESSES))
         monkeypatch.setattr(sim, "_MAIN", PROCESSES["main"])
-        patched = residual_sup(traj, SYM, scaling)
-        assert patched.tolist() == sim_reference.residual_sup(traj, SYM, scaling).tolist()
+        patched = residual_sup(traj)
+        assert patched.tolist() == sim_reference.residual_sup(traj).tolist()
         assert patched.tolist() != unpatched.tolist()
 
     def test_unreachable_guard_case_pruned(self):
@@ -743,18 +743,18 @@ class TestLibraryCache:
 
     def test_missing_compiler_refuses_residual_sup(self, cold_cache, monkeypatch):
         traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
-                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
-            residual_sup(traj, SYM, ScalingParams(n=5, c2=2))
+            residual_sup(traj)
         assert list(cold_cache.iterdir()) == []
 
     def test_missing_compiler_refuses_grid_sup(self, cold_cache, monkeypatch):
         traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
-                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
-            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0, 0.0), (0.0,))
+            sim.grid_sup(traj, 0.1, (0.0, 0.0), (0.0,))
         assert list(cold_cache.iterdir()) == []
 
     def test_missing_compiler_refuses_picard(self, cold_cache, monkeypatch):
@@ -958,6 +958,64 @@ class TestStationaryFluctuations:
         assert np.all(np.abs(n_cov - S) <= 3 * se), (S, n_cov)
 
 
+class TestTrajectory:
+    """A run carries the parameters and scale it was drawn with, checked once when built."""
+
+    @staticmethod
+    def build(params=SYM, scaling=ScalingParams(20, 6), process="main",
+              columns=("y_star", "y", "z")):
+        return Trajectory(process, columns, np.array([0.0, 0.5]),
+                          np.array([[0, 0, 0], [0, 1, 0]]), 5.0, 1, params, scaling)
+
+    @pytest.mark.parametrize("params, scaling, field", [
+        (ModelParams(math.nan, 1.0, 1.0, 1.0), ScalingParams(20, 6), "p"),
+        (ModelParams(0.5, 1.0, 0.0, 1.0), ScalingParams(20, 6), "mu11"),
+        (SYM, ScalingParams(20, 0), "c2"),
+        (SYM, ScalingParams(0, 6), "n"),
+    ], ids=["p-nan", "mu11-zero", "c2-zero", "n-zero"])
+    def test_parameters_validate_refuses_are_refused(self, params, scaling, field):
+        """``residual_sup`` of a run at p = NaN once read [0, 0, 0], a perfect fit."""
+        with pytest.raises(DomainError) as info:
+            self.build(params, scaling)
+        assert info.value.field == field
+
+    def test_columns_other_than_the_process_refused(self):
+        """``residual_sup`` reads 3 counts a row of a main run, ``grid_sup`` one per column."""
+        with pytest.raises(InvalidState, match="columns"):
+            self.build(columns=("y", "z"))
+        with pytest.raises(InvalidState, match="columns"):
+            self.build(process="aux-noblock")
+        with pytest.raises(DomainError) as info:
+            self.build(process="other")
+        assert info.value.field == "process"
+
+    def test_times_of_two_axes_refused(self):
+        with pytest.raises(InvalidState, match="times of shape"):
+            Trajectory("main", ("y_star", "y", "z"), np.zeros((2, 1)), np.zeros((2, 3)), 5.0, 1,
+                       SYM, ScalingParams(20, 6))
+
+    def test_arrays_made_contiguous_once(self):
+        """Any layout comes out C-ordered float64 and int64; the simulator's are not copied."""
+        traj = self.build()
+        wide = np.zeros((2, 6), dtype=np.int32)
+        wide[:, ::2] = traj.states
+        built = dataclasses.replace(traj, times=traj.times.tolist(), states=wide[:, ::2])
+        for a, dtype in ((built.times, np.float64), (built.states, np.int64)):
+            assert a.dtype == dtype and a.flags.c_contiguous
+        assert built.states.tolist() == traj.states.tolist()
+        run = simulate((0, 0, 0), SYM, ScalingParams(20, 6), 5.0, seed=1)
+        again = dataclasses.replace(run)
+        assert again.times is run.times and again.states is run.states
+
+    def test_run_rescales_by_its_own_n(self):
+        """An n = 20 run rescales to exactly its states / 20 with no scale passed."""
+        traj = simulate((0, 0, 0), SYM, ScalingParams(20, 6), 5.0, seed=1)
+        assert traj.params == SYM and traj.scaling == ScalingParams(20, 6)
+        path = rescale(traj, 0.01)
+        idx = np.searchsorted(traj.times, path.times, side="right") - 1
+        assert traj.num_events > 10 and np.array_equal(path.values, traj.states[idx] / 20)
+
+
 class TestRescale:
     @staticmethod
     def constant_traj(state, n, c2, horizon):
@@ -968,19 +1026,19 @@ class TestRescale:
             np.array([state]),
             horizon,
             seed=0,
-            n=n,
-            c2=c2,
+            params=SYM,
+            scaling=ScalingParams(n, c2),
         )
 
     def test_constant_trajectory_rescales_to_constant(self):
         traj = self.constant_traj((0, 100, 0), 100, 30, 2.0)
-        path = rescale(traj, ScalingParams(n=100, c2=30), 0.5)
+        path = rescale(traj, 0.5)
         assert path.values.shape == (5, 3)
         assert np.all(path.values == (0.0, 1.0, 0.0))
 
     def test_division_by_n(self):
         traj = self.constant_traj((40, 30, 0), 100, 30, 1.0)
-        path = rescale(traj, ScalingParams(n=100, c2=30), 1.0)
+        path = rescale(traj, 1.0)
         np.testing.assert_allclose(path.values[0], (0.4, 0.3, 0.0))
 
     def test_fine_grid_reproduces_every_jump(self):
@@ -989,7 +1047,7 @@ class TestRescale:
         assert traj.num_events > 3
         min_gap = np.diff(traj.times).min()
         k = int(math.ceil(traj.horizon / (min_gap / 2)))
-        path = rescale(traj, scaling, traj.horizon / k)
+        path = rescale(traj, traj.horizon / k)
         changes = int(np.any(np.diff(path.values, axis=0) != 0, axis=1).sum())
         assert changes == traj.num_events
 
@@ -999,15 +1057,15 @@ class TestRescale:
         traj = simulate((0, 0, 0), SYM, scaling, 20.0, seed=1, max_events=10)
         assert traj.truncated and traj.times[-1] < traj.horizon
         with pytest.raises(InvalidState, match="truncated"):
-            rescale(traj, scaling, 0.1)
+            rescale(traj, 0.1)
 
     def test_bad_grid_rejected(self):
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=2, c2=1), 1.0, seed=0)
         with pytest.raises(InvalidState):
-            rescale(traj, ScalingParams(n=2, c2=1), 0.0)
+            rescale(traj, 0.0)
         for bad in (math.nan, math.inf, -0.5):
             with pytest.raises(InvalidState, match="grid_dt"):
-                rescale(traj, ScalingParams(n=2, c2=1), bad)
+                rescale(traj, bad)
 
 
 class TestGridSup:
@@ -1035,8 +1093,8 @@ class TestGridSup:
         for seed in range(20):
             traj = simulate_process(target, init, SYM, scaling, horizon, seed)
             for reference in (ref, fixed):
-                expected = sim_reference.grid_sup(traj, scaling, grid_dt, reference, starts)
-                assert sim.grid_sup(traj, scaling, grid_dt, reference, starts).tolist() == expected
+                expected = sim_reference.grid_sup(traj, grid_dt, reference, starts)
+                assert sim.grid_sup(traj, grid_dt, reference, starts).tolist() == expected
 
     def test_run_without_jump(self):
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
@@ -1044,23 +1102,23 @@ class TestGridSup:
         traj = simulate((0, 0, 2), params, scaling, 5.0, seed=1)
         assert traj.num_events == 0
         ref = np.linspace(0.0, 1.0, 3 * 51).reshape(51, 3)
-        got = sim.grid_sup(traj, scaling, 0.1, ref, (0.0, 4.0, 5.0))
-        assert got.tolist() == sim_reference.grid_sup(traj, scaling, 0.1, ref, (0.0, 4.0, 5.0))
+        got = sim.grid_sup(traj, 0.1, ref, (0.0, 4.0, 5.0))
+        assert got.tolist() == sim_reference.grid_sup(traj, 0.1, ref, (0.0, 4.0, 5.0))
 
     def test_jump_on_a_grid_time_counts_from_that_time(self):
         """A jump at 3 * 0.1 (0.30000000000000004), undone at 0.35, is seen at grid point 3
         only, as rescale sees it; a window starting at 0.3 holds that point."""
         traj = Trajectory("aux-noblock", ("y", "z"), np.array([0.0, 3 * 0.1, 0.35, 0.5]),
-                          np.array([[0, 0], [4, 0], [0, 0], [0, 2]]), 1.0, 0, 4, 2)
-        scaling = ScalingParams(n=4, c2=2)
+                          np.array([[0, 0], [4, 0], [0, 0], [0, 2]]), 1.0, 0, SYM,
+                          ScalingParams(4, 2))
         starts = (0.0, 0.3, 0.31)
-        assert sim.grid_sup(traj, scaling, 0.1, (0.0, 0.0), starts).tolist() == [1.0, 1.0, 0.5]
+        assert sim.grid_sup(traj, 0.1, (0.0, 0.0), starts).tolist() == [1.0, 1.0, 0.5]
         ref = np.zeros((11, 2))
         ref[3] = (1.0, 0.0)
-        assert sim.grid_sup(traj, scaling, 0.1, ref, starts).tolist() == [0.5, 0.5, 0.5]
+        assert sim.grid_sup(traj, 0.1, ref, starts).tolist() == [0.5, 0.5, 0.5]
         for reference in ((0.0, 0.0), ref):
-            assert sim.grid_sup(traj, scaling, 0.1, reference, starts).tolist() == (
-                sim_reference.grid_sup(traj, scaling, 0.1, reference, starts))
+            assert sim.grid_sup(traj, 0.1, reference, starts).tolist() == (
+                sim_reference.grid_sup(traj, 0.1, reference, starts))
 
     def test_nan_in_reference_propagates_as_numpy_max(self):
         scaling = ScalingParams(n=50, c2=15)
@@ -1068,10 +1126,10 @@ class TestGridSup:
         ref = np.full((41, 3), 0.2)
         ref[20, 1] = math.nan
         starts = (0.0, 2.0, 2.1)
-        got = sim.grid_sup(traj, scaling, 0.1, ref, starts)
+        got = sim.grid_sup(traj, 0.1, ref, starts)
         assert math.isnan(got[0]) and math.isnan(got[1]) and not math.isnan(got[2])
-        np.testing.assert_array_equal(got, sim_reference.grid_sup(traj, scaling, 0.1, ref, starts))
-        assert math.isnan(sim.grid_sup(traj, scaling, 0.1, (0.2, math.nan), (0.0,))[0])
+        np.testing.assert_array_equal(got, sim_reference.grid_sup(traj, 0.1, ref, starts))
+        assert math.isnan(sim.grid_sup(traj, 0.1, (0.2, math.nan), (0.0,))[0])
 
     @pytest.fixture
     def no_c(self, monkeypatch):
@@ -1083,16 +1141,16 @@ class TestGridSup:
         traj = simulate((0, 0, 0), SYM, scaling, 20.0, seed=1, max_events=10)
         assert traj.truncated
         with pytest.raises(InvalidState, match="truncated"):
-            sim.grid_sup(traj, scaling, 0.1, (0.0, 0.0, 0.0), (0.0,))
+            sim.grid_sup(traj, 0.1, (0.0, 0.0, 0.0), (0.0,))
 
     @pytest.mark.parametrize("shape", [(100, 3), (101, 4), (4,), (101, 0), (101, 3, 1)],
                              ids=["rows-short", "columns-over", "row-over", "no-column",
                                   "three-axes"])
     def test_mismatched_reference_refused(self, no_c, shape):
         traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
-                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, 5, 2)
+                          np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         with pytest.raises(InvalidState, match="reference of shape"):
-            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.01, np.zeros(shape), (0.0,))
+            sim.grid_sup(traj, 0.01, np.zeros(shape), (0.0,))
 
     @pytest.mark.parametrize("starts", [(0.0, 1.05), (math.nan,), ((0.0, 0.5),)],
                              ids=["after-last-point", "nan", "two-axes"])
@@ -1100,16 +1158,16 @@ class TestGridSup:
         """The numpy distances raised 'zero-size array to reduction operation maximum' here;
         the walk would have returned 0.0."""
         traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0]),
-                          np.array([[0, 0, 0]]), 1.07, 1, 5, 2)
+                          np.array([[0, 0, 0]]), 1.07, 1, SYM, ScalingParams(5, 2))
         with pytest.raises(DomainError, match="no grid time at or after") as info:
-            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0, 0.0, 0.0), starts)
+            sim.grid_sup(traj, 0.1, (0.0, 0.0, 0.0), starts)
         assert info.value.field == "window_starts"
 
     def test_mismatched_states_refused(self, no_c):
-        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
-                          np.zeros((3, 3), dtype=np.int64), 1.0, 1, 5, 2)
+        """Refused when the run is built, so no reader meets it."""
         with pytest.raises(InvalidState, match="states of shape"):
-            sim.grid_sup(traj, ScalingParams(n=5, c2=2), 0.1, (0.0,), (0.0,))
+            Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+                       np.zeros((3, 3), dtype=np.int64), 1.0, 1, SYM, ScalingParams(5, 2))
 
     def test_grid_points_rule(self):
         """floor(h / dt + 1e-9) + 1, shared by rescale and the experiments' grid check."""
@@ -1117,7 +1175,7 @@ class TestGridSup:
         assert sim.grid_points(0.3, 0.1) == 4  # 2.9999999999999996
         assert sim.grid_points(1.0, 2.0) == 1
         traj = simulate((0, 0, 0), SYM, ScalingParams(n=5, c2=2), 20.0, seed=0)
-        assert len(rescale(traj, ScalingParams(n=5, c2=2), 0.03)) == 667
+        assert len(rescale(traj, 0.03)) == 667
 
     def test_fluid_grid_has_the_same_points(self):
         """The fluid and Picard grids (``grid_steps``) and the runs' grid floor alike, over
@@ -1137,7 +1195,7 @@ class TestMartingaleResidual:
         params = ModelParams(0.0, 1.0, 1.0, 1.0)
         scaling = ScalingParams(n=1, c2=1)
         traj = simulate((0, 0, 1), params, scaling, 5.0, seed=3)
-        assert residual_sup(traj, params, scaling).max() == 0.0
+        assert residual_sup(traj).max() == 0.0
 
     def test_sup_residual_shrinks_with_n(self):
         """Doubling n twice halves the sup-residual RMS (within sampling slack)."""
@@ -1148,7 +1206,7 @@ class TestMartingaleResidual:
             acc = np.zeros((reps, 3))
             for i in range(reps):
                 traj = simulate((0, 0, 0), SYM, scaling, 10.0, seed=500 + i)
-                acc[i] = residual_sup(traj, SYM, scaling)
+                acc[i] = residual_sup(traj)
             sups[n] = np.sqrt((acc**2).mean(axis=0))
         ratio = sups[100] / sups[400]
         assert ratio.min() >= 1.5
@@ -1182,13 +1240,13 @@ class TestMartingaleResidual:
             sup = np.maximum(sup, np.abs(np.array(state) / n - start - compensator))
             compensator = compensator + drift * (t1 - t0)
         sup = np.maximum(sup, np.abs(np.array(states[-1]) / n - start - compensator))
-        np.testing.assert_allclose(residual_sup(traj, params, scaling), sup, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(residual_sup(traj), sup, rtol=0, atol=1e-12)
 
     def test_truncated_or_foreign_trajectories_rejected(self):
         scaling = ScalingParams(n=4, c2=2)
         aux = simulate_aux_saturated((0, 0), SYM, scaling, 2.0, seed=0)
         with pytest.raises(InvalidState):
-            residual_sup(aux, SYM, scaling)
+            residual_sup(aux)
 
     @pytest.mark.parametrize("params, n, c2, horizon, seeds, init", [
         (SYM, 200, 60, 10.0, range(20), (0, 0, 0)),
@@ -1204,8 +1262,8 @@ class TestMartingaleResidual:
         scaling = ScalingParams(n, c2)
         for seed in seeds:
             traj = simulate(init, params, scaling, horizon, seed=seed)
-            expected = sim_reference.residual_sup(traj, params, scaling)
-            assert residual_sup(traj, params, scaling).tolist() == expected.tolist()
+            expected = sim_reference.residual_sup(traj)
+            assert residual_sup(traj).tolist() == expected.tolist()
 
     def test_any_array_layout_gives_the_same_sup(self):
         """Fortran-order, strided, int32 or list states, and strided or list times."""
@@ -1218,19 +1276,19 @@ class TestMartingaleResidual:
         layouts = [dict(states=s) for s in (np.asfortranarray(traj.states), wide[:, ::2],
                                             traj.states.astype(np.int32), traj.states.tolist())]
         layouts += [dict(times=spread[::2]), dict(times=traj.times.tolist())]
-        sup = residual_sup(traj, SYM, scaling).tolist()
+        sup = residual_sup(traj).tolist()
         for fields in layouts:
-            assert residual_sup(dataclasses.replace(traj, **fields), SYM, scaling).tolist() == sup
+            assert residual_sup(dataclasses.replace(traj, **fields)).tolist() == sup
 
     @pytest.mark.parametrize("times, shape", [
         (6, (5, 3)), (6, (7, 3)), (6, (6, 2)), (3, (3, 6)), (0, (0, 3)),
     ], ids=["row-short", "row-over", "two-columns", "six-columns", "no-row"])
     def test_mismatched_states_refused(self, times, shape):
-        """Rows other than one per time, no row, or columns other than 3 never reach the C code."""
-        traj = Trajectory("main", PROCESSES["main"].columns, np.arange(float(times)),
-                          np.zeros(shape, dtype=np.int64), 10.0, 0, 4, 2)
+        """Rows other than one per time, no row, or columns other than 3 never reach the C
+        code: the run is refused when it is built."""
         with pytest.raises(InvalidState, match="shape"):
-            residual_sup(traj, SYM, ScalingParams(n=4, c2=2))
+            Trajectory("main", PROCESSES["main"].columns, np.arange(float(times)),
+                       np.zeros(shape, dtype=np.int64), 10.0, 0, SYM, ScalingParams(4, 2))
 
 
 class TestTrajectoryCsv:
@@ -1274,7 +1332,7 @@ class TestTrajectoryCsv:
         counts = [0, 1, -1, 9, -10, 123456789, i64.max, i64.min, i64.min + 1, -(10 ** 18)]
         states = np.array([[counts[(k + j) % len(counts)] for j in range(3)]
                            for k in range(len(times))], dtype=np.int64)
-        return Trajectory("main", ("y_star", "y", "z"), np.array(times), states, 1.0, 0, 1, 1)
+        return Trajectory("main", ("y_star", "y", "z"), np.array(times), states, 1.0, 0, SYM, ScalingParams(1, 1))
 
     @staticmethod
     def python_csv(traj):
@@ -1308,7 +1366,7 @@ class TestTrajectoryCsv:
                                 *carries, *ties, [0.0, -0.0]])
         times[:-2] *= rng.choice([-1.0, 1.0], len(times) - 2)
         states = rng.integers(-5, 5_000, (len(times), 3))
-        traj = Trajectory("main", ("y_star", "y", "z"), times, states, 1.0, 0, 1, 1)
+        traj = Trajectory("main", ("y_star", "y", "z"), times, states, 1.0, 0, SYM, ScalingParams(1, 1))
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         assert buf.getvalue() == self.python_csv(traj)
@@ -1317,7 +1375,8 @@ class TestTrajectoryCsv:
         """16,384 rows of 16-byte times and 20-byte counts need the whole buffer."""
         rows = 2 * 16384 + 5
         traj = Trajectory("main", ("y_star", "y", "z"), np.full(rows, -1.23456789e-308),
-                          np.full((rows, 3), np.iinfo(np.int64).min), 1.0, 0, 1, 1)
+                          np.full((rows, 3), np.iinfo(np.int64).min), 1.0, 0, SYM,
+                          ScalingParams(1, 1))
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         assert buf.getvalue() == self.python_csv(traj)
@@ -1336,9 +1395,9 @@ class TestTrajectoryCsv:
         assert fmt(*args, 9 + 1 + 42 + 1) == 16
 
     def test_mismatched_states_refused(self):
-        traj = dataclasses.replace(self.edge_trajectory(), states=np.zeros((5, 3), dtype=np.int64))
+        """Refused when the run is built, so the writer never meets it."""
         with pytest.raises(InvalidState, match="shape"):
-            write_trajectory_csv(traj, io.StringIO())
+            dataclasses.replace(self.edge_trajectory(), states=np.zeros((5, 3), dtype=np.int64))
 
     def test_bytes_do_not_depend_on_numeric_locale(self, tmp_path):
         """Under de_DE a plain snprintf writes 1,5; the formatter must not, nor leave C locale."""
@@ -1350,13 +1409,14 @@ class TestTrajectoryCsv:
         script = (
             "import ctypes, io, locale, sys\n"
             "import numpy as np\n"
-            "from twolevel import Trajectory, write_trajectory_csv\n"
+            "from twolevel import ModelParams, ScalingParams, Trajectory, write_trajectory_csv\n"
             "locale.setlocale(locale.LC_NUMERIC, 'de_DE.UTF-8')\n"
             "libc, buf = ctypes.CDLL(None), ctypes.create_string_buffer(16)\n"
             "libc.snprintf(buf, 16, b'%.1f', ctypes.c_double(1.5))\n"
             "before = buf.value\n"
             "traj = Trajectory('main', ('y_star', 'y', 'z'), np.array([0.0, 1.5, 2.25e-7]),\n"
-            "                  np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, 1, 1)\n"
+            "                  np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0,\n"
+            "                  ModelParams(0.5, 1.0, 1.0, 1.0), ScalingParams(1, 1))\n"
             "out = io.StringIO()\n"
             "write_trajectory_csv(traj, out)\n"
             "libc.snprintf(buf, 16, b'%.1f', ctypes.c_double(1.5))\n"
@@ -1371,6 +1431,7 @@ class TestTrajectoryCsv:
         before, after, csv = ast.literal_eval(proc.stdout)
         assert before == after == b"1,5"
         traj = Trajectory("main", ("y_star", "y", "z"), np.array([0.0, 1.5, 2.25e-7]),
-                          np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, 1, 1)
+                          np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, SYM,
+                          ScalingParams(1, 1))
         assert csv == self.python_csv(traj)
         assert csv == "t,y_star,y,z\n0,0,0,0\n1.5,1,-2,3\n2.25e-07,4,5,6\n"

@@ -14,6 +14,7 @@ from twolevel import (
     native,
     solve_generalized,
 )
+from twolevel.skorokhod import whole_steps
 from fluid_reference import reflect_1d
 
 DT = 1e-3
@@ -141,6 +142,15 @@ def pointwise(fn):
     """A restartable functional acting on each grid point alone, carrying no state:
     ``fn(x, times)`` gives the free path on the window."""
     return lambda x, t0, dt, carried: (fn(x, t0 + dt * np.arange(len(x))), None)
+
+
+@pytest.mark.parametrize("horizon, dt", [(float("inf"), 0.1), (1e308, 1e-300), (1.0, 5e-324)],
+                         ids=["horizon-inf", "ratio-overflow", "dt-subnormal"])
+def test_whole_steps_refuses_a_ratio_that_is_not_finite(horizon, dt):
+    """floor() of an infinite ratio raised OverflowError, which the CLI reported as exit 4."""
+    with pytest.raises(DomainError) as info:
+        whole_steps(horizon, dt)
+    assert info.value.field == "horizon"
 
 
 class TestSolveGeneralized:
