@@ -94,14 +94,15 @@ class FluidState:
 
 
 def validate(params, scaling=None):
-    """Check all parameter invariants; raise DomainError naming the first violation."""
-    p = params.p
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 0 <= p <= 1):
-        raise DomainError("p", f"p must lie in [0, 1], got {p!r}")
-    for name in ("mu01", "mu11", "mu02"):
-        rate = getattr(params, name)
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
-            raise DomainError(name, f"{name} must be a positive finite rate, got {rate!r}")
+    """Check all invariants, of the scale alone if ``params`` is None; raise DomainError."""
+    if params is not None:
+        p = params.p
+        if not (isinstance(p, (int, float)) and math.isfinite(p) and 0 <= p <= 1):
+            raise DomainError("p", f"p must lie in [0, 1], got {p!r}")
+        for name in ("mu01", "mu11", "mu02"):
+            rate = getattr(params, name)
+            if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
+                raise DomainError(name, f"{name} must be a positive finite rate, got {rate!r}")
     if scaling is not None:
         if not (isinstance(scaling.n, (int, np.integer)) and scaling.n >= 1):
             raise DomainError("n", f"n must be an integer >= 1, got {scaling.n!r}")

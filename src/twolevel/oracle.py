@@ -1,11 +1,11 @@
 """Exact ground truth on small instances.
 
-Enumerates the full state space and builds the generator matrix in two
-forms at once: the dense S x S array that callers see, and its CSR form,
-carried on the returned array so that the stationary and transient
-solves never re-scan the dense matrix.  Everything here is brute force on
-purpose: it exists to check the simulator and the closed forms, not to
-scale.
+Enumerates the full state space and builds the generator matrix once, in
+CSR form, from the main transition table.  Callers see its dense S x S
+``toarray()``, which carries the CSR form so that the stationary and
+transient solves never re-scan the dense matrix.  Everything here is brute
+force on purpose: it exists to check the simulator and the closed forms,
+not to scale.
 """
 
 import math
@@ -15,15 +15,19 @@ import numpy as np
 from . import model, sim
 from .errors import DomainError, InvalidState, NotIrreducible, SingularSystem, TooLarge
 
-# A dense generator has S * S * 8 bytes: 11,585 states make 1 GiB.  It
-# sets the peak memory.  The CSR form carried beside it holds about five
-# nonzeros a row (0.2 MiB at 3,721 states), and the solves work on that.
+# The dense array callers see has S * S * 8 bytes: 11,585 states make 1 GiB,
+# the peak memory.  The CSR form it is made from holds about five nonzeros a
+# row (0.2 MiB at 3,721 states), and the solves work on that.
 STATE_CAP_DEFAULT = 11_585
 
 
 def state_space_size(scaling):
-    """|S| = (n+1)(c2+1) states with y_star=0 plus n(n+1)/2 with y_star>0."""
-    n, c2 = scaling.n, scaling.c2
+    """|S| = (n+1)(c2+1) states with y_star=0 plus n(n+1)/2 with y_star>0; checks n, c2 first."""
+    model.validate(None, scaling)
+    return _size(scaling.n, scaling.c2)
+
+
+def _size(n, c2):
     return (n + 1) * (c2 + 1) + n * (n + 1) // 2
 
 
@@ -31,10 +35,10 @@ def _state_array(scaling):
     """All states (y_star, y, z) with y_star+y <= n, z <= c2, y_star*z = 0, as int64 rows in
     lexicographic order.  Past ``STATE_CAP_DEFAULT`` states, TooLarge with the size, before
     any allocation."""
-    size = state_space_size(scaling)
+    n, c2 = scaling.n, scaling.c2
+    size = _size(n, c2)
     if size > STATE_CAP_DEFAULT:
         raise TooLarge(size, STATE_CAP_DEFAULT)
-    n, c2 = scaling.n, scaling.c2
     states = np.zeros((size, 3), dtype=np.int64)
     # y_star = 0: y = 0..n, each with z = 0..c2.
     head = (n + 1) * (c2 + 1)
@@ -61,13 +65,13 @@ class DenseGenerator(np.ndarray):
 
 
 def build_generator(params, scaling):
-    """Dense generator matrix over the lexicographic state order.
+    """Generator matrix over the lexicographic state order, built once as a ``csr_array``.
 
-    Filled from the main process's transition table, one vectorised pass
-    per table row; targets are found by ``searchsorted`` on a key that
-    preserves the lexicographic order.  Returns a read-only
-    ``DenseGenerator`` whose ``csr`` equals ``sparse.csr_array`` of it
-    entry for entry, built from the same rates.  Parameters that
+    One vectorised pass per row of the main process's transition table finds
+    the targets by ``searchsorted`` on a key that keeps the lexicographic
+    order; a diagonal entry is minus the exit rate, summed in table order as
+    the simulator loops sum it.  Returns the CSR's ``toarray()``, a read-only
+    ``DenseGenerator`` that carries it as ``csr``.  Parameters that
     ``model.validate`` refuses raise its DomainError first; a positive-rate
     row that leads out of the state space raises InvalidState.
     """
@@ -83,7 +87,7 @@ def build_generator(params, scaling):
         return (s[:, 0] * n1 + s[:, 1]) * c1 + s[:, 2]
 
     keys = key(states)
-    g = np.zeros((size, size))
+    diagonal = np.zeros(size)
     rows, cols, vals = [], [], []
     table = model.PROCESSES["main"].table
     for (delta, *_), rates in zip(table, sim.rates("main", states.T, params, scaling)):
@@ -99,14 +103,10 @@ def build_generator(params, scaling):
                 f"transition {delta} leads from {tuple(states[src[i]].tolist())} to "
                 f"{tuple(targets[i].tolist())}, outside the state space"
             )
-        g[src, idx] = rates[src]
         rows.append(src)
         cols.append(idx)
         vals.append(rates[src])
-    diagonal = -g.sum(axis=1)
-    # Set in place: an S x S temporary would add a generator's worth to
-    # the peak memory.
-    np.fill_diagonal(g, diagonal)
+        diagonal -= rates
     every = np.arange(size)
     rows.append(every)
     cols.append(every)
@@ -120,9 +120,9 @@ def build_generator(params, scaling):
          (np.concatenate(rows, dtype=np.int32), np.concatenate(cols, dtype=np.int32))),
         shape=(size, size),
     )
-    # An absorbing state's diagonal is 0 (or -0.0) and is not stored.
+    # An absorbing state's diagonal is 0 and is not stored.
     csr.eliminate_zeros()
-    g = g.view(DenseGenerator)
+    g = csr.toarray().view(DenseGenerator)
     g.csr = csr
     g.flags.writeable = False
     return g
@@ -197,10 +197,10 @@ def stationary_moments(pi, scaling):
     """(E[y_star]/n, E[y]/n, E[z]/n, P(y_star > 0)) under ``pi``.
 
     ``pi`` must be a distribution over the states in enumeration order: any
-    other vector raises ``DomainError("pi")``.
+    other vector raises ``DomainError("pi")``; a scale ``model.validate`` refuses raises its error.
     """
+    pi = _check_distribution("pi", pi, state_space_size(scaling))
     states = _state_array(scaling).astype(float)
-    pi = _check_distribution("pi", pi, len(states))
     mean = pi @ states / scaling.n
     p_block = float(pi[states[:, 0] > 0].sum())
     return (float(mean[0]), float(mean[1]), float(mean[2]), p_block)

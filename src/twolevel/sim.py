@@ -56,17 +56,16 @@ _MAX_BLOCK = 1 << 20
 class Trajectory:
     """One run of ``process`` under ``params`` at ``scaling``: right-continuous path.
 
-    ``states`` holds one row of ``columns`` per time in ``times``, row 0 being
-    the initial state at t=0, and consecutive rows differ by exactly one
-    transition (the simulators record its table row and rebuild the rows
-    from the deltas).  When the event cap was hit, ``truncated`` is set and
-    the rows stop at the cap, before ``horizon``.  Construction makes the
-    times float64 and the states int64, both contiguous, and refuses other
-    shapes or columns (InvalidState) and parameters ``model.validate`` refuses.
+    ``states`` holds one row of the process's ``columns`` per time in ``times``,
+    row 0 being the initial state at t=0, and consecutive rows differ by
+    exactly one transition (the simulators record its table row and rebuild
+    the rows from the deltas).  When the event cap was hit, ``truncated`` is
+    set and the rows stop at the cap, before ``horizon``.  Construction makes
+    the times float64 and the states int64, both contiguous, and refuses
+    other shapes (InvalidState) and a process or parameters it does not know.
     """
 
     process: str
-    columns: tuple
     times: np.ndarray
     states: np.ndarray
     horizon: float
@@ -79,14 +78,14 @@ class Trajectory:
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
         states = np.ascontiguousarray(self.states, dtype=np.int64)
-        columns = _process(self.process).columns
-        if (self.columns != columns or times.ndim != 1 or not len(times)
-                or states.shape != (len(times), len(columns))):
+        if times.ndim != 1 or not len(times) or states.shape != (len(times), len(self.columns)):
             raise InvalidState(f"{self.process} run with columns {self.columns}, times of shape "
                                f"{times.shape} and states of shape {states.shape}")
         model.validate(self.params, self.scaling)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+
+    columns = property(lambda self: _process(self.process).columns)
 
     @property
     def num_events(self):
@@ -196,9 +195,8 @@ def _loop(process, spec, library):
         m = min(m, max_events)
         times.resize(m + 1, refcheck=False)
         codes.resize(m, refcheck=False)
-        return Trajectory(process, spec.columns, times, _states(deltas, init, codes), horizon,
-                          seed, params, scaling,
-                          absorbed=status == native.ABSORBED and not truncated,
+        return Trajectory(process, times, _states(deltas, init, codes), horizon, seed, params,
+                          scaling, absorbed=status == native.ABSORBED and not truncated,
                           truncated=truncated)
 
     run.__name__ = run.__qualname__ = symbol

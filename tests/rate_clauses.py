@@ -41,12 +41,17 @@ def rate_clauses(state, params, scaling):
 
 
 def reference_generator(params, scaling):
-    """Dense generator built state by state from ``rate_clauses``."""
+    """Dense generator built state by state from ``rate_clauses``.
+
+    Each diagonal entry is minus the state's exit rate, its clauses' rates
+    summed in clause order.
+    """
     space = all_states(scaling)
     index = {s: i for i, s in enumerate(space)}
     g = np.zeros((len(space), len(space)))
     for i, state in enumerate(space):
-        for target, rate in rate_clauses(state, params, scaling):
+        clauses = rate_clauses(state, params, scaling)
+        for target, rate in clauses:
             g[i, index[target]] += rate
-        g[i, i] = -g[i].sum()
+        g[i, i] = -sum(rate for _, rate in clauses)
     return g

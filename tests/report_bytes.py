@@ -33,8 +33,8 @@ def _fluid(system, c2, init):
             "--horizon", "10"]
 
 
-def _experiment(name, *args):
-    return ["experiment", "--experiment", name, *SYM, "--seed", SEED, *args]
+def _experiment(name, *args, rates=SYM):
+    return ["experiment", "--experiment", name, *rates, "--seed", SEED, *args]
 
 
 def _criterion_04(target, c2):
@@ -48,8 +48,8 @@ def _simulate(process):
             "--horizon", "10", "--replications", "2", "--seed", SEED]
 
 
-def _oracle_check(n, c2):
-    return _experiment("oracle-check", "--n", n, "--c2", c2, "--horizon", "2000")
+def _oracle_check(n, c2, rates=SYM):
+    return _experiment("oracle-check", "--n", n, "--c2", c2, "--horizon", "2000", rates=rates)
 
 
 COMMANDS = {
@@ -78,6 +78,9 @@ COMMANDS = {
                               "--replications", "4"),
     "oracle-check-n20": _oracle_check("20", "10"),
     "oracle-check-n60": _oracle_check("60", "30"),
+    # At symmetric rates every exit rate sums alike in any order; these do not.
+    "oracle-check-asym-n60": _oracle_check("60", "30", ["--p", "0.35", "--mu01", "1.3",
+                                                        "--mu11", "0.8", "--mu02", "1.1"]),
 }
 
 

@@ -75,7 +75,7 @@ class TestEnumeration:
         """The vectorised builder gives the per-state loop's states, as int64 rows."""
         scaling = ScalingParams(n=n, c2=c2)
         states = oracle._state_array(scaling)
-        assert states.dtype == np.int64 and states.shape == (state_space_size(scaling), 3)
+        assert states.dtype == np.int64 and states.shape == (len(all_states(scaling)), 3)
         assert self.states(scaling) == all_states(scaling)
 
 
@@ -299,6 +299,21 @@ class TestMoments:
         with pytest.raises(DomainError) as err:
             stationary_moments(pi, scaling)
         assert err.value.field == "pi"
+
+    @pytest.mark.parametrize("scaling, field", [
+        (ScalingParams(0, 1), "n"),      # moments returned (nan, nan, inf, 0.0)
+        (ScalingParams(-3, 2), "n"),     # the size read -3
+        (ScalingParams(1.5, 2), "n"),    # a bare TypeError
+        (ScalingParams(4, 0), "c2"),
+        (ScalingParams(4, 2.5), "c2"),
+    ], ids=["n-zero", "n-minus-three", "n-fraction", "c2-zero", "c2-fraction"])
+    def test_scale_validate_refuses_is_refused(self, scaling, field):
+        """The size and the moments refuse, naming the field, the scales no chain has."""
+        for call in (lambda: state_space_size(scaling),
+                     lambda: stationary_moments(np.array([0.5, 0.5]), scaling)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert err.value.field == field
 
 
 class TestTransient:

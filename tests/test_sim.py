@@ -742,7 +742,7 @@ class TestLibraryCache:
         assert list(cold_cache.iterdir()) == []
 
     def test_missing_compiler_refuses_residual_sup(self, cold_cache, monkeypatch):
-        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+        traj = Trajectory("main", np.array([0.0, 0.5]),
                           np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
@@ -750,7 +750,7 @@ class TestLibraryCache:
         assert list(cold_cache.iterdir()) == []
 
     def test_missing_compiler_refuses_grid_sup(self, cold_cache, monkeypatch):
-        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+        traj = Trajectory("main", np.array([0.0, 0.5]),
                           np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         monkeypatch.setattr(shutil, "which", lambda name: None)
         with pytest.raises(BuildError, match="C compiler"):
@@ -962,10 +962,9 @@ class TestTrajectory:
     """A run carries the parameters and scale it was drawn with, checked once when built."""
 
     @staticmethod
-    def build(params=SYM, scaling=ScalingParams(20, 6), process="main",
-              columns=("y_star", "y", "z")):
-        return Trajectory(process, columns, np.array([0.0, 0.5]),
-                          np.array([[0, 0, 0], [0, 1, 0]]), 5.0, 1, params, scaling)
+    def build(params=SYM, scaling=ScalingParams(20, 6), process="main", **extra):
+        return Trajectory(process, np.array([0.0, 0.5]),
+                          np.array([[0, 0, 0], [0, 1, 0]]), 5.0, 1, params, scaling, **extra)
 
     @pytest.mark.parametrize("params, scaling, field", [
         (ModelParams(math.nan, 1.0, 1.0, 1.0), ScalingParams(20, 6), "p"),
@@ -980,10 +979,12 @@ class TestTrajectory:
         assert info.value.field == field
 
     def test_columns_other_than_the_process_refused(self):
-        """``residual_sup`` reads 3 counts a row of a main run, ``grid_sup`` one per column."""
-        with pytest.raises(InvalidState, match="columns"):
+        """A run's columns are its process's and cannot be set, so ``residual_sup`` reads 3
+        counts a row of a main run and ``grid_sup`` one per column."""
+        assert self.build().columns == PROCESSES["main"].columns
+        with pytest.raises(TypeError, match="columns"):
             self.build(columns=("y", "z"))
-        with pytest.raises(InvalidState, match="columns"):
+        with pytest.raises(InvalidState, match=r"aux-noblock run with columns \('y', 'z'\)"):
             self.build(process="aux-noblock")
         with pytest.raises(DomainError) as info:
             self.build(process="other")
@@ -991,7 +992,7 @@ class TestTrajectory:
 
     def test_times_of_two_axes_refused(self):
         with pytest.raises(InvalidState, match="times of shape"):
-            Trajectory("main", ("y_star", "y", "z"), np.zeros((2, 1)), np.zeros((2, 3)), 5.0, 1,
+            Trajectory("main", np.zeros((2, 1)), np.zeros((2, 3)), 5.0, 1,
                        SYM, ScalingParams(20, 6))
 
     def test_arrays_made_contiguous_once(self):
@@ -1021,7 +1022,6 @@ class TestRescale:
     def constant_traj(state, n, c2, horizon):
         return Trajectory(
             "main",
-            ("y_star", "y", "z"),
             np.array([0.0]),
             np.array([state]),
             horizon,
@@ -1108,7 +1108,7 @@ class TestGridSup:
     def test_jump_on_a_grid_time_counts_from_that_time(self):
         """A jump at 3 * 0.1 (0.30000000000000004), undone at 0.35, is seen at grid point 3
         only, as rescale sees it; a window starting at 0.3 holds that point."""
-        traj = Trajectory("aux-noblock", ("y", "z"), np.array([0.0, 3 * 0.1, 0.35, 0.5]),
+        traj = Trajectory("aux-noblock", np.array([0.0, 3 * 0.1, 0.35, 0.5]),
                           np.array([[0, 0], [4, 0], [0, 0], [0, 2]]), 1.0, 0, SYM,
                           ScalingParams(4, 2))
         starts = (0.0, 0.3, 0.31)
@@ -1147,7 +1147,7 @@ class TestGridSup:
                              ids=["rows-short", "columns-over", "row-over", "no-column",
                                   "three-axes"])
     def test_mismatched_reference_refused(self, no_c, shape):
-        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+        traj = Trajectory("main", np.array([0.0, 0.5]),
                           np.array([[0, 0, 0], [0, 1, 0]]), 1.0, 1, SYM, ScalingParams(5, 2))
         with pytest.raises(InvalidState, match="reference of shape"):
             sim.grid_sup(traj, 0.01, np.zeros(shape), (0.0,))
@@ -1157,7 +1157,7 @@ class TestGridSup:
     def test_window_without_grid_point_refused(self, no_c, starts):
         """The numpy distances raised 'zero-size array to reduction operation maximum' here;
         the walk would have returned 0.0."""
-        traj = Trajectory("main", PROCESSES["main"].columns, np.array([0.0]),
+        traj = Trajectory("main", np.array([0.0]),
                           np.array([[0, 0, 0]]), 1.07, 1, SYM, ScalingParams(5, 2))
         with pytest.raises(DomainError, match="no grid time at or after") as info:
             sim.grid_sup(traj, 0.1, (0.0, 0.0, 0.0), starts)
@@ -1166,7 +1166,7 @@ class TestGridSup:
     def test_mismatched_states_refused(self, no_c):
         """Refused when the run is built, so no reader meets it."""
         with pytest.raises(InvalidState, match="states of shape"):
-            Trajectory("main", PROCESSES["main"].columns, np.array([0.0, 0.5]),
+            Trajectory("main", np.array([0.0, 0.5]),
                        np.zeros((3, 3), dtype=np.int64), 1.0, 1, SYM, ScalingParams(5, 2))
 
     def test_grid_points_rule(self):
@@ -1287,7 +1287,7 @@ class TestMartingaleResidual:
         """Rows other than one per time, no row, or columns other than 3 never reach the C
         code: the run is refused when it is built."""
         with pytest.raises(InvalidState, match="shape"):
-            Trajectory("main", PROCESSES["main"].columns, np.arange(float(times)),
+            Trajectory("main", np.arange(float(times)),
                        np.zeros(shape, dtype=np.int64), 10.0, 0, SYM, ScalingParams(4, 2))
 
 
@@ -1332,7 +1332,7 @@ class TestTrajectoryCsv:
         counts = [0, 1, -1, 9, -10, 123456789, i64.max, i64.min, i64.min + 1, -(10 ** 18)]
         states = np.array([[counts[(k + j) % len(counts)] for j in range(3)]
                            for k in range(len(times))], dtype=np.int64)
-        return Trajectory("main", ("y_star", "y", "z"), np.array(times), states, 1.0, 0, SYM, ScalingParams(1, 1))
+        return Trajectory("main", np.array(times), states, 1.0, 0, SYM, ScalingParams(1, 1))
 
     @staticmethod
     def python_csv(traj):
@@ -1366,7 +1366,7 @@ class TestTrajectoryCsv:
                                 *carries, *ties, [0.0, -0.0]])
         times[:-2] *= rng.choice([-1.0, 1.0], len(times) - 2)
         states = rng.integers(-5, 5_000, (len(times), 3))
-        traj = Trajectory("main", ("y_star", "y", "z"), times, states, 1.0, 0, SYM, ScalingParams(1, 1))
+        traj = Trajectory("main", times, states, 1.0, 0, SYM, ScalingParams(1, 1))
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         assert buf.getvalue() == self.python_csv(traj)
@@ -1374,7 +1374,7 @@ class TestTrajectoryCsv:
     def test_widest_rows_fill_a_block_exactly(self):
         """16,384 rows of 16-byte times and 20-byte counts need the whole buffer."""
         rows = 2 * 16384 + 5
-        traj = Trajectory("main", ("y_star", "y", "z"), np.full(rows, -1.23456789e-308),
+        traj = Trajectory("main", np.full(rows, -1.23456789e-308),
                           np.full((rows, 3), np.iinfo(np.int64).min), 1.0, 0, SYM,
                           ScalingParams(1, 1))
         buf = io.StringIO()
@@ -1414,7 +1414,7 @@ class TestTrajectoryCsv:
             "libc, buf = ctypes.CDLL(None), ctypes.create_string_buffer(16)\n"
             "libc.snprintf(buf, 16, b'%.1f', ctypes.c_double(1.5))\n"
             "before = buf.value\n"
-            "traj = Trajectory('main', ('y_star', 'y', 'z'), np.array([0.0, 1.5, 2.25e-7]),\n"
+            "traj = Trajectory('main', np.array([0.0, 1.5, 2.25e-7]),\n"
             "                  np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0,\n"
             "                  ModelParams(0.5, 1.0, 1.0, 1.0), ScalingParams(1, 1))\n"
             "out = io.StringIO()\n"
@@ -1430,7 +1430,7 @@ class TestTrajectoryCsv:
         assert proc.returncode == 0, proc.stderr
         before, after, csv = ast.literal_eval(proc.stdout)
         assert before == after == b"1,5"
-        traj = Trajectory("main", ("y_star", "y", "z"), np.array([0.0, 1.5, 2.25e-7]),
+        traj = Trajectory("main", np.array([0.0, 1.5, 2.25e-7]),
                           np.array([[0, 0, 0], [1, -2, 3], [4, 5, 6]]), 3.0, 0, SYM,
                           ScalingParams(1, 1))
         assert csv == self.python_csv(traj)
