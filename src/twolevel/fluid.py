@@ -193,7 +193,8 @@ def _affine_path(system, params, r, x0, horizon, dt):
     expm(M dt)^m, up to the first row past a guard crossing.  There
     ``_brentq`` on the guard of expm(M s) x (``segment_flow``) finds the
     switch time inside that grid step; the path then toggles mode and sets
-    the new mode's pinned coordinate to exactly 0.
+    the new mode's pinned coordinate to exactly 0.  A non-finite row, which
+    the segment reports as it fills, raises NonFinite.
     """
     lib = native.library()
     steps = grid_steps(horizon, dt)
@@ -211,9 +212,9 @@ def _affine_path(system, params, r, x0, horizon, dt):
         m, g = matrix.ctypes.data, None if guard is None else guard.ctypes.data
         end = lib.affine_segment(m, g, x.ctypes.data, k * dt - t, dt, len(seg), n,
                                  seg.ctypes.data)
-        seg[:end, held] = x[:n][held]
-        if not np.isfinite(seg[:end]).all():
+        if end < 0:
             raise NonFinite(f"{system} fluid state non-finite after t={t}")
+        seg[:end, held] = x[:n][held]
         if end == len(seg):
             return out[:, :U], out[:, U] if n > U else np.zeros(len(out)), switches
         # The guard crossed 0 in the grid step before sample `end`.

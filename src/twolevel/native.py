@@ -354,21 +354,35 @@ double segment_flow(const double *m, const double *g, const double *x, double *o
 }
 
 /* Rows [0, len) of n columns: row 0 expm(m s0) x, then rows [j, 2j) rows [0, j) moved by
-   phi^j, phi = expm(m dt).  Returns the first row whose guard g[:n] . row + g[4] is
-   negative, each block scanned as it is filled, or len (g NULL: no guard). */
+   phi^j, phi = expm(m dt).  Each block is scanned in order as it is filled: returns the
+   first row whose guard g[:n] . row + g[4] is negative (g NULL: no guard), or -1 - i for
+   the first row i with a non-finite entry before it, or len.  `bound` is at least 1 and
+   every |entry| filled so far; a block moved by phi has entries of at most
+   norm5(phi) * bound (twice that covers rounding), so while the bound is finite every
+   entry is, and only a block past that is scanned entry by entry. */
 int64_t affine_segment(const double *m, const double *g, const double *x, double s0, double dt,
                        int64_t len, int64_t n, double *seg)
 {
-    double phi[25], next[25], row[5];
+    double phi[25], next[25], row[5], bound = 1.0;
     segment_flow(m, NULL, x, row, s0);
     memcpy(seg, row, (size_t)n * sizeof *row);
+    for (int64_t j = 0; j < n; j++)
+        if (!(fabs(row[j]) <= bound)) bound = fabs(row[j]);  /* NaN too */
     expm5(m, dt, phi);
     for (int64_t checked = 0, filled = 1;;) {
-        for (; g && checked < filled; checked++) {
+        int64_t bad = filled;
+        for (int64_t k = checked * n; !isfinite(bound) && k < filled * n; k++)
+            if (!isfinite(seg[k])) {
+                bad = k / n;
+                break;
+            }
+        for (; g && checked < bad; checked++) {
             double v = 0.0;
             for (int64_t j = 0; j < n; j++) v += seg[checked * n + j] * g[j];
             if (v + g[4] < 0) return checked;
         }
+        if (bad < filled) return -1 - bad;
+        checked = filled;
         if (filled == len) return len;
         int64_t take = filled < len - filled ? filled : len - filled;
         for (int64_t i = 0; i < take; i++)
@@ -377,6 +391,8 @@ int64_t affine_segment(const double *m, const double *g, const double *x, double
                 for (int64_t c = 0; c < n; c++) acc += seg[i * n + c] * phi[5 * r + c];
                 seg[(filled + i) * n + r] = acc + phi[5 * r + 4];
             }
+        double grown = 2.0 * norm5(phi) * bound;
+        if (!(grown <= bound)) bound = grown;
         filled += take;
         mul5(phi, phi, next);
         memcpy(phi, next, sizeof next);

@@ -1,23 +1,28 @@
 """Exact ground truth on small instances.
 
 Enumerates the full state space and builds the generator matrix once, in
-CSR form, from the main transition table.  Callers see its dense S x S
-``toarray()``, which carries the CSR form so that the stationary and
-transient solves never re-scan the dense matrix.  Everything here is brute
-force on purpose: it exists to check the simulator and the closed forms,
-not to scale.
+CSR form, from the main transition table.  Callers see it as a dense S x S
+array on demand-zero pages: only the pages that hold a nonzero are resident,
+also once the whole array has been read, but a copy of it, or arithmetic on
+it, is fully resident.  The array carries the CSR form so that the stationary
+and transient solves never re-scan the dense matrix.  Everything here is
+brute force on purpose: it exists to check the simulator and the closed
+forms, not to scale.
 """
 
 import math
+import mmap
 
 import numpy as np
 
 from . import model, sim
 from .errors import DomainError, InvalidState, NotIrreducible, SingularSystem, TooLarge
 
-# The dense array callers see has S * S * 8 bytes: 11,585 states make 1 GiB,
-# the peak memory.  The CSR form it is made from holds about five nonzeros a
-# row (0.2 MiB at 3,721 states), and the solves work on that.
+# The dense array callers see spans S * S * 8 bytes of address space: 11,585
+# states make 1 GiB.  Only its pages that hold a nonzero are resident (about
+# 65 MiB there), but a copy of it, or arithmetic on it, is all 1 GiB.  The CSR
+# form it is made from holds about five nonzeros a row (0.2 MiB at 3,721
+# states), and the solves work on that.
 STATE_CAP_DEFAULT = 11_585
 
 
@@ -70,10 +75,17 @@ def build_generator(params, scaling):
     One vectorised pass per row of the main process's transition table finds
     the targets by ``searchsorted`` on a key that keeps the lexicographic
     order; a diagonal entry is minus the exit rate, summed in table order as
-    the simulator loops sum it.  Returns the CSR's ``toarray()``, a read-only
-    ``DenseGenerator`` that carries it as ``csr``.  Parameters that
-    ``model.validate`` refuses raise its DomainError first; a positive-rate
-    row that leads out of the state space raises InvalidState.
+    the simulator loops sum it.  Returns a read-only ``DenseGenerator`` equal
+    to the CSR's ``toarray()`` bit for bit, carrying it as ``csr``.  The array
+    lies on a private anonymous mapping into which only the stored entries are
+    written, so only the pages that hold a nonzero become resident (17 of
+    106 MiB at 3,721 states); the untouched pages read as the kernel's shared
+    zero page.  A copy of it, or arithmetic on it, is fully resident.  On a
+    host whose transparent-huge-page mode is ``always`` the kernel may back the
+    mapping with huge pages, and the array is then about as resident as a
+    zero-filled one.  Parameters that ``model.validate`` refuses raise its
+    DomainError first; a positive-rate row that leads out of the state space
+    raises InvalidState.
     """
     model.validate(params, scaling)
     states = _state_array(scaling)
@@ -122,7 +134,10 @@ def build_generator(params, scaling):
     )
     # An absorbing state's diagonal is 0 and is not stored.
     csr.eliminate_zeros()
-    g = csr.toarray().view(DenseGenerator)
+    # Zeros that are never written stay the kernel's zero page.
+    g = np.frombuffer(mmap.mmap(-1, size * size * 8, flags=mmap.MAP_PRIVATE)).reshape(size, size)
+    g[np.repeat(np.arange(size), np.diff(csr.indptr)), csr.indices] = csr.data
+    g = g.view(DenseGenerator)
     g.csr = csr
     g.flags.writeable = False
     return g
@@ -137,6 +152,29 @@ def _csr(g):
     return sparse.csr_array(g, dtype=float)
 
 
+def _check_generator(g):
+    """Refuse with DomainError("g") a CSR ``g`` that is not a generator: an empty or
+    non-square shape, a non-finite stored value, a negative off-diagonal rate, or a row
+    whose sum is further than 1e-9 x max(1, its exit rate) from 0.  Reads the stored
+    entries only."""
+    size = g.shape[0]
+    if not 0 < size == g.shape[1]:
+        raise DomainError("g", f"a generator must be a non-empty square matrix, got shape "
+                               f"{g.shape}")
+    if not np.isfinite(g.data).all():
+        raise DomainError("g", "a generator's entries must be finite")
+    row = np.repeat(np.arange(size), np.diff(g.indptr))
+    rates = np.where(g.indices != row, g.data, 0.0)
+    if (rates < 0).any():
+        raise DomainError("g", "a generator's off-diagonal rates must be >= 0")
+    exits = np.bincount(row, weights=rates, minlength=size)
+    sums = np.bincount(row, weights=g.data, minlength=size)
+    bad = np.flatnonzero(np.abs(sums) > 1e-9 * np.maximum(exits, 1.0))
+    if len(bad):
+        raise DomainError("g", f"a generator's rows must sum to 0, row {bad[0]} sums to "
+                               f"{sums[bad[0]]:.3e}")
+
+
 def stationary_distribution(g):
     """Solve pi @ g = 0 with sum(pi) = 1 by a sparse linear solve.
 
@@ -146,7 +184,8 @@ def stationary_distribution(g):
     pi is that solution, normalised.  Its accuracy is absolute, not
     relative: a mass below about 1e-16 of the largest is rounding noise (at
     p = 0.05, all mu = 3, n = c2 = 40 the all-blocked state's mass of
-    1.1e-105 comes back as 3.5e-19).  Raises NotIrreducible when the
+    1.1e-105 comes back as 3.5e-19).  Raises ``DomainError("g")`` when ``g``
+    is not a generator (``_check_generator``), NotIrreducible when the
     positive-rate graph is not strongly connected (degenerate corners such
     as p=0 drain the chain into a trap) and SingularSystem when the solve
     fails or leaves a residual above 1e-10.
@@ -155,6 +194,7 @@ def stationary_distribution(g):
     from scipy.sparse.linalg import spsolve
 
     g = _csr(g)
+    _check_generator(g)
     size = g.shape[0]
     if size == 1:
         return np.array([1.0])
@@ -231,7 +271,8 @@ def transient_distribution(g, init, t):
     ``build_generator`` result is solved on its carried CSR form.  ``init``
     may be an integer state index (point-mass start) or a probability vector
     over the enumeration order, finite, non-negative and of mass 1 within
-    1e-9; any other raises ``DomainError("init")``.  The jump kernel is I + g/lam with
+    1e-9; any other raises ``DomainError("init")``, and a ``g`` that is not a
+    generator ``DomainError("g")``.  The jump kernel is I + g/lam with
     lam = 1.01 x the largest exit rate, applied as a sparse matvec; the
     Poisson mixture is truncated once its tail mass drops below 1e-12.  Long
     horizons are split recursively so the Poisson weights never underflow.
@@ -249,6 +290,7 @@ def transient_distribution(g, init, t):
     else:
         dist = _check_distribution("init", init, size)
     g = _csr(g)
+    _check_generator(g)
     lam = 1.01 * float(-g.diagonal().min())
     if lam <= 0.0 or t == 0.0:
         return dist

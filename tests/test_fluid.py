@@ -977,6 +977,32 @@ class TestCompiledSegment:
         matrix[0, 1] = 1e308
         assert np.isnan(compiled_expm(matrix, 1e-9)).all()
 
+    def test_segment_reports_its_first_non_finite_row(self):
+        """y_star grows by e^700 a step: row 1 is 1e304 and row 2 overflows, reported as
+        -1 - 2 with or without a guard, unless the guard crosses first.  A coupling of
+        1e300 from y, which stays 0, overflows the segment's bound on its entries but no
+        entry: the rows are then scanned, and none is reported."""
+        lib = native.library()
+
+        def segment(matrix, x, guard=None):
+            seg = np.empty((6, 3))
+            g = None if guard is None else np.asarray(guard, dtype=float).ctypes.data
+            end = lib.affine_segment(matrix.ctypes.data, g, x.ctypes.data, 0.0, 1.0,
+                                     len(seg), 3, seg.ctypes.data)
+            return end, seg
+
+        growth = np.zeros((5, 5))
+        growth[0, 0] = 700.0
+        start = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+        for guard, want in ((None, -3), ([1.0, 0, 0, 0, 0], -3), ([-1.0, 0, 0, 0, 1e300], 1)):
+            end, seg = segment(growth, start, guard)
+            assert end == want
+            assert np.isfinite(seg[:2]).all() and seg[1, 0] == pytest.approx(math.exp(700))
+        coupling = np.zeros((5, 5))
+        coupling[0, 1] = 1e300
+        end, seg = segment(coupling, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert end == len(seg) and not seg.any()
+
     def test_guard_value_is_the_guard_of_the_flow(self):
         mode = fluid._system_modes("aux-saturated", SYM, 0.3)[1]
         x, out = np.array([0.0, 0.2, 0.0, 0.1, 1.0]), np.empty(5)

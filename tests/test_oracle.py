@@ -1,7 +1,11 @@
 """Exact small-instance solver: enumeration, generator, stationary, transient."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -28,6 +32,15 @@ from twolevel import model, oracle
 from rate_clauses import all_states, rate_clauses, reference_generator
 
 SYM = ModelParams(0.5, 1.0, 1.0, 1.0)
+
+
+def _thp_mode():
+    """The host's transparent-huge-page mode line, or "" where the kernel has none."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
+            return fh.read()
+    except OSError:
+        return ""
 
 
 class TestEnumeration:
@@ -140,6 +153,49 @@ class TestCarriedCsr:
             carried, expected = getattr(g.csr, name), getattr(ref, name)
             assert carried.dtype == expected.dtype
             np.testing.assert_array_equal(carried, expected)
+
+    @pytest.mark.parametrize("p", [0.0, 0.35, 0.5, 1.0])
+    @pytest.mark.parametrize("n,c2", [(1, 1), (4, 2), (20, 10), (40, 5), (60, 30)])
+    def test_dense_is_carried_toarray_bit_for_bit(self, n, c2, p):
+        """The array written entry by entry into zero pages is the CSR's ``toarray()``,
+        signed zeros included."""
+        g = build_generator(ModelParams(p, 1.3, 0.8, 1.1), ScalingParams(n=n, c2=c2))
+        assert g.dtype == np.float64 and g.shape == g.csr.shape
+        assert np.array_equal(g.view(np.int64), g.csr.toarray().view(np.int64))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set from /proc")
+    @pytest.mark.skipif("[always]" in _thp_mode(),
+                        reason="with transparent huge pages always on, the kernel may back "
+                               "the mapping with huge pages")
+    def test_only_written_pages_become_resident(self):
+        """At 3,721 states the dense array is 106 MiB; reading all of it, as a row-sum
+        check does, leaves resident only the pages that hold a stored entry.  The peak
+        is the child's own VmHWM: ``ru_maxrss`` keeps the peak of the process that
+        started it, here the test runner."""
+        code = textwrap.dedent("""
+            import numpy as np
+            from twolevel import ModelParams, ScalingParams, build_generator
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+            build_generator(ModelParams(0.5, 1.0, 1.0, 1.0), ScalingParams(2, 1))
+            before = peak_kib()
+            g = build_generator(ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(60, 30))
+            assert g.nbytes == 3721 * 3721 * 8
+            assert np.count_nonzero(g) == g.csr.nnz
+            assert np.abs(g.sum(axis=1)).max() <= 1e-9
+            print(peak_kib() - before)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 40 * 1024  # about 104 MiB for a zero-filled array
 
     def test_read_only(self):
         g = build_generator(SYM, ScalingParams(n=4, c2=2))
@@ -269,6 +325,52 @@ class TestStationary:
         gaps = [abs(f - limit) for f in fracs]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.1
+
+
+class TestNotAGenerator:
+    """Both solves refuse, naming ``g``, a matrix that is not a generator."""
+
+    SOLVES = {
+        "stationary": stationary_distribution,
+        "transient": lambda g: transient_distribution(g, 0, 1.0),
+    }
+
+    @pytest.mark.parametrize("solve", SOLVES)
+    @pytest.mark.parametrize("g", [
+        np.array([[1.0, -1.0], [1.0, -1.0]]),      # transient gave [2, -1]
+        np.array([[-1.0, math.nan], [1.0, -1.0]]),  # transient gave [nan, nan]
+        np.array([[-1.0, math.inf], [1.0, -1.0]]),
+        np.array([[-1.0, 2.0], [1.0, -1.0]]),       # transient gave a law of mass 1.81
+        np.array([[-1.0, 1.0], [1.0, -1.0 - 2e-9]]),
+        np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
+        sparse.csr_array(np.array([[1.0, -1.0], [1.0, -1.0]])),
+    ], ids=["negative-rate", "nan", "inf", "rows-sum-to-1", "row-sum-2e-9", "non-square",
+            "sparse-negative-rate"])
+    def test_refused(self, g, solve):
+        with pytest.raises(DomainError) as err:
+            self.SOLVES[solve](g)
+        assert err.value.field == "g"
+
+    def test_empty_refused(self):
+        """The stationary solve called a 0 x 0 input NotIrreducible."""
+        with pytest.raises(DomainError) as err:
+            stationary_distribution(np.zeros((0, 0)))
+        assert err.value.field == "g"
+
+    def test_row_sum_tolerance_scales_with_the_exit_rate(self):
+        """A row may miss 0 by 1e-9 x max(1, its exit rate): a miss of 5e-4 passes on rates
+        of 1e6 and is refused on rates of 1e-3."""
+        big = np.array([[-1e6, 1e6], [1e6, -1e6 - 5e-4]])
+        # The missing rate drains about 5e-4 x t / 2 of the mass.
+        assert transient_distribution(big, 0, 1e-4).sum() == pytest.approx(1 - 2.5e-8, abs=1e-9)
+        for solve in self.SOLVES.values():
+            with pytest.raises(DomainError):
+                solve(np.array([[-1e-3, 1e-3], [1e-3, -1e-3 - 5e-4]]))
+
+    def test_absorbing_state_accepted(self):
+        """An all-zero row is an absorbing state, which a generator may have."""
+        dist = transient_distribution(np.array([[0.0, 0.0], [1.0, -1.0]]), 1, 1.0)
+        np.testing.assert_allclose(dist, (1.0 - math.exp(-1.0), math.exp(-1.0)), atol=1e-12)
 
 
 class TestMoments:
