@@ -1,6 +1,7 @@
 """All of the toolkit's C, compiled into one shared library, and its build.
 
-It holds a simulator loop per table in ``model.PROCESSES`` (``loop_source``), the
+It holds a simulator loop per table in ``model.PROCESSES`` and the walk that rebuilds a
+run's state rows from the row codes that loop records (``loop_source``), the
 compensator of ``sim.residual_sup`` (``residual_source``), the one walk over the jumps and
 the grid of ``sim.grid_sup``, the row formatter of ``sim.write_trajectory_csv`` (exact
 integer digits; ``snprintf`` only out of range), the two halves of a Picard sweep:
@@ -66,17 +67,16 @@ def _case_lines(spec, case):
         name = "total" if j == len(rows) - 1 else f"r{i}"
         lines.append(f"double {name} = {rate if acc is None else f'{acc} + {rate}'};")
         acc = name
-    lines += ["if (total <= 0.0) { status = ABSORBED; break; }",
-              "t += e[k] / total;",
-              "if (t >= horizon) { status = HORIZON; break; }",
-              "double v = u[2 * k + 1] * total;"]
-    for j, (i, row) in enumerate(rows):
-        jump = " ".join([f"{c} {'+' if d > 0 else '-'}= {abs(d)};"
-                         for c, d in zip(spec.columns, row[0]) if d] + [f"codes[k] = {i};"])
-        test = "" if len(rows) == 1 else (
-            "else " if j == len(rows) - 1 else f"{'else ' * (j > 0)}if (v < r{i}) ")
-        lines.append(f"{test}{{ {jump} }}")
-    return lines
+    moved = [(c, d) for c, d in zip(spec.columns, zip(*(row[0] for _, row in rows))) if any(d)]
+    tables = [("row", [i for i, _ in rows])] + [(f"d_{c}", d) for c, d in moved]
+    return lines + [
+        "if (total <= 0.0) { status = ABSORBED; break; }",
+        "t += e[k] / total;",
+        "if (t >= horizon) { status = HORIZON; break; }",
+        "double v = u[2 * k + 1] * total;",
+        *(f"static const int8_t {name}[] = {{{', '.join(map(str, d))}}};" for name, d in tables),
+        f"int j = {' + '.join(f'(v >= r{i})' for i, _ in rows[:-1]) or '0'};",
+        " ".join([f"{c} += d_{c}[j];" for c, _ in moved] + ["codes[k] = row[j];"])]
 
 
 def _branch(spec, guarded, cases):
@@ -90,14 +90,19 @@ def _branch(spec, guarded, cases):
 
 
 def loop_source(process, spec=None):
-    """C source of the simulator function of ``process`` (or of ``spec``), from its table.
+    """C source of the simulator function of ``process`` (or of ``spec``) and of its state
+    walk, from its table.
 
-    It runs up to ``count`` jumps from the state ``x`` at time ``*clock``;
-    jump k takes ``e[k]`` and ``u[2k + 1]``, and records its time and the
-    index of the table row that fired.  It branches on the reachable guard
-    cases (for ``main``: z > 0, z = 0 < y*, z = y* = 0) and walks a short
-    cumulative chain of the rates enabled there, in table order; a case's
-    sums skip only rows whose rate there is 0.0, so they equal the table's.
+    The simulator runs up to ``count`` jumps from the state ``x`` at time
+    ``*clock``; jump k takes ``e[k]`` and ``u[2k + 1]``, and records its time
+    and the index of the table row that fired.  It branches on the reachable
+    guard cases (for ``main``: z > 0, z = 0 < y*, z = y* = 0) and sums the
+    rates enabled there in table order; a case's sums skip only rows whose
+    rate there is 0.0, so they equal the table's.  The jump, the first row
+    whose sum exceeds ``u' * total``, is the number of sums before the total
+    at or below it (rates are >= 0, so the sums never decrease), counted
+    without a branch.  ``<simulator>_states`` writes rows 1..count of ``x``
+    from row 0 and the codes, adding their deltas, held as C constants.
     """
     spec = spec or PROCESSES[process]
     guarded, cases = _cases(spec)
@@ -119,6 +124,17 @@ def loop_source(process, spec=None):
         "    *clock = t;",
         "    *done = k;",
         "    return status;",
+        "}",
+        f"void {LOOP_NAMES[process]}_states(const int8_t *codes, int64_t count, int64_t *x)",
+        "{",
+        *(f"    static const int8_t d_{c}[] = {{{', '.join(map(str, d))}}};"
+          for c, d in zip(spec.columns, zip(*(row[0] for row in spec.table)))),
+        *(f"    int64_t {c} = x[{i}];" for i, c in enumerate(spec.columns)),
+        "    for (int64_t k = 0; k < count; k++) {",
+        "        int code = codes[k];",
+        *(f"        x[{len(spec.columns)} * k + {len(spec.columns) + i}] = {c} += d_{c}[code];"
+          for i, c in enumerate(spec.columns)),
+        "    }",
         "}",
     ]
     return "\n".join(lines) + "\n"

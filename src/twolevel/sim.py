@@ -23,10 +23,12 @@ the first whose cumulative rate exceeds u' * total.  The loops draw them
 in blocks sized to the run: ``_CHUNK`` jumps first, then the jumps that
 the run's mean pace so far needs to reach ``horizon``, plus a margin, at
 most ``_MAX_BLOCK``.  Jump k takes uniforms 2k and 2k+1 whatever the
-block sizes, so they never change a run.  The states are rebuilt from the
-recorded codes as the running sum of their rows' deltas.  The straight-line
-loops of ``tests/sim_reference.py`` draw in fixed blocks of ``_CHUNK`` jumps
-and replay every run bit for bit.
+block sizes, so they never change a run.  The loop records each jump's
+table row; after the run, the process's walk in the library, generated from
+the same table, writes the state rows from those codes as the running sum
+of their rows' deltas.  The straight-line loops of ``tests/sim_reference.py``
+draw in fixed blocks of ``_CHUNK`` jumps and replay every run bit for bit,
+and its ``states`` is the numpy rebuild that the walk replaced.
 
 A run makes at most ``max_events`` jumps.  No block draws past jump
 ``max_events + 1``; a run that makes that jump comes back flagged
@@ -36,6 +38,7 @@ the uncapped run that ends before ``horizon``.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +61,12 @@ class Trajectory:
 
     ``states`` holds one row of the process's ``columns`` per time in ``times``,
     row 0 being the initial state at t=0, and consecutive rows differ by
-    exactly one transition (the simulators record its table row and rebuild
-    the rows from the deltas).  When the event cap was hit, ``truncated`` is
-    set and the rows stop at the cap, before ``horizon``.  Construction makes
-    the times float64 and the states int64, both contiguous, and refuses
-    other shapes (InvalidState) and a process or parameters it does not know.
+    exactly one transition (the simulators record its table row, and the
+    library's walk rebuilds the rows from the table's deltas after the run).
+    When the event cap was hit, ``truncated`` is set and the rows stop at the
+    cap, before ``horizon``.  Construction makes the times float64 and the
+    states int64, both contiguous, and refuses other shapes (InvalidState)
+    and a process or parameters it does not know.
     """
 
     process: str
@@ -132,7 +136,11 @@ def rates(process, x, params, scaling):
 
 
 def _check_run(horizon, max_events, seed):
-    """Refuse an event cap below 1, a horizon that is negative, infinite or NaN, or a seed < 0."""
+    """Refuse a seed or event cap that is not an integer (a bool is not), a cap below 1,
+    a horizon that is negative, infinite or NaN, or a seed < 0."""
+    for name, value in (("seed", seed), ("max_events", max_events)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(name, f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise DomainError("seed", f"seed must be >= 0, got {seed}")
     if max_events < 1:
@@ -141,13 +149,13 @@ def _check_run(horizon, max_events, seed):
         raise DomainError("horizon", f"horizon must be finite and >= 0, got {horizon!r}")
 
 
-def _states(deltas, init, codes):
-    """One state row per jump time: ``init``, then the running sum of the codes' ``deltas``."""
-    rows = np.empty((len(codes) + 1, deltas.shape[1]), dtype=np.int64)
+def _rows(walk, init, codes):
+    """One state row per jump time: ``init``, then each code's row delta added in turn, by
+    the process's ``walk`` in the library."""
+    rows = np.empty((len(codes) + 1, len(init)), dtype=np.int64)
     rows[0] = init
-    # Codes are row indices by construction; "clip" skips the buffered, checked copy.
-    np.take(deltas, np.array(codes, dtype=np.intp), axis=0, out=rows[1:], mode="clip")
-    return np.cumsum(rows, axis=0, out=rows)
+    walk(codes.ctypes.data, len(codes), rows.ctypes.data)
+    return rows
 
 
 def _draws(rng, count):
@@ -164,14 +172,14 @@ def _draws(rng, count):
 def _loop(process, spec, library):
     """The simulator loop of ``process``: draws in Python, jumps in the C of ``library()``."""
     symbol = native.LOOP_NAMES[process]
-    deltas = np.array([row[0] for row in spec.table], dtype=np.int64)
 
     def run(init, params, scaling, horizon, seed, max_events=MAX_EVENTS_DEFAULT):
         """Run the process from ``init`` up to ``horizon`` with the given seed."""
         model.validate(params, scaling)
         spec.check(init, scaling)
         _check_run(horizon, max_events, seed)
-        jumps = getattr(library(), symbol)
+        lib = library()
+        jumps, walk = getattr(lib, symbol), getattr(lib, f"{symbol}_states")
         a = _coefficients(spec, params, scaling)
         x, clock, done = np.array(init, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
         fixed = (x.ctypes.data, clock.ctypes.data, a.ctypes.data, scaling.n, scaling.c2, horizon)
@@ -195,7 +203,7 @@ def _loop(process, spec, library):
         m = min(m, max_events)
         times.resize(m + 1, refcheck=False)
         codes.resize(m, refcheck=False)
-        return Trajectory(process, times, _states(deltas, init, codes), horizon, seed, params,
+        return Trajectory(process, times, _rows(walk, init, codes), horizon, seed, params,
                           scaling, absorbed=status == native.ABSORBED and not truncated,
                           truncated=truncated)
 

@@ -9,7 +9,8 @@ the loops there size their blocks to the run.  So the case-split loops,
 which skip disabled clauses and record one table-row code per jump, must
 return the same times and states bit for bit, and their equality shows
 that block sizes do not change the stream.  No event cap: a run keeps
-every jump.
+every jump.  ``states`` is the numpy rebuild of a run's rows from its
+codes that the library's compiled walk replaced.
 """
 
 import numpy as np
@@ -203,6 +204,17 @@ def simulate_aux_noblock(init, params, scaling, horizon, seed):
         for col, v in zip(cols, (y, z)):
             col.append(v)
     return (*_result(times, cols), absorbed)
+
+
+def states(process, init, codes):
+    """The numpy form of the library's state walk: ``init``, then the running sum of the
+    table deltas of ``codes``, by ``np.take`` and ``np.cumsum``.  The compiled walk must
+    return the same int64 rows."""
+    deltas = np.array([row[0] for row in PROCESSES[process].table], dtype=np.int64)
+    rows = np.empty((len(codes) + 1, deltas.shape[1]), dtype=np.int64)
+    rows[0] = init
+    np.take(deltas, np.array(codes, dtype=np.intp), axis=0, out=rows[1:])
+    return np.cumsum(rows, axis=0, out=rows)
 
 
 SIMULATORS = {

@@ -97,6 +97,20 @@ def blocks(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """(init, codes, rows) of each state rebuild ``sim._rows`` makes, in call order."""
+    calls, rebuild = [], sim._rows
+
+    def recording(walk, init, codes):
+        rows = rebuild(walk, init, codes)
+        calls.append((tuple(init), codes.copy(), rows))
+        return rows
+
+    monkeypatch.setattr(sim, "_rows", recording)
+    return calls
+
+
 def spanned(sizes, events):
     """How many of the blocks ``sizes`` hold at least one of a run's ``events`` jumps."""
     return sum(start < events for start in itertools.accumulate([0, *sizes[:-1]]))
@@ -487,6 +501,22 @@ class TestSimulate:
         assert err.value.field == "seed"
 
     @pytest.mark.parametrize("process", list(PROCESSES))
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 3.0), ("seed", True), ("max_events", 2.5), ("max_events", True),
+    ])
+    def test_non_integer_seed_or_cap_rejected(self, process, field, value, blocks):
+        """A float or a bool is refused by name before any draw; numpy integers run."""
+        init, scaling = (0,) * len(PROCESSES[process].columns), ScalingParams(n=4, c2=2)
+        run = dict(seed=1, max_events=50) | {field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}") as err:
+            simulate_process(process, init, SYM, scaling, 5.0, **run)
+        assert err.value.field == field and blocks == []
+        traj = simulate_process(process, init, SYM, scaling, 5.0, seed=np.int64(1),
+                                max_events=np.int32(50))
+        plain = simulate_process(process, init, SYM, scaling, 5.0, seed=1, max_events=50)
+        assert traj.times.tolist() == plain.times.tolist()
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
     @pytest.mark.parametrize("cap", [0, -3])
     def test_event_cap_below_one_rejected(self, process, cap):
         init = (0,) * len(PROCESSES[process].columns)
@@ -540,6 +570,34 @@ class TestReferenceLoops:
         assert np.array_equal(traj.states, states)
 
 
+class TestStateWalk:
+    """The library's walk from a run's codes to its state rows against the numpy rebuild
+    of ``sim_reference.states``."""
+
+    # p = 0: nothing feeds class 0, so each chain absorbs (as in the corner tests above).
+    ABSORBING = {"main": ((0, 5, 0), ScalingParams(n=5, c2=2)),
+                 "aux-saturated": ((2, 1), ScalingParams(n=3, c2=2)),
+                 "aux-noblock": ((3, 0), ScalingParams(n=3, c2=2))}
+
+    @pytest.mark.parametrize("process", list(PROCESSES))
+    def test_walk_equals_numpy_reference(self, process, walks):
+        init, scaling = (0,) * len(PROCESSES[process].columns), ScalingParams(n=60, c2=18)
+        corner, small = self.ABSORBING[process]
+        runs = [simulate_process(process, init, SYM, scaling, 20.0, seed) for seed in range(20)]
+        runs += [simulate_process(process, init, SYM, ScalingParams(n=200, c2=100), 20.0, 4),
+                 simulate_process(process, init, SYM, scaling, 0.0, 5),
+                 simulate_process(process, corner, ModelParams(0.0, 1.0, 1.0, 1.0), small, 50.0, 3),
+                 simulate_process(process, init, SYM, scaling, 20.0, 6, max_events=10)]
+        assert max(traj.num_events for traj in runs) > 2 * _CHUNK
+        assert runs[-3].num_events == 0 and runs[-2].absorbed and runs[-1].truncated
+        assert len(walks) == len(runs)
+        for traj, (start, codes, rows) in zip(runs, walks):
+            reference = sim_reference.states(process, start, codes)
+            assert rows.dtype == reference.dtype == np.int64
+            assert np.array_equal(rows, reference) and np.array_equal(traj.states, rows)
+            assert len(codes) == traj.num_events
+
+
 class TestCompiledLoops:
     """The loops are generated from ``PROCESSES``, the only copy of the rates and jumps."""
 
@@ -581,6 +639,47 @@ class TestCompiledLoops:
         assert native._library(patched)._name != native._library(unpatched)._name
         assert simulate(init, SYM, scaling, 60.0, seed=6).times.tolist() != times
 
+    def test_reordered_rows_get_new_codes_and_walk(self, monkeypatch, walks):
+        """A code is its row's place in the table: swap two rows, and the patched library
+        records the new places and its walk rebuilds the states ``step_loop`` replays."""
+        main = PROCESSES["main"]
+        table = list(main.table)
+        table[1], table[2] = table[2], table[1]
+        monkeypatch.setitem(PROCESSES, "main", main._replace(table=tuple(table)))
+        scaling, init = ScalingParams(n=60, c2=18), (0, 25, 5)
+        traj = sim._loop("main", PROCESSES["main"],
+                         functools.partial(native._library, native._library_source(PROCESSES)))(
+            init, SYM, scaling, 60.0, seed=6)
+        times, states = step_loop("main", init, SYM, scaling, 60.0, 6)
+        assert traj.num_events > 2 * _CHUNK
+        assert traj.times.tolist() == times
+        assert [tuple(r) for r in traj.states] == [tuple(s) for s in states]
+        (_, codes, _), = walks
+        moves = np.diff(traj.states, axis=0)
+        assert {1, 2} <= set(codes.tolist())
+        assert np.array_equal(moves, np.array([row[0] for row in table])[codes])
+        assert not np.array_equal(moves, np.array([row[0] for row in main.table])[codes])
+
+    # main at (0, 0, 2), n = c2 = 4: z > 0 and y = 0, so the sums are 0, 0, 2 and total 4.
+    @pytest.mark.parametrize("pick", [0.0, math.nextafter(0.5, 0.0), 0.5, 1 - 2**-53])
+    def test_selection_edges_take_first_sum_above_draw(self, pick):
+        """At u' = 0 the draw equals two zero sums, at u' = 0.5 it equals the third; the
+        jump is the first row whose cumulative rate exceeds u' * total."""
+        scaling, state = ScalingParams(n=4, c2=4), (0, 0, 2)
+        sums = list(itertools.accumulate(sim.rates("main", state, SYM, scaling)))
+        assert sums == [0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 4.0]
+        row = next(i for i, acc in enumerate(sums) if pick * sums[-1] < acc)
+        x, clock, done = np.array(state, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64)
+        a = sim._coefficients(PROCESSES["main"], SYM, scaling)
+        e, u = np.ones(1), np.array([0.5, pick])
+        times, codes = np.zeros(1), np.full(1, -1, dtype=np.int8)
+        status = native.library().simulate(
+            *(v.ctypes.data for v in (x, clock, a)), 4, 4, 10.0, e.ctypes.data, u.ctypes.data,
+            1, *(v.ctypes.data for v in (times, codes, done)))
+        assert status == native.USED_UP and done[0] == 1 and times[0] == 0.25
+        assert codes[0] == row
+        assert x.tolist() == [s + d for s, d in zip(state, PROCESSES["main"].table[row][0])]
+
     def test_patched_table_reaches_residual_sup(self, monkeypatch):
         """The compensator is C generated from the table: patch a factor and a coefficient,
         and the patched library's sup follows the numpy formula of the patched table."""
@@ -621,6 +720,9 @@ class TestCompiledLoops:
                 ctypes.c_double] + [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [
                 ctypes.c_void_p] * 3
             assert loop.restype is ctypes.c_int
+            walk = getattr(lib, f"{native.LOOP_NAMES[process]}_states")
+            assert walk.argtypes == [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            assert walk.restype is None
         assert lib.format_trajectory_rows.argtypes == [ctypes.c_void_p] * 2 + [
             ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64]
         assert lib.format_trajectory_rows.restype is ctypes.c_int64
@@ -650,7 +752,9 @@ class TestCompiledLoops:
         found = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", native._SOURCE, re.M)
         assert {name for _, name, _ in found} >= {"simulate", "grid_sup", "residual_sup",
                                                   "format_trajectory_rows", "reflect_window",
-                                                  "affine_segment", "segment_flow"}
+                                                  "affine_segment", "segment_flow",
+                                                  "simulate_states", "simulate_aux_noblock_states",
+                                                  "simulate_aux_saturated_states"}
         for result, name, params in found:
             args = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]]
                     for p in params.split(",")]
