@@ -152,9 +152,7 @@ def _cmd_params(args, cfg):
     if regime is model.Regime.Overloaded:
         ys, y = model.overloaded_fixed_point(params, r)
         lines.append(f"overloaded_fixed_point (y_star, y) = ({_fmt(ys)}, {_fmt(y)})")
-        lines.append(
-            f"blocked_fraction_limit = {_fmt(model.blocked_fraction_limit(params, r))}"
-        )
+        lines.append(f"blocked_fraction_limit = {_fmt(ys)}")
     elif regime is model.Regime.Underloaded:
         y, z = model.underloaded_fixed_point(params, r)
         lines.append(f"underloaded_fixed_point (y, z) = ({_fmt(y)}, {_fmt(z)})")

@@ -305,6 +305,12 @@ def convergence_sweep(cfg, target, threshold=0.08, workers=1):
 PATH_SAMPLE_DT = 1.0
 
 
+def _scale_ratio(cfg, n, c2, regime):
+    """c2/n for a certificate's closed form at n, or ``cfg.r`` if flooring c2 left ``regime``."""
+    ratio = c2 / n
+    return ratio if classify_regime(cfg.params, ratio) is regime else cfg.r
+
+
 def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
     traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
     _assert_exclusive(traj)
@@ -335,10 +341,7 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
     pairs, absorbed = [], 0
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
-        ratio = c2 / n
-        if classify_regime(cfg.params, ratio) is not Regime.Underloaded:
-            ratio = cfg.r
-        fp_n = underloaded_fixed_point(cfg.params, ratio)
+        fp_n = underloaded_fixed_point(cfg.params, _scale_ratio(cfg, n, c2, Regime.Underloaded))
         args = (cfg.params, n, c2, cfg.horizon, cfg.grid_dt, cfg.burn_in, fp_n)
         results, k = _replicate(_noblock_rep, args, cfg.base_seed, cfg.replications, workers)
         absorbed += k
@@ -414,10 +417,7 @@ def saturation_certificate(cfg, band=0.05, workers=1):
     pairs, absorbed = [], 0
     for n in cfg.n_list:
         c2 = c2_for(n, cfg.r)
-        ratio = c2 / n
-        if classify_regime(cfg.params, ratio) is not Regime.Overloaded:
-            ratio = cfg.r
-        limit_n = blocked_fraction_limit(cfg.params, ratio)
+        limit_n = blocked_fraction_limit(cfg.params, _scale_ratio(cfg, n, c2, Regime.Overloaded))
         args = (cfg.params, n, c2, cfg.horizon, cfg.burn_in)
         results, k = _replicate(_saturation_rep, args, cfg.base_seed, cfg.replications, workers)
         absorbed += k
@@ -609,17 +609,21 @@ def _martingale_rep(params, n, c2, horizon, seed):
     return traj.absorbed, tuple(float(s) for s in sim.residual_sup(traj))
 
 
-def martingale_decay(params, r, n_list, horizon, reps, seed,
-                     slope_range=(-0.7, -0.3), bootstrap=1000, workers=1):
+# martingale_decay's accepted range of log-log slopes and its number of bootstrap draws.
+SLOPE_RANGE = (-0.7, -0.3)
+BOOTSTRAP = 1000
+
+
+def martingale_decay(params, r, n_list, horizon, reps, seed, workers=1):
     """Decay of the sup-residuals as n grows; slope should sit near -1/2.
 
     Fits a log-log slope of the per-n RMS of each residual coordinate and
-    passes iff every coordinate's slope lies in ``slope_range``.  A
-    bootstrap over replications gives a 95% interval per coordinate.  A
-    coordinate with an RMS of 0 at some n has no slope and fails; its
-    bootstrap draws with an RMS of 0 are left out of its interval.  A
-    horizon that is not finite and > 0 is refused before any run: at 0
-    every residual is 0, so no slope exists.
+    passes iff every coordinate's slope lies in ``SLOPE_RANGE``.  A
+    bootstrap of ``BOOTSTRAP`` draws over replications gives a 95% interval
+    per coordinate.  A coordinate with an RMS of 0 at some n has no slope
+    and fails; its bootstrap draws with an RMS of 0 are left out of its
+    interval.  A horizon that is not finite and > 0 is refused before any
+    run: at 0 every residual is 0, so no slope exists.
     """
     n_list = [int(n) for n in n_list]
     _check_scales("n_list", n_list)
@@ -627,8 +631,6 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     _check_positive("horizon", horizon)
     if len(set(n_list)) < 2:
         raise DomainError("n_list", f"n_list needs two distinct n to fit a slope, got {n_list}")
-    if bootstrap < 1:
-        raise DomainError("bootstrap", f"bootstrap needs at least one draw, got {bootstrap}")
     coord_names = ("y_star", "y", "z")
     runs = [_replicate(_martingale_rep, (params, n, c2_for(n, r), horizon), seed, reps, workers)
             for n in n_list]
@@ -656,7 +658,7 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     slopes = slopes.tolist()
     rng = np.random.default_rng([seed, 0xB00])
     # One draw for every (bootstrap sample, n): the same stream as a draw per pair in that order.
-    picks = rng.integers(0, reps, (bootstrap, len(n_list), reps))
+    picks = rng.integers(0, reps, (BOOTSTRAP, len(n_list), reps))
     boot = fit(sups[np.arange(len(n_list))[:, None], picks])[1]
     metrics = []
     for i, n in enumerate(n_list):
@@ -676,7 +678,7 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
     for c, name in enumerate(coord_names):
         # False for an undefined (NaN) slope.
         criteria[f"slope_{name}_in_range"] = bool(
-            slope_range[0] <= slopes[c] <= slope_range[1]
+            SLOPE_RANGE[0] <= slopes[c] <= SLOPE_RANGE[1]
         )
         if math.isnan(slopes[c]):
             zero_at = [n for n, v in zip(n_list, rms[:, c]) if v == 0.0]
@@ -686,14 +688,14 @@ def martingale_decay(params, r, n_list, horizon, reps, seed,
         note = f"slope_{name} = {slopes[c]!r}, bootstrap 95% interval [{lo!r}, {hi!r}]"
         left_out = int(np.isnan(boot[:, c]).sum())
         if left_out:
-            note += f" from {bootstrap - left_out} draws; {left_out} left out (RMS of 0 at some n)"
+            note += f" from {BOOTSTRAP - left_out} draws; {left_out} left out (RMS of 0 at some n)"
         notes.append(note)
     notes += _absorbed_notes(absorbed, reps * len(n_list))
     return Report(
         name="martingale_decay",
         config=_params_echo(params, r=r, n_list=n_list, horizon=horizon, replications=reps,
-                            base_seed=seed, bootstrap=bootstrap,
-                            slope_range=list(slope_range)),
+                            base_seed=seed, bootstrap=BOOTSTRAP,
+                            slope_range=list(SLOPE_RANGE)),
         metrics=metrics,
         criteria=criteria,
         notes=notes,

@@ -144,26 +144,19 @@ def classify_regime(params, r):
 def blocked_fraction_limit(params, r):
     """Long-run fraction of level-1 operators stuck blocked when capacity is short.
 
-    Only defined in the Overloaded regime (r < r_c) and for p > 0; the
-    value is the y_star coordinate of the overloaded fixed point.
+    The y_star coordinate of ``overloaded_fixed_point``, so defined only
+    for p > 0 and where ``classify_regime`` says Overloaded.
     """
-    if params.p == 0:
-        raise DomainError("p", "blocked fraction requires p > 0")
-    r_c = critical_ratio(params)
-    if not r < r_c:
-        raise RegimeError(
-            f"r={r} is not below the critical ratio {r_c}; the blocked fraction would be <= 0"
-        )
-    return 1.0 - (params.mu02 * r / params.mu01) * (
-        (1 - params.p) * params.mu01 / (params.p * params.mu11) + 1.0
-    )
+    return overloaded_fixed_point(params, r)[0]
 
 
 def overloaded_fixed_point(params, r):
-    """Rest point (y_star, y) of the overloaded fluid dynamics (z pinned at 0)."""
+    """Rest point (y_star, y) of the overloaded fluid dynamics (z pinned at 0).
+
+    DomainError for p = 0, then RegimeError unless ``classify_regime`` says Overloaded."""
     if params.p == 0:
         raise DomainError("p", "overloaded fixed point requires p > 0")
-    if not r < critical_ratio(params):
+    if classify_regime(params, r) is not Regime.Overloaded:
         raise RegimeError(f"r={r} is not in the overloaded regime")
     y = params.mu02 * r / params.mu01
     y_star = 1.0 - y * ((1 - params.p) * params.mu01 / (params.p * params.mu11) + 1.0)
@@ -171,8 +164,10 @@ def overloaded_fixed_point(params, r):
 
 
 def underloaded_fixed_point(params, r):
-    """Rest point (y, z) of the underloaded fluid dynamics (y_star pinned at 0)."""
-    if not r > critical_ratio(params):
+    """Rest point (y, z) of the underloaded fluid dynamics (y_star pinned at 0).
+
+    RegimeError unless ``classify_regime`` says Underloaded (not within its Critical band)."""
+    if classify_regime(params, r) is not Regime.Underloaded:
         raise RegimeError(f"r={r} is not in the underloaded regime")
     y = y_bar(params)
     denom = params.mu02 * (params.p * params.mu11 + (1 - params.p) * params.mu01)

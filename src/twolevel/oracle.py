@@ -29,19 +29,17 @@ STATE_CAP_DEFAULT = 11_585
 def state_space_size(scaling):
     """|S| = (n+1)(c2+1) states with y_star=0 plus n(n+1)/2 with y_star>0; checks n, c2 first."""
     model.validate(None, scaling)
-    return _size(scaling.n, scaling.c2)
-
-
-def _size(n, c2):
+    n, c2 = scaling.n, scaling.c2
     return (n + 1) * (c2 + 1) + n * (n + 1) // 2
 
 
 def _state_array(scaling):
     """All states (y_star, y, z) with y_star+y <= n, z <= c2, y_star*z = 0, as int64 rows in
-    lexicographic order.  Past ``STATE_CAP_DEFAULT`` states, TooLarge with the size, before
-    any allocation."""
+    lexicographic order.  Sized by ``state_space_size``, so a scale it refuses raises its
+    DomainError, and past ``STATE_CAP_DEFAULT`` states TooLarge with the size, before any
+    allocation."""
     n, c2 = scaling.n, scaling.c2
-    size = _size(n, c2)
+    size = state_space_size(scaling)
     if size > STATE_CAP_DEFAULT:
         raise TooLarge(size, STATE_CAP_DEFAULT)
     states = np.zeros((size, 3), dtype=np.int64)

@@ -19,6 +19,9 @@ from .errors import DomainError, GridMismatch, NoConvergence
 # Length of one Picard window in time units.  Picard's contraction on [0, T]
 # weakens as T grows; on windows of 1, 3 and 5 units the solve was slower.
 WINDOW = 2.0
+# A window's Picard stops at a sup-norm change <= TOL, or fails after MAX_ITER sweeps.
+TOL = 1e-9
+MAX_ITER = 200
 
 
 def whole_steps(horizon, dt):
@@ -90,7 +93,7 @@ def check_complementarity(reflected, regulator, tol):
     return coupling <= tol
 
 
-def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
+def solve_generalized(phi, horizon, dt):
     """Solve the generalized reflection problem x = reflect(phi(x)) by windowed Picard.
 
     ``phi(x, t0, dt, carried)`` is a causal functional that restarts: given
@@ -105,7 +108,7 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
     The grid is cut into windows of ``WINDOW`` time units, each sharing its
     first point with the last point of the window before, where that point
     stays pinned to its converged value.  On each window x <- reflect(
-    phi(x)) runs until the sup-norm change is <= tol, starting from 0 on
+    phi(x)) runs until the sup-norm change is <= ``TOL``, starting from 0 on
     the first window and from the linear extrapolation of the last two
     converged points (clipped at 0) on the others.  A sweep is one ``phi``
     call and the reflection reflected = free + max(0, -m), the regulator
@@ -114,9 +117,9 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
     without a C compiler the solve raises ``BuildError`` for every ``phi``,
     a numpy one too.  Returns (solution, regulator, iterations),
     ``iterations`` being the most sweeps any window took.  Raises
-    NoConvergence(max_iter) with that window's last residual when a window
-    spends its budget of ``max_iter`` sweeps -- a functional that is no
-    contraction on a window, or a tol below the rounding of its sweeps --
+    NoConvergence(MAX_ITER) with that window's last residual when a window
+    spends its budget of ``MAX_ITER`` sweeps -- a functional that is no
+    contraction on a window, or a ``TOL`` below the rounding of its sweeps --
     and DomainError for a free path of another shape or type, sharing
     memory with ``x``, not finite, or starting below 0.
     """
@@ -135,7 +138,7 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
         window = (guess.ctypes.data, regulator[a:].ctypes.data, len(guess),
                   np.inf if running_min is None else running_min, a > 0)
         residual = np.inf
-        for sweep in range(1, max_iter + 1):
+        for sweep in range(1, MAX_ITER + 1):
             free, out = phi(guess, a * dt, dt, carried)
             if not (isinstance(free, np.ndarray) and free.dtype == np.float64
                     and free.shape == guess.shape and free.flags.c_contiguous):
@@ -149,10 +152,10 @@ def solve_generalized(phi, horizon, dt, tol=1e-9, max_iter=200):
                 raise DomainError("values", "path values must be finite")
             if running_min is None and free[0] < 0:
                 raise DomainError("values", f"free path must start >= 0, got {free[0]}")
-            if residual <= tol:
+            if residual <= TOL:
                 break
         else:
-            raise NoConvergence(max_iter, residual)
+            raise NoConvergence(MAX_ITER, residual)
         iterations = max(iterations, sweep)
         if b == n - 1:
             return SampledPath(0.0, dt, x), SampledPath(0.0, dt, regulator), iterations

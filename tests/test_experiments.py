@@ -138,6 +138,11 @@ class TestReportArtifacts:
         assert lines[1] == "10,0.5,true,"
         assert lines[2] == "20,0.25,false,"
 
+    def test_csv_without_rows_is_one_newline(self):
+        buf = io.StringIO()
+        dataclasses.replace(self.tiny_report(), metrics=[]).write_csv(buf)
+        assert buf.getvalue() == "\n"
+
     def test_save_report_paths_and_content(self, tmp_path):
         rep = self.tiny_report()
         json_path, csv_path = save_report(rep, str(tmp_path))
@@ -233,6 +238,18 @@ class TestNoBlockingCertificate:
         assert row["mean_path_fixed_point_distance"] == pytest.approx(float(dist))
         assert "fixed_point_within_band" not in rep.criteria
 
+    def test_critical_floored_ratio_falls_back_to_r(self):
+        """At n = 20 and r = 0.52, c2 = 10 puts c2/n at r_c = 0.5, where no underloaded
+        fixed point exists: the distances are taken from the one at r."""
+        cfg = small_cfg(0.52, n_list=(20,), replications=3)
+        row = no_blocking_certificate(cfg).metrics[0]
+        assert row["c2"] == 10
+        sampled = np.array(row["path_samples"])
+        grid = row["path_sample_dt"] * np.arange(sampled.shape[1])
+        fp = underloaded_fixed_point(SYM, 0.52)
+        dist = np.abs(sampled.mean(axis=0)[grid >= cfg.burn_in] - np.asarray(fp)).max()
+        assert row["mean_path_fixed_point_distance"] == pytest.approx(float(dist))
+
 
 class TestSaturationCertificate:
     def test_underloaded_ratio_rejected(self):
@@ -261,6 +278,28 @@ class TestSaturationCertificate:
             "blocked_fraction_within_band", "occupancy_above_lower_bound",
         }
         assert rep.criteria["blocked_fraction_within_band"]
+
+    def test_critical_floored_ratio_falls_back_to_r(self):
+        """At n = 2 and r = 0.3, c2 = max(1, 0) = 1 puts c2/n at r_c = 0.5, where no
+        blocked fraction exists: the limit reported is the one at r."""
+        rep = saturation_certificate(small_cfg(0.3, n_list=(2,), replications=3), band=1.0)
+        assert rep.metrics[0]["c2"] == 1
+        assert rep.metrics[0]["blocked_fraction_limit"] == blocked_fraction_limit(SYM, 0.3)
+
+
+class TestExclusiveStatesChecked:
+    """A main run holding blocked operators and idle specialists at once is refused."""
+
+    @pytest.mark.parametrize("certificate, r", [(no_blocking_certificate, 0.7),
+                                                (saturation_certificate, 0.3)])
+    def test_certificate_raises(self, monkeypatch, certificate, r):
+        def both(process, init, params, scaling, horizon, seed):
+            return sim.Trajectory(process, [0.0, 1.0], [[0, 0, 0], [1, 0, 1]], horizon, seed,
+                                  params, scaling)
+
+        monkeypatch.setattr(sim, "simulate_process", both)
+        with pytest.raises(InvalidState, match="blocked operators and idle specialists"):
+            certificate(small_cfg(r, n_list=(20,), replications=2))
 
 
 class TestPhaseScan:
@@ -398,11 +437,10 @@ class TestOracleCrossCheck:
 
 
 class TestMartingaleDecay:
-    def test_rms_ratio_and_report_shape(self):
-        rep = martingale_decay(
-            SYM, 0.3, (100, 200), horizon=5.0, reps=8, seed=4242,
-            slope_range=(-1.0, -0.05), bootstrap=200,
-        )
+    def test_rms_ratio_and_report_shape(self, monkeypatch):
+        monkeypatch.setattr(experiments, "SLOPE_RANGE", (-1.0, -0.05))
+        monkeypatch.setattr(experiments, "BOOTSTRAP", 200)
+        rep = martingale_decay(SYM, 0.3, (100, 200), horizon=5.0, reps=8, seed=4242)
         assert [row["n"] for row in rep.metrics] == [100, 200]
         for coord in ("y_star", "y", "z"):
             r100 = rep.metrics[0][f"rms_sup_{coord}"]
@@ -423,26 +461,27 @@ class TestMartingaleDecay:
     ])
     def test_unfittable_input_rejected(self, n_list, reps, field):
         with pytest.raises(DomainError) as info:
-            martingale_decay(SYM, 0.3, n_list, horizon=2.0, reps=reps, seed=1, bootstrap=10)
+            martingale_decay(SYM, 0.3, n_list, horizon=2.0, reps=reps, seed=1)
         assert info.value.field == field
 
     @pytest.mark.parametrize("r", [math.nan, -0.3, 0.0, math.inf])
     def test_bad_ratio_rejected(self, r):
         with pytest.raises(DomainError) as info:
-            martingale_decay(SYM, r, (20, 40), horizon=2.0, reps=4, seed=1, bootstrap=10)
+            martingale_decay(SYM, r, (20, 40), horizon=2.0, reps=4, seed=1)
         assert info.value.field == "r"
 
-    def test_bootstrap_below_one_rejected(self):
-        with pytest.raises(DomainError) as info:
-            martingale_decay(SYM, 0.3, (20, 40), horizon=2.0, reps=4, seed=1, bootstrap=0)
-        assert info.value.field == "bootstrap"
+    @pytest.mark.parametrize("keyword, value", [("bootstrap", 200),
+                                                ("slope_range", (-1.0, -0.05))])
+    def test_removed_keywords_raise_type_error(self, keyword, value):
+        """The slope range and the draw count are the module constants, not arguments."""
+        with pytest.raises(TypeError, match=keyword):
+            martingale_decay(SYM, 0.3, (20, 40), horizon=2.0, reps=4, seed=1, **{keyword: value})
 
-    def test_slope_close_to_inverse_sqrt(self):
+    def test_slope_close_to_inverse_sqrt(self, monkeypatch):
         """log-log slope over doubling n sits near -1/2 for each coordinate."""
-        rep = martingale_decay(
-            SYM, 0.3, (50, 100, 200, 400), horizon=5.0, reps=10, seed=99,
-            slope_range=(-0.75, -0.25), bootstrap=200,
-        )
+        monkeypatch.setattr(experiments, "SLOPE_RANGE", (-0.75, -0.25))
+        monkeypatch.setattr(experiments, "BOOTSTRAP", 200)
+        rep = martingale_decay(SYM, 0.3, (50, 100, 200, 400), horizon=5.0, reps=10, seed=99)
         assert rep.passed, rep.criteria
 
 
@@ -459,12 +498,12 @@ class TestMartingaleDecay:
         assert "left out" in rep.notes[0]
         assert "left out" not in rep.notes[1] + rep.notes[2]
 
-    def test_zero_rms_point_estimate_is_undefined_and_fails(self):
+    def test_zero_rms_point_estimate_is_undefined_and_fails(self, monkeypatch):
         params = ModelParams(0.3, 1.7, 0.6, 1.3)
+        monkeypatch.setattr(experiments, "BOOTSTRAP", 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rep = martingale_decay(params, 0.7, (50, 100), horizon=5.0, reps=5, seed=5,
-                                   bootstrap=200)
+            rep = martingale_decay(params, 0.7, (50, 100), horizon=5.0, reps=5, seed=5)
         assert [row["rms_sup_y_star"] for row in rep.metrics] == [0.0, 0.0]
         assert rep.notes[0] == "slope_y_star undefined: RMS of 0 at n = [50, 100]"
         assert rep.criteria["slope_y_star_in_range"] is False
@@ -487,7 +526,7 @@ class TestRefusedBeforeAnyRun:
     def test_martingale_bad_horizon(self, horizon):
         """At horizon 0 every residual is 0: the slopes were undefined and the verdict FAIL."""
         with pytest.raises(DomainError, match="horizon must be finite and > 0") as info:
-            martingale_decay(SYM, 0.3, (100, 200), horizon, reps=2, seed=1, bootstrap=10)
+            martingale_decay(SYM, 0.3, (100, 200), horizon, reps=2, seed=1)
         assert info.value.field == "horizon"
 
     def test_martingale_zero_horizon_cli_exits_2(self, capsys, tmp_path):
@@ -642,7 +681,7 @@ class TestTruncatedRunsRefused:
         lambda: no_blocking_certificate(small_cfg(0.7, n_list=(20,), replications=2)),
         lambda: saturation_certificate(small_cfg(0.3, n_list=(20,), replications=2)),
         lambda: phase_scan(SYM, (0.3, 0.7), 20, 4.0, 1.0, 2, 1),
-        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, 1, bootstrap=10),
+        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, 1),
         lambda: oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 10.0, seed=5),
     ], ids=["convergence-aux", "convergence-main", "no-blocking", "saturation", "phase-scan",
             "martingale", "oracle-check"])
@@ -677,7 +716,7 @@ class TestNegativeSeedRefused:
         lambda: saturation_certificate(small_cfg(0.3, n_list=(20,), replications=2,
                                                  base_seed=-5)),
         lambda: phase_scan(SYM, [0.3, 0.7], 20, 4.0, 1.0, 2, -1),
-        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, -3, bootstrap=10),
+        lambda: martingale_decay(SYM, 0.3, (20, 40), 2.0, 2, -3),
         lambda: oracle_cross_check(SYM, ScalingParams(n=2, c2=1), 10.0, seed=-1),
     ], ids=["convergence", "no-blocking", "saturation", "phase-scan", "martingale",
             "oracle-check"])

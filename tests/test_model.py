@@ -204,6 +204,16 @@ class TestFixedPoints:
         with pytest.raises(RegimeError):
             underloaded_fixed_point(SYM, 0.3)
 
+    @pytest.mark.parametrize("r", [0.5 - 1e-14, 0.5 + 1e-14], ids=["below", "above"])
+    def test_critical_band_has_no_fixed_point(self, r):
+        """Within classify_regime's Critical band around r_c = 0.5 every closed form refuses;
+        the bare inequality returned (2e-14, 0.49999999999999) below and (0.5, 1e-14) above."""
+        assert classify_regime(SYM, r) is Regime.Critical
+        for closed_form in (overloaded_fixed_point, blocked_fraction_limit,
+                            underloaded_fixed_point):
+            with pytest.raises(RegimeError):
+                closed_form(SYM, r)
+
     def test_blocked_fraction_is_overloaded_y_star(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -56,9 +56,14 @@ class TestEnumeration:
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
         ]
 
-    def test_no_operators_only_specialist_axis(self):
-        states = self.states(ScalingParams(n=0, c2=3))
-        assert states == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3)]
+    @pytest.mark.parametrize("n, c2, field", [(0, 3, "n"), (0, 0, "n"), (1, 0, "c2"),
+                                              (5, 0, "c2")])
+    def test_scale_without_a_chain_refused(self, monkeypatch, n, c2, field):
+        """Sized by ``state_space_size``: n = 0 or c2 = 0 is refused before any allocation."""
+        monkeypatch.setattr(oracle.np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+        with pytest.raises(DomainError) as err:
+            oracle._state_array(ScalingParams(n=n, c2=c2))
+        assert err.value.field == field
 
     def test_two_operator_count(self):
         states = self.states(ScalingParams(n=2, c2=1))
@@ -83,7 +88,7 @@ class TestEnumeration:
         states = self.states(ScalingParams(n=3, c2=2))
         assert states == sorted(states)
 
-    @pytest.mark.parametrize("n,c2", [(0, 0), (0, 3), (1, 0), (5, 0), (7, 3), (20, 10)])
+    @pytest.mark.parametrize("n,c2", [(1, 1), (1, 3), (5, 1), (2, 9), (7, 3), (20, 10)])
     def test_matches_nested_loop_reference(self, n, c2):
         """The vectorised builder gives the per-state loop's states, as int64 rows."""
         scaling = ScalingParams(n=n, c2=c2)
@@ -238,6 +243,9 @@ class TestCarriedCsr:
 
 
 class TestStationary:
+    def test_one_state_holds_all_mass(self):
+        assert stationary_distribution(np.array([[0.0]])).tolist() == [1.0]
+
     def test_two_state_birth_death(self):
         lam, mu = 0.7, 1.3
         g = np.array([[-lam, lam], [mu, -mu]])

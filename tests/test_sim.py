@@ -1352,6 +1352,13 @@ class TestMartingaleResidual:
         with pytest.raises(InvalidState):
             residual_sup(aux)
 
+    def test_truncated_run_refused(self):
+        """A truncated run stops before its horizon: its residual would miss the rest."""
+        traj = simulate((0, 0, 0), SYM, ScalingParams(n=20, c2=6), 20.0, seed=1, max_events=10)
+        assert traj.truncated
+        with pytest.raises(InvalidState, match="truncated"):
+            residual_sup(traj)
+
     @pytest.mark.parametrize("params, n, c2, horizon, seeds, init", [
         (SYM, 200, 60, 10.0, range(20), (0, 0, 0)),
         (SYM, 200, 140, 10.0, range(20), (0, 0, 0)),

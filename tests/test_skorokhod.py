@@ -12,6 +12,7 @@ from twolevel import (
     check_complementarity,
     gbar_functional,
     native,
+    skorokhod,
     solve_generalized,
 )
 from twolevel.skorokhod import whole_steps
@@ -169,31 +170,41 @@ class TestSolveGeneralized:
         np.testing.assert_allclose(regulator.values, regulator.times, atol=0.0)
         assert iterations == 1
 
-    def test_contraction_converges_to_its_fixed_point(self):
+    def test_contraction_converges_to_its_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(skorokhod, "TOL", 1e-12)
         damp = pointwise(lambda x, t: 0.5 * x + 0.1)
-        solution, _, _ = solve_generalized(damp, 1.0, DT, tol=1e-12)
+        solution, _, _ = solve_generalized(damp, 1.0, DT)
         np.testing.assert_allclose(solution.values, 0.2, atol=1e-10)
 
-    def test_oscillator_hits_iteration_budget(self):
+    def test_oscillator_hits_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(skorokhod, "MAX_ITER", 12)
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(pointwise(lambda x, t: 1.0 - x), 0.5, DT, max_iter=12)
+            solve_generalized(pointwise(lambda x, t: 1.0 - x), 0.5, DT)
         assert err.value.max_iter == 12
         assert err.value.residual == pytest.approx(1.0)
 
-    def test_no_budget_no_sweep(self):
+    def test_no_budget_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(skorokhod, "MAX_ITER", 0)
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(pointwise(lambda x, t: x), 0.5, DT, max_iter=0)
+            solve_generalized(pointwise(lambda x, t: x), 0.5, DT)
         assert err.value.max_iter == 0
         assert err.value.residual == np.inf
 
-    def test_budget_is_per_window_and_reports_the_failing_window(self):
+    @pytest.mark.parametrize("keyword, value", [("tol", 1e-12), ("max_iter", 12)])
+    def test_removed_keywords_raise_type_error(self, keyword, value):
+        """The tolerance and the sweep budget are ``skorokhod.TOL`` and ``MAX_ITER``."""
+        with pytest.raises(TypeError, match=keyword):
+            solve_generalized(pointwise(lambda x, t: t), 1.0, DT, **{keyword: value})
+
+    def test_budget_is_per_window_and_reports_the_failing_window(self, monkeypatch):
         """Contracting on [0, 3) and flipping after: the window [0, 2] converges
         in 28 sweeps, and the window [2, 4] spends its own 30 at residual 0.6."""
         def damp_then_flip(x, t):
             return np.where(t < 3.0, 0.5 * x + 0.1, 1.0 - x)
 
+        monkeypatch.setattr(skorokhod, "MAX_ITER", 30)
         with pytest.raises(NoConvergence) as err:
-            solve_generalized(pointwise(damp_then_flip), 5.0, DT, max_iter=30)
+            solve_generalized(pointwise(damp_then_flip), 5.0, DT)
         assert err.value.max_iter == 30
         assert err.value.residual == pytest.approx(0.6)
 
@@ -343,7 +354,7 @@ class TestFreePathRefused:
             return np.where(np.isclose(times, t_bad), bad, 0.5 * x + 0.1), None
 
         with pytest.raises(DomainError, match="path values must be finite") as err:
-            solve_generalized(phi, 5.0, DT, max_iter=200)
+            solve_generalized(phi, 5.0, DT)
         assert err.value.field == "values"
         assert calls.count(calls[-1]) == 1 and calls[-1] == (0.0 if t_bad < 2 else 2.0)
 
