@@ -19,6 +19,7 @@ crash never reads as a failed verdict.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -340,9 +341,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built once per process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         if args.command in ("simulate", "experiment"):

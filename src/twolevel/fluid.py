@@ -266,12 +266,15 @@ def gbar_functional(params, r, init):
     window's first point, None when the window starts at t = 0.  It returns
     the free path on the window and that pair at the window's last point,
     so consecutive windows sharing an end point continue the same recursion.
+    ``gbar.sweeps`` is its Picard window for ``solve_generalized``: the
+    library's ``picard_window`` runs every sweep of the window, this pass
+    then the reflection, in one call on the grid terms taken once.
     Parameters that ``model.validate`` refuses raise its DomainError first.
     """
     model.validate(params)
     y_star0, y0 = init
     FluidState(y_star0, y0, 0.0).check(r)
-    kernel = native.library().gbar_window
+    lib = native.library()
     p, mu01, mu11, mu02 = params.p, params.mu01, params.mu11, params.mu02
     mubar = (1 - p) * mu01 + p * mu11
 
@@ -293,10 +296,21 @@ def gbar_functional(params, r, init):
             raise DomainError("dt", "grid step must be positive")
         decay, base = grid_terms(t0, dt, len(x))
         state, out = (ctypes.c_double * 2)(*carried or (0.0, 0.0)), np.empty(len(x))
-        kernel(x.ctypes.data, base.ctypes.data, len(x), dt / 2, mu11, decay, -p * mu01, state,
-               out.ctypes.data)
+        lib.gbar_window(x.ctypes.data, base.ctypes.data, len(x), dt / 2, mu11, decay,
+                        -p * mu01, state, out.ctypes.data)
         return out, (state[0], state[1])
 
+    def sweeps(x, reg, t0, dt, carried, running_min, pinned, tol, max_iter):
+        """(last change, sweeps, last free path, carried pair) of Picard on the window x."""
+        decay, base = grid_terms(t0, dt, len(x))
+        state, out = (ctypes.c_double * 2)(*carried or (0.0, 0.0)), np.empty(len(x))
+        count = (ctypes.c_int64 * 1)()
+        residual = lib.picard_window(x.ctypes.data, reg.ctypes.data, base.ctypes.data, len(x),
+                                     dt / 2, mu11, decay, -p * mu01, state, out.ctypes.data,
+                                     running_min, pinned, tol, max_iter, count)
+        return residual, count[0], out, (state[0], state[1])
+
+    gbar.sweeps = sweeps
     return gbar
 
 

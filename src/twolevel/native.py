@@ -6,7 +6,8 @@ compensator of ``sim.residual_sup`` (``residual_source``), the one walk over the
 the grid of ``sim.grid_sup``, the row formatter of ``sim.write_trajectory_csv`` (exact
 integer digits; ``snprintf`` only out of range), the two halves of a Picard sweep:
 ``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s reflection, and the
-exact segments of ``fluid._affine_path``, their 5x5 matrix exponential and guard scan.
+loop that runs one window's sweeps of the two in one call, and the exact segments of
+``fluid._affine_path``, their 5x5 matrix exponential and guard scan.
 ``library()``, the library of the tables as they are at import, compiles it at its first
 call, never at import, with the system C compiler (``cc``); it is kept in
 ``$XDG_CACHE_HOME/twolevel`` (default ``~/.cache/twolevel``), so later processes load it
@@ -279,6 +280,8 @@ int64_t format_trajectory_rows(const double *times, const int64_t *states, int64
 # step an explicit fma, as a BLAS banded solve with FMA kernels rounds it), then the
 # reflection, which writes the regulator from sample 1 and returns the sup change, or
 # NaN for a value not finite.  min and max keep the second operand on a tie, as numpy's.
+# picard_window runs a window's sweeps, each Gbar restarted from the pair carried in,
+# with the stop rule of ``skorokhod.solve_generalized``'s Python loop.
 _PICARD = r"""
 void gbar_window(const double *x, const double *base, int64_t n, double h, double mu11,
                  double decay, double coef, double *carried, double *out)
@@ -313,6 +316,26 @@ double reflect_window(const double *free, double *x, double *reg, int64_t n,
         x[k] = next;
     }
     return sup;
+}
+
+/* Sweeps until the change is <= tol or not finite (NaN), a free path of a window not pinned
+   starts below 0, or max_iter sweeps; returns the last change (INFINITY after none) and
+   writes the count to *sweeps, the pair at the last point to carried and the free path. */
+double picard_window(double *x, double *reg, const double *base, int64_t n, double h,
+                     double mu11, double decay, double coef, double *carried, double *free,
+                     double running_min, int pinned, double tol, int64_t max_iter,
+                     int64_t *sweeps)
+{
+    double start[2] = {carried[0], carried[1]}, residual = INFINITY;
+    for (*sweeps = 0; *sweeps < max_iter;) {
+        ++*sweeps;
+        carried[0] = start[0];
+        carried[1] = start[1];
+        gbar_window(x, base, n, h, mu11, decay, coef, carried, free);
+        residual = reflect_window(free, x, reg, n, running_min, pinned);
+        if (!(residual > tol) || (!pinned && free[0] < 0)) break;
+    }
+    return residual;
 }
 """
 # The exact segment of ``fluid._affine_path``, sharing nothing with the Picard sweep that
@@ -422,7 +445,7 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 
 def _library_source(processes):
     """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``,
-    ``grid_sup``, the Picard sweep and the exact fluid segment."""
+    ``grid_sup``, the Picard sweeps and the exact fluid segment."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
             + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP + _PICARD
             + _FLUID)

@@ -5,9 +5,12 @@ causal functional of the (unknown) reflected solution.  The solver runs
 Picard on consecutive windows of ``WINDOW`` time units (waveform
 relaxation): the functional restarts from the state it carried out of the
 previous window, and the reflection, in the compiled library (``native``),
-from the running minimum of the free path so far.
+from the running minimum of the free path so far.  A functional that
+carries its compiled sweeps (``fluid.gbar_functional``'s) runs all of a
+window's sweeps in one library call; any other runs them in Python.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,15 +25,23 @@ WINDOW = 2.0
 # A window's Picard stops at a sup-norm change <= TOL, or fails after MAX_ITER sweeps.
 TOL = 1e-9
 MAX_ITER = 200
+# The most points of a fluid, Picard or run grid: at 2^24 + 1 a hybrid solve's path, its
+# regulator and their finiteness scans stay well under 1.5 GiB.
+MAX_POINTS = 2**24 + 1
 
 
 def whole_steps(horizon, dt):
     """floor(horizon / dt + 1e-9): the one rule of ``grid_steps`` and ``sim.grid_points``;
-    DomainError naming ``horizon`` when the ratio is not finite."""
+    DomainError naming ``horizon`` when the ratio is not finite or the grid of
+    steps + 1 points would pass ``MAX_POINTS``."""
     steps = horizon / dt + 1e-9
     if not math.isfinite(steps):
         raise DomainError("horizon", f"horizon {horizon!r} over the step {dt!r} is not finite")
-    return int(math.floor(steps))
+    steps = int(math.floor(steps))
+    if steps >= MAX_POINTS:
+        raise DomainError("horizon", f"horizon {horizon!r} over the step {dt!r} makes "
+                          f"{steps + 1} grid points, past the cap of {MAX_POINTS}")
+    return steps
 
 
 def grid_steps(horizon, dt):
@@ -93,6 +104,29 @@ def check_complementarity(reflected, regulator, tol):
     return coupling <= tol
 
 
+def _sweeps(phi, x, reg, t0, dt, carried, running_min, pinned, tol, max_iter):
+    """Picard sweeps x <- reflect(phi(x)) on one window, in place, with the stop rule of
+    the library's ``picard_window``: (last change, sweeps run, last free path, the state
+    ``phi`` carried out of the window)."""
+    reflect = native.library().reflect_window
+    residual, sweep, free, out = np.inf, 0, None, None
+    while sweep < max_iter:
+        sweep += 1
+        free, out = phi(x, t0, dt, carried)
+        if not (isinstance(free, np.ndarray) and free.dtype == np.float64
+                and free.shape == x.shape and free.flags.c_contiguous):
+            got = getattr(free, "dtype", type(free).__name__)
+            raise DomainError("free", f"phi must return a contiguous float64 array of shape "
+                              f"{x.shape}, got {got} of shape {np.shape(free)}")
+        if np.shares_memory(free, x):
+            raise DomainError("free", "phi must return a new array, not x or a view of it")
+        residual = reflect(free.ctypes.data, x.ctypes.data, reg.ctypes.data, len(x),
+                           running_min, pinned)
+        if not residual > tol or not pinned and free[0] < 0:
+            break
+    return residual, sweep, free, out
+
+
 def solve_generalized(phi, horizon, dt):
     """Solve the generalized reflection problem x = reflect(phi(x)) by windowed Picard.
 
@@ -115,16 +149,21 @@ def solve_generalized(phi, horizon, dt):
     max(0, -m) and m the running minimum of the free path since t = 0
     (this window's and those before it), in the compiled library; so
     without a C compiler the solve raises ``BuildError`` for every ``phi``,
-    a numpy one too.  Returns (solution, regulator, iterations),
-    ``iterations`` being the most sweeps any window took.  Raises
-    NoConvergence(MAX_ITER) with that window's last residual when a window
-    spends its budget of ``MAX_ITER`` sweeps -- a functional that is no
-    contraction on a window, or a ``TOL`` below the rounding of its sweeps --
-    and DomainError for a free path of another shape or type, sharing
-    memory with ``x``, not finite, or starting below 0.
+    a numpy one too.  A ``phi`` that carries its compiled sweeps, as
+    ``phi.sweeps(x, reg, t0, dt, carried, running_min, pinned, tol,
+    max_iter)`` (``fluid.gbar_functional``'s does), runs each window's
+    sweeps in one call of them, with the same float operations in the same
+    order; any other runs them in Python, one ``phi`` call a sweep.
+    Returns (solution, regulator, iterations), ``iterations`` being the
+    most sweeps any window took.  Raises NoConvergence(MAX_ITER) with that
+    window's last residual when a window spends its budget of ``MAX_ITER``
+    sweeps -- a functional that is no contraction on a window, or a ``TOL``
+    below the rounding of its sweeps -- and DomainError for a free path of
+    another shape or type, sharing memory with ``x``, not finite, or
+    starting below 0.  The grid is refused past ``MAX_POINTS`` points.
     """
     n = grid_steps(horizon, dt) + 1
-    reflect = native.library().reflect_window
+    run = getattr(phi, "sweeps", None) or functools.partial(_sweeps, phi)
     x, regulator = np.zeros(n), np.zeros(n)
     width = max(1, int(round(WINDOW / dt)))
     carried, running_min, iterations = None, None, 0
@@ -134,27 +173,15 @@ def solve_generalized(phi, horizon, dt):
         guess = x[a:b + 1]
         if a:
             guess[1:] = np.maximum(x[a] + (x[a] - x[a - 1]) * np.arange(1, b - a + 1), 0.0)
-        # The sweep writes the reflected path into guess and the regulator in place.
-        window = (guess.ctypes.data, regulator[a:].ctypes.data, len(guess),
-                  np.inf if running_min is None else running_min, a > 0)
-        residual = np.inf
-        for sweep in range(1, MAX_ITER + 1):
-            free, out = phi(guess, a * dt, dt, carried)
-            if not (isinstance(free, np.ndarray) and free.dtype == np.float64
-                    and free.shape == guess.shape and free.flags.c_contiguous):
-                got = getattr(free, "dtype", type(free).__name__)
-                raise DomainError("free", f"phi must return a contiguous float64 array of shape "
-                                  f"{guess.shape}, got {got} of shape {np.shape(free)}")
-            if np.shares_memory(free, guess):
-                raise DomainError("free", "phi must return a new array, not x or a view of it")
-            residual = reflect(free.ctypes.data, *window)
-            if math.isnan(residual):
-                raise DomainError("values", "path values must be finite")
-            if running_min is None and free[0] < 0:
-                raise DomainError("values", f"free path must start >= 0, got {free[0]}")
-            if residual <= TOL:
-                break
-        else:
+        # The sweeps write the reflected path into guess and the regulator in place.
+        residual, sweep, free, out = run(guess, regulator[a:b + 1], a * dt, dt, carried,
+                                         np.inf if running_min is None else running_min,
+                                         a > 0, TOL, MAX_ITER)
+        if math.isnan(residual):
+            raise DomainError("values", "path values must be finite")
+        if sweep and not a and free[0] < 0:
+            raise DomainError("values", f"free path must start >= 0, got {free[0]}")
+        if not residual <= TOL:
             raise NoConvergence(MAX_ITER, residual)
         iterations = max(iterations, sweep)
         if b == n - 1:

@@ -621,6 +621,26 @@ class TestExitCodes:
         assert peak < 2**19
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, points", [
+        (["fluid", "--system", "hybrid", "--n", "10", "--c2", "3", "--horizon", "1e12"],
+         1000000000000001),
+        (["experiment", "--experiment", "convergence", "--n", "20", "--c2", "6", "--n-list",
+          "20,40", "--seed", "1", "--horizon", "1e9", "--grid-dt", "1"], 1000000001),
+    ], ids=["fluid-hybrid", "convergence"])
+    def test_grid_past_the_cap_refused_before_allocating(self, capsys, tmp_path, argv, points):
+        """These exited 4 on a MemoryError (21.3 PiB and 22.4 GiB)."""
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            f"makes {points} grid points, past the cap of {2**24 + 1}\n")
+        assert peak < 2**20
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (["fluid", "--system", "hybrid", "--init", "0,x,0"],
          "--init for hybrid takes 3 comma-separated numbers (y_star,y,z), got '0,x,0'"),
@@ -634,3 +654,31 @@ class TestExitCodes:
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        """The parser is kept for the process; a parse error after a run reads as from a
+        fresh parser."""
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["params", "--p", "0.4", "--n", "20", "--c2", "6"]) == 0
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as kept:
+                cli.main(["params", "--p", "x"])
+            err = capsys.readouterr().err
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        with pytest.raises(SystemExit) as fresh:
+            build().parse_args(["params", "--p", "x"])
+        assert kept.value.code == fresh.value.code == 2
+        assert err == capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Fluid systems: drift fields, exact regime flows, reflected auxiliaries, hybrid path."""
 
+import ctypes
 import hashlib
 import math
 import os
@@ -17,6 +18,7 @@ from twolevel import (
     DomainError,
     FluidState,
     ModelParams,
+    NoConvergence,
     NonFinite,
     SampledPath,
     ScalingParams,
@@ -710,6 +712,78 @@ class TestWindowedPicard:
 
         solve_generalized(counting, 10.0, 1e-3)
         assert sum(points) < 25 * 10001 / 2
+
+
+class TestCompiledSweeps:
+    """``gbar_functional``'s compiled window sweeps (``gbar.sweeps``, one ``picard_window``
+    call a window) against ``solve_generalized``'s Python sweep loop on the same functional,
+    which a plain function wrapping it gets."""
+
+    @staticmethod
+    def both_paths(phi, horizon):
+        return [solve_generalized(f, horizon, 1e-3) for f in (phi, lambda *a: phi(*a))]
+
+    def assert_bit_identical(self, phi, horizon):
+        (sol, reg, k), (ref, ref_reg, ref_k) = self.both_paths(phi, horizon)
+        assert sol.values.tobytes() == ref.values.tobytes()
+        assert reg.values.tobytes() == ref_reg.values.tobytes()
+        assert k == ref_k
+
+    def test_bit_identical_on_criterion_06_instances(self):
+        rng = np.random.default_rng(12345)
+        for params, r in [(SYM, 0.3)] + [random_overloaded_instance(rng) for _ in range(20)]:
+            self.assert_bit_identical(gbar_functional(params, r, (0.0, 0.0)), 10.0)
+
+    @pytest.mark.parametrize("horizon", [5.3, 0.5, 1e-3])
+    def test_bit_identical_at_window_edges(self, horizon):
+        self.assert_bit_identical(gbar_functional(SYM, 0.3, (0.1, 0.2)), horizon)
+
+    @pytest.mark.parametrize("setting, value", [("MAX_ITER", 3), ("TOL", 1e-17)],
+                             ids=["budget-3", "tol-below-rounding"])
+    def test_same_no_convergence(self, monkeypatch, setting, value):
+        """Settings read at call time reach both paths, which fail alike."""
+        monkeypatch.setattr(skorokhod, setting, value)
+        phi = gbar_functional(SYM, 0.3, (0.0, 0.0))
+        failures = []
+        for f in (phi, lambda *a: phi(*a)):
+            with pytest.raises(NoConvergence) as err:
+                solve_generalized(f, 10.0, 1e-3)
+            failures.append((err.value.max_iter, err.value.residual))
+        assert failures[0] == failures[1] and failures[0][0] == skorokhod.MAX_ITER
+
+    def test_same_refusal_of_a_start_below_zero(self):
+        """A start within ``FluidState.check``'s tolerance below 0 is refused on both paths."""
+        phi = gbar_functional(SYM, 0.3, (-1e-10, 1.0))
+        for f in (phi, lambda *a: phi(*a)):
+            with pytest.raises(DomainError, match=r"free path must start >= 0, got -1e-10"):
+                solve_generalized(f, 5.0, 1e-3)
+
+    @staticmethod
+    def picard_window(base, pinned):
+        """(residual, sweeps) of the library's window sweeps on x = 0 at ``SYM``'s rates."""
+        x, reg, free = np.zeros(len(base)), np.zeros(len(base)), np.empty(len(base))
+        carried, count = (ctypes.c_double * 2)(0.0, 0.0), (ctypes.c_int64 * 1)()
+        residual = native.library().picard_window(
+            x.ctypes.data, reg.ctypes.data, base.ctypes.data, len(base), 5e-4, 1.0, 0.999,
+            -0.5, carried, free.ctypes.data, -0.1 if pinned else np.inf, pinned, 1e-9, 200,
+            count)
+        return residual, count[0]
+
+    @pytest.mark.parametrize("pinned", [0, 1])
+    @pytest.mark.parametrize("where", [0, 50, 99])
+    def test_nan_in_base_gives_nan(self, where, pinned):
+        """The first sweep's reflection meets the NaN and the window stops there."""
+        base = np.linspace(0.0, 1.0, 100)
+        base[where] = np.nan
+        residual, sweeps = self.picard_window(base, pinned)
+        assert math.isnan(residual) and sweeps == 1
+
+    def test_start_below_zero_stops_a_first_window(self):
+        """As the Python loop refuses it after the first sweep; a pinned window goes on."""
+        base = np.linspace(-0.5, 1.0, 100)
+        assert self.picard_window(base, 0)[1] == 1
+        residual, sweeps = self.picard_window(base, 1)
+        assert residual <= 1e-9 and sweeps > 1
 
 
 class TestHybridFluid:

@@ -739,6 +739,10 @@ class TestCompiledLoops:
         assert lib.reflect_window.argtypes == [ctypes.c_void_p] * 3 + [
             ctypes.c_int64, ctypes.c_double, ctypes.c_int]
         assert lib.reflect_window.restype is ctypes.c_double
+        assert lib.picard_window.argtypes == [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [
+            ctypes.c_double] * 4 + [ctypes.c_void_p] * 2 + [
+            ctypes.c_double, ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p]
+        assert lib.picard_window.restype is ctypes.c_double
         run = getattr(sim, native.LOOP_NAMES["aux-noblock"])
         assert run.__name__ == "simulate_aux_noblock" and run.__module__ == "twolevel.sim"
 
@@ -752,6 +756,7 @@ class TestCompiledLoops:
         found = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", native._SOURCE, re.M)
         assert {name for _, name, _ in found} >= {"simulate", "grid_sup", "residual_sup",
                                                   "format_trajectory_rows", "reflect_window",
+                                                  "picard_window",
                                                   "affine_segment", "segment_flow",
                                                   "simulate_states", "simulate_aux_noblock_states",
                                                   "simulate_aux_saturated_states"}

@@ -154,6 +154,16 @@ def test_whole_steps_refuses_a_ratio_that_is_not_finite(horizon, dt):
     assert info.value.field == "horizon"
 
 
+def test_whole_steps_caps_the_grid_points():
+    """2^24 steps make the largest grid; one more step is refused on ``horizon``."""
+    cap = skorokhod.MAX_POINTS
+    assert whole_steps(float(cap - 1), 1.0) == cap - 1
+    with pytest.raises(DomainError, match=f"makes {cap + 1} grid points, past the cap of {cap}"
+                       ) as info:
+        whole_steps(float(cap), 1.0)
+    assert info.value.field == "horizon"
+
+
 class TestSolveGeneralized:
     def test_constant_functional_identity(self):
         """phi ignoring its argument, returning t: solution is t, found in 2 passes."""
@@ -233,6 +243,13 @@ class TestSolveGeneralized:
         phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))
         solution, regulator, _ = solve_generalized(phi, 1.0, 0.6)
         assert len(solution) == len(regulator) == 2
+
+    def test_grid_past_the_cap_refused_before_allocating(self):
+        """10^15 points: the two arrays of the solve raised MemoryError (14.2 PiB)."""
+        phi = gbar_functional(ModelParams(0.5, 1.0, 1.0, 1.0), 0.3, (0.0, 0.0))
+        with pytest.raises(DomainError, match="1000000000000001 grid points") as err:
+            solve_generalized(phi, 1e12, 1e-3)
+        assert err.value.field == "horizon"
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3])
     def test_nonpositive_dt_rejected(self, dt):
