@@ -202,22 +202,10 @@ def _window_rows(key, value, c2, t1, reps, seed, stats):
 def _time_average(times, values, t_lo, t_hi):
     """Exact time average of a piecewise-constant path on [t_lo, t_hi], t_hi at most its
     horizon, read from the rows whose holding interval meets the window alone."""
-    first = _window_index(times, t_lo)
+    first = max(0, np.searchsorted(times, t_lo, side="right") - 1)  # the row held at t_lo
     stop = np.searchsorted(times, t_hi)
     edges = np.concatenate(([t_lo], times[first + 1:stop], [t_hi]))
     return float(np.sum(values[first:stop] * np.diff(edges)) / (t_hi - t_lo))
-
-
-def _window_index(times, t_lo):
-    """First row of a piecewise-constant path on [t_lo, horizon]: the state held at t_lo."""
-    return max(0, np.searchsorted(times, t_lo, side="right") - 1)
-
-
-def _assert_exclusive(traj):
-    if np.any((traj.states[:, 0] > 0) & (traj.states[:, 2] > 0)):
-        raise InvalidState(
-            f"trajectory (seed {traj.seed}) has blocked operators and idle specialists at once"
-        )
 
 
 def _params_echo(params, **extra):
@@ -238,7 +226,7 @@ def _fluid_reference(target, params, r, horizon, grid_dt):
     system = "hybrid" if target == "main" else target
     sol = fluid.solve_system(system, params, r, (0.0, 0.0, 0.0), horizon, grid_dt)
     cols = [("y_star", "y", "z").index(c) for c in model.PROCESSES[target].columns]
-    return sol.path.values[:, cols]
+    return np.ascontiguousarray(sol.path.values[:, cols])  # a column pick is Fortran-ordered
 
 
 def _simulate(process, init, params, scaling, horizon, seed):
@@ -313,10 +301,9 @@ def _scale_ratio(cfg, n, c2, regime):
 
 def _noblock_rep(params, n, c2, horizon, grid_dt, t1, fp, seed):
     traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
-    _assert_exclusive(traj)
+    blocked = sim.window_summary(traj, (t1, 2 * t1)).max_y_star
     dists = sim.grid_sup(traj, grid_dt, fp, (t1, 2 * t1)).tolist()
-    out = [(not np.any(traj.states[_window_index(traj.times, start):, 0] > 0), dist)
-           for start, dist in zip((t1, 2 * t1), dists)]
+    out = [(not most > 0, dist) for most, dist in zip(blocked, dists)]
     coarse = sim.rescale(traj, PATH_SAMPLE_DT)
     return traj.absorbed, out + [coarse.values[:, 1:]]
 
@@ -389,17 +376,10 @@ def no_blocking_certificate(cfg, fixed_point_band=None, workers=1):
 
 
 def _saturation_rep(params, n, c2, horizon, t1, seed):
-    scaling = ScalingParams(n, c2)
-    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
-    _assert_exclusive(traj)
-    sum_frac = (traj.states[:, 0] + traj.states[:, 1]) / n
-    out = []
-    for window_start in (t1, 2 * t1):
-        idx = _window_index(traj.times, window_start)
-        idle = np.any(traj.states[idx:, 2] > 0)
-        avg = _time_average(traj.times, traj.states[:, 0] / n, window_start, horizon)
-        out.append((not idle, avg, float(sum_frac[idx:].min())))
-    return traj.absorbed, out
+    traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
+    s = sim.window_summary(traj, (t1, 2 * t1), averages=True)
+    return traj.absorbed, [(not idle > 0, avg, occupied / n)
+                           for idle, avg, occupied in zip(s.max_z, s.average, s.min_occupancy)]
 
 
 def saturation_certificate(cfg, band=0.05, workers=1):
@@ -459,11 +439,8 @@ def saturation_certificate(cfg, band=0.05, workers=1):
 
 
 def _phase_rep(params, n, c2, horizon, t1, seed):
-    scaling = ScalingParams(n, c2)
-    traj = _simulate("main", (0, 0, 0), params, scaling, horizon, seed)
-    frac = traj.states[:, 0] / n
-    return traj.absorbed, tuple(
-        _time_average(traj.times, frac, t, horizon) for t in (t1, 2 * t1))
+    traj = _simulate("main", (0, 0, 0), params, ScalingParams(n, c2), horizon, seed)
+    return traj.absorbed, tuple(sim.window_summary(traj, (t1, 2 * t1), averages=True).average)
 
 
 # phase_scan's cut-off for "no blocking" and its tolerance for the blocked-fraction formula.
@@ -609,6 +586,21 @@ def _martingale_rep(params, n, c2, horizon, seed):
     return traj.absorbed, tuple(float(s) for s in sim.residual_sup(traj))
 
 
+def _bootstrap_mean_squares(sups, picks):
+    """``np.mean(sups[np.arange(len(sups))[:, None], picks]**2, axis=-2)`` bit for bit: per
+    draw and n, the mean square of the picked replications' residuals.
+
+    ``sups`` is (n, replication, coordinate), ``picks`` (draw, n, replication).  Each
+    replication's squared triple is gathered as one item, replication-major, and summed over
+    the leading axis: the same sequential sum, with no 3-wide inner loop.
+    """
+    squares = np.ascontiguousarray(sups**2)
+    triples = squares.view(np.dtype((np.void, squares.itemsize * squares.shape[-1])))[..., 0]
+    gathered = triples[np.arange(len(sups)), np.ascontiguousarray(np.moveaxis(picks, -1, 0))]
+    return np.sum(gathered.view(squares.dtype).reshape(gathered.shape + squares.shape[-1:]),
+                  axis=0) / picks.shape[-1]
+
+
 # martingale_decay's accepted range of log-log slopes and its number of bootstrap draws.
 SLOPE_RANGE = (-0.7, -0.3)
 BOOTSTRAP = 1000
@@ -637,15 +629,15 @@ def martingale_decay(params, r, n_list, horizon, reps, seed, workers=1):
     absorbed = sum(k for _, k in runs)
     log_n = np.log(np.asarray(n_list, dtype=float))
 
-    def fit(samples):
-        """Per-n RMS over the replication axis (-2) and the log-log slope of each column.
+    def fit(mean_squares):
+        """Per-n RMS and the log-log slope of each column.
 
-        ``samples`` is (..., n, replication, coordinate); one polyfit fits every
+        ``mean_squares`` is (..., n, coordinate); one polyfit fits every
         leading index and coordinate at once.  A column with an RMS of 0 at
         some n has no slope: it is left out of the fit and gets NaN, since a
         non-finite column would turn every column's least-squares fit to NaN.
         """
-        rms = np.sqrt(np.mean(samples**2, axis=-2))
+        rms = np.sqrt(mean_squares)
         with np.errstate(divide="ignore"):
             ys = np.moveaxis(np.log(rms), -2, 0).reshape(len(log_n), -1)
         finite = np.isfinite(ys).all(axis=0)
@@ -654,12 +646,12 @@ def martingale_decay(params, r, n_list, horizon, reps, seed, workers=1):
         return rms, slopes.reshape(rms.shape[:-2] + rms.shape[-1:])
 
     sups = np.array([values for values, _ in runs])
-    rms, slopes = fit(sups)
+    rms, slopes = fit(np.mean(sups**2, axis=-2))
     slopes = slopes.tolist()
     rng = np.random.default_rng([seed, 0xB00])
     # One draw for every (bootstrap sample, n): the same stream as a draw per pair in that order.
     picks = rng.integers(0, reps, (BOOTSTRAP, len(n_list), reps))
-    boot = fit(sups[np.arange(len(n_list))[:, None], picks])[1]
+    boot = fit(_bootstrap_mean_squares(sups, picks))[1]
     metrics = []
     for i, n in enumerate(n_list):
         row = {

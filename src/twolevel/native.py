@@ -3,7 +3,9 @@
 It holds a simulator loop per table in ``model.PROCESSES`` and the walk that rebuilds a
 run's state rows from the row codes that loop records (``loop_source``), the
 compensator of ``sim.residual_sup`` (``residual_source``), the one walk over the jumps and
-the grid of ``sim.grid_sup``, the row formatter of ``sim.write_trajectory_csv`` (exact
+the grid of ``sim.grid_sup``, the one pass over a main run's rows of
+``sim.window_summary`` (its averages summed as numpy's pairwise ``np.sum``), the row
+formatter of ``sim.write_trajectory_csv`` (exact
 integer digits; ``snprintf`` only out of range), the two halves of a Picard sweep:
 ``fluid.gbar_functional``'s pass and ``skorokhod.solve_generalized``'s reflection, and the
 loop that runs one window's sweeps of the two in one call, and the exact segments of
@@ -198,6 +200,86 @@ void grid_sup(const double *times, const int64_t *x, const double *ref, const do
         for (int64_t w = 0; w < windows; w++)
             if (t >= starts[w]) sup[w] = nan_max(sup[w], d);
     }
+}
+"""
+
+# A main run's rows (y_star, y, z) at times[0..rows), the last before the horizon, and windows
+# [starts[w], horizon].  out[4w..4w+3]: the row held at the start (the last at or before it,
+# as numpy's searchsorted finds it), the largest y_star and z and the least y_star + y from that
+# row on.  With avg, avg[w] is the time average of y_star / n over the window: each row's
+# (y_star / n) * (its time in the window) summed as numpy's np.sum adds a float64 array
+# (its pairwise sum: 8 running sums up to 128 terms, halves on multiples of 8 above), over
+# the window's length.  Returns -1, or the first row with y_star > 0 and z > 0.
+_WINDOW_SUMMARY = r"""
+struct window { const double *times; const int64_t *x; int64_t first, rows; double n, lo, hi; };
+
+static double area(const struct window *w, int64_t i)
+{
+    double from = i == w->first ? w->lo : w->times[i];
+    double to = i + 1 < w->rows ? w->times[i + 1] : w->hi;
+    return ((double)w->x[3 * i] / w->n) * (to - from);
+}
+
+static double pairwise_sum(const struct window *w, int64_t lo, int64_t len)
+{
+    if (len < 8) {
+        double s = 0.0;
+        for (int64_t i = 0; i < len; i++) s += area(w, lo + i);
+        return s;
+    }
+    if (len <= 128) {
+        double r[8], s;
+        int64_t i;
+        for (int j = 0; j < 8; j++) r[j] = area(w, lo + j);
+        for (i = 8; i < len - len % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += area(w, lo + i + j);
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < len; i++) s += area(w, lo + i);
+        return s;
+    }
+    int64_t half = len / 2 - len / 2 % 8;
+    return pairwise_sum(w, lo, half) + pairwise_sum(w, lo + half, len - half);
+}
+
+int64_t window_summary(const double *times, const int64_t *x, int64_t rows, int64_t n,
+                       double horizon, const double *starts, int64_t windows, int64_t *out,
+                       double *avg)
+{
+    for (int64_t w = 0; w < windows; w++) {
+        int64_t lo = 0, hi = rows;  /* the first row after the start is at lo */
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (times[mid] <= starts[w]) lo = mid + 1; else hi = mid;
+        }
+        out[4 * w] = lo > 0 ? lo - 1 : 0;
+        if (avg) {
+            struct window win = {times, x, out[4 * w], rows, (double)n, starts[w], horizon};
+            double sum = 0.0 + pairwise_sum(&win, win.first, rows - win.first);
+            avg[w] = sum / (horizon - starts[w]);
+        }
+    }
+    /* Back from the last row, down to each window's first row in turn, then to row 0. */
+    int64_t most_y_star = INT64_MIN, most_z = INT64_MIN, least = INT64_MAX, bad = -1;
+    for (int64_t k = rows; k > 0;) {
+        int64_t next = 0;
+        for (int64_t w = 0; w < windows; w++)
+            if (out[4 * w] < k && out[4 * w] > next) next = out[4 * w];
+        while (k > next) {
+            k--;
+            int64_t y_star = x[3 * k], occupied = y_star + x[3 * k + 1], z = x[3 * k + 2];
+            bad = y_star > 0 && z > 0 ? k : bad;
+            most_y_star = y_star > most_y_star ? y_star : most_y_star;
+            most_z = z > most_z ? z : most_z;
+            least = occupied < least ? occupied : least;
+        }
+        for (int64_t w = 0; w < windows; w++)
+            if (out[4 * w] == k) {
+                out[4 * w + 1] = most_y_star;
+                out[4 * w + 2] = most_z;
+                out[4 * w + 3] = least;
+            }
+    }
+    return bad;
 }
 """
 
@@ -445,10 +527,10 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 
 def _library_source(processes):
     """C source of one library: the loops of ``processes``, the formatter, ``residual_sup``,
-    ``grid_sup``, the Picard sweeps and the exact fluid segment."""
+    ``grid_sup``, ``window_summary``, the Picard sweeps and the exact fluid segment."""
     return (_PRELUDE + "\n".join(loop_source(name, spec) for name, spec in processes.items())
-            + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP + _PICARD
-            + _FLUID)
+            + _FORMATTER + "\n" + residual_source(processes["main"]) + _GRID_SUP
+            + _WINDOW_SUMMARY + _PICARD + _FLUID)
 
 
 def _built(source, private):

@@ -13,9 +13,10 @@ oracle's generator; ``fluid`` reads its drift from it.
 the random numbers in Python and hand each block to the process's function
 in the compiled library (``native``), generated from the same table;
 ``residual_sup``, ``grid_sup`` (``rescale``'s grid and a sup distance in one
-pass, with no rescaled path) and ``write_trajectory_csv`` run there too.
-They and ``rescale`` take the ``Trajectory`` alone: it carries its checked
-parameters and scale.
+pass, with no rescaled path), ``window_summary`` (the certificates' window
+rows, maxima, minimum and time averages in one pass) and
+``write_trajectory_csv`` run there too.  They and ``rescale`` take the
+``Trajectory``: it carries its checked parameters and scale.
 
 Each jump takes two uniforms u, u' from the stream: the holding time is
 -log1p(-u) / total (an Exp(1) variate by inversion) and the transition is
@@ -40,6 +41,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,6 +271,50 @@ def grid_sup(traj, grid_dt, reference, window_starts):
                               len(times), cols, traj.scaling.n, points,
                               ref.shape[-1] * (ref.ndim - 1), ref.shape[-1], len(starts), grid_dt)
     return sup
+
+
+class WindowSummary(NamedTuple):
+    """Per window [start, horizon] of a main run, a list with an entry per window start:
+    ``held``, the index of the row held at the start; ``max_y_star`` and ``max_z``, the
+    largest y_star and z from that row on; ``min_occupancy``, the least y_star + y from it
+    on; ``average``, the time average of y_star / n over the window (None unless asked for).
+    """
+
+    held: list
+    max_y_star: list
+    max_z: list
+    min_occupancy: list
+    average: list
+
+
+def window_summary(traj, window_starts, averages=False):
+    """The certificates' statistics of a main run on each window [start, horizon]: one
+    ``WindowSummary``, from one pass over the rows in the compiled library.  Each average
+    equals numpy's ``np.sum`` of the rows' (y_star / n) * (time in the window), over the
+    window's length, bit for bit.  A run with a row where y_star > 0 and z > 0 (blocked
+    operators and idle specialists at once) is refused.
+    """
+    if traj.process != "main":
+        raise InvalidState("window statistics are defined for the main process")
+    if traj.truncated:
+        raise InvalidState("window statistics need the path up to the horizon, not a truncated run")
+    if not traj.times[-1] < traj.horizon:
+        raise InvalidState(f"a run with a row at {traj.times[-1]!r}, not before its horizon "
+                           f"{traj.horizon!r}")
+    starts = np.ascontiguousarray(window_starts, dtype=float)
+    if starts.ndim != 1 or not all(0 <= s < traj.horizon for s in starts.tolist()):
+        raise DomainError("window_starts", f"windows must start in [0, horizon = "
+                                           f"{traj.horizon!r}), got {starts.tolist()}")
+    out = np.empty((len(starts), 4), dtype=np.int64)
+    avg = np.empty(len(starts)) if averages else None
+    bad = native.library().window_summary(
+        traj.times.ctypes.data, traj.states.ctypes.data, len(traj.times), traj.scaling.n,
+        traj.horizon, starts.ctypes.data, len(starts), out.ctypes.data,
+        None if avg is None else avg.ctypes.data)
+    if bad >= 0:
+        raise InvalidState(f"trajectory (seed {traj.seed}) has blocked operators and idle "
+                           "specialists at once")
+    return WindowSummary(*out.T.tolist(), None if avg is None else avg.tolist())
 
 
 def residual_sup(traj):

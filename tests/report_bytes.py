@@ -26,6 +26,9 @@ import sys
 
 SEED = "12345"
 SYM = ["--p", "0.5", "--mu01", "1", "--mu11", "1", "--mu02", "1"]
+# At symmetric rates every exit rate sums alike in any order, and a run's rates and jump
+# times are those of one rate unit; at these rates neither holds.
+ASYM = ["--p", "0.35", "--mu01", "1.3", "--mu11", "0.8", "--mu02", "1.1"]
 
 
 def _fluid(system, c2, init):
@@ -48,6 +51,16 @@ def _simulate(process):
             "--horizon", "10", "--replications", "2", "--seed", SEED]
 
 
+def _saturation(c2, rates=SYM):
+    return _experiment("saturation", "--n", "100", "--c2", c2, "--n-list", "100,200",
+                       "--horizon", "30", "--burn-in", "10", "--replications", "10", rates=rates)
+
+
+def _no_blocking(c2, rates=SYM):
+    return _experiment("no-blocking", "--n", "100", "--c2", c2, "--n-list", "100,200",
+                       "--horizon", "30", "--burn-in", "10", "--replications", "10", rates=rates)
+
+
 def _oracle_check(n, c2, rates=SYM):
     return _experiment("oracle-check", "--n", n, "--c2", c2, "--horizon", "2000", rates=rates)
 
@@ -66,11 +79,10 @@ COMMANDS = {
     "simulate-main": _simulate("main"),
     "simulate-aux-saturated": _simulate("aux-saturated"),
     "simulate-aux-noblock": _simulate("aux-noblock"),
-    "saturation": _experiment("saturation", "--n", "100", "--c2", "30", "--n-list", "100,200",
-                              "--horizon", "30", "--burn-in", "10", "--replications", "10"),
-    "no-blocking": _experiment("no-blocking", "--n", "100", "--c2", "70", "--n-list",
-                               "100,200", "--horizon", "30", "--burn-in", "10",
-                               "--replications", "10"),
+    "saturation": _saturation("30"),
+    "saturation-asym": _saturation("15", ASYM),
+    "no-blocking": _no_blocking("70"),
+    "no-blocking-asym": _no_blocking("60", ASYM),
     "martingale-decay": _experiment("martingale-decay", "--n", "100", "--c2", "30",
                                     "--n-list", "100,200,400", "--horizon", "10",
                                     "--replications", "10"),
@@ -78,9 +90,7 @@ COMMANDS = {
                               "--replications", "4"),
     "oracle-check-n20": _oracle_check("20", "10"),
     "oracle-check-n60": _oracle_check("60", "30"),
-    # At symmetric rates every exit rate sums alike in any order; these do not.
-    "oracle-check-asym-n60": _oracle_check("60", "30", ["--p", "0.35", "--mu01", "1.3",
-                                                        "--mu11", "0.8", "--mu02", "1.1"]),
+    "oracle-check-asym-n60": _oracle_check("60", "30", ASYM),
 }
 
 

@@ -15,8 +15,10 @@ codes that the library's compiled walk replaced.
 
 import numpy as np
 
+from twolevel.errors import InvalidState
+from twolevel.experiments import _time_average
 from twolevel.model import PROCESSES
-from twolevel.sim import _CHUNK, rates, rescale
+from twolevel.sim import _CHUNK, WindowSummary, rates, rescale
 
 
 def jump_draws(rng, count):
@@ -276,3 +278,23 @@ def grid_sup(traj, grid_dt, reference, window_starts):
         diff = np.max(np.abs(values - ref), axis=1)
         return [float(diff[path.times >= t].max()) for t in window_starts]
     return [float(np.max(np.abs(values[path.times >= t] - ref))) for t in window_starts]
+
+
+def window_summary(traj, window_starts, averages=False):
+    """The numpy form of ``sim.window_summary``, as the certificates computed it before.
+
+    Each window's row is ``searchsorted``'s; its maxima and minimum are whole-array
+    reductions from that row on; its average is ``experiments._time_average`` of
+    ``states[:, 0] / n``.  The compiled function must return the same numbers.
+    """
+    times, states = traj.times, traj.states
+    if np.any((states[:, 0] > 0) & (states[:, 2] > 0)):
+        raise InvalidState(f"trajectory (seed {traj.seed}) has blocked operators and idle "
+                           "specialists at once")
+    held = [max(0, int(np.searchsorted(times, s, side="right")) - 1) for s in window_starts]
+    occupied = states[:, 0] + states[:, 1]
+    return WindowSummary(
+        held, [int(states[i:, 0].max()) for i in held], [int(states[i:, 2].max()) for i in held],
+        [int(occupied[i:].min()) for i in held],
+        [_time_average(times, states[:, 0] / traj.scaling.n, s, traj.horizon)
+         for s in window_starts] if averages else None)

@@ -484,6 +484,20 @@ class TestMartingaleDecay:
         rep = martingale_decay(SYM, 0.3, (50, 100, 200, 400), horizon=5.0, reps=10, seed=99)
         assert rep.passed, rep.criteria
 
+    @pytest.mark.parametrize("reps", [1, 2, 7, 20, 33])
+    def test_bootstrap_mean_squares_match_the_gathered_mean(self, reps):
+        """The replication-major gather sums in the order of the mean over axis -2 of the
+        gathered draws, bit for bit, on residuals of several magnitudes and a column of 0s."""
+        rng = np.random.default_rng(reps)
+        for trial in range(10):
+            sups = rng.random((4, reps, 3)) * 10.0 ** rng.integers(-8, 4, (4, reps, 3))
+            sups[:, :, trial % 3] *= trial >= 3  # all 0 in one column in the first 3 trials
+            picks = rng.integers(0, reps, (experiments.BOOTSTRAP, 4, reps))
+            expected = np.mean(sups[np.arange(4)[:, None], picks]**2, axis=-2)
+            got = experiments._bootstrap_mean_squares(sups, picks)
+            assert got.shape == expected.shape == (experiments.BOOTSTRAP, 4, 3)
+            assert got.tobytes() == expected.tobytes()
+            assert (trial >= 3) or not got[..., trial % 3].any()
 
     def test_zero_rms_draws_left_out_of_interval(self):
         """Above r_c most y* sups are 0, so some resamples have an RMS of 0:
@@ -639,6 +653,7 @@ def test_fluid_row_past_the_horizon_not_compared(target, r):
     scaling = ScalingParams(40, experiments.c2_for(40, r))
     ref = experiments._fluid_reference(target, SYM, scaling.c2 / 40, 20.0, 0.03)
     assert len(ref) == sim.grid_points(20.0, 0.03) == 667
+    assert ref.flags.c_contiguous  # so grid_sup reads it without a copy a call
     traj = sim.simulate_process(target, (0,) * ref.shape[1], SYM, scaling, 20.0, cfg.base_seed)
     sups = sim.grid_sup(traj, 0.03, ref, (5.0, 10.0)).tolist()
     assert [row["sup_distances"][0] for row in (report.metrics[1], report.sensitivity[1])] == sups

@@ -322,6 +322,40 @@ class TestStationary:
         with pytest.raises(SingularSystem):
             stationary_distribution(build_generator(SYM, ScalingParams(n=2, c2=1)))
 
+    @pytest.mark.parametrize("params,scaling", [
+        (SYM, ScalingParams(n=60, c2=30)),
+        (ModelParams(0.35, 1.3, 0.8, 1.1), ScalingParams(n=40, c2=15)),
+    ], ids=["symmetric-n60", "skewed-n40"])
+    def test_law_at_rates_times_a_power_of_two(self, params, scaling):
+        """Every rate times 2^k scales the generator exactly, so the solve gives the same
+        law bit for bit.  An absolute residual bound of 1e-10 refused these from k = 17
+        (symmetric) and k = 19 (skewed)."""
+        pi = stationary_distribution(build_generator(params, scaling))
+        for k in range(1, 31):
+            scaled = ModelParams(params.p, *(2.0**k * mu
+                                             for mu in (params.mu01, params.mu11, params.mu02)))
+            np.testing.assert_array_equal(
+                stationary_distribution(build_generator(scaled, scaling)), pi, err_msg=str(k))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-4, 2.0**20])
+    def test_residual_bound_scales_with_the_largest_exit_rate(self, monkeypatch, scale):
+        """The bound is 1e-10 x max(1, the largest exit rate): a solve off by 1.5 bounds'
+        worth of residual is refused and by half a bound's worth passes, at exit rates up
+        to 1 (bound 1e-10) and at 2^20."""
+        g = scale * np.array([[-0.5, 0.5], [0.25, -0.25]])
+        bound = 1e-10 * max(1.0, 0.5 * scale)
+        for off, refused in ((1.5, True), (0.5, False)):
+            # The pinned solve's pi[0] = 0.5 (1 + e), not 0.5, gives pi = (1 + e, 2) / (3 + e)
+            # and a residual of 0.5 * scale * e / (3 + e).
+            e = off * bound * 3 / (0.5 * scale - off * bound)
+            monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda a, b, e=e, **kw:
+                                np.array([0.5 * (1 + e)]))
+            if refused:
+                with pytest.raises(SingularSystem, match=f"exceeds {bound:.3e}"):
+                    stationary_distribution(g)
+            else:
+                stationary_distribution(g)
+
     def test_blocked_mass_approaches_fluid_limit(self):
         """Growing n with c2 = 0.3 n drives E[y_star]/n toward the fluid value."""
         limit = blocked_fraction_limit(SYM, 0.3)

@@ -756,7 +756,7 @@ class TestCompiledLoops:
         found = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)", native._SOURCE, re.M)
         assert {name for _, name, _ in found} >= {"simulate", "grid_sup", "residual_sup",
                                                   "format_trajectory_rows", "reflect_window",
-                                                  "picard_window",
+                                                  "picard_window", "window_summary",
                                                   "affine_segment", "segment_flow",
                                                   "simulate_states", "simulate_aux_noblock_states",
                                                   "simulate_aux_saturated_states"}
@@ -1297,6 +1297,111 @@ class TestGridSup:
             assert grid_steps(horizon, dt) * dt <= horizon * (1 + 1e-9)
         assert grid_steps(10.0, 1e-3) == 10_000
         assert sim.grid_points(1.0, 0.6) == 2
+
+
+class TestWindowSummary:
+    """``window_summary`` reads a main run's window rows, maxima, minimum and averages in one
+    pass in C; ``sim_reference.window_summary`` is the numpy the certificates ran before."""
+
+    @staticmethod
+    def run(times, y_star, y, z, horizon, n=400):
+        states = np.stack([y_star, y, z], axis=1)
+        return Trajectory("main", times, states, horizon, 0, SYM, ScalingParams(n, n // 2))
+
+    @staticmethod
+    def same(got, expected):
+        """Equal field by field, the averages bit for bit."""
+        assert got._replace(average=None) == expected._replace(average=None)
+        assert (None if got.average is None else [v.hex() for v in got.average]) == (
+            None if expected.average is None else [v.hex() for v in expected.average])
+
+    def test_bit_identical_to_numpy_reference_on_random_runs(self):
+        """240 runs at drawn rates, scales and horizons, on windows from 0, from drawn
+        times and from a jump time."""
+        rng = np.random.default_rng(36)
+        for seed in range(240):
+            params = ModelParams(*rng.uniform((0.2, 0.5, 0.5, 0.5), (0.8, 2.0, 2.0, 2.0)))
+            n = int(rng.integers(2, 300))
+            scaling = ScalingParams(n, int(rng.integers(1, n + 1)))
+            horizon = float(rng.uniform(0.5, 12.0))
+            traj = simulate((0, 0, 0), params, scaling, horizon, seed)
+            starts = [0.0, *rng.uniform(0.0, horizon, 2), float(traj.times[len(traj.times) // 2])]
+            for averages in (False, True):
+                self.same(sim.window_summary(traj, starts, averages),
+                          sim_reference.window_summary(traj, starts, averages))
+
+    def test_window_edges(self):
+        """A window from 0, one from a jump time (that jump's row is held), one between jumps
+        and one after the last jump."""
+        traj = self.run([0.0, 0.5, 1.25, 2.0], [0, 0, 1, 2], [0, 1, 1, 0], [2, 1, 0, 0], 3.0,
+                        n=4)
+        starts = (0.0, 1.25, 0.7, 2.5)
+        got = sim.window_summary(traj, starts, averages=True)
+        self.same(got, sim_reference.window_summary(traj, starts, averages=True))
+        assert got.held == [0, 2, 1, 3]
+        assert got.max_y_star == [2, 2, 2, 2]
+        assert got.max_z == [2, 0, 1, 0]
+        assert got.min_occupancy == [0, 2, 1, 2]
+        # y_star / 4 is 1/4 on [1.25, 2) and 1/2 on [2, 3].
+        expected = [0.6875 / 3, 0.6875 / 1.75, 0.6875 / 2.3, 0.5]
+        assert got.average == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 16, 127, 128, 129, 136, 255, 257, 1000,
+                                      8193, 100_000])
+    def test_average_is_numpys_pairwise_sum(self, rows):
+        """The compiled sum is numpy's: 8 running sums up to 128 terms and halves on
+        multiples of 8 above, which a sequential or a compensated sum would not match."""
+        rng = np.random.default_rng(rows)
+        times = np.concatenate([[0.0], np.cumsum(rng.exponential(1e-3, rows - 1))])
+        y_star = rng.integers(0, 400, rows)
+        traj = self.run(times, y_star, 400 - y_star, np.zeros(rows, dtype=np.int64),
+                        float(times[-1]) + 0.5)
+        starts = [0.0, float(times[rows // 2]), float(times[-1]) + 0.25,
+                  *rng.uniform(0.0, float(times[-1]), 3)]
+        self.same(sim.window_summary(traj, starts, averages=True),
+                  sim_reference.window_summary(traj, starts, averages=True))
+
+    @pytest.mark.parametrize("bad", [1, 3], ids=["before-the-windows", "last-row"])
+    def test_blocked_and_idle_at_once_refused(self, bad):
+        """Any row, in a window or not, with y_star > 0 and z > 0."""
+        y_star, z = [0, 0, 0, 0], [1, 1, 0, 1]
+        y_star[bad] = 1
+        traj = self.run([0.0, 1.0, 2.0, 3.0], y_star, [0, 0, 0, 0], z, 4.0, n=4)
+        with pytest.raises(InvalidState, match="blocked operators and idle specialists"):
+            sim.window_summary(traj, (2.5,))
+        with pytest.raises(InvalidState, match="blocked operators and idle specialists"):
+            sim_reference.window_summary(traj, (2.5,))
+
+    def test_without_averages(self):
+        traj = simulate((0, 0, 0), SYM, ScalingParams(50, 15), 5.0, seed=3)
+        plain = sim.window_summary(traj, (1.0, 2.0))
+        assert plain.average is None
+        assert plain == sim.window_summary(traj, (1.0, 2.0), averages=True)._replace(
+            average=None)
+
+    @pytest.fixture
+    def no_c(self, monkeypatch):
+        """The compiled library is not reached."""
+        monkeypatch.setattr(native, "library", lambda: pytest.fail("the C function was called"))
+
+    @pytest.mark.parametrize("starts", [(-0.5,), (2.0,), (math.nan,), ((0.0, 1.0),)],
+                             ids=["negative", "at-horizon", "nan", "two-axes"])
+    def test_window_outside_the_run_refused(self, no_c, starts):
+        traj = self.run([0.0, 0.5], [0, 0], [0, 1], [0, 0], 2.0, n=4)
+        with pytest.raises(DomainError, match="windows must start in") as info:
+            sim.window_summary(traj, starts)
+        assert info.value.field == "window_starts"
+
+    def test_other_runs_refused(self, no_c):
+        aux = simulate_aux_saturated((0, 0), SYM, ScalingParams(20, 6), 2.0, seed=1)
+        with pytest.raises(InvalidState, match="main process"):
+            sim.window_summary(aux, (0.0,))
+        cut = simulate((0, 0, 0), SYM, ScalingParams(20, 6), 20.0, seed=1, max_events=10)
+        with pytest.raises(InvalidState, match="truncated"):
+            sim.window_summary(cut, (0.0,))
+        late = self.run([0.0, 2.0], [0, 0], [0, 1], [0, 0], 2.0, n=4)
+        with pytest.raises(InvalidState, match="not before its horizon"):
+            sim.window_summary(late, (0.0,))
 
 
 class TestMartingaleResidual:
